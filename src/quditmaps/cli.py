@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,11 +40,9 @@ EXIT_DISAGREEMENT = 3
 
 @dataclass
 class RunConfig:
-    d: int = 3
     tolerance: float = 1e-9
     seed: int = 42
     sample_budget: int = 10_000
-    output_format: str = "json"
     output_path: str | None = None
 
 
@@ -83,18 +81,26 @@ def _emit_json(payload, output: str | None):
     _emit(json.dumps(_round12(payload), indent=2), output)
 
 
+def _load_json_object(path: str, what: str) -> dict:
+    """The JSON object in a file; malformed JSON or a non-object is a usage error."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise QuditMapsError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise QuditMapsError(f"{what} {path} must hold a JSON object")
+    return data
+
+
 def _load_config(path: str | None) -> RunConfig:
     cfg = RunConfig()
     cfg.seed = int(os.environ.get(ENV_SEED, cfg.seed))
     if path:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        for key, attr in (("d", "d"), ("tolerance", "tolerance"), ("seed", "seed"),
-                          ("sample_budget", "sample_budget"),
-                          ("output_format", "output_format"),
-                          ("output_path", "output_path")):
-            if key in data:
-                setattr(cfg, attr, data[key])
+        data = _load_json_object(path, "config file")
+        for f in fields(cfg):
+            if f.name in data:
+                setattr(cfg, f.name, data[f.name])
     return cfg
 
 
@@ -129,8 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("trajectory", help="(alpha(t), beta(t)) trajectory CSV")
     common(sp)
-    sp.add_argument("--schedule", required=True,
-                    choices=["const", "enm", "pdiv", "sdiv", "enm2", "weyl"])
+    sp.add_argument("--schedule", required=True, choices=list(dynamics.SCHEDULES))
     sp.add_argument("--kappa", type=float, default=1.0)
     sp.add_argument("--nu", type=float, default=0.0)
     sp.add_argument("--t-max", type=float, required=True, dest="t_max")
@@ -158,8 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("apply", help="evolve a JSON state under a schedule")
     common(sp, d_required=False)
     sp.add_argument("--state", required=True, help="path to a JSON state file")
-    sp.add_argument("--schedule", required=True,
-                    choices=["const", "enm", "pdiv", "sdiv", "enm2", "weyl"])
+    sp.add_argument("--schedule", required=True, choices=list(dynamics.SCHEDULES))
     sp.add_argument("--kappa", type=float, default=1.0)
     sp.add_argument("--nu", type=float, default=0.0)
     sp.add_argument("--t", type=float, required=True)
@@ -183,9 +187,9 @@ def cmd_classify(args, cfg) -> int:
     p = MapParams(args.d, args.alpha, args.beta)
     closed = regions.classify_point(p)
     oracle = regions.classify_numeric(
-        p, sample_budget=args.budget or cfg.sample_budget,
+        p, sample_budget=cfg.sample_budget if args.budget is None else args.budget,
         seed=cfg.seed if args.seed is None else args.seed,
-        tol=args.tolerance or cfg.tolerance,
+        tol=cfg.tolerance if args.tolerance is None else args.tolerance,
     )
     disagree = []
     for key, c_flag, o_flag, margin in (
@@ -263,7 +267,7 @@ def cmd_spectrum(args, cfg) -> int:
     params = GenParams(args.d, args.kappa, args.nu)
     rep = spectrum_rates(params, cls)
     seed = cfg.seed if args.seed is None else args.seed
-    budget = args.budget or cfg.sample_budget
+    budget = cfg.sample_budget if args.budget is None else args.budget
     pair = is_conditionally_positive(params, budget, seed)
     dis = is_dissipative(params, budget, seed)
     ccp = is_ccp(params)
@@ -295,7 +299,7 @@ def cmd_spectrum(args, cfg) -> int:
 
 def cmd_verify(args, cfg) -> int:
     seed = cfg.seed if args.seed is None else args.seed
-    budget = args.budget or cfg.sample_budget
+    budget = cfg.sample_budget if args.budget is None else args.budget
     results = verify.run_suite(args.suite, seed=seed, budget=budget)
     lines = []
     for r in results:
@@ -308,9 +312,8 @@ def cmd_verify(args, cfg) -> int:
 
 
 def cmd_apply(args, cfg) -> int:
-    with open(args.state, encoding="utf-8") as fh:
-        state = state_from_json(json.load(fh))
-    d = args.d or state.d
+    state = state_from_json(_load_json_object(args.state, "state file"))
+    d = state.d if args.d is None else args.d
     sched = dynamics.schedule_from_name(args.schedule, d, args.kappa, args.nu)
     out = apply_map(dynamics.map_at(sched, args.t), state)
     _emit_json(state_to_json(out), args.output)
@@ -340,10 +343,7 @@ def main(argv=None) -> int:
         if getattr(args, "output", None) is None and cfg.output_path:
             args.output = cfg.output_path
         return COMMANDS[args.command](args, cfg)
-    except QuditMapsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (QuditMapsError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

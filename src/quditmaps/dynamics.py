@@ -32,13 +32,19 @@ Implemented schedules:
                            Z^k X^l (l > 0).  Its time-local rates are only
                            reported through numerical extraction; see
                            ``extract_time_local_generator``.
+
+Each schedule is a subclass of ``Schedule`` that owns its behaviour:
+``kappa_nu(t)``, ``alpha_beta(t)`` and ``limit()``.  Adding a schedule means
+adding one such class (and a name in ``SCHEDULES`` for the CLI); the public
+functions ``kappa_nu_at``, ``alpha_beta_at``, ``map_at`` and
+``asymptotic_map`` are thin wrappers around those methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -59,84 +65,13 @@ from .linalg import check_dimension
 
 __all__ = [
     "ConstantNu", "OptimalENM", "PDivisible", "SchwarzDivisible", "ENM2",
-    "WeylMixture", "Schedule", "SwitchTimes", "CrossingReport",
+    "WeylMixture", "Schedule", "SCHEDULES", "SwitchTimes", "CrossingReport",
     "ExtractionReport", "TrajectoryPoint", "nu_enm", "switch_times",
     "alpha_beta_at", "kappa_nu_at", "map_at", "asymptotic_map",
     "crossing_times", "tangency_slope", "weyl_ops", "weyl_mixture_map",
     "weyl_commutant_average", "extract_time_local_generator",
     "alpha_beta_by_quadrature", "schedule_from_name", "trajectory_point",
-    "BOUNDARY_SLOPES",
 ]
-
-
-@dataclass(frozen=True)
-class ConstantNu:
-    d: int
-    kappa: float
-    nu: float
-
-    def __post_init__(self):
-        check_dimension(self.d)
-
-
-@dataclass(frozen=True)
-class OptimalENM:
-    d: int
-
-    def __post_init__(self):
-        check_dimension(self.d)
-
-
-@dataclass(frozen=True)
-class PDivisible:
-    d: int
-
-    def __post_init__(self):
-        check_dimension(self.d)
-
-
-@dataclass(frozen=True)
-class SchwarzDivisible:
-    d: int
-
-    def __post_init__(self):
-        check_dimension(self.d)
-
-
-@dataclass(frozen=True)
-class ENM2:
-    d: int
-
-    def __post_init__(self):
-        check_dimension(self.d)
-
-
-@dataclass(frozen=True)
-class WeylMixture:
-    d: int
-
-    def __post_init__(self):
-        check_dimension(self.d)
-
-
-Schedule = Union[ConstantNu, OptimalENM, PDivisible, SchwarzDivisible, ENM2, WeylMixture]
-
-
-def schedule_from_name(name: str, d: int, kappa: float = 1.0,
-                       nu: float = 0.0) -> Schedule:
-    """CLI-facing constructor: const, enm, pdiv, sdiv, enm2, weyl."""
-    table = {
-        "const": lambda: ConstantNu(d, kappa, nu),
-        "enm": lambda: OptimalENM(d),
-        "pdiv": lambda: PDivisible(d),
-        "sdiv": lambda: SchwarzDivisible(d),
-        "enm2": lambda: ENM2(d),
-        "weyl": lambda: WeylMixture(d),
-    }
-    key = name.lower()
-    if key not in table:
-        raise UnknownName(f"unknown schedule {name!r}; choose from {sorted(table)}")
-    return table[key]()
 
 
 def _check_time(t: float) -> float:
@@ -186,34 +121,181 @@ def _enm_id_coefficient(d: int, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# schedule rates and trajectory coordinates
+# the schedules
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Schedule:
+    """A time dependence (kappa(t), nu(t)) of the generator family in dimension d.
+
+    Subclasses implement ``kappa_nu``, ``alpha_beta`` and ``limit``; the
+    default ``map`` builds the family map from ``alpha_beta``.  The methods
+    take t >= 0 unchecked; the module-level wrappers check it.  Subclasses
+    that add no fields need no ``@dataclass`` of their own.
+    """
+
+    d: int
+
+    def __post_init__(self):
+        check_dimension(self.d)
+
+    def kappa_nu(self, t: float):
+        """The rates (kappa(t), nu(t))."""
+        raise NotImplementedError
+
+    def alpha_beta(self, t: float):
+        """The family coordinates (alpha(t), beta(t)) of the map at time t."""
+        raise NotImplementedError
+
+    def limit(self) -> SuperMap:
+        """The t -> infinity limit of the dynamical map."""
+        raise NotImplementedError
+
+    def map(self, t: float) -> SuperMap:
+        """The dynamical map at time t."""
+        return build_phi_family(MapParams(self.d, *self.alpha_beta(t)))
+
+    def coordinates(self, m: SuperMap, t: float):
+        """(alpha, beta) of ``m = self.map(t)``; closed forms ignore ``m``."""
+        return self.alpha_beta(t)
+
+
+@dataclass(frozen=True)
+class ConstantNu(Schedule):
+    kappa: float
+    nu: float
+
+    def kappa_nu(self, t):
+        return self.kappa, self.nu
+
+    def alpha_beta(self, t):
+        d = self.d
+        a_fac = np.exp(-self.kappa * d * t)
+        b_fac = np.exp(-self.kappa * (d - 1.0 + self.nu) * t)
+        return 1.0 - a_fac, a_fac - b_fac
+
+    def limit(self):
+        if self.d - 1 + self.nu <= 0 or self.kappa <= 0:
+            raise NoLimit(f"beta(t) does not decay for kappa={self.kappa}, "
+                          f"nu={self.nu}, d={self.d}")
+        return build_phi_family(MapParams(self.d, 1.0, 0.0))
+
+
+class OptimalENM(Schedule):
+    def kappa_nu(self, t):
+        return 1.0, nu_enm(self.d, t)
+
+    def alpha_beta(self, t):
+        # A - B with B = (1 + (d-1)A)/d collapses to -alpha/d; computing it
+        # that way keeps the trajectory on the CP boundary bitwise
+        alpha = 1.0 - np.exp(-self.d * t)
+        return alpha, -alpha / self.d
+
+    def limit(self):
+        return named_map("E4", self.d)[0]
+
+
+class _FrozenENM(Schedule):
+    """The ENM schedule until a switch time t_sw, then nu frozen at nu_f;
+    subclasses give ``_switch() -> (t_sw, nu_f)``.
+
+    After the switch the coherence coefficient decays at the frozen rate
+    d - 1 + nu_f from its ENM value, so B(t) = B_enm(t_sw) e^{-(d-1+nu_f)(t-t_sw)}.
+    """
+
+    def kappa_nu(self, t):
+        t_sw, nu_f = self._switch()
+        return 1.0, nu_enm(self.d, t) if t <= t_sw else nu_f
+
+    def alpha_beta(self, t):
+        d = self.d
+        t_sw, nu_f = self._switch()
+        if t <= t_sw:
+            return OptimalENM(d).alpha_beta(t)
+        a_fac = np.exp(-d * t)
+        b_fac = _enm_id_coefficient(d, t_sw) * np.exp(-(d - 1.0 + nu_f) * (t - t_sw))
+        return 1.0 - a_fac, a_fac - b_fac
+
+    def limit(self):
+        t_sw, nu_f = self._switch()
+        if np.isinf(t_sw):  # never switches (t_* is infinite at d = 2)
+            return OptimalENM(self.d).limit()
+        return ConstantNu(self.d, 1.0, nu_f).limit()
+
+
+class PDivisible(_FrozenENM):
+    def _switch(self):
+        return switch_times(self.d).t_star, -1.0
+
+
+class SchwarzDivisible(_FrozenENM):
+    def _switch(self):
+        return switch_times(self.d).t_s, -self.d / (self.d + 2.0)
+
+
+class ENM2(Schedule):
+    def kappa_nu(self, t):
+        e = np.exp(self.d * t)
+        if abs(self.d - e) < 1e-12:
+            raise SingularMap(f"ENM2 rates are singular at t1 = ln(d)/d for d={self.d}")
+        return self.d / (self.d - e), 1.0 - e
+
+    def alpha_beta(self, t):
+        alpha = self.d * (1.0 - np.exp(-self.d * t)) / (self.d - 1.0)
+        return alpha, -alpha / self.d
+
+    def limit(self):
+        return named_map("E3", self.d)[0]
+
+
+class WeylMixture(Schedule):
+    def kappa_nu(self, t):
+        raise UnknownName(
+            "WeylMixture has no closed-form (kappa, nu); use "
+            "extract_time_local_generator"
+        )
+
+    def alpha_beta(self, t):
+        return self.coordinates(self.map(t), t)
+
+    def limit(self):
+        return SuperMap(self.d, weyl_commutant_average(self.d))
+
+    def map(self, t):
+        return weyl_mixture_map(self.d, t)
+
+    def coordinates(self, m, t):
+        return family_fit(m)[:2]
+
+
+# CLI name -> constructor from (d, kappa, nu)
+SCHEDULES = {
+    "const": ConstantNu,
+    "enm": lambda d, kappa, nu: OptimalENM(d),
+    "pdiv": lambda d, kappa, nu: PDivisible(d),
+    "sdiv": lambda d, kappa, nu: SchwarzDivisible(d),
+    "enm2": lambda d, kappa, nu: ENM2(d),
+    "weyl": lambda d, kappa, nu: WeylMixture(d),
+}
+
+
+def schedule_from_name(name: str, d: int, kappa: float = 1.0,
+                       nu: float = 0.0) -> Schedule:
+    """CLI-facing constructor: const, enm, pdiv, sdiv, enm2, weyl."""
+    key = name.lower()
+    if key not in SCHEDULES:
+        raise UnknownName(f"unknown schedule {name!r}; choose from {sorted(SCHEDULES)}")
+    return SCHEDULES[key](d, kappa, nu)
+
+
+# ---------------------------------------------------------------------------
+# schedule rates, trajectory coordinates, maps and limits
 # ---------------------------------------------------------------------------
 
 def kappa_nu_at(s: Schedule, t: float):
     """(kappa(t), nu(t)) of a schedule.  Not defined for WeylMixture, whose
     time-local rates are only available through numerical extraction."""
-    t = _check_time(t)
-    if isinstance(s, ConstantNu):
-        return s.kappa, s.nu
-    if isinstance(s, OptimalENM):
-        return 1.0, nu_enm(s.d, t)
-    if isinstance(s, PDivisible):
-        ts = switch_times(s.d).t_star
-        return 1.0, nu_enm(s.d, t) if t <= ts else -1.0
-    if isinstance(s, SchwarzDivisible):
-        ts = switch_times(s.d).t_s
-        return 1.0, nu_enm(s.d, t) if t <= ts else -s.d / (s.d + 2.0)
-    if isinstance(s, ENM2):
-        e = np.exp(s.d * t)
-        if abs(s.d - e) < 1e-12:
-            raise SingularMap(f"ENM2 rates are singular at t1 = ln(d)/d for d={s.d}")
-        return s.d / (s.d - e), 1.0 - e
-    if isinstance(s, WeylMixture):
-        raise UnknownName(
-            "WeylMixture has no closed-form (kappa, nu); use "
-            "extract_time_local_generator"
-        )
-    raise UnknownName(f"unknown schedule {s!r}")
+    return s.kappa_nu(_check_time(t))
 
 
 def alpha_beta_at(s: Schedule, t: float):
@@ -223,41 +305,7 @@ def alpha_beta_at(s: Schedule, t: float):
     mixture map; the fit is exact when d is prime (the mixture then stays in
     the family) and approximate otherwise.
     """
-    t = _check_time(t)
-    d = s.d
-    if isinstance(s, ConstantNu):
-        a_fac = np.exp(-s.kappa * d * t)
-        b_fac = np.exp(-s.kappa * (d - 1.0 + s.nu) * t)
-        return 1.0 - a_fac, a_fac - b_fac
-    if isinstance(s, OptimalENM):
-        # A - B with B = (1 + (d-1)A)/d collapses to -alpha/d; computing it
-        # that way keeps the trajectory on the CP boundary bitwise
-        alpha = 1.0 - np.exp(-d * t)
-        return alpha, -alpha / d
-    if isinstance(s, PDivisible):
-        ts = switch_times(d).t_star
-        if t <= ts:
-            return alpha_beta_at(OptimalENM(d), t)
-        a_fac = np.exp(-d * t)
-        b_fac = 0.5 * np.exp(-(d - 2.0) * (t - ts))
-        return 1.0 - a_fac, a_fac - b_fac
-    if isinstance(s, SchwarzDivisible):
-        ts = switch_times(d).t_s
-        if t <= ts:
-            return alpha_beta_at(OptimalENM(d), t)
-        a_fac = np.exp(-d * t)
-        # nu = -d/(d+2) freezes the coherence rate at (d^2-2)/(d+2)
-        b_fac = (d + 2.0) / (2.0 * (d + 1.0)) * np.exp(
-            -(d * d - 2.0) / (d + 2.0) * (t - ts)
-        )
-        return 1.0 - a_fac, a_fac - b_fac
-    if isinstance(s, ENM2):
-        alpha = d * (1.0 - np.exp(-d * t)) / (d - 1.0)
-        return alpha, -alpha / d
-    if isinstance(s, WeylMixture):
-        alpha, beta, _resid = family_fit(weyl_mixture_map(d, t))
-        return alpha, beta
-    raise UnknownName(f"unknown schedule {s!r}")
+    return s.alpha_beta(_check_time(t))
 
 
 def map_at(s: Schedule, t: float, h=None) -> SuperMap:
@@ -270,11 +318,7 @@ def map_at(s: Schedule, t: float, h=None) -> SuperMap:
     exp(-i H t).
     """
     t = _check_time(t)
-    if isinstance(s, WeylMixture):
-        m = weyl_mixture_map(s.d, t)
-    else:
-        alpha, beta = alpha_beta_at(s, t)
-        m = build_phi_family(MapParams(s.d, alpha, beta))
+    m = s.map(t)
     if h is not None and any(float(x) != 0.0 for x in h):
         u = np.diag(np.exp(-1j * np.asarray(h, dtype=float) * t))
         m = compose(unitary_conjugation(u), m)
@@ -291,24 +335,7 @@ def asymptotic_map(s: Schedule) -> SuperMap:
     to E4 exactly when d is prime).  Raises NoLimit when beta(t) does not
     decay (ConstantNu with nu <= -(d-1)).
     """
-    d = s.d
-    if isinstance(s, ConstantNu):
-        if d - 1 + s.nu <= 0 or s.kappa <= 0:
-            raise NoLimit(
-                f"beta(t) does not decay for kappa={s.kappa}, nu={s.nu}, d={d}"
-            )
-        return build_phi_family(MapParams(d, 1.0, 0.0))
-    if isinstance(s, (PDivisible, SchwarzDivisible)):
-        if d == 2 and isinstance(s, PDivisible):
-            return named_map("E4", d)[0]  # t_* is infinite: the ENM limit
-        return build_phi_family(MapParams(d, 1.0, 0.0))
-    if isinstance(s, OptimalENM):
-        return named_map("E4", d)[0]
-    if isinstance(s, ENM2):
-        return named_map("E3", d)[0]
-    if isinstance(s, WeylMixture):
-        return SuperMap(d, weyl_commutant_average(d))
-    raise UnknownName(f"unknown schedule {s!r}")
+    return s.limit()
 
 
 # ---------------------------------------------------------------------------
@@ -329,20 +356,6 @@ class CrossingReport:
     t_eb: Optional[float]
     margins: dict
     horizon: float
-
-
-def _boundary_functionals(d: int, kappa: float, nu: float):
-    def alpha(t):
-        return 1.0 - np.exp(-kappa * d * t)
-
-    def beta(t):
-        return np.exp(-kappa * d * t) - np.exp(-kappa * (d - 1.0 + nu) * t)
-
-    return {
-        "P": lambda t: beta(t) + 2.0 * alpha(t) / d,
-        "CP": lambda t: beta(t) + alpha(t) / d,
-        "EB": lambda t: beta(t) + alpha(t) + alpha(t) / d - 1.0,
-    }
 
 
 def _first_root(g: Callable[[float], float], horizon: float) -> Optional[float]:
@@ -372,7 +385,13 @@ def crossing_times(d: int, kappa: float, nu: float,
     check_dimension(d)
     if kappa <= 0:
         raise NegativeRate(f"kappa must be > 0, got {kappa}")
-    g = _boundary_functionals(d, kappa, nu)
+    trajectory = ConstantNu(d, kappa, nu).alpha_beta
+    forms = {
+        "P": lambda alpha, beta: beta + 2.0 * alpha / d,
+        "CP": lambda alpha, beta: beta + alpha / d,
+        "EB": lambda alpha, beta: beta + alpha + alpha / d - 1.0,
+    }
+    g = {k: (lambda t, f=f: f(*trajectory(t))) for k, f in forms.items()}
     t_p = 0.0 if nu >= -1.0 else _first_root(g["P"], horizon)
     t_cp = 0.0 if nu >= 0.0 else _first_root(g["CP"], horizon)
     t_eb = _first_root(g["EB"], horizon)
@@ -385,48 +404,24 @@ def crossing_times(d: int, kappa: float, nu: float,
                           horizon=horizon)
 
 
-# boundary functional slope coefficients: the boundary line through the
-# origin with normal (s, 1) is tangent to the nu-threshold trajectory
-BOUNDARY_SLOPES = {
-    "P": lambda d: 2.0 / d,
-    "CP": lambda d: 1.0 / d,
-    "SCHWARZ": lambda d: 2.0 * (d + 1.0) / (d * (d + 2.0)),
-}
-
-
 def tangency_slope(d: int, kappa: float, nu: float, boundary: str) -> float:
     """d/dt at t = 0 of the boundary functional along the semigroup trajectory.
 
     Returns kappa*(nu+1) for the positivity boundary, kappa*nu for the CP
-    boundary, and kappa*(nu + d/(d+2)) for the Schwarz tangency line; a
-    central finite difference of the closed-form trajectory must agree to
-    1e-6 relative, which is verified on every call.
+    boundary, and kappa*(nu + d/(d+2)) for the Schwarz tangency line.
     """
     check_dimension(d)
-    key = boundary.upper()
-    if key not in BOUNDARY_SLOPES:
-        raise UnknownName(
-            f"unknown boundary {boundary!r}; choose from {sorted(BOUNDARY_SLOPES)}"
-        )
-    slope = BOUNDARY_SLOPES[key](d)
-    analytic = {
+    slopes = {
         "P": kappa * (nu + 1.0),
         "CP": kappa * nu,
         "SCHWARZ": kappa * (nu + d / (d + 2.0)),
-    }[key]
-
-    def functional(t):
-        a_fac = np.exp(-kappa * d * t)
-        b_fac = np.exp(-kappa * (d - 1.0 + nu) * t)
-        return (a_fac - b_fac) + slope * (1.0 - a_fac)
-
-    step = 1e-6
-    fd = (functional(step) - functional(-step)) / (2.0 * step)
-    if abs(fd - analytic) > 1e-6 * max(1.0, abs(analytic)):
-        raise RuntimeError(
-            f"finite-difference slope {fd} disagrees with analytic {analytic}"
+    }
+    key = boundary.upper()
+    if key not in slopes:
+        raise UnknownName(
+            f"unknown boundary {boundary!r}; choose from {sorted(slopes)}"
         )
-    return analytic
+    return slopes[key]
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +611,10 @@ def trajectory_point(s: Schedule, t: float, sample_budget: int = 0,
     """
     from .regions import classify_point, schwarz_falsify
 
-    alpha, beta = alpha_beta_at(s, t)
-    verdict = classify_point(MapParams(s.d, alpha, beta))
+    t = _check_time(t)
     m = map_at(s, t)
+    alpha, beta = s.coordinates(m, t)
+    verdict = classify_point(MapParams(s.d, alpha, beta))
     choi_min = float(np.linalg.eigvalsh(m.choi)[0])
     if verdict.completely_positive:
         flag = "in"

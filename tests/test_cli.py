@@ -103,6 +103,15 @@ def test_spectrum_saturation(capsys):
     assert tests["positive"]["budget"] == 500
 
 
+def test_spectrum_honours_explicit_zero_budget(capsys):
+    code, out = run(capsys, ["spectrum", "--d", "3", "--kappa", "1",
+                             "--nu", "-0.5", "--budget", "0"])
+    tests = json.loads(out)["class_tests"]
+    assert code == 0
+    assert tests["positive"]["budget"] == 0
+    assert tests["schwarz"]["budget"] == 0
+
+
 def test_verify_suite_linalg(capsys):
     code, out = run(capsys, ["verify", "--suite", "linalg"])
     assert code == 0
@@ -169,3 +178,26 @@ def test_usage_errors(capsys):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+def _single_error_line(capsys):
+    err = capsys.readouterr().err
+    lines = err.strip().split("\n")
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("text", ["{bad", "[1, 2]"])
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli.main(["--config", str(cfg), "area", "--d", "3"]) == 2
+    assert _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("text", ["{bad", "[1, 2]"])
+def test_bad_state_file_is_a_usage_error(tmp_path, capsys, text):
+    state = tmp_path / "state.json"
+    state.write_text(text)
+    assert cli.main(["apply", "--state", str(state), "--schedule", "enm",
+                     "--t", "0.5"]) == 2
+    assert _single_error_line(capsys)

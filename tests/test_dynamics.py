@@ -60,17 +60,19 @@ def test_quadrature_cross_checks_closed_forms():
     assert ab_quad == pytest.approx(dy.alpha_beta_at(s2, 0.7), abs=1e-9)
 
 
-def test_pdivisible_and_sdivisible_quadrature():
-    d = 4
-    for sched in (dy.PDivisible(d), dy.SchwarzDivisible(d)):
-        for t in (0.2, 0.8, 2.5):
-            ab_quad = dy.alpha_beta_by_quadrature(
-                d,
-                lambda u: dy.kappa_nu_at(sched, u)[0],
-                lambda u: dy.kappa_nu_at(sched, u)[1],
-                t,
-            )
-            assert ab_quad == pytest.approx(dy.alpha_beta_at(sched, t), abs=1e-8)
+# ENM2 is left out: its rates are not integrable across t1 = ln(d)/d
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16])
+@pytest.mark.parametrize("name", ["const", "enm", "pdiv", "sdiv"])
+def test_schedule_quadrature_matches_closed_form(name, d):
+    sched = dy.schedule_from_name(name, d, kappa=0.8, nu=-0.6)
+    for t in (0.2, 0.8, 2.5):
+        ab_quad = dy.alpha_beta_by_quadrature(
+            d,
+            lambda u: dy.kappa_nu_at(sched, u)[0],
+            lambda u: dy.kappa_nu_at(sched, u)[1],
+            t,
+        )
+        assert ab_quad == pytest.approx(dy.alpha_beta_at(sched, t), abs=1e-8)
 
 
 # --- the optimal schedule ---------------------------------------------------------
@@ -481,6 +483,20 @@ def test_trajectory_point_flags():
     assert pt_unknown.verdict.positive
     assert not pt_unknown.verdict.completely_positive
     assert pt_unknown.schwarz_flag == "unknown"
+
+
+def test_trajectory_point_builds_the_weyl_mixture_once(monkeypatch):
+    calls = []
+    original = dy.weyl_mixture_map
+
+    def counting(d, t):
+        calls.append((d, t))
+        return original(d, t)
+
+    monkeypatch.setattr(dy, "weyl_mixture_map", counting)
+    pt = dy.trajectory_point(dy.WeylMixture(3), 0.7)
+    assert len(calls) == 1
+    assert (pt.alpha, pt.beta) == dy.alpha_beta_at(dy.WeylMixture(3), 0.7)
 
 
 # --- rate-bound violation signature ----------------------------------------------------
