@@ -22,7 +22,6 @@ from .channels import (
     SuperMap,
     apply,
     build_phi_family,
-    choi_of,
     compose,
     dephase,
     hs_adjoint,
@@ -64,7 +63,6 @@ from .generators import (
 from .linalg import (
     eig_hermitian,
     is_psd,
-    kron,
     maximally_entangled_projector,
     min_eig,
     partial_transpose,

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadWeights, DimensionMismatch, UnknownName
+from .errors import BadWeights, DimensionMismatch, QuditMapsError, UnknownName
 from .linalg import (
     as_complex_matrix,
     check_dimension,
@@ -66,13 +66,13 @@ class SuperMap:
             self._choi = c
         return self._choi
 
-    @classmethod
-    def from_choi(cls, d: int, choi: np.ndarray) -> "SuperMap":
-        return cls(d, transfer_from_choi(choi, d))
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Apply the map to a d x d matrix."""
-        return unvec(self.transfer @ vec(x), self.d)
+        """Apply the map to d x d matrices, shape (..., d, d)."""
+        v = vec(x)
+        if v.shape[-1] != self.d * self.d:
+            raise DimensionMismatch(f"a d={self.d} map cannot act on shape {np.shape(x)}")
+        # one matrix-vector product per input, so a batch matches one-by-one calls
+        return unvec((self.transfer @ v[..., None])[..., 0], self.d)
 
     def is_trace_preserving(self, tol: float = 1e-10) -> bool:
         ptr = partial_trace_output(self.choi, self.d)
@@ -117,31 +117,22 @@ def validate_state(state: QuantumState, tol: float = 1e-10) -> bool:
 # ---------------------------------------------------------------------------
 
 def choi_from_transfer(transfer: np.ndarray, d: int) -> np.ndarray:
-    """Reshuffle a transfer matrix into the (unnormalized) Choi matrix.
+    """Reshuffle transfer matrices (..., d^2, d^2) into (unnormalized) Choi matrices.
 
-    The same index permutation inverts itself, so it also serves as
-    ``transfer_from_choi``.
+    The same index permutation inverts itself, so it also maps a Choi
+    matrix back to its transfer matrix.
     """
     t = np.asarray(transfer, dtype=complex)
-    if t.shape != (d * d, d * d):
+    if t.shape[-2:] != (d * d, d * d):
         raise DimensionMismatch(f"expected {d*d} x {d*d}, got {t.shape}")
-    t4 = t.reshape(d, d, d, d)  # [col_out, row_out, col_in, row_in]
-    return np.ascontiguousarray(t4.transpose(3, 1, 2, 0)).reshape(d * d, d * d)
-
-
-def transfer_from_choi(choi: np.ndarray, d: int) -> np.ndarray:
-    return choi_from_transfer(choi, d)
+    t4 = t.reshape(-1, d, d, d, d)  # [batch, col_out, row_out, col_in, row_in]
+    return np.ascontiguousarray(t4.transpose(0, 4, 2, 3, 1)).reshape(t.shape)
 
 
 def partial_trace_output(choi: np.ndarray, d: int) -> np.ndarray:
     """Trace the output factor of a Choi matrix; equals I_d iff trace-preserving."""
     c4 = np.asarray(choi, dtype=complex).reshape(d, d, d, d)
     return np.einsum("iaja->ij", c4)
-
-
-def choi_of(m: SuperMap) -> np.ndarray:
-    """Unnormalized Choi matrix of a map; PSD iff the map is completely positive."""
-    return m.choi
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +279,33 @@ def _matrix_to_pairs(mat: np.ndarray):
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.shape != (rows * cols, 2):
-        raise DimensionMismatch(
-            f"expected {rows*cols} [re, im] pairs, got shape {arr.shape}"
-        )
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
-
-
 def supermap_to_json(m: SuperMap) -> dict:
     """{"d": d, "transfer": [[re, im], ...]} with row-major entries."""
     return {"d": m.d, "transfer": _matrix_to_pairs(m.transfer)}
 
 
+def _from_json(obj, key: str, power: int):
+    """``(d, M)`` from a wire object holding M (d^power x d^power) as [re, im] pairs.
+
+    A missing key or a non-numeric entry raises QuditMapsError.
+    """
+    try:
+        if isinstance(obj, str):
+            obj = json.loads(obj)
+        d = int(obj["d"])
+        arr = np.asarray(obj[key], dtype=float)
+    except KeyError as exc:
+        raise QuditMapsError(f"JSON object has no {exc.args[0]!r} entry") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise QuditMapsError(f"malformed JSON object: {exc}") from None
+    n = d**power
+    if arr.shape != (n * n, 2):
+        raise DimensionMismatch(f"expected {n*n} [re, im] pairs, got shape {arr.shape}")
+    return d, (arr[:, 0] + 1j * arr[:, 1]).reshape(n, n)
+
+
 def supermap_from_json(obj) -> SuperMap:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    d = int(obj["d"])
-    return SuperMap(d, _pairs_to_matrix(obj["transfer"], d * d, d * d))
+    return SuperMap(*_from_json(obj, "transfer", 2))
 
 
 def state_to_json(state: QuantumState) -> dict:
@@ -314,14 +313,7 @@ def state_to_json(state: QuantumState) -> dict:
 
 
 def state_from_json(obj) -> QuantumState:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    d = int(obj["d"])
-    return QuantumState(d, _pairs_to_matrix(obj["rho"], d, d))
-
-
-def identity_map(d: int) -> SuperMap:
-    return SuperMap(d, np.eye(d * d, dtype=complex))
+    return QuantumState(*_from_json(obj, "rho", 1))
 
 
 def unitary_conjugation(u: np.ndarray) -> SuperMap:
@@ -329,13 +321,3 @@ def unitary_conjugation(u: np.ndarray) -> SuperMap:
     u = as_complex_matrix(u)
     d = u.shape[0]
     return SuperMap(d, np.kron(u.conj(), u))
-
-
-def transposition_map(d: int) -> SuperMap:
-    """X -> X^T; the canonical positive unital map that is not Schwarz."""
-    d = check_dimension(d)
-    t = np.zeros((d * d, d * d), dtype=complex)
-    for r in range(d):
-        for c in range(d):
-            t[r * d + c, c * d + r] = 1.0  # vec index col*d+row: (c,r) <- (r,c)
-    return SuperMap(d, t)

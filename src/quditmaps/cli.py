@@ -51,15 +51,13 @@ def _fmt(x: float) -> str:
 
 
 def _round12(obj):
-    """Round every float to 12 significant digits for stable output."""
-    if isinstance(obj, float):
-        return float(_fmt(obj))
+    """Round every float to 12 significant digits; non-finite floats become None."""
+    if isinstance(obj, (float, np.floating)):
+        return float(_fmt(obj)) if np.isfinite(obj) else None  # JSON has no inf/nan
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(_fmt(float(obj)))
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -78,7 +76,7 @@ def _emit(text: str, output: str | None):
 
 
 def _emit_json(payload, output: str | None):
-    _emit(json.dumps(_round12(payload), indent=2), output)
+    _emit(json.dumps(_round12(payload), indent=2, allow_nan=False), output)
 
 
 def _load_json_object(path: str, what: str) -> dict:
@@ -343,7 +341,7 @@ def main(argv=None) -> int:
         if getattr(args, "output", None) is None and cfg.output_path:
             args.output = cfg.output_path
         return COMMANDS[args.command](args, cfg)
-    except (QuditMapsError, FileNotFoundError) as exc:
+    except (QuditMapsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

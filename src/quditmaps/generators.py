@@ -50,10 +50,11 @@ from .linalg import (
     check_dimension,
     frobenius,
     haar_orthonormal_pair,
-    match_multisets,
     maximally_entangled_vector,
     min_eig,
     random_traceless,
+    unvec,
+    vec,
 )
 
 POSITIVITY_CLASSES = ("positive", "schwarz", "kpositive")
@@ -174,7 +175,7 @@ def rate_bound_coefficient(d: int, positivity_class: str) -> float:
 
 def spectrum_rates(p: GenParams, positivity_class: str = "kpositive",
                    saturation_tol: float = 1e-12) -> RateReport:
-    """Closed-form relaxation rates, cross-checked against the transfer spectrum.
+    """Closed-form relaxation rates and the rate bound of a positivity class.
 
     Gamma_diag = kappa d, Gamma_offdiag = kappa (d - 1 + nu),
     Gamma_total = kappa d (d-1) (d + nu).  Raises NegativeRate outside
@@ -188,11 +189,6 @@ def spectrum_rates(p: GenParams, positivity_class: str = "kpositive",
     gamma_offdiag = p.kappa * (p.d - 1 + p.nu)
     gamma_total = p.kappa * p.d * (p.d - 1) * (p.d + p.nu)
     gamma_max = max(gamma_diag, gamma_offdiag)
-
-    eig = np.linalg.eigvals(build_generator(p).transfer)
-    scale = max(1.0, abs(p.kappa) * p.d)
-    if not match_multisets(eig, expected_spectrum(p), tol=1e-9 * scale):
-        raise RuntimeError("transfer spectrum disagrees with the closed form")
 
     c_d = rate_bound_coefficient(p.d, positivity_class)
     bound = c_d * gamma_total
@@ -265,10 +261,9 @@ def is_conditionally_positive(p: GenParams, sample_budget: int = 10_000,
         n = int(sample_budget)
         rng = np.random.default_rng(seed)
         xs, ys = haar_orthonormal_pair(p.d, rng, n=n)
-        # <y| L(xx^+) |y> batched through the transfer matrix
-        rho = np.einsum("ni,nj->nij", xs, xs.conj())  # |x><x|, [n, row, col]
-        cols = rho.transpose(0, 2, 1).reshape(n, -1).T  # column-stacked, (d^2, n)
-        out = (gen.transfer @ cols).T.reshape(n, p.d, p.d).transpose(0, 2, 1)
+        rho = np.einsum("ni,nj->nij", xs, xs.conj())  # |x><x|
+        # one matrix product for all samples, where gen(rho) would make one each
+        out = unvec((gen.transfer @ vec(rho).T).T, p.d)
         vals = np.real(np.einsum("ni,nij,nj->n", ys.conj(), out, ys))
         k = int(np.argmin(vals))
         if vals[k] < best:

@@ -8,11 +8,14 @@ Conventions fixed project-wide:
   convention the transfer matrix of ``X -> A X B`` is ``kron(B.T, A)``.
 * Bipartite d^2 x d^2 matrices index the first tensor factor by the block
   (row block i, column block j) and the second factor inside the block.
+* ``vec``, ``unvec``, ``partial_transpose`` and ``channels.choi_from_transfer``
+  own these conventions and accept leading batch axes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionMismatch, NonHermitianInput
 
@@ -43,10 +46,6 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
-
-
 def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
@@ -69,11 +68,6 @@ def _require_hermitian(a) -> np.ndarray:
             f"matrix is not Hermitian (defect {hermiticity_defect(m):.3e})"
         )
     return m
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
 def eig_hermitian(a):
@@ -107,36 +101,37 @@ def is_psd(a, tol: float | None = None) -> bool:
 
 
 def vec(a) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return as_complex_matrix(a).reshape(-1, order="F")
+    """Column-stacking vectorization: (..., d, d) -> (..., d^2)."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {m.shape}")
+    return m.swapaxes(-1, -2).reshape(m.shape[:-2] + (-1,))
+
 
 def unvec(v, d: int) -> np.ndarray:
-    """Inverse of ``vec`` for a d x d matrix."""
-    w = np.asarray(v, dtype=complex).reshape(-1)
-    if w.size != d * d:
-        raise DimensionMismatch(f"vector of length {w.size} is not d^2 for d={d}")
-    return w.reshape((d, d), order="F")
+    """Inverse of ``vec``: (..., d^2) -> (..., d, d)."""
+    w = np.asarray(v, dtype=complex)
+    if w.ndim == 0 or w.shape[-1] != d * d:
+        raise DimensionMismatch(f"vectors of shape {w.shape} are not d^2 long for d={d}")
+    return w.reshape(w.shape[:-1] + (d, d)).swapaxes(-1, -2)
 
 
 def partial_transpose(m, d: int, subsystem: int = 2) -> np.ndarray:
-    """Transpose one tensor factor of a d^2 x d^2 bipartite matrix.
+    """Transpose one tensor factor of d^2 x d^2 bipartite matrices (..., d^2, d^2).
 
     ``subsystem`` selects the factor (1 or 2).  The operation is an
     involution and preserves trace and Hermiticity.
     """
-    mat = as_complex_matrix(m)
-    if mat.shape != (d * d, d * d):
+    mat = np.asarray(m, dtype=complex)
+    if mat.shape[-2:] != (d * d, d * d):
         raise DimensionMismatch(
-            f"expected a {d*d} x {d*d} matrix for d={d}, got {mat.shape}"
+            f"expected {d*d} x {d*d} matrices for d={d}, got {mat.shape}"
         )
     if subsystem not in (1, 2):
         raise DimensionMismatch(f"subsystem must be 1 or 2, got {subsystem}")
-    m4 = mat.reshape(d, d, d, d)  # [i, a, j, b]
-    if subsystem == 2:
-        out = m4.transpose(0, 3, 2, 1)
-    else:
-        out = m4.transpose(2, 1, 0, 3)
-    return np.ascontiguousarray(out).reshape(d * d, d * d)
+    m4 = mat.reshape(-1, d, d, d, d)  # [batch, i, a, j, b]
+    out = m4.transpose(0, 1, 4, 3, 2) if subsystem == 2 else m4.transpose(0, 3, 2, 1, 4)
+    return np.ascontiguousarray(out).reshape(mat.shape)
 
 
 def basis_matrix(i: int, j: int, d: int) -> np.ndarray:
@@ -158,16 +153,6 @@ def maximally_entangled_projector(d: int) -> np.ndarray:
     """Rank-1, trace-1 projector onto the maximally entangled vector."""
     v = maximally_entangled_vector(d)
     return np.outer(v, v.conj())
-
-
-def swap_matrix(d: int) -> np.ndarray:
-    """The d^2 x d^2 operator exchanging the two tensor factors."""
-    d = check_dimension(d)
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            s[i * d + j, j * d + i] = 1.0
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +193,11 @@ def haar_orthonormal_pair(d: int, rng: np.random.Generator, n: int | None = None
 
 
 def match_multisets(a, b, tol: float) -> bool:
-    """Greedy nearest-neighbour matching of two complex multisets."""
-    xs = list(np.asarray(a, dtype=complex))
-    ys = list(np.asarray(b, dtype=complex))
-    if len(xs) != len(ys):
+    """Exact test: some one-to-one pairing of the multisets has every distance <= tol."""
+    xs = np.asarray(a, dtype=complex).reshape(-1)
+    ys = np.asarray(b, dtype=complex).reshape(-1)
+    if xs.size != ys.size:
         return False
-    for x in xs:
-        dist = [abs(x - y) for y in ys]
-        k = int(np.argmin(dist))
-        if dist[k] > tol:
-            return False
-        ys.pop(k)
-    return True
+    cost = (np.abs(xs[:, None] - ys[None, :]) > tol).astype(float)
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].sum() == 0.0

@@ -36,10 +36,16 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import MapParams, SuperMap, build_phi_family, family_transfer_parts
+from .channels import (
+    MapParams,
+    SuperMap,
+    build_phi_family,
+    choi_from_transfer,
+    family_transfer_parts,
+)
 from .errors import DegenerateRegion, NotUnital, UnknownName
-from .generators import witness_operator
-from .linalg import check_dimension, ginibre, partial_transpose
+from .generators import two_coordinate_pairs, witness_operator
+from .linalg import check_dimension, ginibre, partial_transpose, unvec, vec
 
 REGIONS = ("P", "CP", "EB")
 
@@ -145,14 +151,9 @@ def positivity_candidates(d: int, sample_budget: int = 0,
     the lower boundary beta >= -2 alpha/d, and the uniform superposition
     exposes the upper boundary beta <= d/(d-1) - alpha.
     """
-    vecs = [np.eye(d, dtype=complex)[i] for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = np.zeros(d, dtype=complex)
-            v[i] = v[j] = 1.0 / np.sqrt(2.0)
-            w = v.copy()
-            w[j] = -w[j]
-            vecs.extend([v, w])
+    vecs = list(np.eye(d, dtype=complex))
+    for x, y in two_coordinate_pairs(d):
+        vecs.extend([x, y])
     vecs.append(np.ones(d, dtype=complex) / np.sqrt(d))
     if sample_budget > 0:
         g = ginibre(d, rng, n=int(sample_budget))[:, :, 0]
@@ -161,20 +162,14 @@ def positivity_candidates(d: int, sample_budget: int = 0,
     return np.asarray(vecs)
 
 
-def _candidate_columns(vectors: np.ndarray) -> np.ndarray:
-    """Column-stacked |v><v| for a batch of unit vectors; shape (d^2, N)."""
-    rho = np.einsum("ni,nj->nij", vectors, vectors.conj())  # [n, row, col]
-    n, d, _ = rho.shape
-    return rho.transpose(0, 2, 1).reshape(n, d * d).T
-
-
 def sampled_positivity_min(m: SuperMap, sample_budget: int = 256,
                            seed: int = 42) -> float:
     """min over candidate pure inputs of the smallest output eigenvalue."""
     rng = np.random.default_rng(seed)
     cand = positivity_candidates(m.d, sample_budget, rng)
-    cols = _candidate_columns(cand)
-    out = (m.transfer @ cols).T.reshape(-1, m.d, m.d).transpose(0, 2, 1)
+    rho = np.einsum("ni,nj->nij", cand, cand.conj())
+    # one matrix product for all candidates, where m(rho) would make one each
+    out = unvec((m.transfer @ vec(rho).T).T, m.d)
     out = (out + np.conj(np.swapaxes(out, -1, -2))) / 2.0
     return float(np.linalg.eigvalsh(out)[:, 0].min())
 
@@ -241,7 +236,7 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
     t_id, t_tau0, t_delta = family_transfer_parts(d)
     rng = np.random.default_rng(seed)
     cand = positivity_candidates(d, sample_budget, rng)
-    cols = _candidate_columns(cand)
+    inputs = vec(np.einsum("ni,nj->nij", cand, cand.conj()))
 
     g = a_flat.size
     choi_min = np.empty(g)
@@ -252,17 +247,11 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
         a_c = a_flat[sl][:, None, None]
         b_c = b_flat[sl][:, None, None]
         transfers = (1.0 - a_c - b_c) * t_id + a_c * t_tau0 + b_c * t_delta
-        n_c = transfers.shape[0]
-        t4 = transfers.reshape(n_c, d, d, d, d)
-        choi = t4.transpose(0, 4, 2, 3, 1).reshape(n_c, d * d, d * d)
-        choi = (choi + np.conj(np.swapaxes(choi, -1, -2))) / 2.0
+        choi = choi_from_transfer(transfers, d)
         choi_min[sl] = np.linalg.eigvalsh(choi)[:, 0]
-        c4 = choi.reshape(n_c, d, d, d, d)
-        pt = c4.transpose(0, 1, 4, 3, 2).reshape(n_c, d * d, d * d)
-        pt = (pt + np.conj(np.swapaxes(pt, -1, -2))) / 2.0
-        pt_min[sl] = np.linalg.eigvalsh(pt)[:, 0]
-        out = np.einsum("gab,bn->gna", transfers, cols).reshape(n_c, -1, d, d)
-        out = out.transpose(0, 1, 3, 2)  # unvec: split gave [g, n, col, row]
+        pt_min[sl] = np.linalg.eigvalsh(partial_transpose(choi, d, 2))[:, 0]
+        out = unvec(np.einsum("gab,nb->gna", transfers, inputs), d)
+        # the products carry rounding; the Choi and PT batches are exact permutations
         out = (out + np.conj(np.swapaxes(out, -1, -2))) / 2.0
         pos_min[sl] = np.linalg.eigvalsh(out)[:, :, 0].min(axis=1)
 

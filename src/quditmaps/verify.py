@@ -88,7 +88,7 @@ def check_choi_roundtrip(seed, budget):
         d = int(rng.integers(2, 5))
         t = linalg.ginibre(d * d, rng)
         c = channels.choi_from_transfer(t, d)
-        worst = max(worst, np.abs(channels.transfer_from_choi(c, d) - t).max())
+        worst = max(worst, np.abs(channels.choi_from_transfer(c, d) - t).max())
     return worst <= 1e-12, f"max round-trip deviation {worst:.2e}"
 
 

@@ -12,6 +12,10 @@ def basis(i, j, d):
     return la.basis_matrix(i, j, d)
 
 
+def identity_map(d: int) -> ch.SuperMap:
+    return ch.SuperMap(d, np.eye(d * d, dtype=complex))
+
+
 def choi_direct(m: ch.SuperMap) -> np.ndarray:
     """Independent Choi oracle: the block sum C = sum_ij E_ij (x) m(E_ij)."""
     d = m.d
@@ -111,17 +115,17 @@ def test_unknown_name():
 def test_choi_of_identity():
     d = 3
     m = ch.build_phi_family(ch.MapParams(d, 0.0, 0.0))
-    assert np.allclose(ch.choi_of(m), d * la.maximally_entangled_projector(d))
+    assert np.allclose(m.choi, d * la.maximally_entangled_projector(d))
 
 
 def test_choi_of_depolarizing_and_pinching_by_direct_sum():
     d = 3
     tau0 = ch.build_phi_family(ch.MapParams(d, 1.0, 0.0))
-    assert np.allclose(ch.choi_of(tau0), choi_direct(tau0))
-    assert np.allclose(ch.choi_of(tau0), np.eye(d * d) / d)
+    assert np.allclose(tau0.choi, choi_direct(tau0))
+    assert np.allclose(tau0.choi, np.eye(d * d) / d)
     delta, _ = ch.named_map("E1", d)
-    dm = sum(la.kron(basis(k, k, d), basis(k, k, d)) for k in range(d))
-    assert np.allclose(ch.choi_of(delta), dm)
+    dm = sum(np.kron(basis(k, k, d), basis(k, k, d)) for k in range(d))
+    assert np.allclose(delta.choi, dm)
 
 
 def test_choi_reshuffle_roundtrip_random():
@@ -130,7 +134,7 @@ def test_choi_reshuffle_roundtrip_random():
         d = int(rng.integers(2, 5))
         t = la.ginibre(d * d, rng)
         c = ch.choi_from_transfer(t, d)
-        assert np.abs(ch.transfer_from_choi(c, d) - t).max() <= 1e-12
+        assert np.abs(ch.choi_from_transfer(c, d) - t).max() <= 1e-12
 
 
 def test_choi_matches_direct_sum_on_random_maps():
@@ -144,7 +148,7 @@ def test_choi_matches_direct_sum_on_random_maps():
 # --- adjoints ----------------------------------------------------------------
 
 def test_adjoint_of_identity():
-    m = ch.identity_map(3)
+    m = identity_map(3)
     assert np.array_equal(ch.hs_adjoint(m).transfer, m.transfer)
 
 
@@ -216,14 +220,14 @@ def test_compose_pinching_idempotent():
 
 def test_mix_is_affine_in_coordinates():
     d = 3
-    mixed = ch.mix([0.5, 0.5], [ch.identity_map(d), ch.named_map("E1", d)[0]])
+    mixed = ch.mix([0.5, 0.5], [identity_map(d), ch.named_map("E1", d)[0]])
     target = ch.build_phi_family(ch.MapParams(d, 0.0, 0.5))
     assert np.abs(mixed.transfer - target.transfer).max() <= 1e-12
 
 
 def test_mix_rejects_bad_weights():
     d = 2
-    maps = [ch.identity_map(d), ch.identity_map(d)]
+    maps = [identity_map(d), identity_map(d)]
     with pytest.raises(BadWeights):
         ch.mix([0.7, 0.2], maps)
     with pytest.raises(BadWeights):
@@ -232,7 +236,7 @@ def test_mix_rejects_bad_weights():
 
 def test_compose_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        ch.compose(ch.identity_map(2), ch.identity_map(3))
+        ch.compose(identity_map(2), identity_map(3))
 
 
 def test_family_fit_recovers_coordinates():

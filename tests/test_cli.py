@@ -201,3 +201,29 @@ def test_bad_state_file_is_a_usage_error(tmp_path, capsys, text):
     assert cli.main(["apply", "--state", str(state), "--schedule", "enm",
                      "--t", "0.5"]) == 2
     assert _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("state", [{"d": 2}, {"d": 2, "rho": "abc"}])
+def test_malformed_state_object_is_a_usage_error(tmp_path, capsys, state):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    assert cli.main(["apply", "--state", str(path), "--schedule", "enm",
+                     "--t", "0.5"]) == 2
+    assert _single_error_line(capsys)
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["area", "--d", "3", "--output", str(tmp_path)]) == 2
+    assert _single_error_line(capsys)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_spectrum_zero_budget_is_strict_json(capsys):
+    code, out = run(capsys, ["spectrum", "--d", "3", "--kappa", "1",
+                             "--nu", "-0.5", "--budget", "0"])
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert code == 0
+    assert payload["class_tests"]["schwarz"]["sampled"] is None

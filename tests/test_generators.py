@@ -80,7 +80,7 @@ def test_spectrum_rates_example():
 
 def test_spectrum_consistency_with_hamiltonian():
     rng = np.random.default_rng(2)
-    for d in (2, 3, 5):
+    for d in (2, 3, 5, 8, 16):
         p = g.GenParams(d, 0.9, -0.3, tuple(rng.uniform(-2, 2, d)))
         eig = np.linalg.eigvals(g.build_generator(p).transfer)
         assert la.match_multisets(eig, g.expected_spectrum(p), tol=1e-9 * d)

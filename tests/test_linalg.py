@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quditmaps import channels as ch
 from quditmaps import linalg as la
 from quditmaps.errors import DimensionMismatch, NonHermitianInput
 
@@ -9,12 +12,23 @@ def basis(i, j, d):
     return la.basis_matrix(i, j, d)
 
 
+def swap_matrix(d):
+    """The d^2 x d^2 operator exchanging the two tensor factors."""
+    s = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            s[i * d + j, j * d + i] = 1.0
+    return s
+
+
+# np.kron fixes the bipartite block convention the module docstring states
+
 def test_kron_identity():
-    assert np.array_equal(la.kron(np.eye(2), np.eye(2)), np.eye(4))
+    assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_kron_basis_bookkeeping():
-    k = la.kron(basis(0, 0, 2), basis(1, 1, 2))
+    k = np.kron(basis(0, 0, 2), basis(1, 1, 2))
     expected = np.zeros((4, 4))
     expected[1, 1] = 1.0
     assert np.array_equal(k, expected)
@@ -22,7 +36,7 @@ def test_kron_basis_bookkeeping():
 
 def test_kron_diagonal_product():
     z = np.diag([1.0, -1.0])
-    assert np.array_equal(la.kron(z, z), np.diag([1.0, -1.0, -1.0, 1.0]))
+    assert np.array_equal(np.kron(z, z), np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
 def test_eig_hermitian_diagonal():
@@ -73,13 +87,13 @@ def test_partial_transpose_maximally_entangled_gives_swap():
     # PT(d P+) is the swap operator: direct 4x4 computation for d=2
     d = 2
     pt = la.partial_transpose(d * la.maximally_entangled_projector(d), d, 2)
-    assert np.allclose(pt, la.swap_matrix(d))
+    assert np.allclose(pt, swap_matrix(d))
     assert np.allclose(np.linalg.eigvalsh(pt), [-1.0, 1.0, 1.0, 1.0])
 
 
 def test_partial_transpose_fixes_diagonal_correlations():
     d = 3
-    dm = sum(la.kron(basis(k, k, d), basis(k, k, d)) for k in range(d))
+    dm = sum(np.kron(basis(k, k, d), basis(k, k, d)) for k in range(d))
     assert np.array_equal(la.partial_transpose(dm, d, 2), dm)
 
 
@@ -153,3 +167,79 @@ def test_haar_pairs_are_orthonormal():
     assert np.allclose(np.linalg.norm(xs, axis=1), 1.0)
     assert np.allclose(np.linalg.norm(ys, axis=1), 1.0)
     assert np.abs(np.einsum("ni,ni->n", xs.conj(), ys)).max() < 1e-12
+
+
+def test_match_multisets_is_exact():
+    # greedy nearest-neighbour pairing takes 0.5 -> 0.6 and strands 1.0 at 0.9
+    assert la.match_multisets([0.5, 1.0], [0.1, 0.6], tol=0.45)
+    assert not la.match_multisets([0.5, 1.0], [0.1, 0.6], tol=0.39)
+    assert not la.match_multisets([0.5, 1.0], [0.5], tol=1.0)
+
+
+# --- index conventions on batches ---------------------------------------------
+
+BATCH_SHAPES = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+CONVENTION_CASES = dict(d=st.integers(2, 16), batch=BATCH_SHAPES,
+                        seed=st.integers(0, 2**32 - 1))
+
+
+def _ginibre(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _stacked(fn, x, core_ndim):
+    """fn applied to each core block of x, one call each, in x's batch shape."""
+    lead = x.shape[:x.ndim - core_ndim]
+    out = np.stack([fn(a) for a in x.reshape(-1, *x.shape[len(lead):])])
+    return out.reshape(*lead, *out.shape[1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(**CONVENTION_CASES)
+def test_vec_unvec_batched(d, batch, seed):
+    x = _ginibre(seed, batch + (d, d))
+    v = la.vec(x)
+    assert v.shape == batch + (d * d,)
+    assert np.array_equal(v, _stacked(la.vec, x, 2))
+    assert np.array_equal(la.unvec(v, d), _stacked(lambda w: la.unvec(w, d), v, 1))
+    assert np.array_equal(la.unvec(v, d), x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sub=st.sampled_from((1, 2)), **CONVENTION_CASES)
+def test_partial_transpose_batched(d, batch, seed, sub):
+    m = _ginibre(seed, batch + (d * d, d * d))
+    pt = la.partial_transpose(m, d, sub)
+    assert np.array_equal(pt, _stacked(lambda a: la.partial_transpose(a, d, sub), m, 2))
+    assert np.array_equal(la.partial_transpose(pt, d, sub), m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**CONVENTION_CASES)
+def test_choi_reshuffle_batched(d, batch, seed):
+    t = _ginibre(seed, batch + (d * d, d * d))
+    c = ch.choi_from_transfer(t, d)
+    assert np.array_equal(c, _stacked(lambda a: ch.choi_from_transfer(a, d), t, 2))
+    assert np.array_equal(ch.choi_from_transfer(c, d), t)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**CONVENTION_CASES)
+def test_supermap_call_batched(d, batch, seed):
+    m = ch.SuperMap(d, _ginibre(seed, (d * d, d * d)))
+    x = _ginibre(seed + 1, batch + (d, d))
+    assert np.array_equal(m(x), _stacked(m, x, 2))
+
+
+def test_batched_conventions_check_dimensions():
+    with pytest.raises(DimensionMismatch):
+        la.vec(np.zeros((2, 3, 4)))
+    with pytest.raises(DimensionMismatch):
+        la.unvec(np.zeros((2, 8)), 3)
+    with pytest.raises(DimensionMismatch):
+        la.partial_transpose(np.zeros((2, 9, 9)), 2)
+    with pytest.raises(DimensionMismatch):
+        ch.choi_from_transfer(np.zeros((2, 9, 9)), 2)
+    with pytest.raises(DimensionMismatch):
+        ch.SuperMap(2, np.eye(4))(np.zeros((2, 3, 3)))

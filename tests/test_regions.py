@@ -3,10 +3,19 @@ import pytest
 
 from quditmaps import linalg as la
 from quditmaps import regions as r
-from quditmaps.channels import MapParams, build_phi_family, named_map, transposition_map
+from quditmaps.channels import MapParams, SuperMap, build_phi_family, named_map
 from quditmaps.errors import NotUnital, UnknownName
 from quditmaps.generators import GenParams, build_generator, schwarz_threshold
 from quditmaps.linalg import partial_transpose
+
+
+def transposition_map(d):
+    """X -> X^T; the canonical positive unital map that is not Schwarz."""
+    t = np.zeros((d * d, d * d), dtype=complex)
+    for row in range(d):
+        for col in range(d):
+            t[row * d + col, col * d + row] = 1.0  # vec index col*d+row: (c,r) <- (r,c)
+    return SuperMap(d, t)
 
 
 # --- closed-form classification -----------------------------------------------
