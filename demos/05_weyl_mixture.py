@@ -16,6 +16,13 @@ inside the (alpha, beta) family; for composite d it leaves it (coherence
 is exchanged between off-diagonals with the same cyclic displacement), so
 time-local rates are reported only through numerical extraction.
 
+The mixture is not built from d(d-1) matrix exponentials.  Each conjugation
+C_kl has order d, so exp(t L_kl) = sum_{n<d} w_n(t) C_kl^n, where w(t) is the
+first column of the d x d matrix exp(t(X - I)); and C_kl^n is conjugation by
+W_{nk mod d, nl mod d}.  Phi_t is therefore one Weyl channel
+sum_j p_j(t) W_j . W_j^+ over the d^2 Weyl unitaries, and its t -> infinity
+limit is the same sum with w_n = 1/d.
+
 Usage:
     python demos/05_weyl_mixture.py [d]
 """

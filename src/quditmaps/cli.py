@@ -91,14 +91,21 @@ def _load_json_object(path: str, what: str) -> dict:
     return data
 
 
-def _load_config(path: str | None) -> RunConfig:
+def _load_config(args) -> RunConfig:
+    """Defaults, then QUDITMAPS_SEED, then the --config file, then the options."""
     cfg = RunConfig()
     cfg.seed = int(os.environ.get(ENV_SEED, cfg.seed))
-    if path:
-        data = _load_json_object(path, "config file")
+    if args.config:
+        data = _load_json_object(args.config, "config file")
         for f in fields(cfg):
             if f.name in data:
                 setattr(cfg, f.name, data[f.name])
+    for option, key in (("seed", "seed"), ("budget", "sample_budget"),
+                        ("tolerance", "tolerance"), ("output", "output_path")):
+        if getattr(args, option, None) is not None:
+            setattr(cfg, key, getattr(args, option))
+    if cfg.sample_budget < 0:
+        raise QuditMapsError(f"sampling budget must be >= 0, got {cfg.sample_budget}")
     return cfg
 
 
@@ -113,13 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, d_required=True):
         sp.add_argument("--d", type=int, required=d_required, help="qudit dimension")
+        sp.add_argument("--output", default=None, help="write to file instead of stdout")
+
+    def sampling(sp):
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--budget", type=int, default=None, help="sampling budget")
-        sp.add_argument("--tolerance", type=float, default=None)
-        sp.add_argument("--output", default=None, help="write to file instead of stdout")
 
     sp = sub.add_parser("classify", help="closed-form and oracle region membership")
     common(sp)
+    sampling(sp)
+    sp.add_argument("--tolerance", type=float, default=None)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
 
@@ -146,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="relaxation rates and the rate bound")
     common(sp)
+    sampling(sp)
     sp.add_argument("--kappa", type=float, required=True)
     sp.add_argument("--nu", type=float, required=True)
     sp.add_argument("--class", dest="positivity_class", default="kpos",
@@ -154,8 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the invariants battery")
     sp.add_argument("--suite", default="all",
                     choices=["all"] + sorted(verify.SUITES))
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--budget", type=int, default=None)
+    sampling(sp)
     sp.add_argument("--output", default=None)
 
     sp = sub.add_parser("apply", help="evolve a JSON state under a schedule")
@@ -184,11 +194,8 @@ def _verdict_payload(v: regions.RegionVerdict) -> dict:
 def cmd_classify(args, cfg) -> int:
     p = MapParams(args.d, args.alpha, args.beta)
     closed = regions.classify_point(p)
-    oracle = regions.classify_numeric(
-        p, sample_budget=cfg.sample_budget if args.budget is None else args.budget,
-        seed=cfg.seed if args.seed is None else args.seed,
-        tol=cfg.tolerance if args.tolerance is None else args.tolerance,
-    )
+    oracle = regions.classify_numeric(p, sample_budget=cfg.sample_budget,
+                                      seed=cfg.seed, tol=cfg.tolerance)
     disagree = []
     for key, c_flag, o_flag, margin in (
         ("positive", closed.positive, oracle.positive, closed.margin_positive),
@@ -207,7 +214,7 @@ def cmd_classify(args, cfg) -> int:
         "agreement": not disagree,
         "disagreements": disagree,
     }
-    _emit_json(payload, args.output)
+    _emit_json(payload, cfg.output_path)
     return EXIT_OK if not disagree else EXIT_DISAGREEMENT
 
 
@@ -215,9 +222,9 @@ def cmd_region(args, cfg) -> int:
     poly = regions.region_polygon(args.which.upper(), args.d)
     if args.format == "json":
         _emit_json({"which": poly.which, "d": poly.d,
-                    "vertices": [list(v) for v in poly.vertices]}, args.output)
+                    "vertices": [list(v) for v in poly.vertices]}, cfg.output_path)
     else:
-        _emit(regions.polygon_csv(poly), args.output)
+        _emit(regions.polygon_csv(poly), cfg.output_path)
     return EXIT_OK
 
 
@@ -229,11 +236,13 @@ def cmd_area(args, cfg) -> int:
         payload[which] = rep.closed_form
         shoelace[which] = rep.shoelace
     payload["shoelace"] = shoelace
-    _emit_json(payload, args.output)
+    _emit_json(payload, cfg.output_path)
     return EXIT_OK
 
 
 def cmd_trajectory(args, cfg) -> int:
+    if args.steps < 0:
+        raise QuditMapsError(f"--steps must be >= 0, got {args.steps}")
     sched = dynamics.schedule_from_name(args.schedule, args.d, args.kappa, args.nu)
     lines = ["t,alpha,beta,positive,cp,eb,min_choi_eig"]
     for t in np.linspace(0.0, args.t_max, args.steps + 1):
@@ -243,7 +252,7 @@ def cmd_trajectory(args, cfg) -> int:
             f"{int(pt.verdict.positive)},{int(pt.verdict.completely_positive)},"
             f"{int(pt.verdict.entanglement_breaking)},{_fmt(pt.min_choi_eig)}"
         )
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("\n".join(lines) + "\n", cfg.output_path)
     return EXIT_OK
 
 
@@ -256,7 +265,7 @@ def cmd_crossings(args, cfg) -> int:
         "margins": rep.margins,
         "horizon": rep.horizon,
     }
-    _emit_json(payload, args.output)
+    _emit_json(payload, cfg.output_path)
     return EXIT_OK
 
 
@@ -264,10 +273,8 @@ def cmd_spectrum(args, cfg) -> int:
     cls = {"kpos": "kpositive"}.get(args.positivity_class, args.positivity_class)
     params = GenParams(args.d, args.kappa, args.nu)
     rep = spectrum_rates(params, cls)
-    seed = cfg.seed if args.seed is None else args.seed
-    budget = cfg.sample_budget if args.budget is None else args.budget
-    pair = is_conditionally_positive(params, budget, seed)
-    dis = is_dissipative(params, budget, seed)
+    pair = is_conditionally_positive(params, cfg.sample_budget, cfg.seed)
+    dis = is_dissipative(params, cfg.sample_budget, cfg.seed)
     ccp = is_ccp(params)
     payload = {
         "d": rep.d,
@@ -282,30 +289,28 @@ def cmd_spectrum(args, cfg) -> int:
         "class_tests": {
             "positive": {"closed_form": pair.closed_form,
                          "sampled": pair.sampled_min,
-                         "seed": seed, "budget": budget},
+                         "seed": cfg.seed, "budget": cfg.sample_budget},
             "schwarz": {"closed_form": dis.closed_form,
                         "witness": dis.min_witness_eig,
                         "sampled": dis.min_sampled_eig,
-                        "seed": seed, "budget": budget},
+                        "seed": cfg.seed, "budget": cfg.sample_budget},
             "cp": {"closed_form": ccp.closed_form,
                    "projected_min_eig": ccp.min_eig_projected},
         },
     }
-    _emit_json(payload, args.output)
+    _emit_json(payload, cfg.output_path)
     return EXIT_OK
 
 
 def cmd_verify(args, cfg) -> int:
-    seed = cfg.seed if args.seed is None else args.seed
-    budget = cfg.sample_budget if args.budget is None else args.budget
-    results = verify.run_suite(args.suite, seed=seed, budget=budget)
+    results = verify.run_suite(args.suite, seed=cfg.seed, budget=cfg.sample_budget)
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         lines.append(f"{status} {r.name}: {r.detail}")
     n_fail = sum(not r.passed for r in results)
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("\n".join(lines) + "\n", cfg.output_path)
     return EXIT_OK if n_fail == 0 else EXIT_PROPERTY_FAILURE
 
 
@@ -314,7 +319,7 @@ def cmd_apply(args, cfg) -> int:
     d = state.d if args.d is None else args.d
     sched = dynamics.schedule_from_name(args.schedule, d, args.kappa, args.nu)
     out = apply_map(dynamics.map_at(sched, args.t), state)
-    _emit_json(state_to_json(out), args.output)
+    _emit_json(state_to_json(out), cfg.output_path)
     return EXIT_OK
 
 
@@ -337,9 +342,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        cfg = _load_config(args.config)
-        if getattr(args, "output", None) is None and cfg.output_path:
-            args.output = cfg.output_path
+        cfg = _load_config(args)
         return COMMANDS[args.command](args, cfg)
     except (QuditMapsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

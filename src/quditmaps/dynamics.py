@@ -56,11 +56,11 @@ from .channels import (
     build_phi_family,
     compose,
     family_fit,
-    family_transfer_parts,
     named_map,
     unitary_conjugation,
 )
 from .errors import NegativeRate, NegativeTime, NoLimit, SingularMap, UnknownName
+from .generators import generator_blocks
 from .linalg import check_dimension
 
 __all__ = [
@@ -429,21 +429,19 @@ def tangency_slope(d: int, kappa: float, nu: float, boundary: str) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _weyl_cached(d: int):
+def _weyl_cached(d: int) -> np.ndarray:
+    """The d^2 Weyl unitaries as one read-only (d^2, d, d) stack."""
     check_dimension(d)
     omega = np.exp(2j * np.pi / d)
     z = np.diag(omega ** np.arange(d))
-    x = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        x[(k + 1) % d, k] = 1.0
-    ops = []
+    x = np.roll(np.eye(d), 1, axis=0)  # X|k> = |k+1 mod d>
+    ops = np.empty((d * d, d, d), dtype=complex)
     for k in range(d):
         zk = np.linalg.matrix_power(z, k)
         for l in range(d):
-            w = zk @ np.linalg.matrix_power(x, l)
-            w.flags.writeable = False
-            ops.append(w)
-    return tuple(ops)
+            ops[k * d + l] = zk @ np.linalg.matrix_power(x, l)
+    ops.flags.writeable = False
+    return ops
 
 
 def weyl_ops(d: int):
@@ -455,15 +453,22 @@ def weyl_ops(d: int):
     return list(_weyl_cached(d))
 
 
-def _shift_weyl_transfers(d: int):
-    """Conjugation transfers of the W_{kl} with l > 0."""
-    ops = _weyl_cached(d)
-    out = []
-    for k in range(d):
-        for l in range(1, d):
-            w = ops[k * d + l]
-            out.append(np.kron(w.conj(), w))
-    return out
+def _weyl_mixture_transfer(d: int, w: np.ndarray) -> np.ndarray:
+    """Transfer of the uniform mixture over k, l > 0 of sum_n w_n C_{kl}^n.
+
+    C_{kl} is conjugation by W_{kl}.  W_{kl}^n is W_{nk mod d, nl mod d} up
+    to a phase, so the mixture is the Weyl channel sum_j p_j W_j . W_j^+
+    with the weights p gathered from w.
+    """
+    k, l, n = np.meshgrid(np.arange(d), np.arange(1, d), np.arange(d), indexing="ij")
+    j = (n * k % d) * d + n * l % d
+    p = np.bincount(j.ravel(), weights=np.broadcast_to(w, j.shape).ravel(),
+                    minlength=d * d) / (d * (d - 1))
+    ops = _weyl_cached(d).reshape(d * d, d * d)
+    # acc[(a, b), (c, e)] = sum_j p_j conj(W_j)[a, b] W_j[c, e]; the transpose
+    # reorders it to sum_j p_j kron(conj(W_j), W_j)
+    acc = (ops.conj().T * p) @ ops
+    return acc.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def weyl_mixture_map(d: int, t: float) -> SuperMap:
@@ -474,11 +479,11 @@ def weyl_mixture_map(d: int, t: float) -> SuperMap:
     """
     t = _check_time(t)
     check_dimension(d)
-    eye = np.eye(d * d, dtype=complex)
-    acc = np.zeros((d * d, d * d), dtype=complex)
-    for conj_transfer in _shift_weyl_transfers(d):
-        acc += expm(t * (conj_transfer - eye))
-    return SuperMap(d, acc / (d * (d - 1)))
+    # C^d = id, so exp(t(C - id)) = sum_{n<d} w_n C^n, where w is the first
+    # column of exp(t(X - I)) for the d x d cyclic shift X
+    shift = np.roll(np.eye(d), 1, axis=0)
+    w = expm(t * (shift - np.eye(d)))[:, 0]
+    return SuperMap(d, _weyl_mixture_transfer(d, w))
 
 
 def weyl_commutant_average(d: int) -> np.ndarray:
@@ -489,15 +494,7 @@ def weyl_commutant_average(d: int) -> np.ndarray:
     the commutant of W_{kl}; the mixture converges to their mean.
     """
     check_dimension(d)
-    acc = np.zeros((d * d, d * d), dtype=complex)
-    for conj_transfer in _shift_weyl_transfers(d):
-        power = np.eye(d * d, dtype=complex)
-        proj = np.zeros_like(acc)
-        for _ in range(d):
-            proj += power
-            power = power @ conj_transfer
-        acc += proj / d
-    return acc / (d * (d - 1))
+    return _weyl_mixture_transfer(d, np.full(d, 1.0 / d))
 
 
 # ---------------------------------------------------------------------------
@@ -511,19 +508,6 @@ class ExtractionReport:
     nu_fit: float
     residual: float
     condition_number: float
-
-
-@lru_cache(maxsize=None)
-def _generator_basis(d: int):
-    """Transfers of the two dissipative blocks of the generator family.
-
-    hop   = X -> I Tr X - Delta(X) - (d-1) X        (coefficient kappa)
-    phase = X -> d (Delta(X) - X)                   (coefficient kappa nu / d)
-    """
-    t_id, t_tau0, t_delta = family_transfer_parts(d)
-    hop = d * t_tau0 - t_delta - (d - 1.0) * t_id
-    phase = d * (t_delta - t_id)
-    return hop, phase
 
 
 def extract_time_local_generator(map_fn: Callable[[float], SuperMap], t: float,
@@ -549,7 +533,7 @@ def extract_time_local_generator(map_fn: Callable[[float], SuperMap], t: float,
         deriv = (map_fn(t + dt).transfer - m0.transfer) / dt
     gen = deriv @ np.linalg.inv(m0.transfer)
 
-    hop, phase = _generator_basis(d)
+    hop, phase = generator_blocks(d)
     basis = np.column_stack([hop.ravel(), phase.ravel()])
     coef, *_ = np.linalg.lstsq(basis, gen.ravel(), rcond=None)
     residual = float(np.linalg.norm(basis @ coef - gen.ravel()))

@@ -32,6 +32,7 @@ crossing zero exactly at the Schwarz threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import null_space
@@ -106,9 +107,11 @@ def phase_unitary(d: int) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * np.arange(1, d + 1) / d))
 
 
-def build_generator(p: GenParams) -> SuperMap:
-    """Transfer matrix of the generator, built literally from its defining sums."""
-    d = p.d
+@lru_cache(maxsize=None)
+def generator_blocks(d: int):
+    """Transfers of the generator's kappa and kappa nu / d blocks, built
+    literally from their defining sums; read-only and cached per d."""
+    d = check_dimension(d)
     eye = np.eye(d * d, dtype=complex)
     hop = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
@@ -123,6 +126,15 @@ def build_generator(p: GenParams) -> SuperMap:
         zk = np.linalg.matrix_power(z, k)
         phase += np.kron(zk.conj(), zk)
     phase -= (d - 1) * eye
+    for block in (hop, phase):
+        block.flags.writeable = False
+    return hop, phase
+
+
+def build_generator(p: GenParams) -> SuperMap:
+    """Transfer matrix of the generator, built literally from its defining sums."""
+    d = p.d
+    hop, phase = generator_blocks(d)
     transfer = p.kappa * (hop + (p.nu / d) * phase)
     if any(p.h):
         ham = np.diag(np.asarray(p.h, dtype=complex))

@@ -227,3 +227,40 @@ def test_spectrum_zero_budget_is_strict_json(capsys):
     payload = json.loads(out, parse_constant=_reject_constant)
     assert code == 0
     assert payload["class_tests"]["schwarz"]["sampled"] is None
+
+
+def test_negative_steps_is_a_usage_error(capsys):
+    assert cli.main(["trajectory", "--d", "3", "--schedule", "const",
+                     "--t-max", "1", "--steps", "-2"]) == 2
+    assert _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--d", "3", "--alpha", "0.5", "--beta", "0", "--budget", "-3"],
+    ["spectrum", "--d", "3", "--kappa", "1", "--nu", "-0.5", "--budget", "-5"],
+    ["verify", "--suite", "linalg", "--budget", "-1"],
+])
+def test_negative_budget_is_a_usage_error(capsys, argv):
+    assert cli.main(argv) == 2
+    assert _single_error_line(capsys)
+
+
+def test_negative_config_budget_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sample_budget": -4}))
+    assert cli.main(["--config", str(cfg), "spectrum", "--d", "3", "--kappa", "1",
+                     "--nu", "-0.5"]) == 2
+    assert _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--d", "3", "--which", "p", "--seed", "1"],
+    ["area", "--d", "3", "--budget", "10"],
+    ["trajectory", "--d", "3", "--schedule", "enm", "--t-max", "1", "--steps", "2",
+     "--tolerance", "1e-6"],
+    ["crossings", "--d", "3", "--kappa", "1", "--nu", "0", "--seed", "1"],
+    ["spectrum", "--d", "3", "--kappa", "1", "--nu", "0", "--tolerance", "1e-6"],
+])
+def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    assert cli.main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

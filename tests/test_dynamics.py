@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from quditmaps import dynamics as dy
 from quditmaps import linalg as la
-from quditmaps.channels import MapParams, build_phi_family, named_map
+from quditmaps.channels import MapParams, build_phi_family, family_fit, named_map
 from quditmaps.errors import NegativeTime, NoLimit, SingularMap, UnknownName
 from quditmaps.regions import classify_point
 
@@ -370,7 +373,7 @@ def test_weyl_mixture_identity_at_zero():
 
 
 def test_weyl_mixture_is_cptp_on_boundary():
-    for d in (2, 3, 4):
+    for d in (2, 3, 4, 16):
         for t in (0.1, 0.9, 3.0):
             m = dy.weyl_mixture_map(d, t)
             assert m.is_trace_preserving(1e-10) and m.is_unital(1e-10)
@@ -400,6 +403,69 @@ def test_weyl_mixture_offdiagonal_factor_is_real_at_d3():
         assert f_complex.real == pytest.approx(f_real, abs=1e-12)
         alpha, beta = dy.alpha_beta_at(dy.WeylMixture(3), t)
         assert 1.0 - alpha - beta == pytest.approx(f_real, abs=1e-10)
+
+
+def dense_weyl_mixture(d, t):
+    """Reference: the average of the d(d-1) dense exp(t(C_kl - id)), l > 0."""
+    ops = dy.weyl_ops(d)
+    eye = np.eye(d * d)
+    acc = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(d):
+        for l in range(1, d):
+            w = ops[k * d + l]
+            acc += expm(t * (np.kron(w.conj(), w) - eye))
+    return acc / (d * (d - 1))
+
+
+def dense_commutant_average(d):
+    """Reference: the mean over l > 0 of the group averages (1/d) sum_n C_kl^n."""
+    ops = dy.weyl_ops(d)
+    acc = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(d):
+        for l in range(1, d):
+            w = ops[k * d + l]
+            conj_transfer = np.kron(w.conj(), w)
+            power = np.eye(d * d, dtype=complex)
+            for _ in range(d):
+                acc += power / d
+                power = power @ conj_transfer
+    return acc / (d * (d - 1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_weyl_mixture_matches_dense_reference(d):
+    for t in (0.0, 0.05, 0.7, 2.0, 5.0, 50.0):
+        diff = np.abs(dy.weyl_mixture_map(d, t).transfer - dense_weyl_mixture(d, t)).max()
+        assert diff <= 1e-12
+    assert np.abs(dy.weyl_commutant_average(d) - dense_commutant_average(d)).max() <= 1e-12
+
+
+def test_weyl_mixture_makes_one_small_expm(monkeypatch):
+    shapes = []
+    original = dy.expm
+
+    def counting(a):
+        shapes.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(dy, "expm", counting)
+    for d in (2, 3, 5, 8):
+        shapes.clear()
+        dy.weyl_mixture_map(d, 0.7)
+        assert shapes == [(d, d)]
+    assert not hasattr(dy, "_shift_weyl_transfers")
+    assert not hasattr(dy, "_generator_basis")
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(dy.SCHEDULES)), d=st.integers(2, 16),
+       t=st.floats(0.0, 5.0), kappa=st.floats(0.1, 2.0), nu=st.floats(-2.0, 1.0))
+def test_every_schedule_map_is_trace_preserving_and_unital(name, d, t, kappa, nu):
+    s = dy.schedule_from_name(name, d, kappa, nu)
+    m = dy.map_at(s, t)
+    assert m.is_trace_preserving(1e-10) and m.is_unital(1e-10)
+    if name != "weyl":  # the family schedules stay in the (alpha, beta) family
+        assert family_fit(m)[2] <= 1e-12
 
 
 def test_weyl_mixture_asymptotics():
