@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import sys
+import tempfile
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,10 +68,28 @@ def _round12(obj):
     return obj
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _emit(text: str, output: str | None):
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # a sibling temp file renamed over the target: a failed write leaves it as it was
+        try:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(output)),
+                                       prefix=".quditmaps-", suffix=".tmp")
+        except OSError as exc:
+            raise QuditMapsError(f"cannot write {output}: {exc.strerror}") from None
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.chmod(tmp, 0o666 & ~_umask())  # the mode open(output, "w") would give
+            os.replace(tmp, output)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -91,10 +112,34 @@ def _load_json_object(path: str, what: str) -> dict:
     return data
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_config(cfg: RunConfig) -> RunConfig:
+    """Each resolved value has its type and range; any other is a usage error."""
+    if not _is_int(cfg.seed) or cfg.seed < 0:
+        raise QuditMapsError(f"seed must be an integer >= 0, got {cfg.seed!r}")
+    if not _is_int(cfg.sample_budget) or cfg.sample_budget < 0:
+        raise QuditMapsError(
+            f"sampling budget must be an integer >= 0, got {cfg.sample_budget!r}")
+    tol = cfg.tolerance
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not math.isfinite(tol):
+        raise QuditMapsError(f"tolerance must be a finite number, got {tol!r}")
+    if cfg.output_path is not None and not isinstance(cfg.output_path, str):
+        raise QuditMapsError(f"output path must be a string, got {cfg.output_path!r}")
+    return cfg
+
+
 def _load_config(args) -> RunConfig:
     """Defaults, then QUDITMAPS_SEED, then the --config file, then the options."""
     cfg = RunConfig()
-    cfg.seed = int(os.environ.get(ENV_SEED, cfg.seed))
+    env_seed = os.environ.get(ENV_SEED)
+    if env_seed is not None:
+        try:
+            cfg.seed = int(env_seed)
+        except ValueError:
+            raise QuditMapsError(f"{ENV_SEED} must be an integer, got {env_seed!r}") from None
     if args.config:
         data = _load_json_object(args.config, "config file")
         for f in fields(cfg):
@@ -104,13 +149,23 @@ def _load_config(args) -> RunConfig:
                         ("tolerance", "tolerance"), ("output", "output_path")):
         if getattr(args, option, None) is not None:
             setattr(cfg, key, getattr(args, option))
-    if cfg.sample_budget < 0:
-        raise QuditMapsError(f"sampling budget must be >= 0, got {cfg.sample_budget}")
-    return cfg
+    return _check_config(cfg)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-2.9e-05`` as a negative number, as argparse already reads ``-0.5``.
+
+    Subparsers are made of the parent's class, so every float option takes
+    the exponent form after a space.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quditmaps",
         description="Positivity classes, region geometry, and non-Markovian "
                     "dynamics of the qudit dephasing/depolarizing map family.",

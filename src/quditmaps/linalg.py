@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, NonHermitianInput
 
@@ -85,6 +86,38 @@ def min_eig(a) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     m = _require_hermitian(a)
     return float(np.linalg.eigvalsh(m)[0])
+
+
+def min_eig_affine(parts, coef) -> np.ndarray:
+    """Smallest eigenvalue of ``sum_k coef[g, k] * parts[k]`` for every row g.
+
+    ``parts`` is a (K, n, n) stack of Hermitian matrices and ``coef`` a real
+    (G, K) array.  The blocks are the connected components of the parts'
+    joint nonzero pattern, so every combination is block diagonal on them
+    and its spectrum is the union of the block spectra.  Blocks of equal
+    size make one batched ``eigvalsh``; 1 x 1 blocks are read off the
+    diagonal.  Parts with zero imaginary part are solved in real arithmetic.
+    """
+    parts = np.asarray(parts)
+    if np.iscomplexobj(parts) and not parts.imag.any():
+        parts = parts.real
+    coef = np.asarray(coef, dtype=float)
+    _, labels = connected_components(np.any(parts != 0, axis=0), directed=False)
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    out = np.full(coef.shape[0], np.inf)
+    for size in np.unique(sizes):
+        first = starts[sizes == size]
+        idx = order[first[:, None] + np.arange(size)]  # (blocks, size) indices
+        if size == 1:
+            vals = coef @ parts[:, idx[:, 0], idx[:, 0]].real
+        else:
+            blocks = parts[:, idx[:, :, None], idx[:, None, :]]
+            mats = np.tensordot(coef, blocks, axes=1)
+            vals = np.linalg.eigvalsh(mats)[..., 0]
+        out = np.minimum(out, vals.min(axis=1))
+    return out
 
 
 def is_psd(a, tol: float | None = None) -> bool:

@@ -24,6 +24,14 @@ Numeric oracles
   so on this family the sampled verdict is exact; random draws are kept as
   a safety net.
 
+``classify_numeric`` is the dense pointwise reference: one d^2 x d^2 map,
+Choi matrix and partial transpose per point.  ``classify_grid`` uses only
+generic structure: the family is affine in (alpha, beta), so the candidate
+images under its three parts are computed once per call, and the Choi and
+partial-transpose minima come from ``linalg.min_eig_affine``, which solves
+the blocks of the parts' joint nonzero pattern.  It takes nothing from the
+closed forms.
+
 The Schwarz region has no closed form here; the module exposes only a
 falsifier for the operator Schwarz inequality and an empirical boundary
 scan built on it.
@@ -45,7 +53,14 @@ from .channels import (
 )
 from .errors import DegenerateRegion, NotUnital, UnknownName
 from .generators import two_coordinate_pairs, witness_operator
-from .linalg import check_dimension, ginibre, partial_transpose, unvec, vec
+from .linalg import (
+    check_dimension,
+    ginibre,
+    min_eig_affine,
+    partial_transpose,
+    unvec,
+    vec,
+)
 
 REGIONS = ("P", "CP", "EB")
 
@@ -206,6 +221,15 @@ def default_grid(d: int, n: int = 101, pad: float = 0.2):
     return ax, ax.copy()
 
 
+def _closed_slacks(d: int, aa, bb) -> dict:
+    """Binding-inequality slack of each region, elementwise over (alpha, beta) arrays."""
+    return {
+        which: np.min(np.stack([pa * aa + pb * bb + pc
+                                for pa, pb, pc in _half_planes(which, d)]), axis=0)
+        for which in REGIONS
+    }
+
+
 def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
                   seed: int = 42, tol: float = 1e-9,
                   chunk: int = 512) -> dict:
@@ -213,8 +237,10 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
 
     Returns arrays of shape (len(alphas), len(betas)): closed-form booleans
     and margins, plus numeric booleans with the oracle minima.  The numeric
-    pass shares one candidate set across the grid and batches the
-    eigendecompositions, so a 101 x 101 grid stays fast.
+    pass shares one candidate set across the grid, combines each point's
+    outputs from the images under the family's three parts, and solves the
+    Choi and partial-transpose minima blockwise; ``chunk`` bounds the points
+    whose outputs are held at once.
     """
     d = check_dimension(d)
     alphas = np.asarray(alphas, dtype=float)
@@ -222,45 +248,34 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
     aa, bb = np.meshgrid(alphas, betas, indexing="ij")
     a_flat, b_flat = aa.ravel(), bb.ravel()
     shape = aa.shape
+    margins = _closed_slacks(d, aa, bb)
 
-    closed = {}
-    for which in REGIONS:
-        planes = _half_planes(which, d)
-        slack = np.min(
-            np.stack([pa * a_flat + pb * b_flat + pc for pa, pb, pc in planes]),
-            axis=0,
-        )
-        closed[which] = slack
-    margins = {k: v.reshape(shape) for k, v in closed.items()}
+    # Phi = (1-a-b) id + a tau0 + b Delta: every oracle works on the three parts
+    coef = np.stack([1.0 - a_flat - b_flat, a_flat, b_flat], axis=1)
+    parts = np.stack(family_transfer_parts(d))
+    choi_parts = choi_from_transfer(parts, d)
+    choi_min = min_eig_affine(choi_parts, coef)
+    pt_min = min_eig_affine(partial_transpose(choi_parts, d, 2), coef)
 
-    t_id, t_tau0, t_delta = family_transfer_parts(d)
     rng = np.random.default_rng(seed)
     cand = positivity_candidates(d, sample_budget, rng)
     inputs = vec(np.einsum("ni,nj->nij", cand, cand.conj()))
-
+    images = unvec(inputs @ np.swapaxes(parts, -1, -2), d)  # (3, N, d, d)
+    # the products carry rounding; real combinations of Hermitian images stay Hermitian
+    images = (images + np.conj(np.swapaxes(images, -1, -2))) / 2.0
     g = a_flat.size
-    choi_min = np.empty(g)
-    pt_min = np.empty(g)
     pos_min = np.empty(g)
     for start in range(0, g, chunk):
         sl = slice(start, min(start + chunk, g))
-        a_c = a_flat[sl][:, None, None]
-        b_c = b_flat[sl][:, None, None]
-        transfers = (1.0 - a_c - b_c) * t_id + a_c * t_tau0 + b_c * t_delta
-        choi = choi_from_transfer(transfers, d)
-        choi_min[sl] = np.linalg.eigvalsh(choi)[:, 0]
-        pt_min[sl] = np.linalg.eigvalsh(partial_transpose(choi, d, 2))[:, 0]
-        out = unvec(np.einsum("gab,nb->gna", transfers, inputs), d)
-        # the products carry rounding; the Choi and PT batches are exact permutations
-        out = (out + np.conj(np.swapaxes(out, -1, -2))) / 2.0
+        out = np.tensordot(coef[sl], images, axes=1)
         pos_min[sl] = np.linalg.eigvalsh(out)[:, :, 0].min(axis=1)
 
     return {
         "alphas": alphas,
         "betas": betas,
-        "closed_positive": (closed["P"] >= 0.0).reshape(shape),
-        "closed_cp": (closed["CP"] >= 0.0).reshape(shape),
-        "closed_eb": (closed["EB"] >= 0.0).reshape(shape),
+        "closed_positive": margins["P"] >= 0.0,
+        "closed_cp": margins["CP"] >= 0.0,
+        "closed_eb": margins["EB"] >= 0.0,
         "margin_positive": margins["P"],
         "margin_cp": margins["CP"],
         "margin_eb": margins["EB"],
@@ -482,14 +497,18 @@ def polygon_csv(poly: RegionPolygon) -> str:
 
 def grid_csv(d: int, alphas, betas) -> str:
     """``alpha,beta,positive,cp,eb`` rows with closed-form booleans as 0/1."""
-    res = classify_grid(d, alphas, betas, sample_budget=0)
+    d = check_dimension(d)
+    alphas = np.asarray(alphas, dtype=float)
+    betas = np.asarray(betas, dtype=float)
+    aa, bb = np.meshgrid(alphas, betas, indexing="ij")
+    inside = {k: v >= 0.0 for k, v in _closed_slacks(d, aa, bb).items()}
     lines = ["alpha,beta,positive,cp,eb"]
-    for i, a in enumerate(res["alphas"]):
-        for j, b in enumerate(res["betas"]):
+    for i, a in enumerate(alphas):
+        for j, b in enumerate(betas):
             lines.append(
                 f"{a:.12g},{b:.12g},"
-                f"{int(res['closed_positive'][i, j])},"
-                f"{int(res['closed_cp'][i, j])},"
-                f"{int(res['closed_eb'][i, j])}"
+                f"{int(inside['P'][i, j])},"
+                f"{int(inside['CP'][i, j])},"
+                f"{int(inside['EB'][i, j])}"
             )
     return "\n".join(lines) + "\n"

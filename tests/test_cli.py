@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -264,3 +266,72 @@ def test_negative_config_budget_is_a_usage_error(tmp_path, capsys):
 def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     assert cli.main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"sample_budget": "abc"}, {"seed": "x"}, {"tolerance": "x"}, {"seed": -1},
+    {"sample_budget": 2.5}, {"output_path": ["out.json"]},
+])
+def test_config_value_of_wrong_type_is_a_usage_error(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["--config", str(cfg), "classify", "--d", "3", "--alpha", "0.2",
+                     "--beta", "0.1"]) == 2
+    assert _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_bad_env_seed_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv(cli.ENV_SEED, value)
+    assert cli.main(["classify", "--d", "3", "--alpha", "0.2", "--beta", "0.1",
+                     "--budget", "10"]) == 2
+    assert _single_error_line(capsys)
+
+
+def test_negative_exponent_values_parse(capsys):
+    code, out = run(capsys, ["classify", "--d", "3", "--alpha", "0.2",
+                             "--beta", "-2.9e-05", "--budget", "20"])
+    assert code == 0
+    assert json.loads(out)["beta"] == -2.9e-05
+    argv = ["trajectory", "--d", "3", "--schedule", "const", "--t-max", "1",
+            "--steps", "2"]
+    code, spaced = run(capsys, argv + ["--nu", "-1e-3"])
+    assert code == 0
+    assert run(capsys, argv + ["--nu=-1e-3"]) == (0, spaced)
+    assert spaced != run(capsys, argv + ["--nu=1e-3"])[1]
+
+
+def test_failed_write_leaves_the_target_unchanged(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "area.json"
+    target.write_text("old")
+    fdopen = os.fdopen
+
+    def fdopen_then_fail(fd, *args, **kwargs):
+        fh = fdopen(fd, *args, **kwargs)
+        write = fh.write
+
+        def half_then_fail(text):
+            write(text[:len(text) // 2])
+            fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        fh.write = half_then_fail
+        return fh
+
+    monkeypatch.setattr(os, "fdopen", fdopen_then_fail)
+    assert cli.main(["area", "--d", "3", "--output", str(target)]) == 2
+    assert _single_error_line(capsys)
+    assert target.read_text() == "old"
+    assert os.listdir(tmp_path) == ["area.json"]
+
+
+@pytest.mark.parametrize("where", ["directory", "missing"])
+def test_unwritable_output_leaves_no_temp_file(tmp_path, capsys, where):
+    output = tmp_path / "out"
+    if where == "directory":
+        output.mkdir()
+    else:
+        output = output / "area.json"
+    assert cli.main(["area", "--d", "3", "--output", str(output)]) == 2
+    assert _single_error_line(capsys)
+    assert os.listdir(tmp_path) == (["out"] if where == "directory" else [])

@@ -243,3 +243,23 @@ def test_batched_conventions_check_dimensions():
         ch.choi_from_transfer(np.zeros((2, 9, 9)), 2)
     with pytest.raises(DimensionMismatch):
         ch.SuperMap(2, np.eye(4))(np.zeros((2, 3, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+       n_parts=st.integers(1, 3), n_rows=st.integers(1, 4), real=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_min_eig_affine_matches_dense(sizes, n_parts, n_rows, real, seed):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    parts = np.zeros((n_parts, n, n), dtype=complex)
+    start = 0
+    for size in sizes:
+        block = la.random_hermitian(size, rng, n=n_parts)
+        parts[:, start:start + size, start:start + size] = block.real if real else block
+        start += size
+    perm = rng.permutation(n)
+    parts = parts[:, perm][:, :, perm]  # hide the blocks behind a permutation
+    coef = rng.standard_normal((n_rows, n_parts))
+    dense = np.linalg.eigvalsh(np.tensordot(coef, parts, axes=1))[:, 0]
+    assert np.abs(la.min_eig_affine(parts, coef) - dense).max() <= 1e-12

@@ -119,6 +119,36 @@ def test_grid_matches_pointwise_classifier():
             assert grid["numeric_eb"][i, j] == n.entanglement_breaking
 
 
+@pytest.mark.parametrize("d, n", [(2, 7), (3, 7), (5, 5), (8, 4), (16, 3)])
+def test_grid_minima_match_dense_pointwise_solves(d, n):
+    # the blockwise, affine oracle against dense solves of each point's own map
+    alphas, betas = r.default_grid(d, n)
+    grid = r.classify_grid(d, alphas, betas, sample_budget=16, seed=11)
+    for i, a in enumerate(alphas):
+        for j, b in enumerate(betas):
+            m = build_phi_family(MapParams(d, float(a), float(b)))
+            choi_min = np.linalg.eigvalsh(m.choi)[0]
+            pt_min = np.linalg.eigvalsh(partial_transpose(m.choi, d, 2))[0]
+            assert abs(grid["choi_min"][i, j] - choi_min) <= 1e-12
+            assert abs(grid["pt_min"][i, j] - pt_min) <= 1e-12
+            pos_min = r.sampled_positivity_min(m, sample_budget=16, seed=11)
+            assert abs(grid["pos_min"][i, j] - pos_min) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 8, 16])
+def test_grid_solves_no_matrix_larger_than_d(d, monkeypatch):
+    orders = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        orders.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    r.classify_grid(d, *r.default_grid(d, 5), sample_budget=8)
+    assert orders and max(orders) <= d
+
+
 def test_grid_agreement_small():
     rep = r.grid_agreement_report(3, n=41, sample_budget=32, seed=4)
     assert rep["positive_disagreements"] == 0
@@ -293,3 +323,12 @@ def test_grid_csv_format():
     assert lines[0] == "alpha,beta,positive,cp,eb"
     assert len(lines) == 10
     assert set(lines[1].split(",")[2:]) <= {"0", "1"}
+
+
+def test_grid_csv_makes_no_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid_csv prints closed-form verdicts only")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    text = r.grid_csv(3, np.linspace(-0.2, 1.7, 4), np.linspace(-0.7, 1.7, 5))
+    assert len(text.strip().split("\n")) == 21
