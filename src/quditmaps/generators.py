@@ -27,6 +27,35 @@ The dissipativity witness is the one-parameter traceless family
 X(c) = [[1, -c], [c, -1]] (+) 0; for d + 2 - 2a > 0 its smallest M-eigenvalue
 is minimized at c* = d / (d + 2 - 2a) where it equals d + 2 - d^2/(d + 2 - 2a),
 crossing zero exactly at the Schwarz threshold.
+
+Cost of an oracle call
+----------------------
+The generator is affine in its parameters,
+
+    L = kappa * hop + (kappa nu / d) * phase + sum_k h_k (-i [E_kk, .]),
+
+and a threshold bisection calls an oracle many times with one seed.  So each
+oracle keeps what does not depend on (kappa, nu, h), and a call only
+combines it:
+
+* pair oracle: each pair's functional value under hop, phase and the d
+  Hamiltonian units.  The hop and phase blocks are applied as the sparse
+  matrices they are (496 and 252 nonzeros of 65 536 at d = 16).  A call is
+  one (pairs x (d + 2)) product and an argmin;
+* dissipativity oracle: M(a, X) = M0(X) + a M1(X), so a call is one
+  combination and one batched ``eigvalsh``;
+* projected-Choi oracle: the Choi matrix is compressed to Omega's complement
+  with a sparse orthonormal basis, the off-diagonal units |ij> plus an
+  orthonormal basis of Omega's complement inside span{|ii>}.  The compressed
+  matrix is block diagonal, and ``linalg.min_eig_affine`` finds and solves
+  the blocks; no (d^2 - 1)-dimensional eigensolve is made.
+
+The two sampling oracles keep the parts of the last seeded sample set only,
+keyed by (oracle, d, budget, seed), and drop them before the next set is
+drawn.  On one BLAS thread, a repeated call with budget 10 000 at d = 8 takes
+0.1 ms for the pair oracle (90 ms when every call drew and built its own) and
+about 90 ms for the dissipativity oracle (300 ms); ``is_ccp`` at d = 16 takes
+2 to 5 ms, where the dense 255 x 255 eigensolve took 24 ms.
 """
 
 from __future__ import annotations
@@ -36,6 +65,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import null_space
+from scipy.sparse import csr_array
 
 from .channels import SuperMap, dephase
 from .errors import (
@@ -53,9 +83,8 @@ from .linalg import (
     haar_orthonormal_pair,
     maximally_entangled_vector,
     min_eig,
+    min_eig_affine,
     random_traceless,
-    unvec,
-    vec,
 )
 
 POSITIVITY_CLASSES = ("positive", "schwarz", "kpositive")
@@ -218,6 +247,35 @@ def spectrum_rates(p: GenParams, positivity_class: str = "kpositive",
 
 
 # ---------------------------------------------------------------------------
+# seeded sample parts, reused across calls with one seed
+# ---------------------------------------------------------------------------
+
+# The parts of the last seeded sample set, keyed by (oracle, d, budget, seed).
+# One slot: a bisection reuses one seed, and dropping the old set before the
+# next is drawn keeps two sets from ever being held at once.
+_sample_parts: dict = {}
+
+
+def _seeded_parts(oracle: str, d: int, n: int, seed, build):
+    """``build(d, n, seed)`` as read-only arrays, reused while the key repeats.
+
+    Seeds that are not integers (a ``Generator``, ``None``) draw anew on every
+    call, as ``default_rng`` does with them, so their parts are never kept.
+    """
+    if not isinstance(seed, (int, np.integer)):
+        return build(d, n, seed)
+    key = (oracle, d, n, seed)
+    parts = _sample_parts.get(key)
+    if parts is None:
+        _sample_parts.clear()
+        parts = build(d, n, seed)
+        for arr in parts:
+            arr.flags.writeable = False
+        _sample_parts[key] = parts
+    return parts
+
+
+# ---------------------------------------------------------------------------
 # conditional positivity (orthonormal-pair oracle)
 # ---------------------------------------------------------------------------
 
@@ -252,6 +310,33 @@ class PairSamplingReport:
     argmin_pair: tuple = field(repr=False, default=())
 
 
+def _pair_parts(d: int, n: int, seed):
+    """Each pair's functional value under each basis generator, and the pairs.
+
+    Rows are the two-coordinate pairs, then ``n`` Haar pairs drawn from
+    ``seed``; columns are hop, phase and the d units -i [E_kk, .] of the
+    diagonal Hamiltonian, so ``parts @ [kappa, kappa nu / d, h_1 .. h_d]`` is
+    the functional of the generator with those parameters.
+    """
+    xs, ys = (np.asarray(v) for v in zip(*two_coordinate_pairs(d)))
+    if n > 0:
+        sx, sy = haar_orthonormal_pair(d, np.random.default_rng(seed), n=n)
+        xs, ys = np.concatenate((xs, sx)), np.concatenate((ys, sy))
+    # vec(|x><x|) as columns (samples on the last axis, C order for the sparse
+    # products): row c*d + r holds x_r conj(x_c), as in ``linalg.vec``
+    xt, yt = xs.T, ys.T
+    rho = (xt.conj()[:, None, :] * xt[None, :, :]).reshape(d * d, -1)
+    # <y| B(rho) |y> with B(rho) laid out as [c, r, sample]
+    cols = [np.einsum("rn,crn,cn->n", yt.conj(),
+                      (csr_array(block) @ rho).reshape(d, d, -1), yt).real
+            for block in generator_blocks(d)]
+    # <y| -i (E_kk rho - rho E_kk) |y> with rho = |x><x|
+    ovl = np.einsum("ni,ni->n", xs.conj(), ys)  # <x|y>
+    ham = (-1j * (ys.conj() * xs * ovl[:, None]
+                  - (xs.conj() * ys) * ovl.conj()[:, None])).real
+    return np.column_stack(cols + [ham]), xs, ys
+
+
 def is_conditionally_positive(p: GenParams, sample_budget: int = 10_000,
                               seed: int = 42) -> PairSamplingReport:
     """Closed form nu >= -1 next to the orthonormal-pair sampling oracle.
@@ -262,28 +347,14 @@ def is_conditionally_positive(p: GenParams, sample_budget: int = 10_000,
     """
     if p.kappa <= 0:
         raise NegativeRate(f"kappa must be > 0, got {p.kappa}")
-    gen = build_generator(p)
-    best = np.inf
-    best_pair = ()
-    for x, y in two_coordinate_pairs(p.d):
-        v = pair_functional(gen, x, y)
-        if v < best:
-            best, best_pair = v, (x, y)
-    if sample_budget > 0:
-        n = int(sample_budget)
-        rng = np.random.default_rng(seed)
-        xs, ys = haar_orthonormal_pair(p.d, rng, n=n)
-        rho = np.einsum("ni,nj->nij", xs, xs.conj())  # |x><x|
-        # one matrix product for all samples, where gen(rho) would make one each
-        out = unvec((gen.transfer @ vec(rho).T).T, p.d)
-        vals = np.real(np.einsum("ni,nij,nj->n", ys.conj(), out, ys))
-        k = int(np.argmin(vals))
-        if vals[k] < best:
-            best, best_pair = float(vals[k]), (xs[k], ys[k])
+    parts, xs, ys = _seeded_parts("pair", p.d, max(int(sample_budget), 0), seed,
+                                  _pair_parts)
+    vals = parts @ np.array([p.kappa, p.kappa * p.nu / p.d, *p.h])
+    k = int(np.argmin(vals))
     return PairSamplingReport(
         closed_form=p.nu >= positivity_threshold(p.d),
-        sampled_min=float(best),
-        argmin_pair=best_pair,
+        sampled_min=float(vals[k]),
+        argmin_pair=(xs[k], ys[k]),
     )
 
 
@@ -302,17 +373,29 @@ def is_ccp(p: GenParams) -> CcpReport:
 
     The oracle compresses the generator's Choi matrix to the orthogonal
     complement of the maximally entangled vector and reports the smallest
-    eigenvalue of that (d^2 - 1)-dimensional block.
+    eigenvalue of that (d^2 - 1)-dimensional block.  The eigenvalues do not
+    depend on which orthonormal basis of the complement is used; a sparse one
+    keeps the compression block diagonal, so the blocks are solved apart.
     """
     if p.kappa <= 0:
         raise NegativeRate(f"kappa must be > 0, got {p.kappa}")
     choi = build_generator(p).choi
-    omega = maximally_entangled_vector(p.d)
-    q = null_space(omega.conj().reshape(1, -1))  # d^2 x (d^2 - 1), orthonormal
-    block = q.conj().T @ choi @ q
+    # Omega is supported on span{|ii>}, so the off-diagonal units |ij> plus an
+    # orthonormal basis ``inner`` of Omega's complement inside span{|ii>} are
+    # an orthonormal basis Q of its complement.  Q^T C Q: order the
+    # coordinates off-diagonal first, then apply inner to the last d rows and
+    # columns in place.
+    omega = maximally_entangled_vector(p.d).real
+    on, off = np.flatnonzero(omega), np.flatnonzero(omega == 0)
+    inner = null_space(omega[on][None, :])  # d x (d - 1), orthonormal
+    order = np.concatenate((off, on))
+    c = choi[np.ix_(order, order)]
+    k = off.size
+    c[:, k:-1] = c[:, k:] @ inner
+    c[k:-1] = inner.T @ c[k:]
     return CcpReport(
         closed_form=p.nu >= ccp_threshold(p.d),
-        min_eig_projected=min_eig(block),
+        min_eig_projected=float(min_eig_affine(c[None, :-1, :-1], [[1.0]])[0]),
     )
 
 
@@ -348,6 +431,28 @@ def witness_min_eig(d: int, a: float, c: float) -> float:
     return min_eig(dissipativity_matrix(d, a, witness_operator(d, c)))
 
 
+def _dissipativity_parts(d: int, n: int, seed):
+    """M0 and M1 with M(a, X) = M0 + a M1 for ``n`` traceless X drawn from ``seed``.
+
+    M0 = Tr(X^+ X) I + d X^+ X and
+    M1 = Delta(X^+) X + X^+ Delta(X) - X^+ X - Delta(X^+ X); both are
+    Hermitian to the last bit, and so is every real combination.
+    """
+    xs = random_traceless(d, np.random.default_rng(seed), n=n)
+    xdx = xs.conj().swapaxes(-1, -2) @ xs
+    xdx += xdx.conj().swapaxes(-1, -2)  # the product carries rounding
+    xdx /= 2.0
+    idx = np.arange(d)
+    diag = xdx[:, idx, idx]
+    m0 = d * xdx
+    m0[:, idx, idx] += diag.sum(axis=1)[:, None]
+    m1 = xs[:, idx, idx].conj()[:, :, None] * xs  # Delta(X^+) X
+    m1 += m1.conj().swapaxes(-1, -2)
+    m1 -= xdx
+    m1[:, idx, idx] -= diag
+    return m0, m1
+
+
 @dataclass(frozen=True)
 class DissipativityReport:
     closed_form: bool
@@ -373,23 +478,10 @@ def is_dissipative(p: GenParams, sample_budget: int = 10_000,
         min_witness = min(witness_min_eig(d, a, c) for c in (10.0, 100.0))
     min_sampled = np.inf
     if sample_budget > 0:
-        rng = np.random.default_rng(seed)
-        xs = random_traceless(d, rng, n=int(sample_budget))
-        xdx = np.einsum("nki,nkj->nij", xs.conj(), xs)
-        diag_x = np.einsum("nii->ni", xs)
-        tr = np.einsum("nii->n", xdx)
-        eye = np.eye(d)
-        m = tr[:, None, None] * eye + (d - a) * xdx
-        dd = np.zeros_like(xdx)
-        idx = np.arange(d)
-        dd[:, idx, idx] = xdx[:, idx, idx]
-        m = m - a * dd
-        # Delta(X^+) X + X^+ Delta(X) with diagonal Delta parts
-        dxc = np.zeros_like(xs)
-        dxc[:, idx, idx] = diag_x.conj()
-        cross = np.einsum("nik,nkj->nij", dxc, xs)
-        m = m + a * (cross + np.conj(np.swapaxes(cross, -1, -2)))
-        m = (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0
+        m0, m1 = _seeded_parts("dissipativity", d, int(sample_budget), seed,
+                               _dissipativity_parts)
+        m = np.multiply(m1, a)
+        m += m0
         min_sampled = float(np.linalg.eigvalsh(m)[:, 0].min())
     return DissipativityReport(
         closed_form=p.nu >= schwarz_threshold(d),

@@ -51,7 +51,7 @@ from .channels import (
     choi_from_transfer,
     family_transfer_parts,
 )
-from .errors import DegenerateRegion, NotUnital, UnknownName
+from .errors import DegenerateRegion, NotUnital, QuditMapsError, UnknownName
 from .generators import two_coordinate_pairs, witness_operator
 from .linalg import (
     check_dimension,
@@ -164,8 +164,12 @@ def positivity_candidates(d: int, sample_budget: int = 0,
 
     Basis vectors expose alpha < 0, the two-coordinate superpositions expose
     the lower boundary beta >= -2 alpha/d, and the uniform superposition
-    exposes the upper boundary beta <= d/(d-1) - alpha.
+    exposes the upper boundary beta <= d/(d-1) - alpha.  ``sample_budget``
+    random unit vectors are appended, drawn from ``rng``, which is then
+    required.
     """
+    if sample_budget > 0 and rng is None:
+        raise QuditMapsError("sample_budget > 0 needs a random generator rng")
     vecs = list(np.eye(d, dtype=complex))
     for x, y in two_coordinate_pairs(d):
         vecs.extend([x, y])
@@ -230,6 +234,11 @@ def _closed_slacks(d: int, aa, bb) -> dict:
     }
 
 
+# Bytes of positivity-pass outputs held at once; at d = 16 with 321
+# candidates a point's outputs take 1.3 MB, so ``chunk`` alone would hold 0.67 GB.
+_CHUNK_BYTES = 64 * 2**20
+
+
 def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
                   seed: int = 42, tol: float = 1e-9,
                   chunk: int = 512) -> dict:
@@ -240,7 +249,8 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
     pass shares one candidate set across the grid, combines each point's
     outputs from the images under the family's three parts, and solves the
     Choi and partial-transpose minima blockwise; ``chunk`` bounds the points
-    whose outputs are held at once.
+    whose outputs are held at once, and fewer are held when their outputs
+    would exceed 64 MB.
     """
     d = check_dimension(d)
     alphas = np.asarray(alphas, dtype=float)
@@ -264,6 +274,7 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
     # the products carry rounding; real combinations of Hermitian images stay Hermitian
     images = (images + np.conj(np.swapaxes(images, -1, -2))) / 2.0
     g = a_flat.size
+    chunk = max(1, min(chunk, _CHUNK_BYTES // images[0].nbytes))
     pos_min = np.empty(g)
     for start in range(0, g, chunk):
         sl = slice(start, min(start + chunk, g))

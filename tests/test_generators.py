@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from quditmaps import channels as ch
 from quditmaps import generators as g
@@ -286,3 +289,126 @@ def test_threshold_ordering_and_nesting():
             dis = g.is_dissipative(p, 0).closed_form
             pos = g.is_conditionally_positive(p, 0).closed_form
             assert (not ccp or dis) and (not dis or pos)
+
+
+# --- the oracles against dense per-call references -------------------------------
+
+def reference_pair_min(p, budget, seed):
+    """Pair oracle minimum from the generator's dense transfer, one call at a time."""
+    gen = g.build_generator(p)
+    best = min(g.pair_functional(gen, x, y) for x, y in g.two_coordinate_pairs(p.d))
+    if budget > 0:
+        xs, ys = la.haar_orthonormal_pair(p.d, np.random.default_rng(seed), n=budget)
+        rho = np.einsum("ni,nj->nij", xs, xs.conj())
+        out = la.unvec((gen.transfer @ la.vec(rho).T).T, p.d)
+        best = min(best, np.real(np.einsum("ni,nij,nj->n", ys.conj(), out, ys)).min())
+    return float(best)
+
+
+def reference_sampled_dissipativity_min(p, budget, seed):
+    """Smallest eigenvalue of M(a, X) over the seeded X, built per call."""
+    d, a = p.d, p.a
+    xs = la.random_traceless(d, np.random.default_rng(seed), n=budget)
+    xdx = np.einsum("nki,nkj->nij", xs.conj(), xs)
+    tr = np.einsum("nii->n", xdx)
+    idx = np.arange(d)
+    m = tr[:, None, None] * np.eye(d) + (d - a) * xdx
+    dd = np.zeros_like(xdx)
+    dd[:, idx, idx] = xdx[:, idx, idx]
+    m = m - a * dd
+    dxc = np.zeros_like(xs)
+    dxc[:, idx, idx] = np.einsum("nii->ni", xs).conj()
+    cross = np.einsum("nik,nkj->nij", dxc, xs)
+    m = m + a * (cross + np.conj(np.swapaxes(cross, -1, -2)))
+    m = (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0
+    return float(np.linalg.eigvalsh(m)[:, 0].min())
+
+
+def reference_projected_choi_min(p):
+    """Dense compression of the generator's Choi matrix to Omega's complement."""
+    choi = g.build_generator(p).choi
+    q = null_space(la.maximally_entangled_vector(p.d).conj().reshape(1, -1))
+    return la.min_eig(q.conj().T @ choi @ q)
+
+
+@pytest.fixture
+def fresh_sample_parts():
+    g._sample_parts.clear()
+    yield g._sample_parts
+    g._sample_parts.clear()
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 16), kappa=st.floats(0.05, 5.0), nu=st.floats(-3.0, 2.0),
+       with_h=st.booleans(), seed=st.integers(0, 2**31 - 1),
+       budget=st.integers(0, 150), data=st.data())
+def test_oracles_match_dense_references(d, kappa, nu, with_h, seed, budget, data):
+    h = tuple(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))) \
+        if with_h else ()
+    p = g.GenParams(d, kappa, nu, h)
+    scale = 1.0 + kappa * (d + abs(nu)) + sum(abs(x) for x in p.h)
+    tol = 1e-12 * scale
+
+    g._sample_parts.clear()
+    pair = g.is_conditionally_positive(p, budget, seed)
+    assert abs(pair.sampled_min - reference_pair_min(p, budget, seed)) <= tol
+    x, y = pair.argmin_pair
+    assert abs(g.pair_functional(g.build_generator(p), x, y) - pair.sampled_min) <= tol
+    hit = g.is_conditionally_positive(p, budget, seed)
+    assert hit.sampled_min == pair.sampled_min
+    assert all(np.array_equal(u, v) for u, v in zip(hit.argmin_pair, pair.argmin_pair))
+
+    dis = g.is_dissipative(p, budget, seed)
+    if budget > 0:
+        ref = reference_sampled_dissipativity_min(p, budget, seed)
+        assert abs(dis.min_sampled_eig - ref) <= 1e-12 * (d + abs(1.0 - nu)) * d
+    else:
+        assert dis.min_sampled_eig == np.inf
+    assert g.is_dissipative(p, budget, seed) == dis
+
+    ccp = g.is_ccp(p)
+    assert abs(ccp.min_eig_projected - reference_projected_choi_min(p)) <= tol
+
+
+def _bisect_nine(above, lo, hi):
+    for _ in range(9):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+
+
+def test_bisection_draws_its_samples_once(monkeypatch, fresh_sample_parts):
+    draws = {"random_traceless": 0, "haar_orthonormal_pair": 0}
+    for name in draws:
+        orig = getattr(g, name)
+
+        def counting(*args, _name=name, _orig=orig, **kwargs):
+            draws[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(g, name, counting)
+    d, budget, seed = 5, 2000, 17
+    _bisect_nine(lambda nu: g.is_conditionally_positive(
+        g.GenParams(d, 1.3, nu), budget, seed).sampled_min >= -1e-9, -1.2, -0.8)
+    assert draws["haar_orthonormal_pair"] == 1
+    assert list(fresh_sample_parts) == [("pair", d, budget, seed)]
+
+    def schwarz_above(nu):
+        rep = g.is_dissipative(g.GenParams(d, 1.3, nu), budget, seed)
+        return min(rep.min_witness_eig, rep.min_sampled_eig) >= -1e-9
+
+    _bisect_nine(schwarz_above, -0.9, -0.5)
+    assert draws["random_traceless"] == 1
+    # the pair set was dropped when the traceless set was drawn
+    assert list(fresh_sample_parts) == [("dissipativity", d, budget, seed)]
+    assert all(not a.flags.writeable for a in fresh_sample_parts[("dissipativity", d, budget, seed)])
+
+    g.is_dissipative(g.GenParams(d, 1.3, -0.6), budget, seed + 1)
+    assert draws["random_traceless"] == 2
+    assert list(fresh_sample_parts) == [("dissipativity", d, budget, seed + 1)]
+
+
+def test_generator_seeds_are_not_kept(fresh_sample_parts):
+    p = g.GenParams(3, 1.0, -0.5)
+    a = g.is_dissipative(p, 50, np.random.default_rng(3))
+    b = g.is_dissipative(p, 50, np.random.default_rng(3))
+    assert a == b and not fresh_sample_parts

@@ -4,7 +4,7 @@ import pytest
 from quditmaps import linalg as la
 from quditmaps import regions as r
 from quditmaps.channels import MapParams, SuperMap, build_phi_family, named_map
-from quditmaps.errors import NotUnital, UnknownName
+from quditmaps.errors import NotUnital, QuditMapsError, UnknownName
 from quditmaps.generators import GenParams, build_generator, schwarz_threshold
 from quditmaps.linalg import partial_transpose
 
@@ -147,6 +147,32 @@ def test_grid_solves_no_matrix_larger_than_d(d, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     r.classify_grid(d, *r.default_grid(d, 5), sample_budget=8)
     assert orders and max(orders) <= d
+
+
+def test_grid_positivity_batches_stay_within_byte_budget(monkeypatch):
+    # at d = 16 with budget 64 one point's outputs take 1.3 MB: 64 points at once
+    # would hold 84 MB, more than the budget
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.asarray(a).nbytes)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    d = 16
+    res = r.classify_grid(d, *r.default_grid(d, 8), sample_budget=64, seed=2)
+    assert sizes and max(sizes) <= r._CHUNK_BYTES
+    monkeypatch.undo()
+    one = r.classify_grid(d, *r.default_grid(d, 8), sample_budget=64, seed=2, chunk=1)
+    assert np.abs(res["pos_min"] - one["pos_min"]).max() <= 1e-12
+
+
+def test_positivity_candidates_need_rng_for_samples():
+    with pytest.raises(QuditMapsError):
+        r.positivity_candidates(16, 64)
+    assert r.positivity_candidates(3, 0).shape == (3 + 6 + 1, 3)
+    assert r.positivity_candidates(3, 5, np.random.default_rng(0)).shape == (15, 3)
 
 
 def test_grid_agreement_small():
