@@ -177,6 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--d", type=int, required=d_required, help="qudit dimension")
         sp.add_argument("--output", default=None, help="write to file instead of stdout")
 
+    def const_rates(sp):
+        # every schedule accepts them, as perfbench/workloads.py passes them to all
+        sp.add_argument("--kappa", type=float, default=1.0,
+                        help="rate kappa; read only by --schedule const")
+        sp.add_argument("--nu", type=float, default=0.0,
+                        help="nu; read only by --schedule const")
+
     def sampling(sp):
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--budget", type=int, default=None, help="sampling budget")
@@ -199,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("trajectory", help="(alpha(t), beta(t)) trajectory CSV")
     common(sp)
     sp.add_argument("--schedule", required=True, choices=list(dynamics.SCHEDULES))
-    sp.add_argument("--kappa", type=float, default=1.0)
-    sp.add_argument("--nu", type=float, default=0.0)
+    const_rates(sp)
     sp.add_argument("--t-max", type=float, required=True, dest="t_max")
     sp.add_argument("--steps", type=int, required=True)
 
@@ -227,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, d_required=False)
     sp.add_argument("--state", required=True, help="path to a JSON state file")
     sp.add_argument("--schedule", required=True, choices=list(dynamics.SCHEDULES))
-    sp.add_argument("--kappa", type=float, default=1.0)
-    sp.add_argument("--nu", type=float, default=0.0)
+    const_rates(sp)
     sp.add_argument("--t", type=float, required=True)
     return parser
 

@@ -60,7 +60,9 @@ from .channels import (
     unitary_conjugation,
 )
 from .errors import NegativeRate, NegativeTime, NoLimit, SingularMap, UnknownName
-from .generators import generator_blocks
+from .generators import (
+    ccp_threshold, generator_blocks, positivity_threshold, schwarz_threshold,
+)
 from .linalg import check_dimension
 
 __all__ = [
@@ -225,12 +227,12 @@ class _FrozenENM(Schedule):
 
 class PDivisible(_FrozenENM):
     def _switch(self):
-        return switch_times(self.d).t_star, -1.0
+        return switch_times(self.d).t_star, positivity_threshold(self.d)
 
 
 class SchwarzDivisible(_FrozenENM):
     def _switch(self):
-        return switch_times(self.d).t_s, -self.d / (self.d + 2.0)
+        return switch_times(self.d).t_s, schwarz_threshold(self.d)
 
 
 class ENM2(Schedule):
@@ -412,9 +414,9 @@ def tangency_slope(d: int, kappa: float, nu: float, boundary: str) -> float:
     """
     check_dimension(d)
     slopes = {
-        "P": kappa * (nu + 1.0),
-        "CP": kappa * nu,
-        "SCHWARZ": kappa * (nu + d / (d + 2.0)),
+        "P": kappa * (nu - positivity_threshold(d)),
+        "CP": kappa * (nu - ccp_threshold(d)),
+        "SCHWARZ": kappa * (nu - schwarz_threshold(d)),
     }
     key = boundary.upper()
     if key not in slopes:

@@ -476,6 +476,10 @@ def schwarz_boundary_scan(d: int, n_alpha: int = 16, sample_budget: int = 200,
     For each alpha the scan bisects between the CP lower boundary
     beta = -alpha/d (certified Schwarz) and a point below the positivity
     boundary (certified non-Schwarz), using the falsifier as the test.
+    ``beta_tol`` is relative: the bisection stops when the bracket is
+    narrower than ``beta_tol`` times the gap alpha/d between the CP and P
+    boundaries, so the returned midpoint cannot fall below the P boundary
+    at small alpha, where an absolute width would exceed the gap.
     The result is an estimate produced by a falsifier with finite budget,
     not ground truth; no closed form for this boundary is known here.
     """
@@ -484,7 +488,7 @@ def schwarz_boundary_scan(d: int, n_alpha: int = 16, sample_budget: int = 200,
     for alpha in np.linspace(1e-3, d / (d - 1.0), n_alpha):
         hi = -alpha / d              # Schwarz holds (map is CP)
         lo = -2.0 * alpha / d - 0.1  # map is not positive, hence not Schwarz
-        while hi - lo > beta_tol:
+        while hi - lo > beta_tol * alpha / d:
             mid = 0.5 * (hi + lo)
             m = build_phi_family(MapParams(d, float(alpha), float(mid)))
             if schwarz_falsify(m, sample_budget, seed) is None:

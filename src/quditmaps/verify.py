@@ -3,6 +3,9 @@
 Each check is a function returning ``(passed, detail)``; ``run_suite``
 executes a suite and returns CheckResult records.  The CLI ``verify``
 subcommand prints one line per check and exits nonzero on any failure.
+
+The tests call these checks too; a keyword argument widens a check's sweep
+for a test, and its default is the battery's own sweep.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import channels, dynamics, generators, linalg, regions
 from .channels import MapParams, build_phi_family
@@ -27,10 +29,10 @@ class CheckResult:
 # linalg
 # ---------------------------------------------------------------------------
 
-def check_eigh_reconstruction(seed, budget):
+def check_eigh_reconstruction(seed, budget, dims=range(2, 9)):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for d in range(2, 9):
+    for d in dims:
         for _ in range(20):
             a = linalg.random_hermitian(d, rng)
             w, v = linalg.eig_hermitian(a)
@@ -39,18 +41,19 @@ def check_eigh_reconstruction(seed, budget):
     return worst <= 1e-10, f"worst relative residual {worst:.2e}"
 
 
-def check_partial_transpose_involution(seed, budget):
+def check_partial_transpose_involution(seed, budget, subsystems=(2,)):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(1000):
         d = int(rng.integers(2, 4))
         m = linalg.ginibre(d * d, rng)
-        pt = linalg.partial_transpose(m, d, 2)
-        worst = max(worst, np.abs(linalg.partial_transpose(pt, d, 2) - m).max())
-        worst = max(
-            worst,
-            np.abs(linalg.partial_transpose(m.conj().T, d, 2) - pt.conj().T).max(),
-        )
+        for sub in subsystems:
+            pt = linalg.partial_transpose(m, d, sub)
+            worst = max(worst, np.abs(linalg.partial_transpose(pt, d, sub) - m).max())
+            worst = max(
+                worst,
+                np.abs(linalg.partial_transpose(m.conj().T, d, sub) - pt.conj().T).max(),
+            )
     return worst == 0.0, f"max deviation {worst:.2e}"
 
 
@@ -68,16 +71,19 @@ def check_vec_roundtrip(seed, budget):
 # channels
 # ---------------------------------------------------------------------------
 
-def check_family_tp_unital(seed, budget):
+def check_family_tp_unital(seed, budget, points=None):
+    """``points``: (d, alpha, beta) triples; a 7 x 7 grid per d = 2..6 by default."""
+    if points is None:
+        points = [(d, float(alpha), float(beta)) for d in range(2, 7)
+                  for alpha in np.linspace(-0.5, d / (d - 1) + 0.5, 7)
+                  for beta in np.linspace(-1.0, 1.5, 7)]
     worst = 0.0
-    for d in range(2, 7):
-        for alpha in np.linspace(-0.5, d / (d - 1) + 0.5, 7):
-            for beta in np.linspace(-1.0, 1.5, 7):
-                m = build_phi_family(MapParams(d, float(alpha), float(beta)))
-                ptr = channels.partial_trace_output(m.choi, d)
-                worst = max(worst, float(np.abs(ptr - np.eye(d)).max()))
-                vi = linalg.vec(np.eye(d))
-                worst = max(worst, float(np.abs(m.transfer @ vi - vi).max()))
+    for d, alpha, beta in points:
+        m = build_phi_family(MapParams(d, alpha, beta))
+        ptr = channels.partial_trace_output(m.choi, d)
+        worst = max(worst, float(np.abs(ptr - np.eye(d)).max()))
+        vi = linalg.vec(np.eye(d))
+        worst = max(worst, float(np.abs(m.transfer @ vi - vi).max()))
     return worst <= 1e-10, f"worst TP/unital defect {worst:.2e}"
 
 
@@ -110,11 +116,11 @@ def check_adjoint_preserves_cp(seed, budget):
 # generators
 # ---------------------------------------------------------------------------
 
-def check_trace_annihilation(seed, budget):
+def check_trace_annihilation(seed, budget, cases=((2, 1.0, -0.4), (3, 0.7, -1.2),
+                                                 (4, 2.0, 0.3), (5, 1.0, -0.9))):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for d, kappa, nu in ((2, 1.0, -0.4), (3, 0.7, -1.2), (4, 2.0, 0.3),
-                         (5, 1.0, -0.9)):
+    for d, kappa, nu in cases:
         gen = generators.build_generator(
             generators.GenParams(d, kappa, nu, tuple(rng.uniform(-1, 1, d)))
         )
@@ -124,18 +130,22 @@ def check_trace_annihilation(seed, budget):
     return worst <= 1e-10, f"worst |Tr L(X)| {worst:.2e}"
 
 
-def check_spectrum_consistency(seed, budget):
-    rng = np.random.default_rng(seed)
+def check_spectrum_consistency(seed, budget, params=None):
+    """``params``: GenParams to test; one random draw per d = 2..6 by default."""
+    if params is None:
+        rng = np.random.default_rng(seed)
+        params = [generators.GenParams(d, float(rng.uniform(0.2, 2.0)),
+                                       float(rng.uniform(-1.5, 1.0)),
+                                       tuple(rng.uniform(-1, 1, d)))
+                  for d in range(2, 7)]
     ok = True
-    for d in range(2, 7):
-        p = generators.GenParams(d, float(rng.uniform(0.2, 2.0)),
-                                 float(rng.uniform(-1.5, 1.0)),
-                                 tuple(rng.uniform(-1, 1, d)))
+    for p in params:
         eig = np.linalg.eigvals(generators.build_generator(p).transfer)
         ok = ok and linalg.match_multisets(
-            eig, generators.expected_spectrum(p), tol=1e-9 * max(1.0, p.kappa * d)
+            eig, generators.expected_spectrum(p), tol=1e-9 * max(1.0, p.kappa * p.d)
         )
-    return ok, "transfer spectra match the closed form for d=2..6"
+    dims = sorted({p.d for p in params})
+    return ok, f"transfer spectra match the closed form for d={dims[0]}..{dims[-1]}"
 
 
 def check_threshold_ordering(seed, budget):
@@ -148,8 +158,8 @@ def check_threshold_ordering(seed, budget):
         for nu in np.linspace(-1.4, 0.4, 19):
             p = generators.GenParams(d, 1.0, float(nu))
             ccp = generators.is_ccp(p).closed_form
-            dis = nu >= generators.schwarz_threshold(d)
-            pos = nu >= generators.positivity_threshold(d)
+            dis = generators.is_dissipative(p, 0).closed_form
+            pos = generators.is_conditionally_positive(p, 0).closed_form
             ok = ok and ((not ccp or dis) and (not dis or pos))
     return ok, "-1 < -d/(d+2) < 0 and CP => Schwarz => positive for d=2..8"
 
@@ -170,11 +180,12 @@ def check_dissipativity_sampling_soundness(seed, budget):
 # regions
 # ---------------------------------------------------------------------------
 
-def check_grid_agreement(seed, budget):
+def check_grid_agreement(seed, budget, sample_budget=32, dims=(2, 3, 4, 5), n=101):
     bad = 0
     tested = 0
-    for d in (2, 3, 4, 5):
-        rep = regions.grid_agreement_report(d, n=101, sample_budget=32, seed=seed)
+    for d in dims:
+        rep = regions.grid_agreement_report(d, n=n, sample_budget=sample_budget,
+                                            seed=seed)
         bad += (rep["positive_disagreements"] + rep["cp_disagreements"]
                 + rep["eb_disagreements"] + rep["nesting_violations"]
                 + rep["ppt_vs_eb_disagreements"])
@@ -182,9 +193,9 @@ def check_grid_agreement(seed, budget):
     return bad == 0, f"{bad} disagreements among {tested} margin-filtered tests"
 
 
-def check_areas(seed, budget):
+def check_areas(seed, budget, dims=range(3, 13)):
     worst = 0.0
-    for d in range(3, 13):
+    for d in dims:
         for which in regions.REGIONS:
             rep = regions.region_area(which, d)
             worst = max(worst, abs(rep.closed_form - rep.shoelace))
@@ -196,6 +207,8 @@ def check_areas(seed, budget):
 # ---------------------------------------------------------------------------
 
 def check_saturation_identity(seed, budget):
+    from scipy.integrate import quad  # deferred: only this check needs it
+
     worst = 0.0
     for d in range(2, 7):
         for t in np.linspace(0.2, 5.0, 9):
@@ -207,11 +220,11 @@ def check_saturation_identity(seed, budget):
     return worst <= 1e-9, f"worst relative saturation defect {worst:.2e}"
 
 
-def check_boundary_riding(seed, budget):
+def check_boundary_riding(seed, budget, n_times=41):
     lo, hi = 0.0, -np.inf
     for d in range(2, 7):
         s = dynamics.OptimalENM(d)
-        for t in np.linspace(0.0, 20.0, 41):
+        for t in np.linspace(0.0, 20.0, n_times):
             ev = float(np.linalg.eigvalsh(dynamics.map_at(s, float(t)).choi)[0])
             lo, hi = min(lo, ev), max(hi, ev)
     return lo >= -1e-10 and hi <= 1e-8, f"Choi min eig in [{lo:.2e}, {hi:.2e}]"
@@ -224,10 +237,10 @@ def check_divisibility_flags(seed, budget):
         for t in np.linspace(0.0, 4.0, 81):
             _, nu_p = dynamics.kappa_nu_at(dynamics.PDivisible(d), float(t))
             _, nu_s = dynamics.kappa_nu_at(dynamics.SchwarzDivisible(d), float(t))
-            ok = ok and nu_p >= -1.0 - 1e-12
-            ok = ok and nu_s >= -d / (d + 2.0) - 1e-12
+            ok = ok and nu_p >= generators.positivity_threshold(d) - 1e-12
+            ok = ok and nu_s >= generators.schwarz_threshold(d) - 1e-12
         for t in (sw.t_star * 1.01, sw.t_star + 1.0):
-            ok = ok and dynamics.nu_enm(d, t) < -1.0
+            ok = ok and dynamics.nu_enm(d, t) < generators.positivity_threshold(d)
     return ok, "P-divisible nu >= -1, Schwarz-divisible nu >= -d/(d+2), ENM below -1 after t_*"
 
 

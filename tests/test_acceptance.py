@@ -14,11 +14,17 @@ from quditmaps import dynamics as dy
 from quditmaps import generators as g
 from quditmaps import linalg as la
 from quditmaps import regions as r
+from quditmaps import verify
 from quditmaps.channels import named_map
 
 
 def _report(num, name):
     print(f"\nACCEPTANCE {num:02d} {name}: PASS")
+
+
+def _passes(check, *args, **kwargs):
+    passed, detail = check(*args, **kwargs)
+    assert passed, detail
 
 
 def _bisect(is_above, lo, hi, tol):
@@ -74,14 +80,7 @@ def test_c01_threshold_triple():
 
 def test_c02_region_oracle_agreement():
     """101x101 grid, d in {2,3,4,5}: zero closed-form/oracle disagreements."""
-    for d in (2, 3, 4, 5):
-        rep = r.grid_agreement_report(d, n=101, sample_budget=64, seed=42,
-                                      tol=1e-9, margin_filter=1e-6)
-        assert rep["positive_disagreements"] == 0, rep
-        assert rep["cp_disagreements"] == 0, rep
-        assert rep["eb_disagreements"] == 0, rep
-        assert rep["nesting_violations"] == 0, rep
-        assert rep["ppt_vs_eb_disagreements"] == 0, rep
+    _passes(verify.check_grid_agreement, 42, 0, sample_budget=64)
     _report(2, "region oracle agreement")
 
 
@@ -92,10 +91,7 @@ def test_c03_areas():
     what the stated EB extreme points span (7/16 at d=3); see the strict
     xfail in test_regions for the inconsistent (3d-2)/(2d(d-1)) value.
     """
-    for d in range(3, 13):
-        for which in r.REGIONS:
-            rep = r.region_area(which, d)
-            assert abs(rep.closed_form - rep.shoelace) <= 1e-12
+    _passes(verify.check_areas, 42, 0)
     assert r.region_area("P", 3).closed_form == pytest.approx(15.0 / 8.0, abs=1e-12)
     assert r.region_area("CP", 3).closed_form == pytest.approx(9.0 / 8.0, abs=1e-12)
     assert r.region_area("EB", 3).shoelace == pytest.approx(7.0 / 16.0, abs=1e-12)
@@ -148,11 +144,9 @@ def test_c04_tangency_slopes():
 
 def test_c05_eternal_non_markovianity():
     """ENM map rides the CP boundary on [0,20] and converges to E4."""
+    _passes(verify.check_boundary_riding, 42, 0, n_times=200)
     for d in range(2, 7):
         s = dy.OptimalENM(d)
-        for t in np.linspace(0.0, 20.0, 200):
-            ev = float(np.linalg.eigvalsh(dy.map_at(s, float(t)).choi)[0])
-            assert -1e-10 <= ev <= 1e-8
         e4, _ = named_map("E4", d)
         assert np.abs(dy.asymptotic_map(s).transfer - e4.transfer).max() <= 1e-10
         assert np.abs(dy.map_at(s, 50.0).transfer - e4.transfer).max() <= 1e-10
@@ -160,11 +154,12 @@ def test_c05_eternal_non_markovianity():
 
 
 def test_c06_switch_time_identities():
-    """nu(t_*) = -1 and nu(t_S) = -d/(d+2) to 1e-12; d=3 closed values."""
+    """nu(t_*) = -1 and nu(t_S) = -d/(d+2) to 1e-12, t_S < t_*; d=3 closed values."""
     for d in range(3, 13):
         sw = dy.switch_times(d)
         assert abs(dy.nu_enm(d, sw.t_star) + 1.0) <= 1e-12
         assert abs(dy.nu_enm(d, sw.t_s) + d / (d + 2.0)) <= 1e-12
+        assert sw.t_s < sw.t_star
     sw3 = dy.switch_times(3)
     assert sw3.t_star == pytest.approx(np.log(4.0) / 3.0, abs=1e-15)
     assert sw3.t_s == pytest.approx(np.log(16.0 / 7.0) / 3.0, abs=1e-15)
@@ -214,14 +209,12 @@ def test_c09_rates():
     saturates only at d=2 for the three threshold nu values; the asymptotic
     ENM violation Gamma_diag - Gamma/d -> 1 is observed."""
     rng = np.random.default_rng(42)
+    params = [g.GenParams(d, float(rng.uniform(0.2, 2.0)),
+                          float(rng.uniform(-(d - 1) + 0.05, 1.0)),
+                          tuple(rng.uniform(-1, 1, d)))
+              for d in range(2, 9) for _ in range(3)]
+    _passes(verify.check_spectrum_consistency, 42, 0, params=params)
     for d in range(2, 9):
-        for _ in range(3):
-            p = g.GenParams(d, float(rng.uniform(0.2, 2.0)),
-                            float(rng.uniform(-(d - 1) + 0.05, 1.0)),
-                            tuple(rng.uniform(-1, 1, d)))
-            eig = np.linalg.eigvals(g.build_generator(p).transfer)
-            assert la.match_multisets(eig, g.expected_spectrum(p),
-                                      tol=1e-9 * max(1.0, p.kappa * d))
         for cls, nu_min in (("positive", -1.0), ("schwarz", -d / (d + 2.0)),
                             ("kpositive", 0.0)):
             for nu in np.linspace(nu_min, 1.0, 9):
@@ -231,11 +224,7 @@ def test_c09_rates():
                         ("kpositive", 0.0)):
             rep = g.spectrum_rates(g.GenParams(d, 1.0, nu), cls)
             assert rep.bound_saturated == (d == 2)
-    for d in range(2, 7):
-        nu = dy.nu_enm(d, 25.0)
-        rep = g.spectrum_rates(g.GenParams(d, 1.0, nu))
-        assert rep.gamma_diag - rep.gamma_total / d == pytest.approx(1.0, abs=1e-6)
-        assert rep.gamma_diag > rep.gamma_total / d
+    _passes(verify.check_rate_violation_signature, 42, 0)
     _report(9, "relaxation rates and the bound")
 
 

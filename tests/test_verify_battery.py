@@ -1,13 +1,16 @@
 """The runtime invariants battery must pass on a clean build (CI gate)."""
 
+import pytest
+
 from quditmaps import verify
 
+CHECKS = [check for group in verify.SUITES.values() for check in group]
 
-def test_full_battery_passes():
-    results = verify.run_suite("all", seed=42, budget=10_000)
-    failures = [r for r in results if not r.passed]
-    assert not failures, "\n".join(f"{r.name}: {r.detail}" for r in failures)
-    assert len(results) == sum(len(v) for v in verify.SUITES.values())
+
+@pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
+def test_full_battery_passes(name, check):
+    passed, detail = check(42, 10_000)
+    assert passed, f"{name}: {detail}"
 
 
 def test_single_suite_selection():
