@@ -102,11 +102,27 @@ def test_switch_times_d3_values():
     assert sw.t_s == pytest.approx(np.log(16.0 / 7.0) / 3.0, abs=1e-15)
 
 
+def test_switch_time_identities():
+    for d in range(3, 13):
+        sw = dy.switch_times(d)
+        assert dy.nu_enm(d, sw.t_star) == pytest.approx(-1.0, abs=1e-12)
+        assert dy.nu_enm(d, sw.t_s) == pytest.approx(-d / (d + 2.0), abs=1e-12)
+        assert sw.t_s < sw.t_star
+
+
 def test_switch_time_infinite_at_d2():
     assert dy.switch_times(2).t_star == np.inf
 
 
 # --- maps along schedules ---------------------------------------------------------
+
+def test_enm_choi_boundary():
+    for d in (2, 4):
+        s = dy.OptimalENM(d)
+        for t in np.linspace(0.0, 20.0, 50):
+            ev = np.linalg.eigvalsh(dy.map_at(s, float(t)).choi)[0]
+            assert -1e-10 <= ev <= 1e-8
+
 
 def test_enm2_hits_e4_at_singular_time():
     for d in (2, 3, 5):
@@ -550,3 +566,4 @@ def test_enm_rate_violation():
         assert rep.gamma_diag == pytest.approx(d)
         assert rep.gamma_offdiag == pytest.approx(0.0, abs=1e-8)
         assert rep.gamma_total == pytest.approx(d * (d - 1.0), abs=1e-6)
+        assert rep.gamma_diag - rep.gamma_total / d == pytest.approx(1.0, abs=1e-6)
