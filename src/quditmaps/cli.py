@@ -11,6 +11,7 @@ oracle disagreement beyond the margin filter.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -238,6 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parsing leaves it unchanged, so ``main`` reuses it."""
+    return build_parser()
+
+
 def _verdict_payload(v: regions.RegionVerdict) -> dict:
     return {
         "positive": bool(v.positive),
@@ -303,6 +310,8 @@ def cmd_area(args, cfg) -> int:
 def cmd_trajectory(args, cfg) -> int:
     if args.steps < 0:
         raise QuditMapsError(f"--steps must be >= 0, got {args.steps}")
+    if not (math.isfinite(args.t_max) and args.t_max >= 0):
+        raise QuditMapsError(f"--t-max must be a finite number >= 0, got {args.t_max}")
     sched = dynamics.schedule_from_name(args.schedule, args.d, args.kappa, args.nu)
     lines = ["t,alpha,beta,positive,cp,eb,min_choi_eig"]
     for t in np.linspace(0.0, args.t_max, args.steps + 1):
@@ -396,9 +405,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -42,6 +42,7 @@ functions ``kappa_nu_at``, ``alpha_beta_at``, ``map_at`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -63,7 +64,7 @@ from .errors import NegativeRate, NegativeTime, NoLimit, SingularMap, UnknownNam
 from .generators import (
     ccp_threshold, generator_blocks, positivity_threshold, schwarz_threshold,
 )
-from .linalg import check_dimension
+from .linalg import check_dimension, min_eig_affine
 
 __all__ = [
     "ConstantNu", "OptimalENM", "PDivisible", "SchwarzDivisible", "ENM2",
@@ -77,9 +78,10 @@ __all__ = [
 
 
 def _check_time(t: float) -> float:
+    """A finite t >= 0; the t -> infinity limit is ``asymptotic_map``."""
     t = float(t)
-    if t < 0:
-        raise NegativeTime(f"time must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise NegativeTime(f"time must be a finite number >= 0, got {t}")
     return t
 
 
@@ -166,6 +168,12 @@ class Schedule:
 class ConstantNu(Schedule):
     kappa: float
     nu: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (math.isfinite(self.kappa) and math.isfinite(self.nu)):
+            raise NegativeRate(
+                f"kappa and nu must be finite, got {self.kappa} and {self.nu}")
 
     def kappa_nu(self, t):
         return self.kappa, self.nu
@@ -383,11 +391,11 @@ def crossing_times(d: int, kappa: float, nu: float,
     the binding inequality beta >= 1 - alpha - alpha/d, which exists for
     every decaying trajectory (d - 1 + nu > 0).  When all three are present
     the ordering t_p <= t_cp <= t_eb is enforced as a postcondition.
+    Raises NegativeRate unless kappa and nu are finite and kappa > 0.
     """
-    check_dimension(d)
+    trajectory = ConstantNu(d, kappa, nu).alpha_beta  # checks d and finite rates
     if kappa <= 0:
         raise NegativeRate(f"kappa must be > 0, got {kappa}")
-    trajectory = ConstantNu(d, kappa, nu).alpha_beta
     forms = {
         "P": lambda alpha, beta: beta + 2.0 * alpha / d,
         "CP": lambda alpha, beta: beta + alpha / d,
@@ -591,9 +599,13 @@ def trajectory_point(s: Schedule, t: float, sample_budget: int = 0,
     'out' when it is not positive or a falsifier finds a witness (budget
     permitting), and 'unknown' otherwise.
 
-    Boundary-riding schedules sit at margin zero, where the strict boolean
-    verdicts are decided by the last rounding error; use ``min_choi_eig``
-    (and the verdict margins) on the boundary, not the booleans.
+    ``min_choi_eig`` is the smallest eigenvalue of the map's Choi matrix,
+    solved blockwise on its nonzero pattern by ``linalg.min_eig_affine``: the
+    family's Choi matrix splits into one d x d block and scalars, the Weyl
+    mixture's into d blocks of size d.  Boundary-riding schedules sit at
+    margin zero, where the strict boolean verdicts are decided by the last
+    rounding error; use ``min_choi_eig`` (and the verdict margins) on the
+    boundary, not the booleans.
     """
     from .regions import classify_point, schwarz_falsify
 
@@ -601,7 +613,7 @@ def trajectory_point(s: Schedule, t: float, sample_budget: int = 0,
     m = map_at(s, t)
     alpha, beta = s.coordinates(m, t)
     verdict = classify_point(MapParams(s.d, alpha, beta))
-    choi_min = float(np.linalg.eigvalsh(m.choi)[0])
+    choi_min = float(min_eig_affine(m.choi[None], [[1.0]])[0])
     if verdict.completely_positive:
         flag = "in"
     elif not verdict.positive:

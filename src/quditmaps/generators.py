@@ -102,6 +102,9 @@ class GenParams:
     def __post_init__(self):
         check_dimension(self.d)
         h = tuple(float(x) for x in self.h)
+        if not np.isfinite((self.kappa, self.nu) + h).all():
+            raise NegativeRate(f"kappa, nu and h must be finite, got kappa={self.kappa}, "
+                               f"nu={self.nu}, h={h}")
         if h and len(h) != self.d:
             raise DimensionMismatch(f"h must have {self.d} entries, got {len(h)}")
         if not h:

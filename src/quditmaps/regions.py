@@ -24,13 +24,18 @@ Numeric oracles
   so on this family the sampled verdict is exact; random draws are kept as
   a safety net.
 
-``classify_numeric`` is the dense pointwise reference: one d^2 x d^2 map,
-Choi matrix and partial transpose per point.  ``classify_grid`` uses only
-generic structure: the family is affine in (alpha, beta), so the candidate
-images under its three parts are computed once per call, and the Choi and
-partial-transpose minima come from ``linalg.min_eig_affine``, which solves
-the blocks of the parts' joint nonzero pattern.  It takes nothing from the
-closed forms.
+``classify_numeric`` classifies one point: it builds the d^2 x d^2 map and
+its Choi matrix, and takes the Choi and partial-transpose minima from
+``linalg.min_eig_affine``, which solves the blocks of each matrix's own
+nonzero pattern.  ``classify_grid`` also uses only generic structure: the
+family is affine in (alpha, beta), so the candidate images under its three
+parts are computed once per call, and the minima are solved on the blocks
+of the parts' joint nonzero pattern.  Neither takes anything from the
+closed forms.  The dense d^2 x d^2 ``eigvalsh`` references live in the
+tests: ``test_grid_minima_match_dense_pointwise_solves`` and
+``test_classify_numeric_margins_match_dense_solves`` in
+``tests/test_regions.py``, and ``test_trajectory_min_choi_eig_matches_dense_solve``
+in ``tests/test_dynamics.py``.
 
 The Schwarz region has no closed form here; the module exposes only a
 falsifier for the operator Schwarz inequality and an empirical boundary
@@ -198,11 +203,13 @@ def classify_numeric(p: MapParams, sample_budget: int = 256, seed: int = 42,
     """Region membership from eigenvalue oracles, independent of the closed forms.
 
     CP: Choi PSD.  EB: Choi PSD and PPT of the Choi (faithful for this
-    family).  Positive: not falsified by pure-state sampling.
+    family).  Positive: not falsified by pure-state sampling.  The Choi and
+    partial-transpose minima are solved blockwise on each matrix's own
+    nonzero pattern by ``linalg.min_eig_affine``.
     """
     m = build_phi_family(p)
-    choi_min = float(np.linalg.eigvalsh(m.choi)[0])
-    pt_min = float(np.linalg.eigvalsh(partial_transpose(m.choi, p.d, 2))[0])
+    choi_min = float(min_eig_affine(m.choi[None], [[1.0]])[0])
+    pt_min = float(min_eig_affine(partial_transpose(m.choi, p.d, 2)[None], [[1.0]])[0])
     pos_min = sampled_positivity_min(m, sample_budget, seed)
     return RegionVerdict(
         positive=pos_min >= -tol,

@@ -1,6 +1,9 @@
 import errno
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,3 +338,64 @@ def test_unwritable_output_leaves_no_temp_file(tmp_path, capsys, where):
     assert cli.main(["area", "--d", "3", "--output", str(output)]) == 2
     assert _single_error_line(capsys)
     assert os.listdir(tmp_path) == (["out"] if where == "directory" else [])
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning before the error line fails too
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--d", "3", "--kappa=nan", "--nu=0"],
+    ["spectrum", "--d", "3", "--kappa=inf", "--nu=0"],
+    ["spectrum", "--d", "3", "--kappa=1", "--nu=inf"],
+    ["crossings", "--d", "3", "--kappa=nan", "--nu=0"],
+    ["crossings", "--d", "3", "--kappa=inf", "--nu=0"],
+    ["crossings", "--d", "3", "--kappa=1", "--nu=nan"],
+    ["apply", "--state", "{state}", "--schedule", "weyl", "--t=nan"],
+    ["apply", "--state", "{state}", "--schedule", "enm", "--t=inf"],
+    ["apply", "--state", "{state}", "--schedule", "const", "--kappa=inf", "--t", "0.5"],
+    ["trajectory", "--d", "3", "--schedule", "enm", "--t-max=inf", "--steps", "4"],
+    ["trajectory", "--d", "3", "--schedule", "const", "--t-max=nan", "--steps", "4"],
+])
+def test_non_finite_values_are_usage_errors(tmp_path, capsys, argv):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(state_to_json(QuantumState(2, np.eye(2) / 2))))
+    assert cli.main([a.replace("{state}", str(state)) for a in argv]) == 2
+    assert _single_error_line(capsys)
+
+
+def test_reused_parser_gives_the_same_output_as_a_fresh_process(tmp_path, capsys,
+                                                                monkeypatch):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 7, "sample_budget": 30}))
+    argvs = [
+        ["classify", "--d", "3"],  # usage error: no --alpha/--beta
+        ["--help"],
+        ["--config", str(config), "classify", "--d", "3", "--alpha", "0.4",
+         "--beta", "-0.1"],
+        ["classify", "--d", "4", "--alpha", "0.9", "--beta", "-0.2", "--budget", "40"],
+        ["trajectory", "--d", "3", "--schedule", "sdiv", "--t-max", "2", "--steps", "5"],
+        ["spectrum", "--d", "3", "--kappa", "1", "--nu", "-0.5", "--budget", "40"],
+    ]
+    # help text wraps at the terminal width
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "COLUMNS": "80"}
+    env.pop(cli.ENV_SEED, None)
+    procs = [subprocess.Popen([sys.executable, "-m", "quditmaps.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              text=True)
+             for argv in argvs]
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+
+    def once(argv):
+        code = cli.main(argv)
+        return code, capsys.readouterr().out
+
+    forward = [once(argv) for argv in argvs]
+    backward = [once(argv) for argv in reversed(argvs)][::-1]
+    assert forward == backward
+    assert [code for code, _ in forward] == [2, 0, 0, 0, 0, 0]
+    fresh = []
+    for p in procs:
+        out, _ = p.communicate(timeout=120)
+        fresh.append((p.returncode, out))
+    assert fresh == forward
+    assert cli.build_parser() is not cli.build_parser()

@@ -541,6 +541,16 @@ def test_trajectory_point_flags():
     assert pt_unknown.schwarz_flag == "unknown"
 
 
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(dy.SCHEDULES)), d=st.integers(2, 16),
+       t=st.floats(0.0, 3.0), kappa=st.floats(0.1, 2.0), nu=st.floats(-1.0, 1.0))
+def test_trajectory_min_choi_eig_matches_dense_solve(name, d, t, kappa, nu):
+    # the blockwise minimum against one dense d^2 x d^2 solve of the same map
+    s = dy.schedule_from_name(name, d, kappa, nu)
+    dense = np.linalg.eigvalsh(dy.map_at(s, t).choi)[0]
+    assert abs(dy.trajectory_point(s, t).min_choi_eig - dense) <= 1e-12
+
+
 def test_trajectory_point_builds_the_weyl_mixture_once(monkeypatch):
     calls = []
     original = dy.weyl_mixture_map

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,3 +252,40 @@ def test_min_eig_affine_matches_dense(sizes, n_parts, n_rows, real, seed):
     coef = rng.standard_normal((n_rows, n_parts))
     dense = np.linalg.eigvalsh(np.tensordot(coef, parts, axes=1))[:, 0]
     assert np.abs(la.min_eig_affine(parts, coef) - dense).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+       zeros=st.integers(0, 4), n_parts=st.integers(1, 3), n_rows=st.integers(1, 4),
+       real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_min_eig_affine_on_path_blocks_and_zero_rows(sizes, zeros, n_parts, n_rows,
+                                                     real, seed):
+    # tridiagonal blocks are connected but sparse, so labelling them takes
+    # several rounds; the last ``zeros`` rows and columns stay all zero, as in
+    # the identity map's Choi matrix
+    rng = np.random.default_rng(seed)
+    n = sum(sizes) + zeros
+    parts = np.zeros((n_parts, n, n), dtype=complex)
+    start = 0
+    for size in sizes:
+        i = np.arange(start, start + size)
+        off = rng.standard_normal((n_parts, size - 1))
+        if not real:
+            off = off + 1j * rng.standard_normal((n_parts, size - 1))
+        parts[:, i, i] = rng.standard_normal((n_parts, size))
+        parts[:, i[:-1], i[1:]] = off
+        parts[:, i[1:], i[:-1]] = off.conj()
+        start += size
+    perm = rng.permutation(n)
+    parts = parts[:, perm][:, :, perm]  # hide the blocks behind a permutation
+    coef = rng.standard_normal((n_rows, n_parts))
+    dense = np.linalg.eigvalsh(np.tensordot(coef, parts, axes=1))[:, 0]
+    assert np.abs(la.min_eig_affine(parts, coef) - dense).max() <= 1e-12
+
+
+def test_linalg_import_loads_no_csgraph():
+    code = "import sys, quditmaps.linalg; print('scipy.sparse.csgraph' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(la.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"

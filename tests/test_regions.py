@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quditmaps import dynamics as dy
 from quditmaps import linalg as la
 from quditmaps import regions as r
 from quditmaps import verify
@@ -136,8 +139,9 @@ def test_grid_minima_match_dense_pointwise_solves(d, n):
             assert abs(grid["pos_min"][i, j] - pos_min) <= 1e-12
 
 
-@pytest.mark.parametrize("d", [3, 8, 16])
-def test_grid_solves_no_matrix_larger_than_d(d, monkeypatch):
+@pytest.fixture
+def eigvalsh_orders(monkeypatch):
+    """The order of every matrix passed to ``np.linalg.eigvalsh`` in the test."""
     orders = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -146,8 +150,33 @@ def test_grid_solves_no_matrix_larger_than_d(d, monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return orders
+
+
+@pytest.mark.parametrize("d", [3, 8, 16])
+def test_grid_solves_no_matrix_larger_than_d(d, eigvalsh_orders):
     r.classify_grid(d, *r.default_grid(d, 5), sample_budget=8)
-    assert orders and max(orders) <= d
+    assert eigvalsh_orders and max(eigvalsh_orders) <= d
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 16), alpha=st.floats(-0.5, 2.5), beta=st.floats(-1.5, 1.5))
+def test_classify_numeric_margins_match_dense_solves(d, alpha, beta):
+    # the blockwise Choi and partial-transpose minima against dense solves
+    choi = build_phi_family(MapParams(d, alpha, beta)).choi
+    choi_min = np.linalg.eigvalsh(choi)[0]
+    pt_min = np.linalg.eigvalsh(partial_transpose(choi, d, 2))[0]
+    v = r.classify_numeric(MapParams(d, alpha, beta), sample_budget=0)
+    assert abs(v.margin_cp - choi_min) <= 1e-12
+    assert abs(v.margin_eb - min(choi_min, pt_min)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 8, 16])
+def test_single_map_oracles_solve_no_matrix_larger_than_d(d, eigvalsh_orders):
+    for name in sorted(dy.SCHEDULES):
+        dy.trajectory_point(dy.schedule_from_name(name, d, 0.7, -0.4), 0.6)
+    r.classify_numeric(MapParams(d, 0.6, -0.2), sample_budget=8)
+    assert eigvalsh_orders and max(eigvalsh_orders) <= d
 
 
 def test_grid_positivity_batches_stay_within_byte_budget(monkeypatch):
