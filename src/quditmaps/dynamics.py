@@ -49,7 +49,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .channels import (
     MapParams,
@@ -370,6 +369,8 @@ class CrossingReport:
 
 def _first_root(g: Callable[[float], float], horizon: float) -> Optional[float]:
     """First sign change of g on (0, horizon] by doubling scan plus brentq."""
+    from scipy.optimize import brentq
+
     t_lo = 1e-6
     if g(t_lo) >= 0.0:
         return 0.0 if g(0.0) >= -1e-15 else None

@@ -15,7 +15,6 @@ Conventions fixed project-wide:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionMismatch, NonHermitianInput
 
@@ -87,8 +86,8 @@ def min_eig(a) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def _component_labels(pattern: np.ndarray) -> np.ndarray:
-    """Connected components of the graph with adjacency ``pattern`` (n x n bool).
+def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Connected components of the graph on ``n`` nodes with edges ``rows[e] -- cols[e]``.
 
     Component k is the one whose smallest index is the k-th smallest, so
     the numbering follows first appearance.  Each round lowers every label
@@ -96,8 +95,6 @@ def _component_labels(pattern: np.ndarray) -> np.ndarray:
     pointers (a label is always an index of the same component); at the
     fixed point every component carries its smallest index.
     """
-    n = pattern.shape[0]
-    rows, cols = np.divmod(np.flatnonzero(pattern), n)
     labels = np.arange(n)
     while True:
         new = labels.copy()
@@ -114,20 +111,29 @@ def _component_labels(pattern: np.ndarray) -> np.ndarray:
 def min_eig_affine(parts, coef) -> np.ndarray:
     """Smallest eigenvalue of ``sum_k coef[g, k] * parts[k]`` for every row g.
 
-    ``parts`` is a (K, n, n) stack of Hermitian matrices and ``coef`` a real
-    (G, K) array; one matrix ``m`` is ``min_eig_affine(m[None], [[1.0]])[0]``.
-    The blocks are the connected components of the parts' joint nonzero
-    pattern, each with its indices ascending, so every combination is block
+    ``parts`` is a (K, n, n) stack of Hermitian matrices, or a (K, B, n, n)
+    stack of B such stacks, in which case the minimum is also taken over
+    the batch; ``coef`` is a real (G, K) array.  One matrix ``m`` is
+    ``min_eig_affine(m[None], [[1.0]])[0]``.  The blocks are the connected
+    components of each batch member's joint nonzero pattern over the K
+    parts, each with its indices ascending, so every combination is block
     diagonal on them and its spectrum is the union of the block spectra.
-    Blocks of equal size make one batched ``eigvalsh``; 1 x 1 blocks are read
-    off the diagonal.  Parts with zero imaginary part are solved in real
-    arithmetic.
+    The components are labelled on an edge list over the B * n indices.
+    Blocks of equal size make one batched ``eigvalsh``; 1 x 1 blocks are
+    read off the diagonal.  Parts with zero imaginary part are solved in
+    real arithmetic.
     """
     parts = np.asarray(parts)
+    if parts.ndim == 3:
+        parts = parts[:, None]
     if np.iscomplexobj(parts) and not parts.imag.any():
         parts = parts.real
     coef = np.asarray(coef, dtype=float)
-    labels = _component_labels(np.any(parts != 0, axis=0))
+    k, batch, n = parts.shape[:3]
+    # index b * n + i stands for row i of batch member b
+    rows, cols = np.divmod(np.flatnonzero(np.any(parts != 0, axis=0)), n)
+    cols += rows - rows % n
+    labels = _component_labels(rows, cols, batch * n)
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
@@ -135,11 +141,12 @@ def min_eig_affine(parts, coef) -> np.ndarray:
     for size in np.unique(sizes):
         first = starts[sizes == size]
         idx = order[first[:, None] + np.arange(size)]  # (blocks, size) indices
+        b, loc = np.divmod(idx, n)  # a block lies inside one batch member
         if size == 1:
-            vals = coef @ parts[:, idx[:, 0], idx[:, 0]].real
+            vals = coef @ parts[:, b[:, 0], loc[:, 0], loc[:, 0]].real
         else:
-            blocks = parts[:, idx[:, :, None], idx[:, None, :]]
-            mats = np.tensordot(coef, blocks, axes=1)
+            blocks = parts[:, b[:, :1, None], loc[:, :, None], loc[:, None, :]]
+            mats = (coef @ blocks.reshape(k, -1)).reshape((-1,) + blocks.shape[1:])
             vals = np.linalg.eigvalsh(mats)[..., 0]
         out = np.minimum(out, vals.min(axis=1))
     return out
@@ -252,6 +259,8 @@ def haar_orthonormal_pair(d: int, rng: np.random.Generator, n: int | None = None
 
 def match_multisets(a, b, tol: float) -> bool:
     """Exact test: some one-to-one pairing of the multisets has every distance <= tol."""
+    from scipy.optimize import linear_sum_assignment  # deferred: only this needs it
+
     xs = np.asarray(a, dtype=complex).reshape(-1)
     ys = np.asarray(b, dtype=complex).reshape(-1)
     if xs.size != ys.size:

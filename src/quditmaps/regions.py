@@ -30,9 +30,26 @@ its Choi matrix, and takes the Choi and partial-transpose minima from
 nonzero pattern.  ``classify_grid`` also uses only generic structure: the
 family is affine in (alpha, beta), so the candidate images under its three
 parts are computed once per call, and the minima are solved on the blocks
-of the parts' joint nonzero pattern.  Neither takes anything from the
-closed forms.  The dense d^2 x d^2 ``eigvalsh`` references live in the
-tests: ``test_grid_minima_match_dense_pointwise_solves`` and
+of the parts' joint nonzero pattern.
+
+The positivity minimum has one implementation, shared by ``classify_grid``
+and ``sampled_positivity_min`` (a single map is one part with coefficient
+1), in two exact stages:
+
+1. the d^2 + 1 deterministic candidates are solved blockwise by
+   ``min_eig_affine``; their outputs are sparse (2 x 2 blocks and scalars
+   for the pairs), so this stage costs a few ms per grid;
+2. the sampled candidates are certified: one batched ``np.linalg.cholesky``
+   of every sampled output minus the stage-1 minimum times I succeeds only
+   if no sample lies below that minimum (up to rounding).  Where it fails
+   (a tie, as at the identity, or a sample that sets the minimum) the
+   chunk's sampled outputs are solved by ``eigvalsh``.
+
+The result never depends on the certificate succeeding, only the time
+does.  Nothing here takes anything from the closed forms: no inequality,
+and not which part is tau0 or Delta.  The dense d^2 x d^2 ``eigvalsh``
+references live in the tests: ``dense_positivity_min``,
+``test_grid_minima_match_dense_pointwise_solves`` and
 ``test_classify_numeric_margins_match_dense_solves`` in
 ``tests/test_regions.py``, and ``test_trajectory_min_choi_eig_matches_dense_solve``
 in ``tests/test_dynamics.py``.
@@ -186,16 +203,69 @@ def positivity_candidates(d: int, sample_budget: int = 0,
     return np.asarray(vecs)
 
 
+# Bytes of sampled positivity outputs and their Cholesky factor held at once;
+# at d = 16 with budget 256 a point's take 2 MB, so ``chunk`` alone would hold 1 GB.
+_CHUNK_BYTES = 64 * 2**20
+
+
+def _positivity_min(parts, coef, d: int, sample_budget: int, seed: int,
+                    chunk: int = 512) -> np.ndarray:
+    """Smallest output eigenvalue over the positivity candidates, per row of ``coef``.
+
+    The maps are ``sum_k coef[g, k] * parts[k]`` for (K, d^2, d^2) transfer
+    matrices ``parts``.  Each candidate's image under each part is computed
+    once.  Stage 1 solves the d^2 + 1 deterministic candidates blockwise
+    with ``min_eig_affine``, which takes the minimum over them.  Stage 2
+    certifies the sampled candidates of a chunk of points at once: if
+    ``np.linalg.cholesky`` factors every sampled output minus the stage-1
+    minimum times I, no sample lies below that minimum and no eigensolve is
+    needed.  Otherwise (ties, or a sample that sets the minimum) the chunk's
+    sampled outputs go through ``eigvalsh``.  A chunk holds at most
+    ``chunk`` points and, with the Cholesky factor, ``_CHUNK_BYTES``.
+    """
+    rng = np.random.default_rng(seed)
+    cand = positivity_candidates(d, sample_budget, rng)
+    inputs = vec(np.einsum("ni,nj->nij", cand, cand.conj()))
+    parts = np.asarray(parts)
+    if np.iscomplexobj(parts) and parts.imag.any():
+        prod = inputs @ np.swapaxes(parts, -1, -2)
+    else:
+        # a real matrix acts on real and imaginary parts alike: one real product
+        x = np.ascontiguousarray(inputs.T).view(float)
+        prod = np.swapaxes((np.real(parts) @ x).view(complex), -1, -2)
+    images = unvec(prod, d)  # (K, N, d, d)
+    # the products carry rounding; real combinations of Hermitian images stay Hermitian
+    images = (images + np.conj(np.swapaxes(images, -1, -2))) / 2.0
+    coef = np.asarray(coef, dtype=float)
+    n_det = d * d + 1  # positivity_candidates(d, 0): basis, +/- pairs, uniform
+    best = min_eig_affine(images[:, :n_det], coef)
+    sampled = images[:, n_det:]
+    n_samples = sampled.shape[1]
+    if n_samples == 0:
+        return best
+    # the real coefficients combine the samples' real and imaginary parts alike
+    flat = np.ascontiguousarray(sampled).view(float).reshape(len(sampled), -1)
+    g = coef.shape[0]
+    chunk = max(1, min(chunk, g, _CHUNK_BYTES // (2 * sampled[0].nbytes)))
+    buf = np.empty((chunk, flat.shape[1]))
+    for start in range(0, g, chunk):
+        sl = slice(start, min(start + chunk, g))
+        rows = buf[:sl.stop - start]
+        m = rows.view(complex).reshape(-1, n_samples, d, d)
+        np.matmul(coef[sl], flat, out=rows)
+        m.reshape(-1, n_samples, d * d)[..., ::d + 1] -= best[sl, None, None]
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            np.matmul(coef[sl], flat, out=rows)
+            best[sl] = np.minimum(best[sl], np.linalg.eigvalsh(m)[:, :, 0].min(axis=1))
+    return best
+
+
 def sampled_positivity_min(m: SuperMap, sample_budget: int = 256,
                            seed: int = 42) -> float:
     """min over candidate pure inputs of the smallest output eigenvalue."""
-    rng = np.random.default_rng(seed)
-    cand = positivity_candidates(m.d, sample_budget, rng)
-    rho = np.einsum("ni,nj->nij", cand, cand.conj())
-    # one matrix product for all candidates, where m(rho) would make one each
-    out = unvec((m.transfer @ vec(rho).T).T, m.d)
-    out = (out + np.conj(np.swapaxes(out, -1, -2))) / 2.0
-    return float(np.linalg.eigvalsh(out)[:, 0].min())
+    return float(_positivity_min(m.transfer[None], [[1.0]], m.d, sample_budget, seed)[0])
 
 
 def classify_numeric(p: MapParams, sample_budget: int = 256, seed: int = 42,
@@ -241,11 +311,6 @@ def _closed_slacks(d: int, aa, bb) -> dict:
     }
 
 
-# Bytes of positivity-pass outputs held at once; at d = 16 with 321
-# candidates a point's outputs take 1.3 MB, so ``chunk`` alone would hold 0.67 GB.
-_CHUNK_BYTES = 64 * 2**20
-
-
 def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
                   seed: int = 42, tol: float = 1e-9,
                   chunk: int = 512) -> dict:
@@ -253,11 +318,15 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
 
     Returns arrays of shape (len(alphas), len(betas)): closed-form booleans
     and margins, plus numeric booleans with the oracle minima.  The numeric
-    pass shares one candidate set across the grid, combines each point's
-    outputs from the images under the family's three parts, and solves the
-    Choi and partial-transpose minima blockwise; ``chunk`` bounds the points
-    whose outputs are held at once, and fewer are held when their outputs
-    would exceed 64 MB.
+    pass shares one candidate set across the grid and combines each point's
+    outputs from the images under the family's three parts.  The Choi and
+    partial-transpose minima, and the positivity minimum over the
+    deterministic candidates, are solved blockwise; the sampled candidates'
+    outputs are certified against that minimum by one batched Cholesky per
+    chunk and solved by ``eigvalsh`` only where the certificate fails.
+    ``chunk`` bounds the points whose sampled outputs are held at once, and
+    fewer are held when the outputs and their Cholesky factor would exceed
+    64 MB.
     """
     d = check_dimension(d)
     alphas = np.asarray(alphas, dtype=float)
@@ -274,19 +343,7 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
     choi_min = min_eig_affine(choi_parts, coef)
     pt_min = min_eig_affine(partial_transpose(choi_parts, d, 2), coef)
 
-    rng = np.random.default_rng(seed)
-    cand = positivity_candidates(d, sample_budget, rng)
-    inputs = vec(np.einsum("ni,nj->nij", cand, cand.conj()))
-    images = unvec(inputs @ np.swapaxes(parts, -1, -2), d)  # (3, N, d, d)
-    # the products carry rounding; real combinations of Hermitian images stay Hermitian
-    images = (images + np.conj(np.swapaxes(images, -1, -2))) / 2.0
-    g = a_flat.size
-    chunk = max(1, min(chunk, _CHUNK_BYTES // images[0].nbytes))
-    pos_min = np.empty(g)
-    for start in range(0, g, chunk):
-        sl = slice(start, min(start + chunk, g))
-        out = np.tensordot(coef[sl], images, axes=1)
-        pos_min[sl] = np.linalg.eigvalsh(out)[:, :, 0].min(axis=1)
+    pos_min = _positivity_min(parts, coef, d, sample_budget, seed, chunk)
 
     return {
         "alphas": alphas,

@@ -399,3 +399,11 @@ def test_reused_parser_gives_the_same_output_as_a_fresh_process(tmp_path, capsys
         fresh.append((p.returncode, out))
     assert fresh == forward
     assert cli.build_parser() is not cli.build_parser()
+
+
+def test_cli_import_loads_no_scipy_optimize():
+    code = "import sys, quditmaps.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"

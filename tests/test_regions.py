@@ -7,7 +7,8 @@ from quditmaps import dynamics as dy
 from quditmaps import linalg as la
 from quditmaps import regions as r
 from quditmaps import verify
-from quditmaps.channels import MapParams, SuperMap, build_phi_family, named_map
+from quditmaps.channels import (MapParams, SuperMap, build_phi_family,
+                                choi_from_transfer, named_map)
 from quditmaps.errors import NotUnital, QuditMapsError, UnknownName
 from quditmaps.generators import GenParams, build_generator, schwarz_threshold
 from quditmaps.linalg import partial_transpose
@@ -20,6 +21,16 @@ def transposition_map(d):
         for col in range(d):
             t[row * d + col, col * d + row] = 1.0  # vec index col*d+row: (c,r) <- (r,c)
     return SuperMap(d, t)
+
+
+def dense_positivity_min(m, sample_budget, seed):
+    """The positivity falsifier by one dense eigensolve per candidate output."""
+    rng = np.random.default_rng(seed)
+    mins = []
+    for v in r.positivity_candidates(m.d, sample_budget, rng):
+        out = m(np.outer(v, v.conj()))
+        mins.append(np.linalg.eigvalsh((out + out.conj().T) / 2.0)[0])
+    return min(mins)
 
 
 # --- closed-form classification -----------------------------------------------
@@ -135,28 +146,73 @@ def test_grid_minima_match_dense_pointwise_solves(d, n):
             pt_min = np.linalg.eigvalsh(partial_transpose(m.choi, d, 2))[0]
             assert abs(grid["choi_min"][i, j] - choi_min) <= 1e-12
             assert abs(grid["pt_min"][i, j] - pt_min) <= 1e-12
-            pos_min = r.sampled_positivity_min(m, sample_budget=16, seed=11)
+            pos_min = dense_positivity_min(m, sample_budget=16, seed=11)
             assert abs(grid["pos_min"][i, j] - pos_min) <= 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 8, 16])
+def test_grid_through_the_identity_matches_dense_solves(d):
+    # at alpha = beta = 0 every candidate's output is a pure state, so all
+    # candidates tie at 0 and the Cholesky certificate has no slack
+    axis = np.array([-0.1, 0.0, 0.1])
+    grid = r.classify_grid(d, axis, axis, sample_budget=16, seed=5)
+    for i, a in enumerate(axis):
+        for j, b in enumerate(axis):
+            m = build_phi_family(MapParams(d, float(a), float(b)))
+            pos_min = dense_positivity_min(m, sample_budget=16, seed=5)
+            assert abs(grid["pos_min"][i, j] - pos_min) <= 1e-12
+    assert abs(grid["pos_min"][1, 1]) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-8])
+@pytest.mark.parametrize("d, seed", [(2, 0), (3, 1), (5, 1)])
+def test_sampled_candidate_sets_the_minimum_of_a_random_map(d, seed, scale):
+    # a Hermitian Choi matrix gives a Hermiticity-preserving map outside the
+    # family, on which a random candidate beats every deterministic one; at
+    # scale 1e-8 it wins by less than 1e-8, which the certificate must not miss
+    rng = np.random.default_rng(seed)
+    choi = scale * la.random_hermitian(d * d, rng)
+    m = SuperMap(d, choi_from_transfer(choi, d))
+    deterministic = dense_positivity_min(m, sample_budget=0, seed=seed)
+    sampled = dense_positivity_min(m, sample_budget=64, seed=seed)
+    assert sampled < deterministic - 1e-3 * scale
+    assert abs(r.sampled_positivity_min(m, sample_budget=64, seed=seed) - sampled) <= 1e-12
+    assert abs(r.sampled_positivity_min(m, sample_budget=0, seed=seed)
+               - deterministic) <= 1e-12
+
+
 @pytest.fixture
-def eigvalsh_orders(monkeypatch):
-    """The order of every matrix passed to ``np.linalg.eigvalsh`` in the test."""
-    orders = []
+def eigvalsh_shapes(monkeypatch):
+    """The shape of every array passed to ``np.linalg.eigvalsh`` in the test."""
+    shapes = []
     eigvalsh = np.linalg.eigvalsh
 
     def counting(a, *args, **kwargs):
-        orders.append(np.shape(a)[-1])
+        shapes.append(np.shape(a))
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    return orders
+    return shapes
 
 
 @pytest.mark.parametrize("d", [3, 8, 16])
-def test_grid_solves_no_matrix_larger_than_d(d, eigvalsh_orders):
+def test_grid_solves_no_matrix_larger_than_d(d, eigvalsh_shapes):
     r.classify_grid(d, *r.default_grid(d, 5), sample_budget=8)
-    assert eigvalsh_orders and max(eigvalsh_orders) <= d
+    orders = [shape[-1] for shape in eigvalsh_shapes]
+    assert orders and max(orders) <= d
+
+
+@pytest.mark.parametrize("d", [3, 8, 16])
+def test_grid_certifies_the_samples_without_eigensolves(d, eigvalsh_shapes):
+    # on this grid no sample sets a point's minimum, so the Cholesky
+    # certificate holds and the sampled outputs, points * budget matrices of
+    # order d, never reach eigvalsh
+    budget = 64
+    alphas, betas = r.default_grid(d, 9)
+    r.classify_grid(d, alphas, betas, sample_budget=budget, seed=7)
+    order_d = sum(int(np.prod(shape[:-2])) for shape in eigvalsh_shapes
+                  if shape[-1] == d)
+    assert 0 < order_d < alphas.size * betas.size * budget
 
 
 @settings(max_examples=40, deadline=None)
@@ -171,30 +227,47 @@ def test_classify_numeric_margins_match_dense_solves(d, alpha, beta):
     assert abs(v.margin_eb - min(choi_min, pt_min)) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 16), alpha=st.floats(-0.5, 2.5), beta=st.floats(-1.5, 1.5))
+def test_closed_form_matches_oracle_off_the_margin(d, alpha, beta):
+    p = MapParams(d, alpha, beta)
+    closed = r.classify_point(p)
+    numeric = r.classify_numeric(p, sample_budget=64, seed=d)
+    for flag, margin in (("positive", "margin_positive"),
+                         ("completely_positive", "margin_cp"),
+                         ("entanglement_breaking", "margin_eb")):
+        if abs(getattr(closed, margin)) > r.MARGIN_FILTER:
+            assert getattr(closed, flag) == getattr(numeric, flag), (flag, closed, numeric)
+
+
 @pytest.mark.parametrize("d", [3, 8, 16])
-def test_single_map_oracles_solve_no_matrix_larger_than_d(d, eigvalsh_orders):
+def test_single_map_oracles_solve_no_matrix_larger_than_d(d, eigvalsh_shapes):
     for name in sorted(dy.SCHEDULES):
         dy.trajectory_point(dy.schedule_from_name(name, d, 0.7, -0.4), 0.6)
     r.classify_numeric(MapParams(d, 0.6, -0.2), sample_budget=8)
-    assert eigvalsh_orders and max(eigvalsh_orders) <= d
+    orders = [shape[-1] for shape in eigvalsh_shapes]
+    assert orders and max(orders) <= d
 
 
 def test_grid_positivity_batches_stay_within_byte_budget(monkeypatch):
-    # at d = 16 with budget 64 one point's outputs take 1.3 MB: 64 points at once
-    # would hold 84 MB, more than the budget
-    sizes = []
-    eigvalsh = np.linalg.eigvalsh
+    # at d = 16 with budget 256 one point's sampled outputs take 1 MB and their
+    # Cholesky factor as much again: 64 points at once would hold 134 MB, more
+    # than the budget
+    def recording(solve, sizes):
+        def wrapper(a, *args, **kwargs):
+            sizes.append(np.asarray(a).nbytes)
+            return solve(a, *args, **kwargs)
+        return wrapper
 
-    def recording(a, *args, **kwargs):
-        sizes.append(np.asarray(a).nbytes)
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    sizes = {"eigvalsh": [], "cholesky": []}
+    for name, recorded in sizes.items():
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name), recorded))
     d = 16
-    res = r.classify_grid(d, *r.default_grid(d, 8), sample_budget=64, seed=2)
-    assert sizes and max(sizes) <= r._CHUNK_BYTES
+    res = r.classify_grid(d, *r.default_grid(d, 8), sample_budget=256, seed=2)
+    assert sizes["cholesky"] and 2 * max(sizes["cholesky"]) <= r._CHUNK_BYTES
+    assert sizes["eigvalsh"] and max(sizes["eigvalsh"]) <= r._CHUNK_BYTES
     monkeypatch.undo()
-    one = r.classify_grid(d, *r.default_grid(d, 8), sample_budget=64, seed=2, chunk=1)
+    one = r.classify_grid(d, *r.default_grid(d, 8), sample_budget=256, seed=2, chunk=1)
     assert np.abs(res["pos_min"] - one["pos_min"]).max() <= 1e-12
 
 
