@@ -42,8 +42,13 @@ combines it:
   Hamiltonian units.  The hop and phase blocks are applied as the sparse
   matrices they are (496 and 252 nonzeros of 65 536 at d = 16).  A call is
   one (pairs x (d + 2)) product and an argmin;
-* dissipativity oracle: M(a, X) = M0(X) + a M1(X), so a call is one
-  combination and one batched ``eigvalsh``;
+* dissipativity oracle: M(a, X) = M0(X) + a M1(X), so a call starts with
+  one combination.  The first call of a seed solves every sample with one
+  batched ``eigvalsh`` and moves the 32 lowest to the front of the kept
+  parts.  A later call solves those 32, and ``linalg.min_eig_capped``
+  certifies the others against their minimum with a batched Cholesky; a
+  sample the certificate rejects is solved, so the minimum is a plain
+  solve's, to the bit, however far ``nu`` has moved;
 * projected-Choi oracle: the Choi matrix is compressed to Omega's complement
   with a sparse orthonormal basis, the off-diagonal units |ij> plus an
   orthonormal basis of Omega's complement inside span{|ii>}.  The compressed
@@ -54,8 +59,10 @@ The two sampling oracles keep the parts of the last seeded sample set only,
 keyed by (oracle, d, budget, seed), and drop them before the next set is
 drawn.  On one BLAS thread, a repeated call with budget 10 000 at d = 8 takes
 0.1 ms for the pair oracle (90 ms when every call drew and built its own) and
-about 90 ms for the dissipativity oracle (300 ms); ``is_ccp`` at d = 16 takes
-2 to 5 ms, where the dense 255 x 255 eigensolve took 24 ms.
+about 17 ms for the dissipativity oracle (about 90 ms with one ``eigvalsh``
+over every sample, 300 ms when every call drew its own; 4, 4, 8 and 63 ms
+at d = 2, 3, 5 and 16); ``is_ccp`` at d = 16 takes 2 to 5 ms, where the
+dense 255 x 255 eigensolve took 24 ms.
 """
 
 from __future__ import annotations
@@ -84,6 +91,7 @@ from .linalg import (
     maximally_entangled_vector,
     min_eig,
     min_eig_affine,
+    min_eig_capped,
     random_traceless,
 )
 
@@ -447,13 +455,32 @@ def _dissipativity_parts(d: int, n: int, seed):
     xdx /= 2.0
     idx = np.arange(d)
     diag = xdx[:, idx, idx]
-    m0 = d * xdx
-    m0[:, idx, idx] += diag.sum(axis=1)[:, None]
     m1 = xs[:, idx, idx].conj()[:, :, None] * xs  # Delta(X^+) X
+    del xs  # freed before M0 is built, so at most three stacks are alive at once
     m1 += m1.conj().swapaxes(-1, -2)
     m1 -= xdx
     m1[:, idx, idx] -= diag
+    m0 = d * xdx
+    m0[:, idx, idx] += diag.sum(axis=1)[:, None]
     return m0, m1
+
+
+# Samples a repeated dissipativity call solves outright: the lowest at the seed's first call.
+_HINT = 32
+
+
+def _bring_forward(arrays, idx):
+    """Move samples ``idx`` of each kept array to its front, in place, by swaps.
+
+    The kept arrays are read-only; this reordering is their one write.
+    """
+    k = idx.size
+    src = idx[idx >= k]
+    dst = np.setdiff1d(np.arange(k), idx)
+    for arr in arrays:
+        arr.flags.writeable = True
+        arr[dst], arr[src] = arr[src], arr[dst]
+        arr.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -481,11 +508,22 @@ def is_dissipative(p: GenParams, sample_budget: int = 10_000,
         min_witness = min(witness_min_eig(d, a, c) for c in (10.0, 100.0))
     min_sampled = np.inf
     if sample_budget > 0:
-        m0, m1 = _seeded_parts("dissipativity", d, int(sample_budget), seed,
-                               _dissipativity_parts)
+        key = ("dissipativity", d, int(sample_budget), seed)
+        first = key not in _sample_parts
+        m0, m1 = _seeded_parts(*key, _dissipativity_parts)
         m = np.multiply(m1, a)
         m += m0
-        min_sampled = float(np.linalg.eigvalsh(m)[:, 0].min())
+        if first:
+            low = np.linalg.eigvalsh(m)[:, 0]
+            min_sampled = low.min()
+            if low.size > _HINT:
+                _bring_forward((m0, m1), np.argpartition(low, _HINT)[:_HINT])
+        else:
+            # the first call's lowest samples lead: solve them, then certify
+            # the rest against their minimum
+            k = min(_HINT, len(m))
+            lead = np.linalg.eigvalsh(m[:k])[:, 0].min()
+            min_sampled = min_eig_capped(m[None, k:], [lead])[0]
     return DissipativityReport(
         closed_form=p.nu >= schwarz_threshold(d),
         min_witness_eig=float(min_witness),

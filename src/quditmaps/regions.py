@@ -39,11 +39,13 @@ and ``sampled_positivity_min`` (a single map is one part with coefficient
 1. the d^2 + 1 deterministic candidates are solved blockwise by
    ``min_eig_affine``; their outputs are sparse (2 x 2 blocks and scalars
    for the pairs), so this stage costs a few ms per grid;
-2. the sampled candidates are certified: one batched ``np.linalg.cholesky``
-   of every sampled output minus the stage-1 minimum times I succeeds only
-   if no sample lies below that minimum (up to rounding).  Where it fails
-   (a tie, as at the identity, or a sample that sets the minimum) the
-   chunk's sampled outputs are solved by ``eigvalsh``.
+2. the sampled candidates are certified by ``linalg.min_eig_capped``: a
+   batched ``np.linalg.cholesky`` of the sampled outputs minus the stage-1
+   minimum times I (less a rounding margin) succeeds only if no sample lies
+   at or below that minimum.  Where it fails (a tie, as at the identity,
+   or a sample that sets the minimum) the failing piece is factored again
+   in parts of 64 outputs, and only the parts that still fail are solved
+   by ``eigvalsh``.
 
 The result never depends on the certificate succeeding, only the time
 does.  Nothing here takes anything from the closed forms: no inequality,
@@ -79,6 +81,7 @@ from .linalg import (
     check_dimension,
     ginibre,
     min_eig_affine,
+    min_eig_capped,
     partial_transpose,
     unvec,
     vec,
@@ -216,12 +219,12 @@ def _positivity_min(parts, coef, d: int, sample_budget: int, seed: int,
     matrices ``parts``.  Each candidate's image under each part is computed
     once.  Stage 1 solves the d^2 + 1 deterministic candidates blockwise
     with ``min_eig_affine``, which takes the minimum over them.  Stage 2
-    certifies the sampled candidates of a chunk of points at once: if
-    ``np.linalg.cholesky`` factors every sampled output minus the stage-1
-    minimum times I, no sample lies below that minimum and no eigensolve is
-    needed.  Otherwise (ties, or a sample that sets the minimum) the chunk's
-    sampled outputs go through ``eigvalsh``.  A chunk holds at most
-    ``chunk`` points and, with the Cholesky factor, ``_CHUNK_BYTES``.
+    passes the sampled outputs of a chunk of points to
+    ``linalg.min_eig_capped`` with the stage-1 minima as caps: it certifies
+    them with a batched Cholesky and solves by ``eigvalsh`` only the
+    outputs, in parts of 64, where the certificate fails (ties, or a sample
+    that sets the minimum).  A chunk holds at most ``chunk`` points and,
+    with the Cholesky factor, ``_CHUNK_BYTES``.
     """
     rng = np.random.default_rng(seed)
     cand = positivity_candidates(d, sample_budget, rng)
@@ -251,14 +254,8 @@ def _positivity_min(parts, coef, d: int, sample_budget: int, seed: int,
     for start in range(0, g, chunk):
         sl = slice(start, min(start + chunk, g))
         rows = buf[:sl.stop - start]
-        m = rows.view(complex).reshape(-1, n_samples, d, d)
         np.matmul(coef[sl], flat, out=rows)
-        m.reshape(-1, n_samples, d * d)[..., ::d + 1] -= best[sl, None, None]
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            np.matmul(coef[sl], flat, out=rows)
-            best[sl] = np.minimum(best[sl], np.linalg.eigvalsh(m)[:, :, 0].min(axis=1))
+        best[sl] = min_eig_capped(rows.view(complex).reshape(-1, n_samples, d, d), best[sl])
     return best
 
 
@@ -322,8 +319,8 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
     outputs from the images under the family's three parts.  The Choi and
     partial-transpose minima, and the positivity minimum over the
     deterministic candidates, are solved blockwise; the sampled candidates'
-    outputs are certified against that minimum by one batched Cholesky per
-    chunk and solved by ``eigvalsh`` only where the certificate fails.
+    outputs are certified against that minimum by a batched Cholesky and
+    solved by ``eigvalsh`` only where the certificate fails.
     ``chunk`` bounds the points whose sampled outputs are held at once, and
     fewer are held when the outputs and their Cholesky factor would exceed
     64 MB.

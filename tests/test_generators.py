@@ -386,6 +386,68 @@ def test_bisection_draws_its_samples_once(monkeypatch, fresh_sample_parts):
     assert list(fresh_sample_parts) == [("dissipativity", d, budget, seed + 1)]
 
 
+def plain_sampled_min(p, budget, seed):
+    """The sampled minimum as one batched eigvalsh over the oracle's own M(a, X)."""
+    m0, m1 = g._dissipativity_parts(p.d, budget, seed)
+    return float(np.linalg.eigvalsh(m1 * p.a + m0)[:, 0].min())
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+def test_hinted_bisection_matches_plain_and_dense_solves(d, fresh_sample_parts):
+    # every call after the first solves the first call's lowest samples and
+    # certifies the rest; the minimum is still the plain solve's, to the bit
+    budget, seed = 400, 31 + d
+    lo = g.schwarz_threshold(d) - 0.04
+    hi = lo + 0.1
+    for _ in range(11):
+        nu = 0.5 * (lo + hi)
+        p = g.GenParams(d, 0.8, nu)
+        rep = g.is_dissipative(p, budget, seed)
+        assert rep.min_sampled_eig == plain_sampled_min(p, budget, seed)
+        ref = reference_sampled_dissipativity_min(p, budget, seed)
+        assert abs(rep.min_sampled_eig - ref) <= 1e-12 * (d + abs(1.0 - nu)) * d
+        lo, hi = (lo, nu) if min(rep.min_witness_eig, rep.min_sampled_eig) >= -1e-9 \
+            else (nu, hi)
+
+
+@pytest.mark.parametrize("far_nu", [-3.0, 1.5])
+def test_stale_hint_still_gives_the_exact_minimum(far_nu, fresh_sample_parts):
+    d, budget, seed = 3, 2000, 11
+    g.is_dissipative(g.GenParams(d, 1.0, -0.6), budget, seed)
+    # the first call moved its lowest samples to the front of the kept parts
+    m0, m1 = fresh_sample_parts[("dissipativity", d, budget, seed)]
+    p = g.GenParams(d, 1.0, far_nu)
+    lows = np.linalg.eigvalsh(m1 * p.a + m0)[:, 0]
+    assert np.argmin(lows) >= g._HINT  # a sample outside the hint sets the minimum
+    rep = g.is_dissipative(p, budget, seed)
+    assert rep.min_sampled_eig == lows.min() == plain_sampled_min(p, budget, seed)
+    ref = reference_sampled_dissipativity_min(p, budget, seed)
+    assert abs(rep.min_sampled_eig - ref) <= 1e-12 * (d + abs(1.0 - far_nu)) * d
+
+
+def test_only_the_first_call_of_a_seed_solves_every_sample(monkeypatch, fresh_sample_parts):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) == 3:  # the sample stacks; the witness is one matrix
+            solved[-1] += np.shape(a)[0]
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    d, budget, seed = 5, 2000, 17
+
+    def schwarz_above(nu):
+        solved.append(0)
+        rep = g.is_dissipative(g.GenParams(d, 1.3, nu), budget, seed)
+        return min(rep.min_witness_eig, rep.min_sampled_eig) >= -1e-9
+
+    _bisect_nine(schwarz_above, -0.9, -0.5)
+    assert len(solved) == 9
+    assert solved[0] == budget
+    assert all(0 < n <= g._HINT for n in solved[1:])
+
+
 def test_generator_seeds_are_not_kept(fresh_sample_parts):
     p = g.GenParams(3, 1.0, -0.5)
     a = g.is_dissipative(p, 50, np.random.default_rng(3))

@@ -283,6 +283,81 @@ def test_min_eig_affine_on_path_blocks_and_zero_rows(sizes, zeros, n_parts, n_ro
     assert np.abs(la.min_eig_affine(parts, coef) - dense).max() <= 1e-12
 
 
+@pytest.fixture
+def solver_shapes(monkeypatch):
+    """Shapes of the arrays passed to ``np.linalg.cholesky`` and ``eigvalsh``."""
+    shapes = {"cholesky": [], "eigvalsh": []}
+    for name, recorded in shapes.items():
+        solve = getattr(np.linalg, name)
+
+        def recording(a, *args, _solve=solve, _recorded=recorded, **kwargs):
+            _recorded.append(np.shape(a))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return shapes
+
+
+def random_stack(rng, groups, samples, n, real=False):
+    mats = la.random_hermitian(n, rng, n=groups * samples)
+    return np.ascontiguousarray(mats.real if real else mats).reshape(groups, samples, n, n)
+
+
+@pytest.mark.parametrize("n, real", [(3, False), (8, True), (16, False)])
+def test_min_eig_capped_certifies_a_cap_below_every_eigenvalue(n, real, solver_shapes):
+    rng = np.random.default_rng(n)
+    mats = random_stack(rng, 3, 700, n, real)
+    lowest = np.linalg.eigvalsh(mats)[..., 0].min(axis=1)
+    solver_shapes["eigvalsh"].clear()
+    cap = lowest - 1e-3
+    assert np.array_equal(la.min_eig_capped(mats, cap), cap)
+    assert solver_shapes["cholesky"] and not solver_shapes["eigvalsh"]
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_min_eig_capped_solves_the_one_matrix_below_the_cap(n, solver_shapes):
+    rng = np.random.default_rng(n)
+    mats = random_stack(rng, 1, 3000, n)
+    lowest = np.linalg.eigvalsh(mats[0])[:, 0]
+    # move one matrix's spectrum to 1 below the stack's minimum
+    low = mats[0, 1234] - (lowest[1234] - lowest.min() + 1.0) * np.eye(n)
+    mats[0, 1234] = low
+    expected = np.linalg.eigvalsh(low)[0]
+    solver_shapes["eigvalsh"].clear()
+    assert la.min_eig_capped(mats, [lowest.min() - 0.5])[0] == expected
+    solved = sum(int(np.prod(shape[:-2])) for shape in solver_shapes["eigvalsh"])
+    assert 0 < solved <= la._SOLVE_SIZE
+
+
+def test_min_eig_capped_bounds_the_batches_it_passes(solver_shapes):
+    # every sample below its cap: each piece fails, is split and solved
+    rng = np.random.default_rng(5)
+    mats = random_stack(rng, 4, 1500, 16)
+    dense = np.linalg.eigvalsh(mats)[..., 0].min(axis=1)
+    solver_shapes["eigvalsh"].clear()
+    got = la.min_eig_capped(mats.copy(), np.full(4, np.inf))
+    assert np.array_equal(got, dense)
+    counts = {name: [int(np.prod(shape[:-2])) for shape in shapes]
+              for name, shapes in solver_shapes.items()}
+    assert max(counts["cholesky"]) == 16 * la._SOLVE_SIZE  # 4 MB at n = 16
+    assert max(counts["eigvalsh"]) == la._SOLVE_SIZE
+    assert sum(counts["eigvalsh"]) == mats.shape[0] * mats.shape[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups=st.integers(1, 4), samples=st.integers(1, 300), n=st.integers(1, 6),
+       real=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       offsets=st.lists(st.sampled_from([-1.0, -1e-9, 0.0, 1e-15, 1e-9, 1.0]),
+                        min_size=4, max_size=4))
+def test_min_eig_capped_equals_a_plain_solve(groups, samples, n, real, seed, offsets):
+    # caps from far below to far above each group's minimum, and exactly at it
+    rng = np.random.default_rng(seed)
+    mats = random_stack(rng, groups, samples, n, real)
+    plain = np.linalg.eigvalsh(mats)[..., 0].min(axis=1)
+    cap = plain + np.array(offsets[:groups])
+    assert np.array_equal(la.min_eig_capped(mats, cap), np.minimum(cap, plain))
+
+
 def test_linalg_import_loads_no_csgraph():
     code = "import sys, quditmaps.linalg; print('scipy.sparse.csgraph' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(la.__file__).resolve().parents[1])}

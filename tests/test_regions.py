@@ -215,6 +215,27 @@ def test_grid_certifies_the_samples_without_eigensolves(d, eigvalsh_shapes):
     assert 0 < order_d < alphas.size * betas.size * budget
 
 
+def test_grid_of_ties_solves_only_the_tied_samples(eigvalsh_shapes):
+    # on the line d(1 - alpha - beta) + beta = 0 every sample's output has the
+    # basis candidates' eigenvalue alpha/d, so the certificate cannot pass
+    # those points; the rest of their chunk must not be solved with them
+    d, budget = 3, 64
+    alphas = np.linspace(0.0, 1.5, 41)
+    betas = alphas + 0.0375
+    grid = r.classify_grid(d, alphas, betas, sample_budget=budget)
+    order_d = sum(int(np.prod(shape[:-2])) for shape in eigvalsh_shapes
+                  if shape[-1] == d)
+    assert 0 < order_d < alphas.size * betas.size * budget // 20
+    aa, bb = np.meshgrid(alphas, betas, indexing="ij")
+    tied = np.abs(d * (1.0 - aa - bb) + bb) <= 1e-12
+    assert tied.sum() >= 10
+    check = tied | (np.arange(tied.size).reshape(tied.shape) % 17 == 0)
+    for i, j in zip(*np.nonzero(check)):
+        m = build_phi_family(MapParams(d, float(alphas[i]), float(betas[j])))
+        pos_min = dense_positivity_min(m, sample_budget=budget, seed=42)
+        assert abs(grid["pos_min"][i, j] - pos_min) <= 1e-12
+
+
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(2, 16), alpha=st.floats(-0.5, 2.5), beta=st.floats(-1.5, 1.5))
 def test_classify_numeric_margins_match_dense_solves(d, alpha, beta):
