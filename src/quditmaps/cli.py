@@ -362,6 +362,7 @@ def cmd_spectrum(args, cfg) -> int:
             "schwarz": {"closed_form": dis.closed_form,
                         "witness": dis.min_witness_eig,
                         "sampled": dis.min_sampled_eig,
+                        "decided_by": dis.argmin_family,
                         "seed": cfg.seed, "budget": cfg.sample_budget},
             "cp": {"closed_form": ccp.closed_form,
                    "projected_min_eig": ccp.min_eig_projected},

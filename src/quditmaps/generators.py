@@ -6,7 +6,7 @@ The generator acts on d x d matrices as
              + kappa * [ (sum_{i != j} E_ij rho E_ji - (d-1) rho)
                          + (nu/d) * (sum_{k=1}^{d-1} Z^k rho Z*^k - (d-1) rho) ],
 
-with diagonal H = diag(h_1 ... h_d) and Z = diag(w, w^2, ..., w^d), w = exp(2 pi i / d).
+with diagonal H = diag(h_1 ... h_d) and Z = diag(q, q^2, ..., q^d), q = exp(2 pi i / d).
 Collapsing the sums gives the equivalent compact form
 
     L(rho) = kappa * [ I Tr(rho) + (nu - 1) Delta(rho) - (d - 1 + nu) rho ] - i [H, rho],
@@ -19,14 +19,25 @@ threshold is paired here with a numerical oracle:
 * conditional positivity  <->  <y| L(|x><x|) |y> >= 0 over orthonormal pairs,
 * complete positivity     <->  the Choi matrix compressed to the complement of
   the maximally entangled vector is PSD,
-* Schwarz (dissipativity)  <->  M(a, X) >= 0 for traceless X with a = 1 - nu,
-  where M(a, X) = Tr(X^+ X) I + (d-a) X^+ X - a Delta(X^+ X)
-                  + a (Delta(X^+) X + X^+ Delta(X)).
+* Schwarz (dissipativity)  <->  w^+ D(X) w >= 0 for every unit w and every X,
+  where D(X) = L(X^+ X) - L(X)^+ X - X^+ L(X) is Lindblad's dissipation
+  function ("On the generators of quantum dynamical semigroups", CMP 1976).
+  For a fixed w this is a Hermitian form x^+ Q(w) x in x = vec X,
+
+      Q(w) = conj(L^+(w w^+)) kron I - T^+ P_w - P_w T,   P_w = (conj(w) w^T) kron I,
+
+  with T the transfer matrix.  D(X + cI) = D(X), so Q(w) is compressed to
+  traceless X, where D(X) = kappa M(a, X) with a = 1 - nu and
+  M(a, X) = Tr(X^+ X) I + (d-a) X^+ X - a Delta(X^+ X)
+            + a (Delta(X^+) X + X^+ Delta(X)).
+  The smallest eigenvalue of the compressed Q(w)/kappa is the exact minimum
+  of w^+ M(a, X) w over unit traceless X.
 
 The dissipativity witness is the one-parameter traceless family
 X(c) = [[1, -c], [c, -1]] (+) 0; for d + 2 - 2a > 0 its smallest M-eigenvalue
 is minimized at c* = d / (d + 2 - 2a) where it equals d + 2 - d^2/(d + 2 - 2a),
-crossing zero exactly at the Schwarz threshold.
+crossing zero exactly at the Schwarz threshold.  It is reported as a
+closed-form cross-check; the form oracle does not read it.
 
 Cost of an oracle call
 ----------------------
@@ -42,27 +53,39 @@ combines it:
   Hamiltonian units.  The hop and phase blocks are applied as the sparse
   matrices they are (496 and 252 nonzeros of 65 536 at d = 16).  A call is
   one (pairs x (d + 2)) product and an argmin;
-* dissipativity oracle: M(a, X) = M0(X) + a M1(X), so a call starts with
-  one combination.  The first call of a seed solves every sample with one
-  batched ``eigvalsh`` and moves the 32 lowest to the front of the kept
-  parts.  A later call solves those 32, and ``linalg.min_eig_capped``
-  certifies the others against their minimum with a batched Cholesky; a
-  sample the certificate rejects is solved, so the minimum is a plain
-  solve's, to the bit, however far ``nu`` has moved;
+* dissipativity oracle: Q(w) is linear in the generator, and D of -i[H, .]
+  is zero, so Q/kappa = Q_hop + (nu/d) Q_phase.  The candidates w are the
+  d^2 + 1 deterministic ``positivity_candidates`` (basis vectors,
+  two-coordinate superpositions, the uniform superposition) plus
+  ceil(budget / d^3) seeded Haar vectors: one (d^2 - 1)-square solve costs
+  about as much as d^3 solves of d x d, so the budget buys about the
+  eigensolve work of the old budget of X samples.  Stage 1 solves the
+  deterministic forms blockwise: they are built as one sparse block
+  diagonal matrix, and their blocks (at d = 16 of sizes 1, 2, 15, 17 and
+  255) are labelled and kept by size, lower triangles only; for the life of
+  the process while a d's blocks take at most 512 KB (d <= 11), otherwise
+  until another large d is labelled.  Stage 2 certifies the Haar forms with
+  ``linalg.min_eig_capped``, capped at the stage-1 minimum; their dense
+  parts are kept per seed;
 * projected-Choi oracle: the Choi matrix is compressed to Omega's complement
   with a sparse orthonormal basis, the off-diagonal units |ij> plus an
   orthonormal basis of Omega's complement inside span{|ii>}.  The compressed
   matrix is block diagonal, and ``linalg.min_eig_affine`` finds and solves
-  the blocks; no (d^2 - 1)-dimensional eigensolve is made.
+  the blocks; no (d^2 - 1)-dimensional eigensolve is made.  The dissipativity
+  oracle compresses with the same basis.
 
 The two sampling oracles keep the parts of the last seeded sample set only,
-keyed by (oracle, d, budget, seed), and drop them before the next set is
-drawn.  On one BLAS thread, a repeated call with budget 10 000 at d = 8 takes
-0.1 ms for the pair oracle (90 ms when every call drew and built its own) and
-about 17 ms for the dissipativity oracle (about 90 ms with one ``eigvalsh``
-over every sample, 300 ms when every call drew its own; 4, 4, 8 and 63 ms
-at d = 2, 3, 5 and 16); ``is_ccp`` at d = 16 takes 2 to 5 ms, where the
-dense 255 x 255 eigensolve took 24 ms.
+keyed by (oracle, d, sample count, seed), and drop them before the next set
+is drawn.  On one BLAS thread (2-core shared machine), a 9-call Schwarz
+bisection with budget 10 000 takes about 10, 14, 18 and 44 ms at d = 2, 3,
+5 and 8, and 220 ms at d = 16 (about 50, 70, 140, 300 and 1000 ms when
+10 000 random X were solved).  Labelling the deterministic forms takes
+about 3, 4, 9, 30 and 80 ms at d = 2, 5, 8, 12 and 16; with them kept, a
+call with budget 1000 and a new seed takes about 1 ms at d = 2 and 3 ms at
+d = 8 (2.4 and 13 ms with random X), and at d >= 12, where a new d labels
+anew, 30 to 95 ms (27 to 50 ms).  A repeated pair-oracle call at d = 8
+takes 0.1 ms; ``is_ccp`` at d = 16 takes 2 to 5 ms, where the dense
+255 x 255 eigensolve took 24 ms.
 """
 
 from __future__ import annotations
@@ -83,6 +106,7 @@ from .errors import (
     UnknownName,
 )
 from .linalg import (
+    affine_blocks,
     as_complex_matrix,
     basis_matrix,
     check_dimension,
@@ -92,8 +116,12 @@ from .linalg import (
     min_eig,
     min_eig_affine,
     min_eig_capped,
-    random_traceless,
+    positivity_candidates,
+    two_coordinate_pairs,
+    unvec,
+    vec,
 )
+from .linalg import random_traceless  # noqa: F401  (perfbench/tracer.py patches this name)
 
 POSITIVITY_CLASSES = ("positive", "schwarz", "kpositive")
 
@@ -290,24 +318,6 @@ def _seeded_parts(oracle: str, d: int, n: int, seed, build):
 # conditional positivity (orthonormal-pair oracle)
 # ---------------------------------------------------------------------------
 
-def two_coordinate_pairs(d: int):
-    """Orthonormal pairs ((e_i + e_j)/sqrt2, (e_i - e_j)/sqrt2) for i < j.
-
-    These saturate the pair functional sum_k |x_k|^2 |y_k|^2 at 1/2, so they
-    pin the conditional-positivity oracle to its exact threshold.
-    """
-    pairs = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            x = np.zeros(d, dtype=complex)
-            y = np.zeros(d, dtype=complex)
-            x[i] = x[j] = 1.0 / np.sqrt(2.0)
-            y[i] = 1.0 / np.sqrt(2.0)
-            y[j] = -1.0 / np.sqrt(2.0)
-            pairs.append((x, y))
-    return pairs
-
-
 def pair_functional(gen: SuperMap, x: np.ndarray, y: np.ndarray) -> float:
     """<y| L(|x><x|) |y> evaluated through the transfer matrix."""
     out = gen(np.outer(x, x.conj()))
@@ -373,6 +383,40 @@ def is_conditionally_positive(p: GenParams, sample_budget: int = 10_000,
 # conditional complete positivity (projected-Choi oracle)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _omega_complement(d: int):
+    """A sparse orthonormal basis of the complement of Omega, as (order, inner).
+
+    Omega is supported on span{|ii>}, so the off-diagonal units |ij> plus an
+    orthonormal basis ``inner`` (d x (d - 1)) of Omega's complement inside
+    span{|ii>} span its complement.  ``order`` lists the off-diagonal
+    coordinates, then the diagonal ones.  Cached per d, read-only.
+    """
+    omega = maximally_entangled_vector(d).real
+    on, off = np.flatnonzero(omega), np.flatnonzero(omega == 0)
+    inner = null_space(omega[on][None, :])  # d x (d - 1), orthonormal
+    order = np.concatenate((off, on))
+    for arr in (order, inner):
+        arr.flags.writeable = False
+    return order, inner
+
+
+def _compress(m: np.ndarray, d: int) -> np.ndarray:
+    """Q^T m Q for (..., d^2, d^2) matrices m and the basis Q of ``_omega_complement``.
+
+    The coordinates are ordered off-diagonal first, then ``inner`` is
+    applied to the last d rows and columns in place; the eigenvalues do not
+    depend on which orthonormal basis of the complement is used, and this
+    one keeps the block structure m has on the off-diagonal units.
+    """
+    order, inner = _omega_complement(d)
+    c = m[..., order[:, None], order]
+    k = d * d - d
+    c[..., k:-1] = c[..., k:] @ inner
+    c[..., k:-1, :] = inner.T @ c[..., k:, :]
+    return c[..., :-1, :-1]
+
+
 @dataclass(frozen=True)
 class CcpReport:
     closed_form: bool
@@ -390,28 +434,15 @@ def is_ccp(p: GenParams) -> CcpReport:
     """
     if p.kappa <= 0:
         raise NegativeRate(f"kappa must be > 0, got {p.kappa}")
-    choi = build_generator(p).choi
-    # Omega is supported on span{|ii>}, so the off-diagonal units |ij> plus an
-    # orthonormal basis ``inner`` of Omega's complement inside span{|ii>} are
-    # an orthonormal basis Q of its complement.  Q^T C Q: order the
-    # coordinates off-diagonal first, then apply inner to the last d rows and
-    # columns in place.
-    omega = maximally_entangled_vector(p.d).real
-    on, off = np.flatnonzero(omega), np.flatnonzero(omega == 0)
-    inner = null_space(omega[on][None, :])  # d x (d - 1), orthonormal
-    order = np.concatenate((off, on))
-    c = choi[np.ix_(order, order)]
-    k = off.size
-    c[:, k:-1] = c[:, k:] @ inner
-    c[k:-1] = inner.T @ c[k:]
+    c = _compress(build_generator(p).choi, p.d)
     return CcpReport(
         closed_form=p.nu >= ccp_threshold(p.d),
-        min_eig_projected=float(min_eig_affine(c[None, :-1, :-1], [[1.0]])[0]),
+        min_eig_projected=float(min_eig_affine(c[None], [[1.0]])[0]),
     )
 
 
 # ---------------------------------------------------------------------------
-# dissipativity (Schwarz class): witness family plus random sampling
+# dissipativity (Schwarz class): one Hermitian form per output vector
 # ---------------------------------------------------------------------------
 
 def dissipativity_matrix(d: int, a: float, x: np.ndarray) -> np.ndarray:
@@ -442,45 +473,180 @@ def witness_min_eig(d: int, a: float, c: float) -> float:
     return min_eig(dissipativity_matrix(d, a, witness_operator(d, c)))
 
 
-def _dissipativity_parts(d: int, n: int, seed):
-    """M0 and M1 with M(a, X) = M0 + a M1 for ``n`` traceless X drawn from ``seed``.
+def dissipation_forms(d: int, ws: np.ndarray) -> np.ndarray:
+    """The hop and phase parts of the form Q(w) of each unit vector w in ``ws``.
 
-    M0 = Tr(X^+ X) I + d X^+ X and
-    M1 = Delta(X^+) X + X^+ Delta(X) - X^+ X - Delta(X^+ X); both are
-    Hermitian to the last bit, and so is every real combination.
+    For a generator with transfer T, w^+ D(X) w = x^+ Q(w) x with x = vec X,
+    where D(X) = L(X^+ X) - L(X)^+ X - X^+ L(X) is the dissipation function
+    and
+
+        Q(w) = conj(L^+(w w^+)) kron I - T^+ P_w - P_w T,  P_w = (conj(w) w^T) kron I.
+
+    Q(w) is linear in T; T = hop and T = phase are built here, and
+    Q/kappa = Q_hop + (nu/d) Q_phase (a Hamiltonian part adds nothing: D of
+    -i[H, .] is zero).  Each Q(w) is compressed to traceless X by
+    ``_compress``; D(X + cI) = D(X), so only the identity's zero eigenvalue
+    goes.  Dense, shape (2, len(ws), d^2 - 1, d^2 - 1).
     """
-    xs = random_traceless(d, np.random.default_rng(seed), n=n)
-    xdx = xs.conj().swapaxes(-1, -2) @ xs
-    xdx += xdx.conj().swapaxes(-1, -2)  # the product carries rounding
-    xdx /= 2.0
-    idx = np.arange(d)
-    diag = xdx[:, idx, idx]
-    m1 = xs[:, idx, idx].conj()[:, :, None] * xs  # Delta(X^+) X
-    del xs  # freed before M0 is built, so at most three stacks are alive at once
-    m1 += m1.conj().swapaxes(-1, -2)
-    m1 -= xdx
-    m1[:, idx, idx] -= diag
-    m0 = d * xdx
-    m0[:, idx, idx] += diag.sum(axis=1)[:, None]
-    return m0, m1
+    n, dd = len(ws), d * d
+    rho = vec(np.einsum("ni,nj->nij", ws, ws.conj()))
+    forms = np.empty((2, n, dd, dd), dtype=complex)
+    for q, block in zip(forms, generator_blocks(d)):
+        adj = block.conj().T
+        g = unvec(rho @ adj.T, d)  # L^+(w w^+)
+        g = (g + g.conj().swapaxes(-1, -2)) / 2.0  # L^+ keeps Hermiticity; drop rounding
+        # T^+ P_w at column c' d + r' is (T^+ (conj(w) kron I))[:, r'] w_c'
+        u = np.einsum("icr,nc->nir", adj.reshape(dd, d, d), ws.conj())
+        tp = (u[:, :, None, :] * ws[:, None, :, None]).reshape(n, dd, dd)
+        q[:] = np.einsum("nab,rs->narbs", g.conj(), np.eye(d)).reshape(n, dd, dd)
+        q -= tp
+        q -= tp.conj().swapaxes(-1, -2)
+    return _compress(forms, d)
 
 
-# Samples a repeated dissipativity call solves outright: the lowest at the seed's first call.
-_HINT = 32
+def _repeat_diagonal(x: csr_array, n: int) -> csr_array:
+    """kron(I_n, x): ``n`` copies of the CSR matrix x down the diagonal."""
+    (rows, cols), nnz = x.shape, x.nnz
+    indices = (x.indices + cols * np.arange(n)[:, None]).ravel()
+    indptr = np.append((x.indptr[:-1] + nnz * np.arange(n)[:, None]).ravel(), n * nnz)
+    return csr_array((np.tile(x.data, n), indices, indptr), shape=(n * rows, n * cols))
 
 
-def _bring_forward(arrays, idx):
-    """Move samples ``idx`` of each kept array to its front, in place, by swaps.
+def _kron_eye(a: np.ndarray, d: int) -> csr_array:
+    """Block diagonal of kron(a[n], I_d) over a (N, d, d) stack, sparse."""
+    n, c, c2 = np.nonzero(a)
+    dd, r = d * d, np.arange(d)
+    rows = ((n * dd + c * d)[:, None] + r).ravel()
+    cols = ((n * dd + c2 * d)[:, None] + r).ravel()
+    return csr_array((np.repeat(a[n, c, c2], d), (rows, cols)),
+                     shape=(len(a) * dd, len(a) * dd))
 
-    The kept arrays are read-only; this reordering is their one write.
+
+@lru_cache(maxsize=None)
+def _sparse_form_operators(d: int):
+    """The basis of ``_omega_complement``, its transpose, and the adjoints of hop and phase."""
+    order, inner = _omega_complement(d)
+    k = d * d - d
+    basis = csr_array((np.concatenate((np.ones(k), inner.ravel())),
+                       (np.concatenate((order[:k], np.repeat(order[k:], d - 1))),
+                        np.concatenate((np.arange(k), k + np.tile(np.arange(d - 1), d))))),
+                      shape=(d * d, d * d - 1))
+    adjoints = tuple(csr_array(block.conj().T) for block in generator_blocks(d))
+    return basis, basis.T.tocsr(), adjoints
+
+
+def _sparse_dissipation_forms(d: int, ws: np.ndarray):
+    """``dissipation_forms`` as entries of one sparse block diagonal matrix.
+
+    Block n, of size d^2 - 1, is the compressed Q(ws[n]); the forms of
+    sparse vectors w are sparse.  Returns ``(rows, cols, vals)``, the
+    entries of both parts (vals of shape (2, E)) on their joint pattern.
     """
-    k = idx.size
-    src = idx[idx >= k]
-    dst = np.setdiff1d(np.arange(k), idx)
-    for arr in arrays:
-        arr.flags.writeable = True
-        arr[dst], arr[src] = arr[src], arr[dst]
+    n = len(ws)
+    basis, basis_t, adjoints = _sparse_form_operators(d)
+    basis, basis_t = _repeat_diagonal(basis, n), _repeat_diagonal(basis_t, n)
+    proj = _kron_eye(ws.conj()[:, :, None] * ws[:, None, :], d)
+    rho = vec(np.einsum("ni,nj->nij", ws, ws.conj()))
+    forms = []
+    for adj in adjoints:
+        g = unvec((adj @ rho.T).T, d)
+        g = (g + g.conj().swapaxes(-1, -2)) / 2.0
+        tp = _repeat_diagonal(adj, n) @ proj
+        forms.append(basis_t @ (_kron_eye(g.conj(), d) - tp - tp.conj().T) @ basis)
+    joint = (abs(forms[0]) + abs(forms[1])).tocoo()
+    keep = joint.data != 0
+    rows, cols = joint.row[keep], joint.col[keep]
+    return rows, cols, np.stack([f[rows, cols] for f in forms])
+
+
+# Candidates times d^2 coordinates whose sparse forms are built together: at
+# d = 16 the temporaries of 128 candidates stay near 13 MB, where all 257 at
+# once take 28 MB.
+_FORM_CHUNK = 2**15
+
+# The blocks of a d are kept for the life of the process while they take at
+# most this many bytes (d <= 11); larger ones only until another large d is
+# labelled, so a bisection still labels once.  Kept blocks cost about twice
+# their size in resident memory, and those of d = 2..16 together 7.5 MB.
+_KEPT_FORM_BYTES = 2**19
+_kept_forms: dict = {}
+_last_forms: dict = {}
+
+
+def _candidate_form_blocks(d: int):
+    """``_label_candidate_forms(d)``, kept as ``_KEPT_FORM_BYTES`` allows."""
+    forms = _kept_forms.get(d) or _last_forms.get(d)
+    if forms is None:
+        forms = _label_candidate_forms(d)
+        if sum(a.nbytes for group in forms[1] for a in group[1:]) <= _KEPT_FORM_BYTES:
+            _kept_forms[d] = forms
+        else:
+            _last_forms.clear()
+            _last_forms[d] = forms
+    return forms
+
+
+def _label_candidate_forms(d: int):
+    """The deterministic candidates w and the blocks of their forms, by size.
+
+    Nothing here depends on kappa, nu, h or a seed, so a d's forms are built
+    and labelled once while they are kept.  The blocks are read-only, in
+    groups (size, candidate of each block, hop entries, phase entries): a
+    1 x 1 block as its real diagonal pair, once per distinct pair, and a
+    larger one as its lower triangle, which is all ``eigvalsh`` reads.  A
+    part with no imaginary entry is kept real.
+    """
+    ws = positivity_candidates(d)
+    m = d * d - 1
+    chunk = max(1, _FORM_CHUNK // (d * d))
+    by_size = {}
+    for start in range(0, len(ws), chunk):
+        sub = ws[start:start + chunk]
+        for idx, blocks in affine_blocks(*_sparse_dissipation_forms(d, sub), len(sub) * m):
+            rows, cols = np.tril_indices(blocks.shape[-1])
+            by_size.setdefault(blocks.shape[-1], []).append(
+                (start + idx[:, 0] // m, blocks[:, :, rows, cols]))
+    groups = []
+    for size, pieces in sorted(by_size.items()):
+        owner = np.concatenate([o for o, _ in pieces])
+        low = np.concatenate([v for _, v in pieces], axis=1)
+        if size == 1:  # real diagonal pairs, packed as complex numbers to find repeats
+            pair, first = np.unique(low[0, :, 0].real + 1j * low[1, :, 0].real,
+                                    return_index=True)
+            owner, low = owner[first], np.stack((pair.real, pair.imag))[:, :, None]
+        parts = [(v.real if np.iscomplexobj(v) and not v.imag.any() else v).copy()
+                 for v in low]
+        groups.append((size, owner, *parts))
+    for arr in [ws] + [a for group in groups for a in group[1:]]:
         arr.flags.writeable = False
+    return ws, tuple(groups)
+
+
+def _candidate_form_minimum(d: int, t: float):
+    """Smallest eigenvalue of Q_hop + t Q_phase over the deterministic forms, and its w."""
+    ws, groups = _candidate_form_blocks(d)
+    best, k = np.inf, 0
+    for size, owner, hop, phase in groups:
+        vals = hop + t * phase
+        if size == 1:
+            mins = vals[:, 0]
+        else:
+            rows, cols = np.tril_indices(size)
+            mats = np.zeros((len(owner), size, size), dtype=vals.dtype)
+            mats[:, rows, cols] = vals
+            mins = np.linalg.eigvalsh(mats, UPLO="L")[:, 0]
+        i = int(np.argmin(mins))
+        if mins[i] < best:
+            best, k = mins[i], owner[i]
+    family = "basis" if k < d else "pair" if k < d * d else "uniform"
+    return best, ws[k], family
+
+
+def _haar_form_parts(d: int, n: int, seed):
+    """Dense hop and phase forms, (n, d^2 - 1, d^2 - 1) each, of ``n`` Haar vectors w."""
+    ws = positivity_candidates(d, n, np.random.default_rng(seed))[d * d + 1:]
+    hop, phase = dissipation_forms(d, ws)
+    return hop, phase, ws
 
 
 @dataclass(frozen=True)
@@ -488,15 +654,28 @@ class DissipativityReport:
     closed_form: bool
     min_witness_eig: float
     min_sampled_eig: float
+    argmin_w: np.ndarray = field(repr=False, compare=False, default=None)
+    argmin_family: str | None = None
 
 
 def is_dissipative(p: GenParams, sample_budget: int = 10_000,
                    seed: int = 42) -> DissipativityReport:
-    """Closed form nu >= -d/(d+2) next to the witness and sampling oracles.
+    """Closed form nu >= -d/(d+2) next to the fixed-w form oracle and the witness.
 
-    The witness is evaluated at its optimal parameter c* = d/(d+2-2a) when
-    d + 2 - 2a > 0; otherwise the quadratic-in-c eigenvalue is unbounded
-    below and a large deterministic c in {10, 100} exhibits the divergence.
+    ``min_sampled_eig`` is the smallest eigenvalue of Q(w)/kappa on traceless
+    X (the exact minimum of w^+ M(a, X) w over unit traceless X), minimised
+    over the d^2 + 1 deterministic ``positivity_candidates`` and
+    ceil(budget / d^3) seeded Haar vectors w.  Stage 1 solves the kept
+    blocks of the deterministic forms; stage 2 certifies the dense Haar
+    forms with ``linalg.min_eig_capped``, capped at the stage-1 minimum, so
+    the result is a plain solve's.  ``argmin_w`` is the deciding w and
+    ``argmin_family`` its kind: ``basis``, ``pair``, ``uniform`` or
+    ``haar``.  ``sample_budget = 0`` runs no oracle and reports infinity.
+
+    The witness, a closed-form cross-check that decides nothing, is
+    evaluated at its optimal parameter c* = d/(d+2-2a) when d + 2 - 2a > 0;
+    otherwise the quadratic-in-c eigenvalue is unbounded below and a large
+    deterministic c in {10, 100} exhibits the divergence.
     """
     if p.kappa <= 0:
         raise NegativeRate(f"kappa must be > 0, got {p.kappa}")
@@ -506,28 +685,23 @@ def is_dissipative(p: GenParams, sample_budget: int = 10_000,
         min_witness = witness_min_eig(d, a, c_star)
     else:
         min_witness = min(witness_min_eig(d, a, c) for c in (10.0, 100.0))
-    min_sampled = np.inf
+    best, w, family = np.inf, None, None
     if sample_budget > 0:
-        key = ("dissipativity", d, int(sample_budget), seed)
-        first = key not in _sample_parts
-        m0, m1 = _seeded_parts(*key, _dissipativity_parts)
-        m = np.multiply(m1, a)
-        m += m0
-        if first:
-            low = np.linalg.eigvalsh(m)[:, 0]
-            min_sampled = low.min()
-            if low.size > _HINT:
-                _bring_forward((m0, m1), np.argpartition(low, _HINT)[:_HINT])
-        else:
-            # the first call's lowest samples lead: solve them, then certify
-            # the rest against their minimum
-            k = min(_HINT, len(m))
-            lead = np.linalg.eigvalsh(m[:k])[:, 0].min()
-            min_sampled = min_eig_capped(m[None, k:], [lead])[0]
+        best, w, family = _candidate_form_minimum(d, p.nu / d)
+        n = -(-int(sample_budget) // d ** 3)
+        q0, q1, haar = _seeded_parts("dissipativity", d, n, seed, _haar_form_parts)
+        mats = np.multiply(q1, p.nu / d)
+        mats += q0
+        low = min_eig_capped(mats[:, None], np.full(n, best))
+        k = int(np.argmin(low))
+        if low[k] < best:
+            best, w, family = low[k], haar[k], "haar"
     return DissipativityReport(
         closed_form=p.nu >= schwarz_threshold(d),
         min_witness_eig=float(min_witness),
-        min_sampled_eig=float(min_sampled),
+        min_sampled_eig=float(best),
+        argmin_w=w,
+        argmin_family=family,
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitianInput
+from .errors import DimensionMismatch, NonHermitianInput, QuditMapsError
 
 # All objects handled here are at most 256 x 256; the dense code paths rely on it.
 DIM_CAP = 16
@@ -106,6 +106,48 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
         labels = new
     roots = labels == np.arange(n)
     return (np.cumsum(roots) - 1)[labels]
+
+
+def affine_blocks(rows, cols, vals, n: int):
+    """Dense diagonal blocks of K matrices on ``n`` indices, given by their entries.
+
+    Part k holds ``vals[k, e]`` at (``rows[e]``, ``cols[e]``), each position
+    listed at most once; positions not listed are zero.  The blocks are the
+    connected components of the joint pattern, each with its indices
+    ascending, so every combination of the parts is block diagonal on them
+    and its spectrum is the union of the block spectra.  This is
+    ``min_eig_affine``'s split for matrices too large to hold densely.
+    Returns one ``(idx, blocks)`` per block size s, ascending: ``idx``
+    (B, s) holds each block's indices and ``blocks`` (K, B, s, s) its
+    entries, in real arithmetic when no entry has an imaginary part.
+    """
+    vals = np.asarray(vals)
+    if np.iscomplexobj(vals) and not vals.imag.any():
+        vals = vals.real
+    labels = _component_labels(rows, cols, n)
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    pos = np.empty(n, dtype=np.intp)  # an index's place inside its block
+    pos[order] = np.arange(n) - starts[labels[order]]
+    rank = np.empty(sizes.size, dtype=np.intp)  # a block's place among those of its size
+    entry_label = labels[rows]
+    entry_size = sizes[entry_label]
+    by_size = np.argsort(entry_size, kind="stable")
+    size_set = np.unique(sizes)
+    ends = np.searchsorted(entry_size[by_size], size_set, side="right")
+    out = []
+    for size, lo, hi in zip(size_set, np.concatenate(([0], ends[:-1])), ends):
+        of_size = np.flatnonzero(sizes == size)
+        rank[of_size] = np.arange(of_size.size)
+        idx = order[starts[of_size][:, None] + np.arange(size)]
+        sel = by_size[lo:hi]
+        r, c = rows[sel], cols[sel]
+        flat = (rank[entry_label[sel]] * size + pos[r]) * size + pos[c]
+        blocks = np.zeros((vals.shape[0], of_size.size, size, size), dtype=vals.dtype)
+        blocks.reshape(vals.shape[0], -1)[:, flat] = vals[:, sel]
+        out.append((idx, blocks))
+    return out
 
 
 def min_eig_affine(parts, coef) -> np.ndarray:
@@ -313,6 +355,49 @@ def haar_orthonormal_pair(d: int, rng: np.random.Generator, n: int | None = None
     ph = np.where(np.abs(ph) == 0, 1.0, ph / np.abs(ph))
     q = q * ph[..., None, :].conj()
     return q[..., :, 0], q[..., :, 1]
+
+
+def two_coordinate_pairs(d: int):
+    """Orthonormal pairs ((e_i + e_j)/sqrt2, (e_i - e_j)/sqrt2) for i < j.
+
+    These saturate the pair functional sum_k |x_k|^2 |y_k|^2 at 1/2, so they
+    pin the conditional-positivity oracle to its exact threshold.
+    """
+    pairs = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            x = np.zeros(d, dtype=complex)
+            y = np.zeros(d, dtype=complex)
+            x[i] = x[j] = 1.0 / np.sqrt(2.0)
+            y[i] = 1.0 / np.sqrt(2.0)
+            y[j] = -1.0 / np.sqrt(2.0)
+            pairs.append((x, y))
+    return pairs
+
+
+def positivity_candidates(d: int, sample_budget: int = 0,
+                          rng: np.random.Generator | None = None) -> np.ndarray:
+    """Unit vectors in C^d probed by the positivity and dissipativity oracles, shape (N, d).
+
+    The d^2 + 1 deterministic candidates come first: the d basis vectors,
+    both vectors of each ``two_coordinate_pairs`` pair, and the uniform
+    superposition.  For the map family, basis vectors expose alpha < 0, the
+    two-coordinate superpositions the lower boundary beta >= -2 alpha/d, and
+    the uniform superposition the upper boundary beta <= d/(d-1) - alpha.
+    ``sample_budget`` Haar-random unit vectors are appended, drawn from
+    ``rng``, which is then required.
+    """
+    if sample_budget > 0 and rng is None:
+        raise QuditMapsError("sample_budget > 0 needs a random generator rng")
+    vecs = list(np.eye(d, dtype=complex))
+    for x, y in two_coordinate_pairs(d):
+        vecs.extend([x, y])
+    vecs.append(np.ones(d, dtype=complex) / np.sqrt(d))
+    if sample_budget > 0:
+        g = ginibre(d, rng, n=int(sample_budget))[:, :, 0]
+        g = g / np.linalg.norm(g, axis=1, keepdims=True)
+        vecs.extend(list(g))
+    return np.asarray(vecs)
 
 
 def match_multisets(a, b, tol: float) -> bool:

@@ -75,14 +75,15 @@ from .channels import (
     choi_from_transfer,
     family_transfer_parts,
 )
-from .errors import DegenerateRegion, NotUnital, QuditMapsError, UnknownName
-from .generators import two_coordinate_pairs, witness_operator
+from .errors import DegenerateRegion, NotUnital, UnknownName
+from .generators import witness_operator
 from .linalg import (
     check_dimension,
     ginibre,
     min_eig_affine,
     min_eig_capped,
     partial_transpose,
+    positivity_candidates,
     unvec,
     vec,
 )
@@ -182,29 +183,6 @@ def classify_point(p: MapParams) -> RegionVerdict:
 # ---------------------------------------------------------------------------
 # numeric oracles
 # ---------------------------------------------------------------------------
-
-def positivity_candidates(d: int, sample_budget: int = 0,
-                          rng: np.random.Generator | None = None) -> np.ndarray:
-    """Pure-state input candidates for the positivity falsifier, shape (N, d).
-
-    Basis vectors expose alpha < 0, the two-coordinate superpositions expose
-    the lower boundary beta >= -2 alpha/d, and the uniform superposition
-    exposes the upper boundary beta <= d/(d-1) - alpha.  ``sample_budget``
-    random unit vectors are appended, drawn from ``rng``, which is then
-    required.
-    """
-    if sample_budget > 0 and rng is None:
-        raise QuditMapsError("sample_budget > 0 needs a random generator rng")
-    vecs = list(np.eye(d, dtype=complex))
-    for x, y in two_coordinate_pairs(d):
-        vecs.extend([x, y])
-    vecs.append(np.ones(d, dtype=complex) / np.sqrt(d))
-    if sample_budget > 0:
-        g = ginibre(d, rng, n=int(sample_budget))[:, :, 0]
-        g = g / np.linalg.norm(g, axis=1, keepdims=True)
-        vecs.extend(list(g))
-    return np.asarray(vecs)
-
 
 # Bytes of sampled positivity outputs and their Cholesky factor held at once;
 # at d = 16 with budget 256 a point's take 2 MB, so ``chunk`` alone would hold 1 GB.

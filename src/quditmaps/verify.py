@@ -173,7 +173,8 @@ def check_dissipativity_sampling_soundness(seed, budget):
                 sample_budget=budget, seed=seed,
             )
             worst = min(worst, rep.min_sampled_eig, rep.min_witness_eig)
-    return worst >= -1e-9, f"smallest sampled/witness eigenvalue {worst:.2e}"
+    return worst >= -1e-9, (f"smallest fixed-w form/witness eigenvalue {worst:.2e} "
+                            f"at nu >= -d/(d+2), d=2..6")
 
 
 # ---------------------------------------------------------------------------

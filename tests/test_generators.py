@@ -284,25 +284,6 @@ def reference_pair_min(p, budget, seed):
     return float(best)
 
 
-def reference_sampled_dissipativity_min(p, budget, seed):
-    """Smallest eigenvalue of M(a, X) over the seeded X, built per call."""
-    d, a = p.d, p.a
-    xs = la.random_traceless(d, np.random.default_rng(seed), n=budget)
-    xdx = np.einsum("nki,nkj->nij", xs.conj(), xs)
-    tr = np.einsum("nii->n", xdx)
-    idx = np.arange(d)
-    m = tr[:, None, None] * np.eye(d) + (d - a) * xdx
-    dd = np.zeros_like(xdx)
-    dd[:, idx, idx] = xdx[:, idx, idx]
-    m = m - a * dd
-    dxc = np.zeros_like(xs)
-    dxc[:, idx, idx] = np.einsum("nii->ni", xs).conj()
-    cross = np.einsum("nik,nkj->nij", dxc, xs)
-    m = m + a * (cross + np.conj(np.swapaxes(cross, -1, -2)))
-    m = (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0
-    return float(np.linalg.eigvalsh(m)[:, 0].min())
-
-
 def reference_projected_choi_min(p):
     """Dense compression of the generator's Choi matrix to Omega's complement."""
     choi = g.build_generator(p).choi
@@ -339,10 +320,15 @@ def test_oracles_match_dense_references(d, kappa, nu, with_h, seed, budget, data
 
     dis = g.is_dissipative(p, budget, seed)
     if budget > 0:
-        ref = reference_sampled_dissipativity_min(p, budget, seed)
+        # the blockwise and certified solves against plain eigvalsh of the dense forms
+        ws = dis.argmin_w[None]
+        if d <= 8:
+            ws = haar_candidates(d, budget, seed)
+        hop, phase = g.dissipation_forms(d, ws)
+        ref = np.linalg.eigvalsh(hop + (nu / d) * phase)[:, 0].min()
         assert abs(dis.min_sampled_eig - ref) <= 1e-12 * (d + abs(1.0 - nu)) * d
     else:
-        assert dis.min_sampled_eig == np.inf
+        assert dis.min_sampled_eig == np.inf and dis.argmin_w is None
     assert g.is_dissipative(p, budget, seed) == dis
 
     ccp = g.is_ccp(p)
@@ -356,12 +342,13 @@ def _bisect_nine(above, lo, hi):
 
 
 def test_bisection_draws_its_samples_once(monkeypatch, fresh_sample_parts):
-    draws = {"random_traceless": 0, "haar_orthonormal_pair": 0}
+    draws = {"positivity_candidates": 0, "haar_orthonormal_pair": 0}
     for name in draws:
         orig = getattr(g, name)
 
         def counting(*args, _name=name, _orig=orig, **kwargs):
-            draws[_name] += 1
+            if _name == "haar_orthonormal_pair" or args[1:2] > (0,):  # Haar w drawn
+                draws[_name] += 1
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(g, name, counting)
@@ -371,81 +358,54 @@ def test_bisection_draws_its_samples_once(monkeypatch, fresh_sample_parts):
     assert draws["haar_orthonormal_pair"] == 1
     assert list(fresh_sample_parts) == [("pair", d, budget, seed)]
 
-    def schwarz_above(nu):
-        rep = g.is_dissipative(g.GenParams(d, 1.3, nu), budget, seed)
-        return min(rep.min_witness_eig, rep.min_sampled_eig) >= -1e-9
-
-    _bisect_nine(schwarz_above, -0.9, -0.5)
-    assert draws["random_traceless"] == 1
-    # the pair set was dropped when the traceless set was drawn
-    assert list(fresh_sample_parts) == [("dissipativity", d, budget, seed)]
-    assert all(not a.flags.writeable for a in fresh_sample_parts[("dissipativity", d, budget, seed)])
+    _bisect_nine(lambda nu: g.is_dissipative(
+        g.GenParams(d, 1.3, nu), budget, seed).min_sampled_eig >= -1e-9, -0.9, -0.5)
+    assert draws["positivity_candidates"] == 1
+    # the pair set was dropped when the Haar w were drawn: ceil(2000 / 5^3) of them
+    key = ("dissipativity", d, 16, seed)
+    assert list(fresh_sample_parts) == [key]
+    hop, phase, ws = fresh_sample_parts[key]
+    assert hop.shape == phase.shape == (16, d * d - 1, d * d - 1) and ws.shape == (16, d)
+    assert all(not a.flags.writeable for a in fresh_sample_parts[key])
 
     g.is_dissipative(g.GenParams(d, 1.3, -0.6), budget, seed + 1)
-    assert draws["random_traceless"] == 2
-    assert list(fresh_sample_parts) == [("dissipativity", d, budget, seed + 1)]
+    assert draws["positivity_candidates"] == 2
+    assert list(fresh_sample_parts) == [("dissipativity", d, 16, seed + 1)]
 
 
-def plain_sampled_min(p, budget, seed):
-    """The sampled minimum as one batched eigvalsh over the oracle's own M(a, X)."""
-    m0, m1 = g._dissipativity_parts(p.d, budget, seed)
-    return float(np.linalg.eigvalsh(m1 * p.a + m0)[:, 0].min())
+def test_deterministic_forms_are_labelled_once_per_d(monkeypatch, fresh_sample_parts):
+    built = []
+    orig = g._label_candidate_forms
 
+    def counting(d):
+        built.append(d)
+        return orig(d)
 
-@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
-def test_hinted_bisection_matches_plain_and_dense_solves(d, fresh_sample_parts):
-    # every call after the first solves the first call's lowest samples and
-    # certifies the rest; the minimum is still the plain solve's, to the bit
-    budget, seed = 400, 31 + d
-    lo = g.schwarz_threshold(d) - 0.04
-    hi = lo + 0.1
-    for _ in range(11):
-        nu = 0.5 * (lo + hi)
-        p = g.GenParams(d, 0.8, nu)
-        rep = g.is_dissipative(p, budget, seed)
-        assert rep.min_sampled_eig == plain_sampled_min(p, budget, seed)
-        ref = reference_sampled_dissipativity_min(p, budget, seed)
-        assert abs(rep.min_sampled_eig - ref) <= 1e-12 * (d + abs(1.0 - nu)) * d
-        lo, hi = (lo, nu) if min(rep.min_witness_eig, rep.min_sampled_eig) >= -1e-9 \
-            else (nu, hi)
+    monkeypatch.setattr(g, "_label_candidate_forms", counting)
+    monkeypatch.setattr(g, "_kept_forms", {})
+    monkeypatch.setattr(g, "_last_forms", {})
+    for d, nus in ((5, (-0.9, -0.5)), (16, (-1.0, -0.8)), (5, (-0.9, -0.5)), (12, (-1.0, -0.8))):
+        for seed in (3, 4):
+            _bisect_nine(lambda nu: g.is_dissipative(
+                g.GenParams(d, 0.7, nu), 500, seed).min_sampled_eig >= -1e-9, *nus)
+    # the small d is kept; a large d stays until the next large one is labelled
+    assert built == [5, 16, 12]
+    assert list(g._kept_forms) == [5] and list(g._last_forms) == [12]
+    ws, groups = g._candidate_form_blocks(5)
+    assert len(ws) == 5 * 5 + 1
+    assert all(not a.flags.writeable for a in [ws] + [a for gr in groups for a in gr[1:]])
 
 
 @pytest.mark.parametrize("far_nu", [-3.0, 1.5])
-def test_stale_hint_still_gives_the_exact_minimum(far_nu, fresh_sample_parts):
+def test_kept_forms_give_the_exact_minimum_at_a_far_nu(far_nu, fresh_sample_parts):
+    # the parts kept by a call at nu = -0.6 serve a call at a far nu exactly
     d, budget, seed = 3, 2000, 11
     g.is_dissipative(g.GenParams(d, 1.0, -0.6), budget, seed)
-    # the first call moved its lowest samples to the front of the kept parts
-    m0, m1 = fresh_sample_parts[("dissipativity", d, budget, seed)]
     p = g.GenParams(d, 1.0, far_nu)
-    lows = np.linalg.eigvalsh(m1 * p.a + m0)[:, 0]
-    assert np.argmin(lows) >= g._HINT  # a sample outside the hint sets the minimum
     rep = g.is_dissipative(p, budget, seed)
-    assert rep.min_sampled_eig == lows.min() == plain_sampled_min(p, budget, seed)
-    ref = reference_sampled_dissipativity_min(p, budget, seed)
-    assert abs(rep.min_sampled_eig - ref) <= 1e-12 * (d + abs(1.0 - far_nu)) * d
-
-
-def test_only_the_first_call_of_a_seed_solves_every_sample(monkeypatch, fresh_sample_parts):
-    solved = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        if np.ndim(a) == 3:  # the sample stacks; the witness is one matrix
-            solved[-1] += np.shape(a)[0]
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    d, budget, seed = 5, 2000, 17
-
-    def schwarz_above(nu):
-        solved.append(0)
-        rep = g.is_dissipative(g.GenParams(d, 1.3, nu), budget, seed)
-        return min(rep.min_witness_eig, rep.min_sampled_eig) >= -1e-9
-
-    _bisect_nine(schwarz_above, -0.9, -0.5)
-    assert len(solved) == 9
-    assert solved[0] == budget
-    assert all(0 < n <= g._HINT for n in solved[1:])
+    assert list(fresh_sample_parts) == [("dissipativity", d, -(-budget // d ** 3), seed)]
+    ref = reference_form_minima(p, haar_candidates(d, budget, seed))
+    assert abs(rep.min_sampled_eig - ref.min()) <= 1e-12 * (1.0 + d * (d + abs(far_nu)))
 
 
 def test_generator_seeds_are_not_kept(fresh_sample_parts):
@@ -453,3 +413,109 @@ def test_generator_seeds_are_not_kept(fresh_sample_parts):
     a = g.is_dissipative(p, 50, np.random.default_rng(3))
     b = g.is_dissipative(p, 50, np.random.default_rng(3))
     assert a == b and not fresh_sample_parts
+    assert np.array_equal(a.argmin_w, b.argmin_w)
+
+
+# --- the fixed-w form oracle against its definition ----------------------------
+
+def haar_candidates(d, budget, seed):
+    """The oracle's candidates w: the deterministic set, then ceil(budget / d^3) Haar draws."""
+    n = -(-budget // d ** 3)
+    return la.positivity_candidates(d, n, np.random.default_rng(seed))
+
+
+def reference_form_minima(p, ws):
+    """Smallest eigenvalue of each Q(w)/kappa on traceless X, built from the definition.
+
+    Entry (i, j) of Q(w) is w^+ D(E_i, E_j) w for the matrix units E_i = unvec(e_i)
+    and D(A, B) = L(A^+ B) - L(A)^+ B - A^+ L(B), with L the dense transfer
+    matrix of ``build_generator`` (Hamiltonian included); the forms are then
+    compressed by a dense orthonormal basis of the traceless matrices.
+    """
+    d, dd = p.d, p.d * p.d
+    t = g.build_generator(p).transfer
+    units = la.unvec(np.eye(dd), d)
+    images = la.unvec(t.T, d)  # L(E_i)
+    prods = np.einsum("iba,jbc->ijac", units.conj(), units)
+    dis = la.unvec(la.vec(prods) @ t.T, d)
+    dis -= np.einsum("iba,jbc->ijac", images.conj(), units)
+    dis -= np.einsum("iba,jbc->ijac", units.conj(), images)
+    forms = np.einsum("na,ijac,nc->nij", ws.conj(), dis, ws)
+    basis = null_space(la.vec(np.eye(d))[None, :])
+    return np.linalg.eigvalsh(basis.conj().T @ forms @ basis)[:, 0] / p.kappa
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(2, 8), kappa=st.floats(0.05, 5.0), nu=st.floats(-3.0, 2.0),
+       seed=st.integers(0, 2**31 - 1), budget=st.integers(1, 2000), data=st.data())
+def test_form_oracle_matches_dense_forms_from_the_definition(d, kappa, nu, seed, budget,
+                                                             data):
+    h = tuple(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)
+                        .filter(any)))
+    p = g.GenParams(d, kappa, nu, h)
+    rep = g.is_dissipative(p, budget, seed)
+    ref = reference_form_minima(p, haar_candidates(d, budget, seed))
+    tol = 1e-12 * (1.0 + d * (d + abs(nu)) + sum(abs(x) for x in h) / kappa)
+    assert abs(rep.min_sampled_eig - ref.min()) <= tol
+    assert abs(reference_form_minima(p, rep.argmin_w[None])[0] - rep.min_sampled_eig) <= tol
+    assert rep.argmin_family in ("basis", "pair", "uniform", "haar")
+
+
+@pytest.mark.parametrize("d, budget", [(2, 40), (3, 300), (5, 600)])
+def test_haar_stage_finds_the_minimum_below_its_cap(d, budget, monkeypatch,
+                                                   fresh_sample_parts):
+    # the stage-1 result is replaced by a cap that half the Haar forms fall
+    # below, so the certified stage must find the exact minimum and its vector
+    p = g.GenParams(d, 0.9, -0.4, tuple(np.linspace(-1.0, 1.0, d)))
+    haar = haar_candidates(d, budget, 7)[d * d + 1:]
+    ref = reference_form_minima(p, haar)
+    cap = float(np.median(ref))
+    monkeypatch.setattr(g, "_candidate_form_minimum", lambda d, t: (cap, haar[0], "basis"))
+    rep = g.is_dissipative(p, budget, 7)
+    assert rep.argmin_family == "haar"
+    assert abs(rep.min_sampled_eig - ref.min()) <= 1e-12 * (1.0 + d * (d + 0.4))
+    assert np.array_equal(rep.argmin_w, haar[np.argmin(ref)])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_forms_agree_with_the_dissipativity_matrix(d):
+    # x^+ Q(w) x / kappa = w^+ M(a, X) w = w^+ D(X) w / kappa on traceless X, h != 0
+    rng = np.random.default_rng(40 + d)
+    kappa, nu = 0.7, -0.45
+    p = g.GenParams(d, kappa, nu, tuple(rng.uniform(-2.0, 2.0, d)))
+    gen = g.build_generator(p)
+    ws = la.positivity_candidates(d, 8, rng)
+    hop, phase = g.dissipation_forms(d, ws)
+    forms = hop + (nu / d) * phase
+    for _ in range(10):
+        x = la.random_traceless(d, rng)
+        xc = g._compress(np.outer(la.vec(x), la.vec(x).conj()), d)
+        values = np.einsum("nij,ji->n", forms, xc)
+        m = g.dissipativity_matrix(d, 1.0 - nu, x)
+        dx = gen(x.conj().T @ x) - gen(x).conj().T @ x - x.conj().T @ gen(x)
+        for w, v in zip(ws, values):
+            assert abs(v - w.conj() @ m @ w) <= 1e-13
+            assert abs(kappa * v - w.conj() @ dx @ w) <= 1e-12
+
+
+def test_hamiltonian_part_has_no_dissipation():
+    # D(X) = L(X^+X) - L(X)^+X - X^+L(X) vanishes for L = -i[H, .], any Hermitian H
+    rng = np.random.default_rng(12)
+    for d in (2, 3, 5, 8):
+        ham = la.random_hermitian(d, rng)
+        eye = np.eye(d)
+        gen = ch.SuperMap(d, -1j * (np.kron(eye, ham) - np.kron(ham.T, eye)))
+        for x in la.ginibre(d, rng, n=5):
+            dx = gen(x.conj().T @ x) - gen(x).conj().T @ x - x.conj().T @ gen(x)
+            assert np.abs(dx).max() <= 1e-12 * (1.0 + np.abs(ham).max() * np.abs(x).max() ** 2)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_witness_free_bisection_recovers_the_schwarz_threshold(d):
+    # bisect on the form oracle alone, between the positivity and CP thresholds
+    lo, hi = -1.0, 0.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        rep = g.is_dissipative(g.GenParams(d, 1.3, mid))
+        lo, hi = (lo, mid) if rep.min_sampled_eig >= -1e-12 else (mid, hi)
+    assert abs(0.5 * (lo + hi) - g.schwarz_threshold(d)) <= 1e-9
