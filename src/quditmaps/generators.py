@@ -9,9 +9,11 @@ The generator acts on d x d matrices as
 with diagonal H = diag(h_1 ... h_d) and Z = diag(q, q^2, ..., q^d), q = exp(2 pi i / d).
 Collapsing the sums gives the equivalent compact form
 
-    L(rho) = kappa * [ I Tr(rho) + (nu - 1) Delta(rho) - (d - 1 + nu) rho ] - i [H, rho],
+    L(rho) = kappa * [ I Tr(rho) + (nu - 1) Delta(rho) - (d - 1 + nu) rho ] - i [H, rho].
 
-which the test-suite uses as an independent cross-check.  The semigroup
+``generator_blocks`` sets the two sums' transfer matrices entrywise; the
+test-suite checks them against np.kron loops over the sums, and the
+generator against the compact form.  The semigroup
 exp(t L) is positive iff nu >= -1, satisfies the operator Schwarz inequality
 iff nu >= -d/(d+2), and is completely positive iff nu >= 0; each closed-form
 threshold is paired here with a numerical oracle:
@@ -31,7 +33,13 @@ threshold is paired here with a numerical oracle:
   M(a, X) = Tr(X^+ X) I + (d-a) X^+ X - a Delta(X^+ X)
             + a (Delta(X^+) X + X^+ Delta(X)).
   The smallest eigenvalue of the compressed Q(w)/kappa is the exact minimum
-  of w^+ M(a, X) w over unit traceless X.
+  of w^+ M(a, X) w over unit traceless X.  hop and phase commute with
+  X -> U X U^+ for every permutation and diagonal sign flip U, so
+  D(U X U^+) = U D(X) U^+ and Q(U w) is unitarily similar to Q(w), on
+  traceless X too.  These U carry every basis vector to e_1, every
+  (e_i +- e_j)/sqrt 2 to (e_1 + e_2)/sqrt 2 and the uniform vector to
+  itself, up to a global sign, so those three orbit representatives give
+  the minimum over all d^2 + 1 deterministic candidates.
 
 The dissipativity witness is the one-parameter traceless family
 X(c) = [[1, -c], [c, -1]] (+) 0; for d + 2 - 2a > 0 its smallest M-eigenvalue
@@ -55,18 +63,14 @@ combines it:
   one (pairs x (d + 2)) product and an argmin;
 * dissipativity oracle: Q(w) is linear in the generator, and D of -i[H, .]
   is zero, so Q/kappa = Q_hop + (nu/d) Q_phase.  The candidates w are the
-  d^2 + 1 deterministic ``positivity_candidates`` (basis vectors,
-  two-coordinate superpositions, the uniform superposition) plus
-  ceil(budget / d^3) seeded Haar vectors: one (d^2 - 1)-square solve costs
-  about as much as d^3 solves of d x d, so the budget buys about the
-  eigensolve work of the old budget of X samples.  Stage 1 solves the
-  deterministic forms blockwise: they are built as one sparse block
-  diagonal matrix, and their blocks (at d = 16 of sizes 1, 2, 15, 17 and
-  255) are labelled and kept by size, lower triangles only; for the life of
-  the process while a d's blocks take at most 512 KB (d <= 11), otherwise
-  until another large d is labelled.  Stage 2 certifies the Haar forms with
-  ``linalg.min_eig_capped``, capped at the stage-1 minimum; their dense
-  parts are kept per seed;
+  three orbit representatives of the deterministic ``positivity_candidates``
+  plus ceil(budget / d^3) seeded Haar vectors: one (d^2 - 1)-square solve
+  costs about as much as d^3 solves of d x d, so the budget buys about the
+  eigensolve work of the old budget of X samples.  The dense parts of both
+  are built together and kept per seed.  Stage 1 is one ``eigvalsh`` of the
+  three representatives' forms, in real arithmetic (real w and the exact
+  blocks give real forms); stage 2 certifies the Haar forms with
+  ``linalg.min_eig_capped``, capped at the stage-1 minimum;
 * projected-Choi oracle: the Choi matrix is compressed to Omega's complement
   with a sparse orthonormal basis, the off-diagonal units |ij> plus an
   orthonormal basis of Omega's complement inside span{|ii>}.  The compressed
@@ -77,14 +81,13 @@ combines it:
 The two sampling oracles keep the parts of the last seeded sample set only,
 keyed by (oracle, d, sample count, seed), and drop them before the next set
 is drawn.  On one BLAS thread (2-core shared machine), a 9-call Schwarz
-bisection with budget 10 000 takes about 10, 14, 18 and 44 ms at d = 2, 3,
-5 and 8, and 220 ms at d = 16 (about 50, 70, 140, 300 and 1000 ms when
-10 000 random X were solved).  Labelling the deterministic forms takes
-about 3, 4, 9, 30 and 80 ms at d = 2, 5, 8, 12 and 16; with them kept, a
-call with budget 1000 and a new seed takes about 1 ms at d = 2 and 3 ms at
-d = 8 (2.4 and 13 ms with random X), and at d >= 12, where a new d labels
-anew, 30 to 95 ms (27 to 50 ms).  A repeated pair-oracle call at d = 8
-takes 0.1 ms; ``is_ccp`` at d = 16 takes 2 to 5 ms, where the dense
+bisection with budget 10 000 takes about 10, 10, 13, 30 and 170 ms at
+d = 2, 3, 5, 8 and 16 (about 50, 70, 140, 300 and 1000 ms when 10 000
+random X were solved).  A call with budget 1000 and a new seed, forms
+built included, takes about 1 ms at d = 2, 3 ms at d = 8 (2.4 and 13 ms
+with random X), 8 ms at d = 12 and 32 ms at d = 16.
+``generator_blocks(16)`` takes under 2 ms.  A repeated pair-oracle call at
+d = 8 takes 0.1 ms; ``is_ccp`` at d = 16 takes 2 to 5 ms, where the dense
 255 x 255 eigensolve took 24 ms.
 """
 
@@ -106,9 +109,7 @@ from .errors import (
     UnknownName,
 )
 from .linalg import (
-    affine_blocks,
     as_complex_matrix,
-    basis_matrix,
     check_dimension,
     frobenius,
     haar_orthonormal_pair,
@@ -177,30 +178,27 @@ def phase_unitary(d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def generator_blocks(d: int):
-    """Transfers of the generator's kappa and kappa nu / d blocks, built
-    literally from their defining sums; read-only and cached per d."""
+    """Transfers of the generator's kappa and kappa nu / d blocks; read-only, cached per d.
+
+    The defining sums are set entrywise (``vec`` index c d + r holds X[r, c]).
+    sum_{i != j} E_ij X E_ji = sum_{i != j} X_jj E_ii, so hop is 1 at (ii, jj)
+    for i != j and -(d - 1) on the diagonal.  sum_{k=1}^{d-1} Z^k X Z*^k
+    multiplies X[r, c] by d delta_rc - 1, so phase is diagonal with entries
+    d delta_rc - d.
+    """
     d = check_dimension(d)
-    eye = np.eye(d * d, dtype=complex)
+    diag = np.arange(d) * (d + 1)  # vec index of X[i, i]
     hop = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                e = basis_matrix(i, j, d)
-                hop += np.kron(e.conj(), e)  # X -> E_ij X E_ji
-    hop -= (d - 1) * eye
-    z = phase_unitary(d)
-    phase = np.zeros_like(hop)
-    for k in range(1, d):
-        zk = np.linalg.matrix_power(z, k)
-        phase += np.kron(zk.conj(), zk)
-    phase -= (d - 1) * eye
+    hop[np.ix_(diag, diag)] = 1.0
+    np.fill_diagonal(hop, -(d - 1))
+    phase = np.diag((d * np.eye(d) - d).ravel().astype(complex))
     for block in (hop, phase):
         block.flags.writeable = False
     return hop, phase
 
 
 def build_generator(p: GenParams) -> SuperMap:
-    """Transfer matrix of the generator, built literally from its defining sums."""
+    """Transfer matrix of the generator, from ``generator_blocks`` and the Hamiltonian."""
     d = p.d
     hop, phase = generator_blocks(d)
     transfer = p.kappa * (hop + (p.nu / d) * phase)
@@ -486,167 +484,52 @@ def dissipation_forms(d: int, ws: np.ndarray) -> np.ndarray:
     Q/kappa = Q_hop + (nu/d) Q_phase (a Hamiltonian part adds nothing: D of
     -i[H, .] is zero).  Each Q(w) is compressed to traceless X by
     ``_compress``; D(X + cI) = D(X), so only the identity's zero eigenvalue
-    goes.  Dense, shape (2, len(ws), d^2 - 1, d^2 - 1).
+    goes.  Dense, shape (2, len(ws), d^2 - 1, d^2 - 1); each part is
+    compressed as it is built.
     """
     n, dd = len(ws), d * d
     rho = vec(np.einsum("ni,nj->nij", ws, ws.conj()))
-    forms = np.empty((2, n, dd, dd), dtype=complex)
-    for q, block in zip(forms, generator_blocks(d)):
+    forms = np.empty((2, n, dd - 1, dd - 1), dtype=complex)
+    for out, block in zip(forms, generator_blocks(d)):
         adj = block.conj().T
         g = unvec(rho @ adj.T, d)  # L^+(w w^+)
         g = (g + g.conj().swapaxes(-1, -2)) / 2.0  # L^+ keeps Hermiticity; drop rounding
         # T^+ P_w at column c' d + r' is (T^+ (conj(w) kron I))[:, r'] w_c'
         u = np.einsum("icr,nc->nir", adj.reshape(dd, d, d), ws.conj())
         tp = (u[:, :, None, :] * ws[:, None, :, None]).reshape(n, dd, dd)
-        q[:] = np.einsum("nab,rs->narbs", g.conj(), np.eye(d)).reshape(n, dd, dd)
+        q = np.einsum("nab,rs->narbs", g.conj(), np.eye(d)).reshape(n, dd, dd)
         q -= tp
         q -= tp.conj().swapaxes(-1, -2)
-    return _compress(forms, d)
-
-
-def _repeat_diagonal(x: csr_array, n: int) -> csr_array:
-    """kron(I_n, x): ``n`` copies of the CSR matrix x down the diagonal."""
-    (rows, cols), nnz = x.shape, x.nnz
-    indices = (x.indices + cols * np.arange(n)[:, None]).ravel()
-    indptr = np.append((x.indptr[:-1] + nnz * np.arange(n)[:, None]).ravel(), n * nnz)
-    return csr_array((np.tile(x.data, n), indices, indptr), shape=(n * rows, n * cols))
-
-
-def _kron_eye(a: np.ndarray, d: int) -> csr_array:
-    """Block diagonal of kron(a[n], I_d) over a (N, d, d) stack, sparse."""
-    n, c, c2 = np.nonzero(a)
-    dd, r = d * d, np.arange(d)
-    rows = ((n * dd + c * d)[:, None] + r).ravel()
-    cols = ((n * dd + c2 * d)[:, None] + r).ravel()
-    return csr_array((np.repeat(a[n, c, c2], d), (rows, cols)),
-                     shape=(len(a) * dd, len(a) * dd))
-
-
-@lru_cache(maxsize=None)
-def _sparse_form_operators(d: int):
-    """The basis of ``_omega_complement``, its transpose, and the adjoints of hop and phase."""
-    order, inner = _omega_complement(d)
-    k = d * d - d
-    basis = csr_array((np.concatenate((np.ones(k), inner.ravel())),
-                       (np.concatenate((order[:k], np.repeat(order[k:], d - 1))),
-                        np.concatenate((np.arange(k), k + np.tile(np.arange(d - 1), d))))),
-                      shape=(d * d, d * d - 1))
-    adjoints = tuple(csr_array(block.conj().T) for block in generator_blocks(d))
-    return basis, basis.T.tocsr(), adjoints
-
-
-def _sparse_dissipation_forms(d: int, ws: np.ndarray):
-    """``dissipation_forms`` as entries of one sparse block diagonal matrix.
-
-    Block n, of size d^2 - 1, is the compressed Q(ws[n]); the forms of
-    sparse vectors w are sparse.  Returns ``(rows, cols, vals)``, the
-    entries of both parts (vals of shape (2, E)) on their joint pattern.
-    """
-    n = len(ws)
-    basis, basis_t, adjoints = _sparse_form_operators(d)
-    basis, basis_t = _repeat_diagonal(basis, n), _repeat_diagonal(basis_t, n)
-    proj = _kron_eye(ws.conj()[:, :, None] * ws[:, None, :], d)
-    rho = vec(np.einsum("ni,nj->nij", ws, ws.conj()))
-    forms = []
-    for adj in adjoints:
-        g = unvec((adj @ rho.T).T, d)
-        g = (g + g.conj().swapaxes(-1, -2)) / 2.0
-        tp = _repeat_diagonal(adj, n) @ proj
-        forms.append(basis_t @ (_kron_eye(g.conj(), d) - tp - tp.conj().T) @ basis)
-    joint = (abs(forms[0]) + abs(forms[1])).tocoo()
-    keep = joint.data != 0
-    rows, cols = joint.row[keep], joint.col[keep]
-    return rows, cols, np.stack([f[rows, cols] for f in forms])
-
-
-# Candidates times d^2 coordinates whose sparse forms are built together: at
-# d = 16 the temporaries of 128 candidates stay near 13 MB, where all 257 at
-# once take 28 MB.
-_FORM_CHUNK = 2**15
-
-# The blocks of a d are kept for the life of the process while they take at
-# most this many bytes (d <= 11); larger ones only until another large d is
-# labelled, so a bisection still labels once.  Kept blocks cost about twice
-# their size in resident memory, and those of d = 2..16 together 7.5 MB.
-_KEPT_FORM_BYTES = 2**19
-_kept_forms: dict = {}
-_last_forms: dict = {}
-
-
-def _candidate_form_blocks(d: int):
-    """``_label_candidate_forms(d)``, kept as ``_KEPT_FORM_BYTES`` allows."""
-    forms = _kept_forms.get(d) or _last_forms.get(d)
-    if forms is None:
-        forms = _label_candidate_forms(d)
-        if sum(a.nbytes for group in forms[1] for a in group[1:]) <= _KEPT_FORM_BYTES:
-            _kept_forms[d] = forms
-        else:
-            _last_forms.clear()
-            _last_forms[d] = forms
+        out[:] = _compress(q, d)
     return forms
 
 
-def _label_candidate_forms(d: int):
-    """The deterministic candidates w and the blocks of their forms, by size.
+# The family each orbit representative stands for: e_1, (e_1 + e_2)/sqrt 2 and
+# the uniform vector, rows 0, d and d^2 of ``positivity_candidates(d)``.
+_FAMILIES = ("basis", "pair", "uniform")
 
-    Nothing here depends on kappa, nu, h or a seed, so a d's forms are built
-    and labelled once while they are kept.  The blocks are read-only, in
-    groups (size, candidate of each block, hop entries, phase entries): a
-    1 x 1 block as its real diagonal pair, once per distinct pair, and a
-    larger one as its lower triangle, which is all ``eigvalsh`` reads.  A
-    part with no imaginary entry is kept real.
+
+def _form_parts(d: int, n: int, seed):
+    """Dense hop and phase forms, (3 + n, d^2 - 1, d^2 - 1) each, and their w.
+
+    The first three w are the orbit representatives, the rest ``n`` Haar
+    vectors drawn from ``seed``.
     """
-    ws = positivity_candidates(d)
-    m = d * d - 1
-    chunk = max(1, _FORM_CHUNK // (d * d))
-    by_size = {}
-    for start in range(0, len(ws), chunk):
-        sub = ws[start:start + chunk]
-        for idx, blocks in affine_blocks(*_sparse_dissipation_forms(d, sub), len(sub) * m):
-            rows, cols = np.tril_indices(blocks.shape[-1])
-            by_size.setdefault(blocks.shape[-1], []).append(
-                (start + idx[:, 0] // m, blocks[:, :, rows, cols]))
-    groups = []
-    for size, pieces in sorted(by_size.items()):
-        owner = np.concatenate([o for o, _ in pieces])
-        low = np.concatenate([v for _, v in pieces], axis=1)
-        if size == 1:  # real diagonal pairs, packed as complex numbers to find repeats
-            pair, first = np.unique(low[0, :, 0].real + 1j * low[1, :, 0].real,
-                                    return_index=True)
-            owner, low = owner[first], np.stack((pair.real, pair.imag))[:, :, None]
-        parts = [(v.real if np.iscomplexobj(v) and not v.imag.any() else v).copy()
-                 for v in low]
-        groups.append((size, owner, *parts))
-    for arr in [ws] + [a for group in groups for a in group[1:]]:
-        arr.flags.writeable = False
-    return ws, tuple(groups)
-
-
-def _candidate_form_minimum(d: int, t: float):
-    """Smallest eigenvalue of Q_hop + t Q_phase over the deterministic forms, and its w."""
-    ws, groups = _candidate_form_blocks(d)
-    best, k = np.inf, 0
-    for size, owner, hop, phase in groups:
-        vals = hop + t * phase
-        if size == 1:
-            mins = vals[:, 0]
-        else:
-            rows, cols = np.tril_indices(size)
-            mats = np.zeros((len(owner), size, size), dtype=vals.dtype)
-            mats[:, rows, cols] = vals
-            mins = np.linalg.eigvalsh(mats, UPLO="L")[:, 0]
-        i = int(np.argmin(mins))
-        if mins[i] < best:
-            best, k = mins[i], owner[i]
-    family = "basis" if k < d else "pair" if k < d * d else "uniform"
-    return best, ws[k], family
-
-
-def _haar_form_parts(d: int, n: int, seed):
-    """Dense hop and phase forms, (n, d^2 - 1, d^2 - 1) each, of ``n`` Haar vectors w."""
-    ws = positivity_candidates(d, n, np.random.default_rng(seed))[d * d + 1:]
+    ws = positivity_candidates(d, n, np.random.default_rng(seed))
+    ws = np.concatenate((ws[[0, d, d * d]], ws[d * d + 1:]))
     hop, phase = dissipation_forms(d, ws)
     return hop, phase, ws
+
+
+def _representative_minimum(parts, t: float):
+    """Smallest eigenvalue of Q_hop + t Q_phase over the three representatives, and its w."""
+    hop, phase, ws = parts
+    mats = hop[:3] + t * phase[:3]
+    if not mats.imag.any():  # real w: the exact blocks give real forms
+        mats = mats.real
+    mins = np.linalg.eigvalsh(mats)[:, 0]
+    k = int(np.argmin(mins))
+    return mins[k], ws[k], _FAMILIES[k]
 
 
 @dataclass(frozen=True)
@@ -665,12 +548,14 @@ def is_dissipative(p: GenParams, sample_budget: int = 10_000,
     ``min_sampled_eig`` is the smallest eigenvalue of Q(w)/kappa on traceless
     X (the exact minimum of w^+ M(a, X) w over unit traceless X), minimised
     over the d^2 + 1 deterministic ``positivity_candidates`` and
-    ceil(budget / d^3) seeded Haar vectors w.  Stage 1 solves the kept
-    blocks of the deterministic forms; stage 2 certifies the dense Haar
-    forms with ``linalg.min_eig_capped``, capped at the stage-1 minimum, so
-    the result is a plain solve's.  ``argmin_w`` is the deciding w and
-    ``argmin_family`` its kind: ``basis``, ``pair``, ``uniform`` or
-    ``haar``.  ``sample_budget = 0`` runs no oracle and reports infinity.
+    ceil(budget / d^3) seeded Haar vectors w.  Stage 1 solves the forms of
+    the deterministic candidates' three orbit representatives, which have
+    their minimum; stage 2 certifies the Haar forms with
+    ``linalg.min_eig_capped``, capped at the stage-1 minimum, so the result
+    is a plain solve's.  ``argmin_w`` is the deciding w (a representative,
+    or a Haar vector) and ``argmin_family`` its kind: ``basis``, ``pair``,
+    ``uniform`` or ``haar``.  ``sample_budget = 0`` runs no oracle and
+    reports infinity.
 
     The witness, a closed-form cross-check that decides nothing, is
     evaluated at its optimal parameter c* = d/(d+2-2a) when d + 2 - 2a > 0;
@@ -687,9 +572,10 @@ def is_dissipative(p: GenParams, sample_budget: int = 10_000,
         min_witness = min(witness_min_eig(d, a, c) for c in (10.0, 100.0))
     best, w, family = np.inf, None, None
     if sample_budget > 0:
-        best, w, family = _candidate_form_minimum(d, p.nu / d)
         n = -(-int(sample_budget) // d ** 3)
-        q0, q1, haar = _seeded_parts("dissipativity", d, n, seed, _haar_form_parts)
+        parts = _seeded_parts("dissipativity", d, n, seed, _form_parts)
+        best, w, family = _representative_minimum(parts, p.nu / d)
+        q0, q1, haar = (arr[3:] for arr in parts)
         mats = np.multiply(q1, p.nu / d)
         mats += q0
         low = min_eig_capped(mats[:, None], np.full(n, best))

@@ -108,48 +108,6 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return (np.cumsum(roots) - 1)[labels]
 
 
-def affine_blocks(rows, cols, vals, n: int):
-    """Dense diagonal blocks of K matrices on ``n`` indices, given by their entries.
-
-    Part k holds ``vals[k, e]`` at (``rows[e]``, ``cols[e]``), each position
-    listed at most once; positions not listed are zero.  The blocks are the
-    connected components of the joint pattern, each with its indices
-    ascending, so every combination of the parts is block diagonal on them
-    and its spectrum is the union of the block spectra.  This is
-    ``min_eig_affine``'s split for matrices too large to hold densely.
-    Returns one ``(idx, blocks)`` per block size s, ascending: ``idx``
-    (B, s) holds each block's indices and ``blocks`` (K, B, s, s) its
-    entries, in real arithmetic when no entry has an imaginary part.
-    """
-    vals = np.asarray(vals)
-    if np.iscomplexobj(vals) and not vals.imag.any():
-        vals = vals.real
-    labels = _component_labels(rows, cols, n)
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    pos = np.empty(n, dtype=np.intp)  # an index's place inside its block
-    pos[order] = np.arange(n) - starts[labels[order]]
-    rank = np.empty(sizes.size, dtype=np.intp)  # a block's place among those of its size
-    entry_label = labels[rows]
-    entry_size = sizes[entry_label]
-    by_size = np.argsort(entry_size, kind="stable")
-    size_set = np.unique(sizes)
-    ends = np.searchsorted(entry_size[by_size], size_set, side="right")
-    out = []
-    for size, lo, hi in zip(size_set, np.concatenate(([0], ends[:-1])), ends):
-        of_size = np.flatnonzero(sizes == size)
-        rank[of_size] = np.arange(of_size.size)
-        idx = order[starts[of_size][:, None] + np.arange(size)]
-        sel = by_size[lo:hi]
-        r, c = rows[sel], cols[sel]
-        flat = (rank[entry_label[sel]] * size + pos[r]) * size + pos[c]
-        blocks = np.zeros((vals.shape[0], of_size.size, size, size), dtype=vals.dtype)
-        blocks.reshape(vals.shape[0], -1)[:, flat] = vals[:, sel]
-        out.append((idx, blocks))
-    return out
-
-
 def min_eig_affine(parts, coef) -> np.ndarray:
     """Smallest eigenvalue of ``sum_k coef[g, k] * parts[k]`` for every row g.
 

@@ -184,13 +184,14 @@ def classify_point(p: MapParams) -> RegionVerdict:
 # numeric oracles
 # ---------------------------------------------------------------------------
 
-# Bytes of sampled positivity outputs and their Cholesky factor held at once;
-# at d = 16 with budget 256 a point's take 2 MB, so ``chunk`` alone would hold 1 GB.
+# Points whose sampled positivity outputs are certified together, and the bytes
+# of those outputs and their Cholesky factor held at once; at d = 16 with
+# budget 256 a point's take 2 MB, so ``_CHUNK`` points alone would hold 1 GB.
+_CHUNK = 512
 _CHUNK_BYTES = 64 * 2**20
 
 
-def _positivity_min(parts, coef, d: int, sample_budget: int, seed: int,
-                    chunk: int = 512) -> np.ndarray:
+def _positivity_min(parts, coef, d: int, sample_budget: int, seed: int) -> np.ndarray:
     """Smallest output eigenvalue over the positivity candidates, per row of ``coef``.
 
     The maps are ``sum_k coef[g, k] * parts[k]`` for (K, d^2, d^2) transfer
@@ -201,7 +202,7 @@ def _positivity_min(parts, coef, d: int, sample_budget: int, seed: int,
     ``linalg.min_eig_capped`` with the stage-1 minima as caps: it certifies
     them with a batched Cholesky and solves by ``eigvalsh`` only the
     outputs, in parts of 64, where the certificate fails (ties, or a sample
-    that sets the minimum).  A chunk holds at most ``chunk`` points and,
+    that sets the minimum).  A chunk holds at most ``_CHUNK`` points and,
     with the Cholesky factor, ``_CHUNK_BYTES``.
     """
     rng = np.random.default_rng(seed)
@@ -227,7 +228,7 @@ def _positivity_min(parts, coef, d: int, sample_budget: int, seed: int,
     # the real coefficients combine the samples' real and imaginary parts alike
     flat = np.ascontiguousarray(sampled).view(float).reshape(len(sampled), -1)
     g = coef.shape[0]
-    chunk = max(1, min(chunk, g, _CHUNK_BYTES // (2 * sampled[0].nbytes)))
+    chunk = max(1, min(_CHUNK, g, _CHUNK_BYTES // (2 * sampled[0].nbytes)))
     buf = np.empty((chunk, flat.shape[1]))
     for start in range(0, g, chunk):
         sl = slice(start, min(start + chunk, g))
@@ -287,8 +288,7 @@ def _closed_slacks(d: int, aa, bb) -> dict:
 
 
 def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
-                  seed: int = 42, tol: float = 1e-9,
-                  chunk: int = 512) -> dict:
+                  seed: int = 42, tol: float = 1e-9) -> dict:
     """Closed-form and numeric classification over a coordinate grid.
 
     Returns arrays of shape (len(alphas), len(betas)): closed-form booleans
@@ -299,9 +299,8 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
     deterministic candidates, are solved blockwise; the sampled candidates'
     outputs are certified against that minimum by a batched Cholesky and
     solved by ``eigvalsh`` only where the certificate fails.
-    ``chunk`` bounds the points whose sampled outputs are held at once, and
-    fewer are held when the outputs and their Cholesky factor would exceed
-    64 MB.
+    At most 512 points' sampled outputs are held at once, and fewer when
+    the outputs and their Cholesky factor would exceed 64 MB.
     """
     d = check_dimension(d)
     alphas = np.asarray(alphas, dtype=float)
@@ -318,7 +317,7 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
     choi_min = min_eig_affine(choi_parts, coef)
     pt_min = min_eig_affine(partial_transpose(choi_parts, d, 2), coef)
 
-    pos_min = _positivity_min(parts, coef, d, sample_budget, seed, chunk)
+    pos_min = _positivity_min(parts, coef, d, sample_budget, seed)
 
     return {
         "alphas": alphas,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quditmaps import cli
+from quditmaps import cli, generators
 from quditmaps.channels import QuantumState, apply as apply_map, state_to_json
 from quditmaps.dynamics import OptimalENM, map_at
 
@@ -137,12 +137,28 @@ def test_apply_roundtrip(tmp_path, capsys):
     assert np.allclose(got, expected, atol=1e-10)
 
 
-def test_deterministic_output(capsys):
+def test_deterministic_output(capsys, monkeypatch):
     _, out1 = run(capsys, ["classify", "--d", "4", "--alpha", "0.9",
                            "--beta", "-0.2", "--budget", "500", "--seed", "7"])
     _, out2 = run(capsys, ["classify", "--d", "4", "--alpha", "0.9",
                            "--beta", "-0.2", "--budget", "500", "--seed", "7"])
     assert out1 == out2
+
+    # the Schwarz oracle's seeded slot: fresh, hit, and holding another d's parts
+    spectrum = ["spectrum", "--d", "16", "--kappa", "1", "--nu", "-0.85",
+                "--seed", "7", "--budget", "1000"]
+    generators._sample_parts.clear()
+    _, fresh = run(capsys, spectrum)
+    orig = cli.is_dissipative
+    with monkeypatch.context() as m:
+        # the second of two back-to-back calls reads the parts the first kept
+        m.setattr(cli, "is_dissipative", lambda *args: (orig(*args), orig(*args))[1])
+        _, hit = run(capsys, spectrum)
+    run(capsys, ["spectrum", "--d", "5", "--kappa", "1", "--nu", "-0.85",
+                 "--seed", "7", "--budget", "1000"])
+    _, after = run(capsys, spectrum)
+    assert json.loads(fresh)["class_tests"]["schwarz"]["decided_by"] is not None
+    assert fresh == hit == after
 
 
 def test_output_file(tmp_path, capsys):

@@ -64,6 +64,55 @@ def test_generator_compact_form():
             assert np.abs(gen(x) - expected).max() <= 1e-12
 
 
+def literal_generator_blocks(d):
+    """hop and phase from np.kron loops over their defining sums."""
+    eye = np.eye(d * d, dtype=complex)
+    hop = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                e = la.basis_matrix(i, j, d)
+                hop += np.kron(e.conj(), e)  # X -> E_ij X E_ji
+    hop -= (d - 1) * eye
+    z = g.phase_unitary(d)
+    phase = np.zeros_like(hop)
+    for k in range(1, d):
+        zk = np.linalg.matrix_power(z, k)
+        phase += np.kron(zk.conj(), zk)
+    phase -= (d - 1) * eye
+    return hop, phase
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_generator_blocks_match_the_defining_sums(d):
+    hop, phase = g.generator_blocks(d)
+    ref_hop, ref_phase = literal_generator_blocks(d)
+    assert np.array_equal(hop, ref_hop)
+    assert np.abs(phase - ref_phase).max() <= 1e-13
+    assert not (hop.flags.writeable or phase.flags.writeable)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_generator_blocks_are_permutation_and_sign_covariant(d):
+    # X -> U X U^+ for a transposition or a single-coordinate sign flip U (both
+    # real) has transfer U kron U; it maps vec index c d + r to u(c) d + u(r)
+    # with sign s_c s_r, so conjugating a block by it only reindexes entries
+    blocks = g.generator_blocks(d)
+    idx = np.arange(d)
+    for i in range(d):
+        sign = np.ones(d)
+        sign[i] = -1.0
+        s = np.outer(sign, sign).ravel()  # vec index c d + r -> s_c s_r
+        for block in blocks:
+            assert np.array_equal(s[:, None] * block * s[None, :], block)
+        for j in range(i + 1, d):
+            perm = idx.copy()
+            perm[[i, j]] = perm[[j, i]]
+            vec_perm = (perm[:, None] * d + perm[None, :]).ravel()
+            for block in blocks:
+                assert np.array_equal(block[np.ix_(vec_perm, vec_perm)], block)
+
+
 def test_generator_annihilates_trace():
     # the battery stops at d = 5
     cases = [(d, 1.0, -0.8) for d in (2, 3, 4, 8, 16)]
@@ -361,39 +410,18 @@ def test_bisection_draws_its_samples_once(monkeypatch, fresh_sample_parts):
     _bisect_nine(lambda nu: g.is_dissipative(
         g.GenParams(d, 1.3, nu), budget, seed).min_sampled_eig >= -1e-9, -0.9, -0.5)
     assert draws["positivity_candidates"] == 1
-    # the pair set was dropped when the Haar w were drawn: ceil(2000 / 5^3) of them
+    # the pair set was dropped when the Haar w were drawn: ceil(2000 / 5^3) of
+    # them, after the three orbit representatives
     key = ("dissipativity", d, 16, seed)
     assert list(fresh_sample_parts) == [key]
     hop, phase, ws = fresh_sample_parts[key]
-    assert hop.shape == phase.shape == (16, d * d - 1, d * d - 1) and ws.shape == (16, d)
+    assert hop.shape == phase.shape == (3 + 16, d * d - 1, d * d - 1)
+    assert ws.shape == (3 + 16, d)
     assert all(not a.flags.writeable for a in fresh_sample_parts[key])
 
     g.is_dissipative(g.GenParams(d, 1.3, -0.6), budget, seed + 1)
     assert draws["positivity_candidates"] == 2
     assert list(fresh_sample_parts) == [("dissipativity", d, 16, seed + 1)]
-
-
-def test_deterministic_forms_are_labelled_once_per_d(monkeypatch, fresh_sample_parts):
-    built = []
-    orig = g._label_candidate_forms
-
-    def counting(d):
-        built.append(d)
-        return orig(d)
-
-    monkeypatch.setattr(g, "_label_candidate_forms", counting)
-    monkeypatch.setattr(g, "_kept_forms", {})
-    monkeypatch.setattr(g, "_last_forms", {})
-    for d, nus in ((5, (-0.9, -0.5)), (16, (-1.0, -0.8)), (5, (-0.9, -0.5)), (12, (-1.0, -0.8))):
-        for seed in (3, 4):
-            _bisect_nine(lambda nu: g.is_dissipative(
-                g.GenParams(d, 0.7, nu), 500, seed).min_sampled_eig >= -1e-9, *nus)
-    # the small d is kept; a large d stays until the next large one is labelled
-    assert built == [5, 16, 12]
-    assert list(g._kept_forms) == [5] and list(g._last_forms) == [12]
-    ws, groups = g._candidate_form_blocks(5)
-    assert len(ws) == 5 * 5 + 1
-    assert all(not a.flags.writeable for a in [ws] + [a for gr in groups for a in gr[1:]])
 
 
 @pytest.mark.parametrize("far_nu", [-3.0, 1.5])
@@ -461,6 +489,24 @@ def test_form_oracle_matches_dense_forms_from_the_definition(d, kappa, nu, seed,
     assert rep.argmin_family in ("basis", "pair", "uniform", "haar")
 
 
+@pytest.mark.parametrize("d", [9, 10, 11, 12])
+def test_representatives_give_the_minimum_over_all_deterministic_forms(d):
+    # permutations and sign flips carry every deterministic candidate onto a
+    # representative, so its three forms have the minimum of all d^2 + 1
+    nus = (-1.5, -1.0, g.schwarz_threshold(d), -0.3, 0.0, 1.2)
+    ws = la.positivity_candidates(d)
+    ref = np.full(len(nus), np.inf)
+    for start in range(0, len(ws), 16):
+        hop, phase = g.dissipation_forms(d, ws[start:start + 16])
+        for i, nu in enumerate(nus):
+            ref[i] = min(ref[i], np.linalg.eigvalsh(hop + (nu / d) * phase)[:, 0].min())
+    parts = g._form_parts(d, 1, 0)
+    for nu, expected in zip(nus, ref):
+        best, w, family = g._representative_minimum(parts, nu / d)
+        assert abs(best - expected) <= 1e-12 * (d + abs(1.0 - nu)) * d
+        assert np.array_equal(w, ws[{"basis": 0, "pair": d, "uniform": d * d}[family]])
+
+
 @pytest.mark.parametrize("d, budget", [(2, 40), (3, 300), (5, 600)])
 def test_haar_stage_finds_the_minimum_below_its_cap(d, budget, monkeypatch,
                                                    fresh_sample_parts):
@@ -470,7 +516,7 @@ def test_haar_stage_finds_the_minimum_below_its_cap(d, budget, monkeypatch,
     haar = haar_candidates(d, budget, 7)[d * d + 1:]
     ref = reference_form_minima(p, haar)
     cap = float(np.median(ref))
-    monkeypatch.setattr(g, "_candidate_form_minimum", lambda d, t: (cap, haar[0], "basis"))
+    monkeypatch.setattr(g, "_representative_minimum", lambda d, t: (cap, haar[0], "basis"))
     rep = g.is_dissipative(p, budget, 7)
     assert rep.argmin_family == "haar"
     assert abs(rep.min_sampled_eig - ref.min()) <= 1e-12 * (1.0 + d * (d + 0.4))

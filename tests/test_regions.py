@@ -288,7 +288,8 @@ def test_grid_positivity_batches_stay_within_byte_budget(monkeypatch):
     assert sizes["cholesky"] and 2 * max(sizes["cholesky"]) <= r._CHUNK_BYTES
     assert sizes["eigvalsh"] and max(sizes["eigvalsh"]) <= r._CHUNK_BYTES
     monkeypatch.undo()
-    one = r.classify_grid(d, *r.default_grid(d, 8), sample_budget=256, seed=2, chunk=1)
+    monkeypatch.setattr(r, "_CHUNK", 1)
+    one = r.classify_grid(d, *r.default_grid(d, 8), sample_budget=256, seed=2)
     assert np.abs(res["pos_min"] - one["pos_min"]).max() <= 1e-12
 
 
