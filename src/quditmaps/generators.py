@@ -58,9 +58,14 @@ oracle keeps what does not depend on (kappa, nu, h), and a call only
 combines it:
 
 * pair oracle: each pair's functional value under hop, phase and the d
-  Hamiltonian units.  The hop and phase blocks are applied as the sparse
-  matrices they are (496 and 252 nonzeros of 65 536 at d = 16).  A call is
-  one (pairs x (d + 2)) product and an argmin;
+  Hamiltonian units.  hop and phase commute with X -> U X U^+ for every
+  diagonal unitary U, which multiplies X[r, c] by u_r conj(u_c); so a
+  transfer entry may link X[r, c] to X[r', c'] only where u_r' conj(u_c') =
+  u_r conj(u_c) for every U: on the diagonal, or between two populations
+  X[j, j] -> X[i, i].  ``_covariant_blocks`` reads the two blocks on that
+  support (and raises if an entry lies off it), so the value of N pairs
+  takes two (N x d) @ (d x d) products per block, with no (d^2, N) stack
+  of |x><x|.  A call is one (pairs x (d + 2)) product and an argmin;
 * dissipativity oracle: Q(w) is linear in the generator, and D of -i[H, .]
   is zero, so Q/kappa = Q_hop + (nu/d) Q_phase.  The candidates w are the
   three orbit representatives of the deterministic ``positivity_candidates``
@@ -86,9 +91,12 @@ d = 2, 3, 5, 8 and 16 (about 50, 70, 140, 300 and 1000 ms when 10 000
 random X were solved).  A call with budget 1000 and a new seed, forms
 built included, takes about 1 ms at d = 2, 3 ms at d = 8 (2.4 and 13 ms
 with random X), 8 ms at d = 12 and 32 ms at d = 16.
-``generator_blocks(16)`` takes under 2 ms.  A repeated pair-oracle call at
-d = 8 takes 0.1 ms; ``is_ccp`` at d = 16 takes 2 to 5 ms, where the dense
-255 x 255 eigensolve took 24 ms.
+``generator_blocks(16)`` takes under 2 ms.  The pair parts of budget
+10 000 take about 6, 6, 9, 14 and 28 ms at d = 2, 3, 5, 8 and 16 (about
+13, 18, 33, 58 and 185 ms through the (d^2, N) stack), half of it or more
+in drawing the normals.  A repeated pair-oracle call at d = 8 takes 0.1 ms;
+``is_ccp`` at d = 16 takes 2 to 5 ms, where the dense 255 x 255 eigensolve
+took 24 ms.
 """
 
 from __future__ import annotations
@@ -98,7 +106,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.sparse import csr_array
 
 from .channels import SuperMap, dephase
 from .errors import (
@@ -106,6 +113,7 @@ from .errors import (
     NegativeRate,
     NotOrthonormal,
     NotTraceless,
+    QuditMapsError,
     UnknownName,
 )
 from .linalg import (
@@ -329,30 +337,64 @@ class PairSamplingReport:
     argmin_pair: tuple = field(repr=False, default=())
 
 
+@lru_cache(maxsize=None)
+def _covariant_blocks(d: int):
+    """hop and phase as (b, P) pairs of d x d arrays; read-only, cached per d.
+
+    A transfer T that commutes with X -> U X U^+ for every diagonal unitary
+    U has nonzeros only on its diagonal and in its population block, the
+    entries (i(d+1), j(d+1)) that map X[j, j] to X[i, i].  b[r, c] is the
+    diagonal entry T[c d + r, c d + r] that scales X[r, c] (zero for r = c)
+    and P[i, j] = T[i(d+1), j(d+1)].  Each block's support is checked
+    exactly; an entry outside it raises instead of being dropped.  A block
+    with no imaginary part gives real arrays.
+    """
+    diag = np.arange(d) * (d + 1)  # vec index of X[i, i]
+    support = np.eye(d * d, dtype=bool)
+    support[np.ix_(diag, diag)] = True
+    out = []
+    for name, block in zip(("hop", "phase"), generator_blocks(d)):
+        if np.any(block[~support]):
+            raise QuditMapsError(f"the {name} block at d = {d} has entries outside the "
+                                 "diagonal and the population block")
+        if not block.imag.any():
+            block = block.real
+        b = np.diagonal(block).reshape(d, d).T.copy()  # b[r, c] = T[c d + r, c d + r]
+        np.fill_diagonal(b, 0.0)
+        pop = block[np.ix_(diag, diag)]
+        for arr in (b, pop):
+            arr.flags.writeable = False
+        out.append((b, pop))
+    return tuple(out)
+
+
 def _pair_parts(d: int, n: int, seed):
     """Each pair's functional value under each basis generator, and the pairs.
 
     Rows are the two-coordinate pairs, then ``n`` Haar pairs drawn from
     ``seed``; columns are hop, phase and the d units -i [E_kk, .] of the
     diagonal Hamiltonian, so ``parts @ [kappa, kappa nu / d, h_1 .. h_d]`` is
-    the functional of the generator with those parameters.
+    the functional of the generator with those parameters.  For a block
+    (b, P) of ``_covariant_blocks`` and rho = |x><x|,
+
+        <y| T(rho) |y> = sum_{r != c} b[r, c] a_r conj(a_c)
+                         + sum_{i, j} P[i, j] |y_i|^2 |x_j|^2,   a = conj(y) x,
+
+    one (pairs x d) @ (d x d) product and a row sum per term.
     """
     xs, ys = (np.asarray(v) for v in zip(*two_coordinate_pairs(d)))
     if n > 0:
         sx, sy = haar_orthonormal_pair(d, np.random.default_rng(seed), n=n)
         xs, ys = np.concatenate((xs, sx)), np.concatenate((ys, sy))
-    # vec(|x><x|) as columns (samples on the last axis, C order for the sparse
-    # products): row c*d + r holds x_r conj(x_c), as in ``linalg.vec``
-    xt, yt = xs.T, ys.T
-    rho = (xt.conj()[:, None, :] * xt[None, :, :]).reshape(d * d, -1)
-    # <y| B(rho) |y> with B(rho) laid out as [c, r, sample]
-    cols = [np.einsum("rn,crn,cn->n", yt.conj(),
-                      (csr_array(block) @ rho).reshape(d, d, -1), yt).real
-            for block in generator_blocks(d)]
-    # <y| -i (E_kk rho - rho E_kk) |y> with rho = |x><x|
-    ovl = np.einsum("ni,ni->n", xs.conj(), ys)  # <x|y>
-    ham = (-1j * (ys.conj() * xs * ovl[:, None]
-                  - (xs.conj() * ys) * ovl.conj()[:, None])).real
+    a = ys.conj() * xs
+    ac = a.conj()
+    px, py = np.abs(xs) ** 2, np.abs(ys) ** 2
+    cols = [np.einsum("nr,nr->n", a, ac @ b.T).real
+            + np.einsum("ni,ni->n", py, px @ pop.T).real
+            for b, pop in _covariant_blocks(d)]
+    # <y| -i (E_kk rho - rho E_kk) |y> = -i (a_k <x|y> - conj(a_k) <y|x>)
+    ovl = ac.sum(axis=1, keepdims=True)  # <x|y>
+    ham = (-1j * (a * ovl - ac * ovl.conj())).real
     return np.column_stack(cols + [ham]), xs, ys
 
 

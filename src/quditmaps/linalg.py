@@ -302,17 +302,21 @@ def random_traceless(d: int, rng: np.random.Generator, n: int | None = None) -> 
 def haar_orthonormal_pair(d: int, rng: np.random.Generator, n: int | None = None):
     """Haar-random orthonormal pairs (x, y) in C^d, batched when n is given.
 
-    The pair is the Q factor of a complex Gaussian d x 2 matrix, its column
-    phases fixed by R's diagonal: the first two columns of a Haar unitary.
+    The pair is the first two columns of a Haar unitary: the Q factor of a
+    complex Gaussian d x 2 matrix [z1 z2] whose R has a positive diagonal
+    (Mezzadri, "How to generate random matrices from the classical compact
+    groups", Notices AMS 2007).  For two columns that Q is Gram-Schmidt:
+    x = z1 / |z1|, and y is z2 with its x-component removed, normalised.
+    The removal is made twice (CGS2), so y stays orthogonal to x to rounding
+    even when z2 is nearly parallel to z1.
     """
     shape = (d, 2) if n is None else (n, d, 2)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    q, r = np.linalg.qr(g)
-    # fix the phase so the distribution is Haar
-    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    ph = np.where(np.abs(ph) == 0, 1.0, ph / np.abs(ph))
-    q = q * ph[..., None, :].conj()
-    return q[..., :, 0], q[..., :, 1]
+    x, y = g[..., 0], g[..., 1]
+    x = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    for _ in range(2):
+        y = y - x * np.einsum("...i,...i->...", x.conj(), y)[..., None]
+    return x, y / np.linalg.norm(y, axis=-1, keepdims=True)
 
 
 def two_coordinate_pairs(d: int):

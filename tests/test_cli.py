@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quditmaps import cli, generators
 from quditmaps.channels import QuantumState, apply as apply_map, state_to_json
@@ -158,6 +160,34 @@ def test_deterministic_output(capsys, monkeypatch):
                  "--seed", "7", "--budget", "1000"])
     _, after = run(capsys, spectrum)
     assert json.loads(fresh)["class_tests"]["schwarz"]["decided_by"] is not None
+    assert fresh == hit == after
+
+
+# capsys is read after every call, so one instance serves all examples
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["spectrum", "classify"]), d=st.integers(2, 16),
+       other=st.integers(2, 16), seed=st.integers(0, 2**31 - 1),
+       budget=st.integers(0, 300), x=st.floats(-1.0, 1.5), y=st.floats(-1.0, 1.5))
+def test_seeded_output_does_not_depend_on_the_sample_slot(capsys, command, d, other, seed,
+                                                         budget, x, y):
+    def argv(dim):
+        point = (["--kappa", "1", f"--nu={x!r}"] if command == "spectrum"
+                 else [f"--alpha={x!r}", f"--beta={y!r}"])
+        return [command, "--d", str(dim), *point, "--seed", str(seed),
+                "--budget", str(budget)]
+
+    generators._sample_parts.clear()
+    _, fresh = run(capsys, argv(d))
+    with pytest.MonkeyPatch.context() as m:
+        # the second of two back-to-back calls of each oracle reads the slot
+        for name in ("is_conditionally_positive", "is_dissipative"):
+            orig = getattr(cli, name)
+            m.setattr(cli, name, lambda *args, _orig=orig: (_orig(*args), _orig(*args))[1])
+        _, hit = run(capsys, argv(d))
+    run(capsys, argv(other if other != d else d % 15 + 2))
+    _, after = run(capsys, argv(d))
+    assert fresh
     assert fresh == hit == after
 
 
@@ -418,8 +448,9 @@ def test_reused_parser_gives_the_same_output_as_a_fresh_process(tmp_path, capsys
 
 
 def test_cli_import_loads_no_scipy_optimize():
-    code = "import sys, quditmaps.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, quditmaps.cli; "
+            "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"

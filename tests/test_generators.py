@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
+from scipy.sparse import csr_array
 
 from quditmaps import channels as ch
 from quditmaps import generators as g
 from quditmaps import linalg as la
 from quditmaps import verify
-from quditmaps.errors import NegativeRate, NotOrthonormal, NotTraceless
+from quditmaps.errors import NegativeRate, NotOrthonormal, NotTraceless, QuditMapsError
 
 
 def qubit_generator_transfer(kappa, nu, omega):
@@ -442,6 +443,76 @@ def test_generator_seeds_are_not_kept(fresh_sample_parts):
     b = g.is_dissipative(p, 50, np.random.default_rng(3))
     assert a == b and not fresh_sample_parts
     assert np.array_equal(a.argmin_w, b.argmin_w)
+
+
+# --- the pair parts by the covariant contraction ---------------------------------
+
+def stacked_pair_parts(d, xs, ys):
+    """The pair parts from the dense (d^2, N) stack of vec(|x><x|) and sparse blocks."""
+    xt, yt = xs.T, ys.T
+    rho = (xt.conj()[:, None, :] * xt[None, :, :]).reshape(d * d, -1)
+    cols = [np.einsum("rn,crn,cn->n", yt.conj(),
+                      (csr_array(block) @ rho).reshape(d, d, -1), yt).real
+            for block in g.generator_blocks(d)]
+    ovl = np.einsum("ni,ni->n", xs.conj(), ys)
+    ham = (-1j * (ys.conj() * xs * ovl[:, None]
+                  - (xs.conj() * ys) * ovl.conj()[:, None])).real
+    return np.column_stack(cols + [ham])
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_pair_parts_match_the_dense_stack(d):
+    parts, xs, ys = g._pair_parts(d, 300, 1000 + d)
+    assert parts.shape == (d * (d - 1) // 2 + 300, 2 + d)
+    ref = stacked_pair_parts(d, xs, ys)
+    assert np.abs(parts - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+
+
+@pytest.fixture
+def fresh_covariant_blocks():
+    g._covariant_blocks.cache_clear()
+    g._sample_parts.clear()
+    yield
+    g._covariant_blocks.cache_clear()
+    g._sample_parts.clear()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_pair_parts_contract_any_covariant_transfer(d, monkeypatch, fresh_covariant_blocks):
+    # hop and phase have symmetric, real (b, P); random complex entries on the
+    # covariant support also test the index order of the contraction
+    rng = np.random.default_rng(70 + d)
+    diag = np.arange(d) * (d + 1)
+    blocks = []
+    for _ in range(2):
+        t = np.diag(la.ginibre(d, rng).ravel())
+        t[np.ix_(diag, diag)] = la.ginibre(d, rng)
+        blocks.append(t)
+    monkeypatch.setattr(g, "generator_blocks", lambda dim: tuple(blocks))
+    parts, xs, ys = g._pair_parts(d, 300, 5)
+    ref = stacked_pair_parts(d, xs, ys)
+    assert np.abs(parts - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("entry", ["coherence_to_coherence", "population_to_coherence",
+                                   "coherence_to_population"])
+def test_covariant_blocks_reject_an_entry_off_their_support(which, entry, monkeypatch,
+                                                            fresh_covariant_blocks):
+    d = 3
+    orig = g.generator_blocks
+
+    def perturbed(dim):
+        blocks = [b.copy() for b in orig(dim)]
+        # vec index 1 holds X[1, 0], 3 holds X[0, 1], 4 holds X[1, 1]
+        row, col = {"coherence_to_coherence": (1, 3), "population_to_coherence": (1, 4),
+                    "coherence_to_population": (4, 3)}[entry]
+        blocks[which][row, col] = 1e-300
+        return tuple(blocks)
+
+    monkeypatch.setattr(g, "generator_blocks", perturbed)
+    with pytest.raises(QuditMapsError, match=("hop", "phase")[which]):
+        g.is_conditionally_positive(g.GenParams(d, 1.0, -0.5), 10, 0)
 
 
 # --- the fixed-w form oracle against its definition ----------------------------

@@ -158,6 +158,48 @@ def test_haar_pairs_are_orthonormal():
     assert np.abs(np.einsum("ni,ni->n", xs.conj(), ys)).max() < 1e-12
 
 
+def qr_haar_pair(d, rng, n):
+    """Haar pairs as the Q factor of a Gaussian d x 2 matrix, phases fixed by R's diagonal."""
+    g = rng.standard_normal((n, d, 2)) + 1j * rng.standard_normal((n, d, 2))
+    q, r = np.linalg.qr(g)
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (ph / np.abs(ph))[..., None, :].conj()
+    return q[..., 0], q[..., 1]
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_haar_pairs_match_the_phase_fixed_qr(d):
+    xs, ys = la.haar_orthonormal_pair(d, np.random.default_rng(500 + d), n=2000)
+    ref_x, ref_y = qr_haar_pair(d, np.random.default_rng(500 + d), 2000)
+    assert np.abs(xs - ref_x).max() <= 1e-13
+    assert np.abs(ys - ref_y).max() <= 1e-13
+    # one unbatched pair draws the normals of a batch of one
+    x, y = la.haar_orthonormal_pair(d, np.random.default_rng(d))
+    ref_x, ref_y = qr_haar_pair(d, np.random.default_rng(d), 1)
+    assert x.shape == y.shape == (d,)
+    assert np.abs(x - ref_x[0]).max() <= 1e-13 and np.abs(y - ref_y[0]).max() <= 1e-13
+
+
+class NearParallelNormals:
+    """Hands out Gaussian (n, d, 2) draws whose second column is the first plus 1e-8 noise."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def standard_normal(self, shape):
+        g = self.rng.standard_normal(shape)
+        g[..., 1] = g[..., 0] + 1e-8 * self.rng.standard_normal(shape[:-1])
+        return g
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+def test_haar_pairs_stay_orthonormal_for_near_parallel_draws(d):
+    xs, ys = la.haar_orthonormal_pair(d, NearParallelNormals(d), n=500)
+    assert np.abs(np.linalg.norm(xs, axis=1) - 1.0).max() <= 1e-14
+    assert np.abs(np.linalg.norm(ys, axis=1) - 1.0).max() <= 1e-14
+    assert np.abs(np.einsum("ni,ni->n", xs.conj(), ys)).max() <= 1e-14
+
+
 def test_match_multisets_is_exact():
     # greedy nearest-neighbour pairing takes 0.5 -> 0.6 and strands 1.0 at 0.9
     assert la.match_multisets([0.5, 1.0], [0.1, 0.6], tol=0.45)
