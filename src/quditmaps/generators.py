@@ -57,15 +57,16 @@ and a threshold bisection calls an oracle many times with one seed.  So each
 oracle keeps what does not depend on (kappa, nu, h), and a call only
 combines it:
 
-* pair oracle: each pair's functional value under hop, phase and the d
-  Hamiltonian units.  hop and phase commute with X -> U X U^+ for every
+* pair oracle: each pair's functional value under hop and phase.  The
+  Hamiltonian part adds nothing: <y| -i [H, |x><x|] |y> vanishes for every
+  H because <x|y> = 0.  hop and phase commute with X -> U X U^+ for every
   diagonal unitary U, which multiplies X[r, c] by u_r conj(u_c); so a
   transfer entry may link X[r, c] to X[r', c'] only where u_r' conj(u_c') =
   u_r conj(u_c) for every U: on the diagonal, or between two populations
   X[j, j] -> X[i, i].  ``_covariant_blocks`` reads the two blocks on that
   support (and raises if an entry lies off it), so the value of N pairs
   takes two (N x d) @ (d x d) products per block, with no (d^2, N) stack
-  of |x><x|.  A call is one (pairs x (d + 2)) product and an argmin;
+  of |x><x|.  A call is one (pairs x 2) product and an argmin;
 * dissipativity oracle: Q(w) is linear in the generator, and D of -i[H, .]
   is zero, so Q/kappa = Q_hop + (nu/d) Q_phase.  The candidates w are the
   three orbit representatives of the deterministic ``positivity_candidates``
@@ -369,13 +370,17 @@ def _covariant_blocks(d: int):
 
 
 def _pair_parts(d: int, n: int, seed):
-    """Each pair's functional value under each basis generator, and the pairs.
+    """Each pair's functional value under hop and phase, and the pairs.
 
     Rows are the two-coordinate pairs, then ``n`` Haar pairs drawn from
-    ``seed``; columns are hop, phase and the d units -i [E_kk, .] of the
-    diagonal Hamiltonian, so ``parts @ [kappa, kappa nu / d, h_1 .. h_d]`` is
-    the functional of the generator with those parameters.  For a block
-    (b, P) of ``_covariant_blocks`` and rho = |x><x|,
+    ``seed``; the columns are hop and phase, so ``parts @ [kappa, kappa nu / d]``
+    is the functional of the generator with those parameters, whatever its
+    Hamiltonian: for every H and every orthonormal pair (x, y),
+
+        <y| -i [H, |x><x|] |y> = -i (<y|H|x> <x|y> - <y|x> <x|H|y>) = 0,
+
+    since <x|y> = 0.  For a block (b, P) of ``_covariant_blocks`` and
+    rho = |x><x|,
 
         <y| T(rho) |y> = sum_{r != c} b[r, c] a_r conj(a_c)
                          + sum_{i, j} P[i, j] |y_i|^2 |x_j|^2,   a = conj(y) x,
@@ -392,10 +397,7 @@ def _pair_parts(d: int, n: int, seed):
     cols = [np.einsum("nr,nr->n", a, ac @ b.T).real
             + np.einsum("ni,ni->n", py, px @ pop.T).real
             for b, pop in _covariant_blocks(d)]
-    # <y| -i (E_kk rho - rho E_kk) |y> = -i (a_k <x|y> - conj(a_k) <y|x>)
-    ovl = ac.sum(axis=1, keepdims=True)  # <x|y>
-    ham = (-1j * (a * ovl - ac * ovl.conj())).real
-    return np.column_stack(cols + [ham]), xs, ys
+    return np.column_stack(cols), xs, ys
 
 
 def is_conditionally_positive(p: GenParams, sample_budget: int = 10_000,
@@ -410,7 +412,7 @@ def is_conditionally_positive(p: GenParams, sample_budget: int = 10_000,
         raise NegativeRate(f"kappa must be > 0, got {p.kappa}")
     parts, xs, ys = _seeded_parts("pair", p.d, max(int(sample_budget), 0), seed,
                                   _pair_parts)
-    vals = parts @ np.array([p.kappa, p.kappa * p.nu / p.d, *p.h])
+    vals = parts @ np.array([p.kappa, p.kappa * p.nu / p.d])
     k = int(np.argmin(vals))
     return PairSamplingReport(
         closed_form=p.nu >= positivity_threshold(p.d),

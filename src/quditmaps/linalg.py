@@ -166,13 +166,13 @@ def min_eig_capped(mats, cap) -> np.ndarray:
     ``np.linalg.cholesky`` factors the shifted matrices in pieces of
     ``16 * _SOLVE_SIZE``.  A piece that factors has no eigenvalue at or
     below its cap, and nothing in it is diagonalised.  A piece that does
-    not is factored again in 16 parts of ``_SOLVE_SIZE``; only the parts
-    that fail get their diagonals back and go through ``eigvalsh``.  The
-    margin, 2 (n + 1)^2 machine epsilons of the largest diagonal entry and
-    cap in magnitude, exceeds the rounding of the factorisation and of
-    ``eigvalsh``, so a matrix it passes could not have set the minimum: the
-    result equals a plain ``eigvalsh`` minimum, and only the time depends
-    on the certificate.
+    not is factored again in 16 parts of ``_SOLVE_SIZE`` (unless it is no
+    larger than one part); only the parts that fail get their diagonals
+    back and go through ``eigvalsh``.  The margin, 2 (n + 1)^2 machine
+    epsilons of the largest diagonal entry and cap in magnitude, exceeds
+    the rounding of the factorisation and of ``eigvalsh``, so a matrix it
+    passes could not have set the minimum: the result equals a plain
+    ``eigvalsh`` minimum, and only the time depends on the certificate.
     """
     g, s, n = mats.shape[:3]
     cap = np.asarray(cap, dtype=float)
@@ -194,11 +194,13 @@ def min_eig_capped(mats, cap) -> np.ndarray:
 
     piece = 16 * _SOLVE_SIZE
     for start in range(0, g * s, piece):
-        if factors(start, start + piece):
+        stop = min(start + piece, g * s)
+        if factors(start, stop):
             continue
-        for lo in range(start, min(start + piece, g * s), _SOLVE_SIZE):
-            hi = min(lo + _SOLVE_SIZE, g * s)
-            if not factors(lo, hi):
+        for lo in range(start, stop, _SOLVE_SIZE):
+            hi = min(lo + _SOLVE_SIZE, stop)
+            # a failed piece of one part is that part: it is not factored again
+            if hi - lo == stop - start or not factors(lo, hi):
                 flat[lo:hi].reshape(hi - lo, n * n, copy=False)[:, ::n + 1] = saved[lo:hi]
                 vals = np.linalg.eigvalsh(flat[lo:hi])[:, 0]
                 np.minimum.at(out, np.arange(lo, hi) // s, vals)

@@ -58,7 +58,18 @@ in ``tests/test_dynamics.py``.
 
 The Schwarz region has no closed form here; the module exposes only a
 falsifier for the operator Schwarz inequality and an empirical boundary
-scan built on it.
+scan built on it.  ``schwarz_falsify`` scans its candidates in a fixed
+order (matrix units, witnesses, rank-one probes, random draws) in stacks
+that grow from one candidate to ``_CHUNK``.  A stack's images are one
+matrix product with the transfer matrix, and ``linalg.min_eig_capped``
+decides by one batched Cholesky, capped at the threshold, whether any of
+its gaps m(X^+ X) - m(X)^+ m(X) falls below it, so the verdict is a plain
+``eigvalsh``'s.  The scan stops at the first stack that holds a violation
+and returns that stack's first violating X; later stacks are never built.
+The gap has one implementation, shared with ``schwarz_violation``, which
+takes its smallest eigenvalue for one X or a stack.  The loop of
+one map application and one ``eigvalsh`` per candidate it replaced is the
+reference in ``tests/test_regions.py`` (``reference_falsify``).
 """
 
 from __future__ import annotations
@@ -79,7 +90,6 @@ from .errors import DegenerateRegion, NotUnital, UnknownName
 from .generators import witness_operator
 from .linalg import (
     check_dimension,
-    ginibre,
     min_eig_affine,
     min_eig_capped,
     partial_transpose,
@@ -87,6 +97,11 @@ from .linalg import (
     unvec,
     vec,
 )
+# Kept only because perfbench/tracer.py patches ``regions.ginibre``.  Nothing in
+# this module calls it: ``schwarz_falsify`` draws its samples a stack at a time
+# from ``rng.standard_normal``, so the patched name no longer counts its draws
+# (nor does the tracer see its ``np.linalg.cholesky`` certificate).
+from .linalg import ginibre  # noqa: F401
 
 REGIONS = ("P", "CP", "EB")
 
@@ -187,8 +202,27 @@ def classify_point(p: MapParams) -> RegionVerdict:
 # Points whose sampled positivity outputs are certified together, and the bytes
 # of those outputs and their Cholesky factor held at once; at d = 16 with
 # budget 256 a point's take 2 MB, so ``_CHUNK`` points alone would hold 1 GB.
+# ``_CHUNK`` also bounds the Schwarz falsifier's stacks of candidates (2 MB of
+# complex gaps at d = 16).
 _CHUNK = 512
 _CHUNK_BYTES = 64 * 2**20
+
+
+def _images(transfer, inputs) -> np.ndarray:
+    """Images of (N, d, d) ``inputs`` under (..., d^2, d^2) transfer matrices: (..., N, d, d).
+
+    All N inputs go through one matrix product ``vec(inputs) @ T^T`` per
+    transfer matrix T, not one matrix-vector product per input.
+    """
+    x = vec(inputs)
+    transfer = np.asarray(transfer)
+    if np.iscomplexobj(transfer) and transfer.imag.any():
+        prod = x @ np.swapaxes(transfer, -1, -2)
+    else:
+        # a real matrix acts on real and imaginary parts alike: one real product
+        x = np.ascontiguousarray(x.T).view(float)
+        prod = np.swapaxes((np.real(transfer) @ x).view(complex), -1, -2)
+    return unvec(prod, inputs.shape[-1])
 
 
 def _positivity_min(parts, coef, d: int, sample_budget: int, seed: int) -> np.ndarray:
@@ -207,15 +241,7 @@ def _positivity_min(parts, coef, d: int, sample_budget: int, seed: int) -> np.nd
     """
     rng = np.random.default_rng(seed)
     cand = positivity_candidates(d, sample_budget, rng)
-    inputs = vec(np.einsum("ni,nj->nij", cand, cand.conj()))
-    parts = np.asarray(parts)
-    if np.iscomplexobj(parts) and parts.imag.any():
-        prod = inputs @ np.swapaxes(parts, -1, -2)
-    else:
-        # a real matrix acts on real and imaginary parts alike: one real product
-        x = np.ascontiguousarray(inputs.T).view(float)
-        prod = np.swapaxes((np.real(parts) @ x).view(complex), -1, -2)
-    images = unvec(prod, d)  # (K, N, d, d)
+    images = _images(parts, np.einsum("ni,nj->nij", cand, cand.conj()))  # (K, N, d, d)
     # the products carry rounding; real combinations of Hermitian images stay Hermitian
     images = (images + np.conj(np.swapaxes(images, -1, -2))) / 2.0
     coef = np.asarray(coef, dtype=float)
@@ -464,46 +490,112 @@ def region_area(which: str, d: int) -> AreaReport:
 # Schwarz falsification (empirical only; absence of a witness proves nothing)
 # ---------------------------------------------------------------------------
 
-def schwarz_violation(m: SuperMap, x: np.ndarray) -> float:
-    """Smallest eigenvalue of m(X^+ X) - m(X)^+ m(X); negative = violation."""
-    mx = m(x)
-    gap = m(x.conj().T @ x) - mx.conj().T @ mx
-    gap = (gap + gap.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(gap)[0])
+def _schwarz_gap(transfer, x) -> np.ndarray:
+    """m(X^+ X) - m(X)^+ m(X) for X of shape (..., d, d), symmetrised.
+
+    The images of all the X, and of all the X^+ X, are one ``_images``
+    product each under the map's ``transfer``.
+    """
+    x = np.asarray(x, dtype=complex)
+    stack = x.reshape((-1,) + x.shape[-2:])
+    mx = _images(transfer, stack)
+    gap = _images(transfer, np.conj(np.swapaxes(stack, -1, -2)) @ stack)
+    gap -= np.conj(np.swapaxes(mx, -1, -2)) @ mx
+    gap += np.conj(np.swapaxes(gap, -1, -2))
+    gap *= 0.5
+    return gap.reshape(x.shape)
 
 
-def _falsifier_candidates(d: int, sample_budget: int, rng: np.random.Generator):
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                e = np.zeros((d, d), dtype=complex)
-                e[i, j] = 1.0
-                yield e
-    for c in np.linspace(-5.0, 5.0, 101):
-        yield witness_operator(d, float(c))
-    # rank-one operators whose X^+X are the positivity candidates: a unital
-    # map violating positivity on |v><v| violates Schwarz on these
-    for v in positivity_candidates(d, 0, rng):
-        yield np.outer(np.eye(d, dtype=complex)[0], v.conj())
-    for k in range(int(sample_budget)):
-        g = ginibre(d, rng)
-        yield g / np.linalg.norm(g)
+def schwarz_violation(m: SuperMap, x: np.ndarray):
+    """Smallest eigenvalue of m(X^+ X) - m(X)^+ m(X); negative = violation.
+
+    ``x`` is one d x d matrix (a float is returned) or a (..., d, d) stack.
+    """
+    vals = np.linalg.eigvalsh(_schwarz_gap(m.transfer, x))[..., 0]
+    return float(vals) if vals.ndim == 0 else vals
+
+
+def _falsifier_chunks(d: int, sample_budget: int, seed):
+    """The falsifier's candidates in scan order, as stacks of at most ``_CHUNK``.
+
+    The first stack holds one candidate and each next one twice as many,
+    up to ``_CHUNK``; a stack never spans two families.  A family is built
+    only when the scan reaches it, and matrix units and random draws only
+    for the stack being scanned; nothing before the draws takes from the
+    seeded stream.
+    """
+    sizes = _doubling()
+    # E_ij has its 1 at flat index i d + j
+    for flat in _cut(np.flatnonzero(~np.eye(d, dtype=bool)), sizes):
+        units = np.zeros((len(flat), d * d), dtype=complex)
+        units[np.arange(len(flat)), flat] = 1.0
+        yield units.reshape(-1, d, d)
+    yield from _cut(np.stack([witness_operator(d, float(c))
+                              for c in np.linspace(-5.0, 5.0, 101)]), sizes)
+    # rank-one operators |e_1><v| whose X^+X are the positivity candidates:
+    # a unital map violating positivity on |v><v| violates Schwarz on these
+    v = positivity_candidates(d, 0).conj()
+    yield from _cut(np.eye(d)[0][:, None] * v[:, None, :], sizes)
+    # the stream of one ginibre(d, rng) per sample: its real, then its imaginary part
+    rng = np.random.default_rng(seed)
+    left = sample_budget
+    while left > 0:
+        k = min(next(sizes), left)
+        left -= k
+        g = rng.standard_normal((k, 2, d, d))
+        g = g[:, 0] + 1j * g[:, 1]
+        g /= np.linalg.norm(g, axis=(1, 2), keepdims=True)
+        yield g
+
+
+def _doubling():
+    """Stack sizes 1, 2, 4, ... up to ``_CHUNK``, then ``_CHUNK`` on."""
+    size = 1
+    while True:
+        yield size
+        size = min(2 * size, _CHUNK)
+
+
+def _cut(family: np.ndarray, sizes):
+    """Consecutive slices of ``family``, sized by ``next(sizes)``; the last may be shorter."""
+    start = 0
+    while start < len(family):
+        stop = start + next(sizes)
+        yield family[start:stop]
+        start = stop
 
 
 def schwarz_falsify(m: SuperMap, sample_budget: int = 10_000, seed: int = 42,
                     threshold: float = -1e-8):
     """Search for X violating the operator Schwarz inequality for a unital map.
 
-    Scans matrix units, the dissipativity witness family over c in [-5, 5],
-    rank-one probes, then ``sample_budget`` random operators.  Returns a
-    violating X or None; None is NOT a proof of the Schwarz property.
+    The candidates, in scan order: the d(d-1) matrix units E_ij (i != j,
+    row-major), the dissipativity witness family over 101 values of c in
+    [-5, 5], the rank-one probes |e_1><v| for the d^2 + 1 deterministic
+    positivity candidates v, then ``sample_budget`` Ginibre draws of unit
+    Frobenius norm (the stream of one ``linalg.ginibre(d, rng)`` per draw).
+    They are scanned in stacks: the first holds one candidate, each next
+    one twice as many up to ``_CHUNK``, and none spans two families.  A
+    stack is built only when every earlier one has passed, so a violation
+    among the first matrix units builds no witness and draws no sample.
+
+    For a stack of k matrices X, m(X) and m(X^+ X) are one product
+    ``vec(.) @ T^T`` with the transfer matrix T (a real one where T is
+    real), and the k gaps m(X^+ X) - m(X)^+ m(X) go to
+    ``linalg.min_eig_capped`` capped at ``threshold``: one batched Cholesky
+    shows that no gap has an eigenvalue below it, and only parts of 64 gaps
+    where it fails are solved by ``eigvalsh``, so the verdict is a plain
+    ``eigvalsh``'s.  Returns the violating X with the lowest scan index
+    (complex), or None; None is NOT a proof of the Schwarz property.
     """
     if not m.is_unital():
         raise NotUnital("the operator Schwarz inequality is defined for unital maps")
-    rng = np.random.default_rng(seed)
-    for x in _falsifier_candidates(m.d, sample_budget, rng):
-        if schwarz_violation(m, x) < threshold:
-            return x
+    for chunk in _falsifier_chunks(m.d, int(sample_budget), seed):
+        gap = np.ascontiguousarray(_schwarz_gap(m.transfer, chunk)[:, None])
+        hits = np.flatnonzero(min_eig_capped(gap, np.full(len(chunk), threshold))
+                              < threshold)
+        if hits.size:
+            return chunk[hits[0]].copy()
     return None
 
 

@@ -43,3 +43,25 @@ def test_tracer_installs_on_the_package_and_restores_it():
     assert all(current(owner, attr) is orig for owner, attr, orig in patched)
     names = {span[0] for span in tracer.spans}
     assert {"generators.dissipativity_oracle", "linalg.sample"} <= names
+
+
+def test_tracer_records_the_schwarz_falsifier_and_restores_its_names():
+    # the tracer patches regions.ginibre and regions.positivity_candidates,
+    # which the batched falsifier no longer calls one candidate at a time
+    from quditmaps import regions as r
+    from quditmaps.channels import MapParams, build_phi_family
+
+    names = ("schwarz_falsify", "ginibre", "positivity_candidates")
+    before = {name: getattr(r, name) for name in names}
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        patched = tracer.patched
+        with tracer.call(0, "probe", 3):
+            r.schwarz_falsify(build_phi_family(MapParams(3, 0.4, 0.1)), 50, 1)
+    finally:
+        tracer.restore()
+    assert all(current(owner, attr) is orig for owner, attr, orig in patched)
+    assert all(getattr(r, name) is fn for name, fn in before.items())
+    spans = {span[0] for span in tracer.spans}
+    assert {"regions.schwarz_falsify", "regions.positivity_candidates"} <= spans

@@ -448,7 +448,11 @@ def test_generator_seeds_are_not_kept(fresh_sample_parts):
 # --- the pair parts by the covariant contraction ---------------------------------
 
 def stacked_pair_parts(d, xs, ys):
-    """The pair parts from the dense (d^2, N) stack of vec(|x><x|) and sparse blocks."""
+    """Pair values under hop, phase and the d units -i [E_kk, .], from the dense stack.
+
+    hop and phase act on the (d^2, N) stack of vec(|x><x|) as sparse blocks;
+    the Hamiltonian columns are -i (a_k <x|y> - conj(a_k) <y|x>), a = conj(y) x.
+    """
     xt, yt = xs.T, ys.T
     rho = (xt.conj()[:, None, :] * xt[None, :, :]).reshape(d * d, -1)
     cols = [np.einsum("rn,crn,cn->n", yt.conj(),
@@ -463,9 +467,27 @@ def stacked_pair_parts(d, xs, ys):
 @pytest.mark.parametrize("d", range(2, 17))
 def test_pair_parts_match_the_dense_stack(d):
     parts, xs, ys = g._pair_parts(d, 300, 1000 + d)
-    assert parts.shape == (d * (d - 1) // 2 + 300, 2 + d)
+    assert parts.shape == (d * (d - 1) // 2 + 300, 2)
     ref = stacked_pair_parts(d, xs, ys)
-    assert np.abs(parts - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+    assert np.abs(parts - ref[:, :2]).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+def test_pair_oracle_with_a_hamiltonian_matches_the_dense_stack(d):
+    # the oracle keeps no Hamiltonian column: <y| -i[H, |x><x|] |y> = 0 for
+    # orthonormal pairs; the reference keeps the d columns and the dense
+    # generator applies H
+    rng = np.random.default_rng(40 + d)
+    h = tuple(rng.uniform(-3.0, 3.0, d))
+    p = g.GenParams(d, 0.7, -0.4, h)
+    g._sample_parts.clear()
+    rep = g.is_conditionally_positive(p, 300, 11)
+    _, xs, ys = g._pair_parts(d, 300, 11)
+    vals = stacked_pair_parts(d, xs, ys) @ np.array([p.kappa, p.kappa * p.nu / d, *h])
+    assert np.abs(vals).max() > 0.1
+    assert abs(rep.sampled_min - vals.min()) <= 1e-13 * (1.0 + np.abs(vals).max())
+    dense = g.pair_functional(g.build_generator(p), *rep.argmin_pair)
+    assert abs(dense - rep.sampled_min) <= 1e-12 * (1.0 + np.abs(vals).max())
 
 
 @pytest.fixture
@@ -491,7 +513,7 @@ def test_pair_parts_contract_any_covariant_transfer(d, monkeypatch, fresh_covari
     monkeypatch.setattr(g, "generator_blocks", lambda dim: tuple(blocks))
     parts, xs, ys = g._pair_parts(d, 300, 5)
     ref = stacked_pair_parts(d, xs, ys)
-    assert np.abs(parts - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+    assert np.abs(parts - ref[:, :2]).max() <= 1e-13 * (1.0 + np.abs(ref).max())
 
 
 @pytest.mark.parametrize("which", [0, 1])

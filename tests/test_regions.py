@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from quditmaps import dynamics as dy
 from quditmaps import linalg as la
 from quditmaps import regions as r
 from quditmaps import verify
 from quditmaps.channels import (MapParams, SuperMap, build_phi_family,
-                                choi_from_transfer, named_map)
+                                choi_from_transfer, compose, named_map,
+                                unitary_conjugation)
 from quditmaps.errors import NotUnital, QuditMapsError, UnknownName
-from quditmaps.generators import GenParams, build_generator, schwarz_threshold
+from quditmaps.generators import (GenParams, build_generator, schwarz_threshold,
+                                  witness_operator)
 from quditmaps.linalg import partial_transpose
 
 
@@ -407,6 +410,204 @@ def test_area_ratio_trends():
 
 # --- Schwarz falsifier ------------------------------------------------------------
 
+def reference_candidates(d, sample_budget, rng):
+    """The falsifier's candidates one at a time, in its scan order."""
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                yield la.basis_matrix(i, j, d)
+    for c in np.linspace(-5.0, 5.0, 101):
+        yield witness_operator(d, float(c))
+    for v in la.positivity_candidates(d, 0, rng):
+        yield np.outer(np.eye(d, dtype=complex)[0], v.conj())
+    for _ in range(int(sample_budget)):
+        g = la.ginibre(d, rng)
+        yield g / np.linalg.norm(g)
+
+
+def reference_gap_min(m, x):
+    """Smallest eigenvalue of m(X^+ X) - m(X)^+ m(X), one map application per image."""
+    mx = m(x)
+    gap = m(x.conj().T @ x) - mx.conj().T @ mx
+    return np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)[0]
+
+
+def reference_falsify(m, sample_budget, seed, threshold=-1e-8):
+    """The per-candidate loop: one map application and one ``eigvalsh`` per X.
+
+    Returns (scan index, X) of the first violation, or None.
+    """
+    rng = np.random.default_rng(seed)
+    for k, x in enumerate(reference_candidates(m.d, sample_budget, rng)):
+        if reference_gap_min(m, x) < threshold:
+            return k, x
+    return None
+
+
+def n_deterministic(d):
+    """Matrix units, witnesses and rank-one probes: the candidates before the draws."""
+    return d * (d - 1) + 101 + d * d + 1
+
+
+def assert_same_candidate(found, k, x, d):
+    if k < n_deterministic(d):
+        assert np.array_equal(found, x)
+    else:  # only the Frobenius normalisation may round differently
+        assert np.abs(found - x).max() <= 1e-15
+
+
+def rotated(m, kind, seed):
+    """X -> U m(X) U^+ for a random real orthogonal or complex unitary U.
+
+    The family's transfers are symmetric, and the family is covariant under
+    permutations; after such a U the transfer is neither, so a transposed
+    product changes the gaps' spectra.
+    """
+    g = la.ginibre(m.d, np.random.default_rng(seed))
+    u = np.linalg.qr(g.real if kind == "orthogonal" else g)[0]
+    return compose(unitary_conjugation(u), m)
+
+
+def semigroup_below_schwarz(d, nu, t=1e-3):
+    gen = build_generator(GenParams(d, 1.0, nu))
+    return SuperMap(d, expm(t * gen.transfer))
+
+
+@st.composite
+def falsifier_cases(draw):
+    d = draw(st.integers(2, 16))
+    kind = draw(st.sampled_from(["cp", "p_not_cp", "not_p", "transposition",
+                                 "semigroup", "weyl", "orthogonal", "unitary"]))
+    h = d / (d - 1.0)
+    u = st.floats(0.0, 1.0)
+    alpha = draw(u) * h
+    if kind == "cp":
+        lo, hi = -alpha / d, h - (d + 1.0) * alpha / d
+        m = build_phi_family(MapParams(d, alpha, lo + draw(u) * (hi - lo)))
+    elif kind in ("p_not_cp", "orthogonal", "unitary"):
+        m = build_phi_family(MapParams(d, alpha, -alpha / d - draw(u) * alpha / d))
+        if kind != "p_not_cp":
+            m = rotated(m, kind, draw(st.integers(0, 2**31)))
+    elif kind == "not_p":
+        m = build_phi_family(MapParams(d, alpha, -2.0 * alpha / d - 0.01 - draw(u)))
+    elif kind == "transposition":
+        m = transposition_map(d)
+    elif kind == "semigroup":
+        m = semigroup_below_schwarz(d, schwarz_threshold(d) - 0.05 - 0.9 * draw(u))
+    else:
+        d = draw(st.sampled_from([4, 6, 8, 9, 10, 12, 14, 15, 16]))
+        m = dy.weyl_mixture_map(d, draw(st.floats(0.05, 3.0)))
+    return m, draw(st.integers(0, 300)), draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=falsifier_cases())
+def test_batched_falsifier_matches_the_per_candidate_loop(case):
+    m, budget, seed = case
+    found = r.schwarz_falsify(m, budget, seed)
+    ref = reference_falsify(m, budget, seed)
+    assert (found is None) == (ref is None)
+    if ref is not None:
+        assert_same_candidate(found, *ref, m.d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=falsifier_cases(), pick=st.floats(0.0, 1.0))
+def test_batched_falsifier_matches_the_loop_at_any_threshold(case, pick):
+    # a threshold just above the pick-th smallest gap minimum moves the first
+    # violation anywhere in the scan, the random draws included
+    m, budget, seed = case
+    cands = list(reference_candidates(m.d, budget, np.random.default_rng(seed)))
+    mins = np.array([reference_gap_min(m, x) for x in cands])
+    order = np.sort(mins)
+    low = order[int(pick * (len(order) - 1))]
+    above = order[order > low + 1e-9]
+    threshold = (low + above[0]) / 2.0 if above.size else low + 1.0
+    k = int(np.argmax(mins < threshold))
+    assert_same_candidate(r.schwarz_falsify(m, budget, seed, threshold), k, cands[k], m.d)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_falsifier_chunks_follow_the_reference_order(d):
+    budget = 700  # more than one chunk of draws
+    chunks = list(r._falsifier_chunks(d, budget, d))
+    assert max(len(c) for c in chunks) <= r._CHUNK
+    batched = np.concatenate(chunks)
+    ref = np.stack(list(reference_candidates(d, budget, np.random.default_rng(d))))
+    n_det = n_deterministic(d)
+    assert batched.shape == ref.shape
+    assert np.array_equal(batched[:n_det], ref[:n_det])
+    assert np.abs(batched[n_det:] - ref[n_det:]).max() <= 1e-15
+
+
+def test_batched_falsifier_does_not_depend_on_the_chunk_size(monkeypatch):
+    cases = [(transposition_map(3), 0), (build_phi_family(MapParams(4, 0.5, 0.1)), 700),
+             (semigroup_below_schwarz(5, -0.9), 40), (dy.weyl_mixture_map(6, 0.4), 600)]
+    wide = [r.schwarz_falsify(m, budget, 3) for m, budget in cases]
+    monkeypatch.setattr(r, "_CHUNK", 1)
+    for (m, budget), x in zip(cases, wide):
+        one = r.schwarz_falsify(m, budget, 3)
+        assert (one is None) == (x is None)
+        if x is not None:
+            assert np.array_equal(one, x)
+
+
+@pytest.fixture
+def solver_batches(monkeypatch):
+    """Matrices in every array passed to ``np.linalg.cholesky`` and ``eigvalsh``."""
+    batches = {"cholesky": [], "eigvalsh": []}
+
+    def recording(solve, sizes):
+        def wrapper(a, *args, **kwargs):
+            sizes.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+            return solve(a, *args, **kwargs)
+        return wrapper
+
+    for name, sizes in batches.items():
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name), sizes))
+    return batches
+
+
+def test_falsifier_chunks_stay_within_the_chunk_bound(solver_batches):
+    # a CP point at d = 16 with the default budget scans all 10 000 draws
+    d = 16
+    assert r.schwarz_falsify(build_phi_family(MapParams(d, 0.5, 0.0))) is None
+    assert solver_batches["cholesky"]
+    assert max(solver_batches["cholesky"] + solver_batches["eigvalsh"]) <= r._CHUNK
+
+
+@pytest.mark.parametrize("d", [2, 3, 16])
+def test_falsifier_stops_at_the_first_violating_matrix_unit(d, solver_batches, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a later candidate family was built")
+
+    monkeypatch.setattr(r, "witness_operator", refuse)
+    monkeypatch.setattr(r, "positivity_candidates", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    x = r.schwarz_falsify(transposition_map(d))
+    assert np.array_equal(x, la.basis_matrix(0, 1, d))
+    assert 0 < sum(solver_batches["cholesky"]) <= d * (d - 1)
+    assert sum(solver_batches["eigvalsh"]) <= d * (d - 1)
+
+
+@pytest.mark.parametrize("kind", ["semigroup", "orthogonal", "unitary"])
+def test_schwarz_violation_takes_stacks(kind):
+    # real symmetric, real non-symmetric and complex transfers, on real and
+    # complex X, against one map application per image
+    d = 3
+    if kind == "semigroup":
+        m = semigroup_below_schwarz(d, -0.9)
+    else:
+        m = rotated(build_phi_family(MapParams(d, 0.6, -0.3)), kind, 2)
+    xs = np.stack(list(reference_candidates(d, 5, np.random.default_rng(1))))  # 122 of them
+    vals = r.schwarz_violation(m, xs.reshape(2, -1, d, d))
+    assert vals.shape == (2, len(xs) // 2)
+    ones = [r.schwarz_violation(m, x) for x in xs]
+    assert all(isinstance(v, float) for v in ones)
+    ref = [reference_gap_min(m, x) for x in xs]
+    assert np.abs(vals.ravel() - ref).max() <= 1e-12
+    assert np.abs(np.array(ones) - ref).max() <= 1e-12
+
 def test_transposition_violates_schwarz():
     m = transposition_map(2)
     x = m_x = la.basis_matrix(0, 1, 2)
@@ -450,6 +651,31 @@ def test_schwarz_boundary_scan_sits_between_cp_and_p():
     for d in (2, 3, 5):
         for alpha, beta in r.schwarz_boundary_scan(d):
             assert -2.0 * alpha / d <= beta <= -alpha / d, (d, alpha, beta)
+
+
+def test_falsifier_and_boundary_scan_at_d16():
+    d = 16
+    assert r.schwarz_falsify(build_phi_family(MapParams(d, 0.6, -0.02)), 300, 4) is None
+    x = r.schwarz_falsify(build_phi_family(MapParams(d, 0.6, -0.2)), 300, 4)
+    assert x is not None and r.schwarz_violation(build_phi_family(MapParams(d, 0.6, -0.2)),
+                                                 x) < -1e-8
+    scan = r.schwarz_boundary_scan(d, n_alpha=3)
+    assert len(scan) == 3
+    for alpha, beta in scan:
+        assert -2.0 * alpha / d <= beta <= -alpha / d, (alpha, beta)
+
+
+@pytest.mark.parametrize("nu", [-0.95, -0.5])
+def test_trajectory_schwarz_flag_at_d16_matches_the_reference_loop(nu):
+    # nu = -0.95 lies below the Schwarz threshold -8/9, nu = -0.5 above it;
+    # at small t the semigroup is positive but not CP for both
+    d, t = 16, 1e-3
+    s = dy.ConstantNu(d, 1.0, nu)
+    pt = dy.trajectory_point(s, t, sample_budget=50, seed=9)
+    assert pt.verdict.positive and not pt.verdict.completely_positive
+    ref = reference_falsify(dy.map_at(s, t), 50, 9)
+    assert pt.schwarz_flag == ("unknown" if ref is None else "out")
+    assert pt.schwarz_flag == ("out" if nu < schwarz_threshold(d) else "unknown")
 
 
 # --- CSV exports -------------------------------------------------------------------
