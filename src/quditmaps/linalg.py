@@ -119,9 +119,13 @@ def min_eig_affine(parts, coef) -> np.ndarray:
     parts, each with its indices ascending, so every combination is block
     diagonal on them and its spectrum is the union of the block spectra.
     The components are labelled on an edge list over the B * n indices.
-    Blocks of equal size make one batched ``eigvalsh``; 1 x 1 blocks are
-    read off the diagonal.  Parts with zero imaginary part are solved in
-    real arithmetic.
+    Blocks of equal size make one batched ``eigvalsh``, except the two
+    smallest sizes: 1 x 1 blocks are read off the diagonal, and a 2 x 2
+    block [[p, conj(c)], [c, q]] has the smaller root of its characteristic
+    polynomial, (p + q)/2 - hypot((p - q)/2, |c|).  That formula holds for
+    every Hermitian 2 x 2 matrix, and its error, a few machine epsilons of
+    the block's norm, is the size of ``eigvalsh``'s.  Parts with zero
+    imaginary part are solved in real arithmetic.
     """
     parts = np.asarray(parts)
     if parts.ndim == 3:
@@ -147,7 +151,11 @@ def min_eig_affine(parts, coef) -> np.ndarray:
         else:
             blocks = parts[:, b[:, :1, None], loc[:, :, None], loc[:, None, :]]
             mats = (coef @ blocks.reshape(k, -1)).reshape((-1,) + blocks.shape[1:])
-            vals = np.linalg.eigvalsh(mats)[..., 0]
+            if size == 2:
+                p, q = mats[..., 0, 0].real, mats[..., 1, 1].real
+                vals = (p + q) / 2 - np.hypot((p - q) / 2, np.abs(mats[..., 1, 0]))
+            else:
+                vals = np.linalg.eigvalsh(mats)[..., 0]
         out = np.minimum(out, vals.min(axis=1))
     return out
 
@@ -156,23 +164,92 @@ def min_eig_affine(parts, coef) -> np.ndarray:
 # it factors 16 times as many per Cholesky call (4 MB at n = 16).
 _SOLVE_SIZE = 64
 
+# Stacks of at least _COMPONENT_STACK matrices of order n <= _COMPONENT_ORDER
+# are factored over components, in blocks of at most _COMPONENT_BLOCK matrices
+# (a few hundred kB of components each; 4096 to 16384 time alike).  Measured
+# per matrix on a whole ``min_eig_capped`` call, one BLAS thread, complex
+# matrices that all pass, components against LAPACK:
+#   n = 3: 1.15 vs 0.67 us at 64, even at 256, 0.11-0.12 vs 0.34 from 1024 on;
+#   n = 5: 4.1 vs 0.74 us at 64, 0.44 vs 0.57 at 1024, 0.35-0.39 vs 0.60-0.66
+#          from 2048 on;
+#   n = 6: even at 1024, 0.49 vs 0.94 us at 32768;
+#   n = 8: slower up to 2048 (1.27 vs 1.20 us), even at 32768.
+# The package's stacks on this path: the positivity outputs of
+# ``regions.classify_grid`` at d <= 5, of a single map at d <= 5 with a budget
+# of at least 1024, and the Haar forms of ``generators.is_dissipative`` at
+# d = 2 with a budget above 8184.
+_COMPONENT_ORDER = 5
+_COMPONENT_STACK = 1024
+_COMPONENT_BLOCK = 8192
+
+
+def _cholesky_passes(mats) -> np.ndarray:
+    """Whether the Cholesky factorisation of each of the (B, n, n) ``mats`` succeeds.
+
+    The standard right-looking algorithm on the lower triangle, run on the
+    real and imaginary part of each entry as a (B,) array, so each step is
+    one numpy operation over the whole stack: column k is divided by the
+    square root of the pivot, and l_ik conj(l_jk) is subtracted from every
+    entry (i, j) with i >= j > k.  Only the real part of a diagonal entry
+    is read, as LAPACK does.  A matrix passes when every pivot is > 0, so
+    a NaN pivot fails it.  Entries are read from ``mats`` and never written.
+    """
+    b, n = mats.shape[:2]
+    entries = mats.reshape(b, n * n)
+    cplx = np.iscomplexobj(mats)
+    re = {(i, j): entries[:, i * n + j].real for i in range(n) for j in range(i + 1)}
+    im = {(i, j): entries[:, i * n + j].imag for i in range(n) for j in range(i)} \
+        if cplx else None
+    ok = np.ones(b, dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k in range(n):
+            ok &= re[k, k] > 0
+            root = np.sqrt(re[k, k])
+            for i in range(k + 1, n):
+                re[i, k] = re[i, k] / root
+                if cplx:
+                    im[i, k] = im[i, k] / root
+            for i in range(k + 1, n):
+                for j in range(k + 1, i + 1):  # a_ij -= l_ik conj(l_jk)
+                    re[i, j] = re[i, j] - re[i, k] * re[j, k]
+                    if cplx:
+                        re[i, j] = re[i, j] - im[i, k] * im[j, k]
+                        if j < i:
+                            im[i, j] = im[i, j] - (im[i, k] * re[j, k] - re[i, k] * im[j, k])
+    return ok
+
 
 def min_eig_capped(mats, cap) -> np.ndarray:
     """``min(cap[g], smallest eigenvalue of mats[g, s] over s)`` for every g.
 
     ``mats`` is a writable C-contiguous (G, S, n, n) stack of Hermitian
     matrices, and it is overwritten: each group's diagonals are shifted in
-    place by ``-cap[g]``, lowered further by a rounding margin, and
-    ``np.linalg.cholesky`` factors the shifted matrices in pieces of
-    ``16 * _SOLVE_SIZE``.  A piece that factors has no eigenvalue at or
-    below its cap, and nothing in it is diagonalised.  A piece that does
-    not is factored again in 16 parts of ``_SOLVE_SIZE`` (unless it is no
-    larger than one part); only the parts that fail get their diagonals
-    back and go through ``eigvalsh``.  The margin, 2 (n + 1)^2 machine
-    epsilons of the largest diagonal entry and cap in magnitude, exceeds
-    the rounding of the factorisation and of ``eigvalsh``, so a matrix it
-    passes could not have set the minimum: the result equals a plain
-    ``eigvalsh`` minimum, and only the time depends on the certificate.
+    place by ``-cap[g]`` and lowered further by a rounding margin.  A
+    shifted matrix that has a Cholesky factor has no eigenvalue at or below
+    its cap and is not diagonalised; the others get their diagonals back
+    and go through ``eigvalsh``.  The factorisation takes one of two paths,
+    chosen by the input's size alone:
+
+    * n <= ``_COMPONENT_ORDER`` with at least ``_COMPONENT_STACK``
+      matrices: ``_cholesky_passes`` factors them over components, in
+      blocks of ``_COMPONENT_BLOCK``, and gives a verdict per matrix; the
+      matrices that fail are gathered into one ``eigvalsh`` call.
+    * otherwise ``np.linalg.cholesky`` factors pieces of
+      ``16 * _SOLVE_SIZE`` matrices, with a verdict per piece.  A piece
+      that does not factor is factored again in 16 parts of
+      ``_SOLVE_SIZE`` (unless it is no larger than one part), and only the
+      parts that fail go through ``eigvalsh``.
+
+    The margin, 2 (n + 1)^2 machine epsilons of the largest diagonal entry
+    and cap in magnitude, exceeds the rounding of the factorisation and of
+    ``eigvalsh``.  For the factorisation this is Higham's backward-error
+    bound (*Accuracy and Stability of Numerical Algorithms*, Thm 10.3):
+    if Cholesky runs to completion in floating point, the factor is exact
+    for A + dA with |dA| <= gamma_{n+1} |R^*| |R|, whatever the order in
+    which the inner products are evaluated, so LAPACK and the path over
+    components share it.  A matrix either path passes could therefore not
+    have set the minimum: the result equals a plain ``eigvalsh`` minimum,
+    bit for bit, and only the time depends on the certificate.
     """
     g, s, n = mats.shape[:3]
     cap = np.asarray(cap, dtype=float)
@@ -184,6 +261,17 @@ def min_eig_capped(mats, cap) -> np.ndarray:
     saved = diag.copy().reshape(g * s, n)
     scale = np.abs(saved).max() + np.abs(cap).max()
     diag -= (cap + 2 * (n + 1) ** 2 * np.finfo(float).eps * scale)[:, None, None]
+
+    if n <= _COMPONENT_ORDER and g * s >= _COMPONENT_STACK:
+        blocks = -(-g * s // _COMPONENT_BLOCK)  # of equal size, up to one matrix
+        bounds = [i * g * s // blocks for i in range(blocks + 1)]
+        failed = np.flatnonzero(~np.concatenate(
+            [_cholesky_passes(flat[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]))
+        if failed.size:
+            redo = flat[failed]
+            redo.reshape(failed.size, n * n)[:, ::n + 1] = saved[failed]
+            np.minimum.at(out, failed // s, np.linalg.eigvalsh(redo)[:, 0])
+        return out
 
     def factors(lo, hi):
         try:

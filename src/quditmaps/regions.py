@@ -37,15 +37,19 @@ and ``sampled_positivity_min`` (a single map is one part with coefficient
 1), in two exact stages:
 
 1. the d^2 + 1 deterministic candidates are solved blockwise by
-   ``min_eig_affine``; their outputs are sparse (2 x 2 blocks and scalars
-   for the pairs), so this stage costs a few ms per grid;
-2. the sampled candidates are certified by ``linalg.min_eig_capped``: a
-   batched ``np.linalg.cholesky`` of the sampled outputs minus the stage-1
-   minimum times I (less a rounding margin) succeeds only if no sample lies
-   at or below that minimum.  Where it fails (a tie, as at the identity,
-   or a sample that sets the minimum) the failing piece is factored again
-   in parts of 64 outputs, and only the parts that still fail are solved
-   by ``eigvalsh``.
+   ``min_eig_affine``; their outputs are sparse (2 x 2 blocks, which have
+   a closed-form minimum, and scalars for the pairs), so this stage costs
+   1.5-3 ms per benchmark grid;
+2. the sampled candidates are certified by ``linalg.min_eig_capped``: the
+   Cholesky factorisation of a sampled output minus the stage-1 minimum
+   times I (less a rounding margin) succeeds only if its eigenvalues all
+   lie above that minimum.  At d <= 5 a chunk's outputs are factored over
+   components, all at once, with a verdict per output, and only the
+   outputs that fail (a tie, as at the identity, or a sample that sets the
+   minimum) are solved by ``eigvalsh``, in one call.  At larger d (or on
+   fewer than 1024 outputs) ``np.linalg.cholesky`` factors pieces of 1024,
+   a failing piece is factored again in parts of 64, and only the parts
+   that still fail are solved.
 
 The result never depends on the certificate succeeding, only the time
 does.  Nothing here takes anything from the closed forms: no inequality,
@@ -200,8 +204,9 @@ def classify_point(p: MapParams) -> RegionVerdict:
 # ---------------------------------------------------------------------------
 
 # Points whose sampled positivity outputs are certified together, and the bytes
-# of those outputs and their Cholesky factor held at once; at d = 16 with
-# budget 256 a point's take 2 MB, so ``_CHUNK`` points alone would hold 1 GB.
+# of those outputs and their Cholesky factor held at once (at d <= 5 the copy of
+# the outputs that fail the certificate takes the factor's place); at d = 16
+# with budget 256 a point's take 2 MB, so ``_CHUNK`` points alone would hold 1 GB.
 # ``_CHUNK`` also bounds the Schwarz falsifier's stacks of candidates (2 MB of
 # complex gaps at d = 16).
 _CHUNK = 512
@@ -234,10 +239,10 @@ def _positivity_min(parts, coef, d: int, sample_budget: int, seed: int) -> np.nd
     with ``min_eig_affine``, which takes the minimum over them.  Stage 2
     passes the sampled outputs of a chunk of points to
     ``linalg.min_eig_capped`` with the stage-1 minima as caps: it certifies
-    them with a batched Cholesky and solves by ``eigvalsh`` only the
-    outputs, in parts of 64, where the certificate fails (ties, or a sample
-    that sets the minimum).  A chunk holds at most ``_CHUNK`` points and,
-    with the Cholesky factor, ``_CHUNK_BYTES``.
+    them by Cholesky factorisations and solves by ``eigvalsh`` only the
+    outputs where the certificate fails (ties, or a sample that sets the
+    minimum).  A chunk holds at most ``_CHUNK`` points and, with the
+    Cholesky factor, ``_CHUNK_BYTES``.
     """
     rng = np.random.default_rng(seed)
     cand = positivity_candidates(d, sample_budget, rng)
@@ -323,8 +328,9 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
     outputs from the images under the family's three parts.  The Choi and
     partial-transpose minima, and the positivity minimum over the
     deterministic candidates, are solved blockwise; the sampled candidates'
-    outputs are certified against that minimum by a batched Cholesky and
-    solved by ``eigvalsh`` only where the certificate fails.
+    outputs are certified against that minimum by Cholesky factorisations
+    (over components, all at once, at d <= 5) and solved by ``eigvalsh``
+    only where the certificate fails.
     At most 512 points' sampled outputs are held at once, and fewer when
     the outputs and their Cholesky factor would exceed 64 MB.
     """

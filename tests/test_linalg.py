@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quditmaps import channels as ch
@@ -278,22 +278,48 @@ def test_batched_conventions_check_dimensions():
 
 @settings(max_examples=60, deadline=None)
 @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+       twos=st.lists(st.tuples(st.floats(-3.0, 3.0),
+                               st.sampled_from([0.0, 1e-15, 1e-12, 1e-9]),
+                               st.sampled_from([0.0, 1e-15, 1e-12, 1e-9]),
+                               st.sampled_from([1e-8, 1.0, 1e8])), max_size=3),
        n_parts=st.integers(1, 3), n_rows=st.integers(1, 4), real=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-def test_min_eig_affine_matches_dense(sizes, n_parts, n_rows, real, seed):
+@example(sizes=[2], twos=[(-3.0, 1e-12, 1e-9, 1e8), (-2.9, 0.0, 1e-15, 1e8)], n_parts=2,
+         n_rows=3, real=False, seed=1)
+@example(sizes=[3], twos=[(-3.0, 1e-9, 1e-9, 1.0), (2.0, 1e-15, 0.0, 1e-8)], n_parts=3,
+         n_rows=2, real=True, seed=2)
+def test_min_eig_affine_matches_dense(sizes, twos, n_parts, n_rows, real, seed):
+    # ``twos`` adds 2 x 2 blocks [[p, conj(c)], [c, q]] that are nearly
+    # degenerate in every part, |q - p| and |c| at most ``gap`` and ``mag``
+    # (1e-9), then scaled by up to 1e8; the tolerance is relative to the norm
+    # of such a block where that exceeds 1, as eigvalsh's error is
     rng = np.random.default_rng(seed)
-    n = sum(sizes)
+    n = sum(sizes) + 2 * len(twos)
     parts = np.zeros((n_parts, n, n), dtype=complex)
     start = 0
     for size in sizes:
         block = la.random_hermitian(size, rng, n=n_parts)
         parts[:, start:start + size, start:start + size] = block.real if real else block
         start += size
+    added = []
+    for diag, gap, mag, scale in twos:
+        block = np.zeros((n_parts, 2, 2), dtype=complex)
+        block[:, 0, 0] = diag * rng.uniform(0.5, 1.5, n_parts)
+        block[:, 1, 1] = block[:, 0, 0].real + gap * rng.uniform(-1.0, 1.0, n_parts)
+        off = mag * rng.uniform(-1.0, 1.0, n_parts)
+        block[:, 1, 0] = off if real else off * np.exp(2j * np.pi * rng.random(n_parts))
+        block[:, 0, 1] = block[:, 1, 0].conj()
+        block *= scale
+        parts[:, start:start + 2, start:start + 2] = block
+        added.append(block)
+        start += 2
     perm = rng.permutation(n)
     parts = parts[:, perm][:, :, perm]  # hide the blocks behind a permutation
     coef = rng.standard_normal((n_rows, n_parts))
+    norm = max([1.0] + [np.linalg.norm(np.tensordot(coef, block, axes=1), ord=2,
+                                       axis=(1, 2)).max() for block in added])
     dense = np.linalg.eigvalsh(np.tensordot(coef, parts, axes=1))[:, 0]
-    assert np.abs(la.min_eig_affine(parts, coef) - dense).max() <= 1e-12
+    assert np.abs(la.min_eig_affine(parts, coef) - dense).max() <= 1e-12 * norm
 
 
 @settings(max_examples=60, deadline=None)
@@ -327,17 +353,23 @@ def test_min_eig_affine_on_path_blocks_and_zero_rows(sizes, zeros, n_parts, n_ro
 
 @pytest.fixture
 def solver_shapes(monkeypatch):
-    """Shapes of the arrays passed to ``np.linalg.cholesky`` and ``eigvalsh``."""
-    shapes = {"cholesky": [], "eigvalsh": []}
+    """Shapes of the arrays passed to ``np.linalg.cholesky``, ``eigvalsh`` and
+    the factorisation over components (``components``)."""
+    shapes = {"cholesky": [], "eigvalsh": [], "components": []}
     for name, recorded in shapes.items():
-        solve = getattr(np.linalg, name)
+        owner, attr = (la, "_cholesky_passes") if name == "components" else (np.linalg, name)
+        solve = getattr(owner, attr)
 
         def recording(a, *args, _solve=solve, _recorded=recorded, **kwargs):
             _recorded.append(np.shape(a))
             return _solve(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, recording)
+        monkeypatch.setattr(owner, attr, recording)
     return shapes
+
+
+def on_component_path(n, stack):
+    return n <= la._COMPONENT_ORDER and stack >= la._COMPONENT_STACK
 
 
 def random_stack(rng, groups, samples, n, real=False):
@@ -345,15 +377,22 @@ def random_stack(rng, groups, samples, n, real=False):
     return np.ascontiguousarray(mats.real if real else mats).reshape(groups, samples, n, n)
 
 
-@pytest.mark.parametrize("n, real", [(3, False), (8, True), (16, False)])
+@pytest.mark.parametrize("n, real", [(3, False), (5, True), (8, True), (16, False)])
 def test_min_eig_capped_certifies_a_cap_below_every_eigenvalue(n, real, solver_shapes):
+    # 3 x 100 matrices stay below the size crossover, 3 x 700 exceed it: at
+    # n <= 5 the two stacks take the two paths of the certificate
     rng = np.random.default_rng(n)
-    mats = random_stack(rng, 3, 700, n, real)
-    lowest = np.linalg.eigvalsh(mats)[..., 0].min(axis=1)
-    solver_shapes["eigvalsh"].clear()
-    cap = lowest - 1e-3
-    assert np.array_equal(la.min_eig_capped(mats, cap), cap)
-    assert solver_shapes["cholesky"] and not solver_shapes["eigvalsh"]
+    for samples in (100, 700):
+        mats = random_stack(rng, 3, samples, n, real)
+        lowest = np.linalg.eigvalsh(mats)[..., 0].min(axis=1)
+        for recorded in solver_shapes.values():
+            recorded.clear()
+        cap = lowest - 1e-3
+        assert np.array_equal(la.min_eig_capped(mats, cap), cap)
+        assert not solver_shapes["eigvalsh"]
+        path, other = ("components", "cholesky") if on_component_path(n, 3 * samples) \
+            else ("cholesky", "components")
+        assert solver_shapes[path] and not solver_shapes[other]
 
 
 @pytest.mark.parametrize("n", [2, 5, 16])
@@ -387,12 +426,16 @@ def test_min_eig_capped_bounds_the_batches_it_passes(solver_shapes):
 
 
 @settings(max_examples=60, deadline=None)
-@given(groups=st.integers(1, 4), samples=st.integers(1, 300), n=st.integers(1, 6),
+@given(groups=st.integers(1, 4), samples=st.integers(1, 2500), n=st.integers(1, 6),
        real=st.booleans(), seed=st.integers(0, 2**32 - 1),
        offsets=st.lists(st.sampled_from([-1.0, -1e-9, 0.0, 1e-15, 1e-9, 1.0]),
                         min_size=4, max_size=4))
+@example(groups=4, samples=2500, n=5, real=False, seed=3, offsets=[0.0, 1e-15, -1e-9, 1e-9])
+@example(groups=1, samples=1024, n=3, real=True, seed=4, offsets=[0.0, 0.0, 0.0, 0.0])
 def test_min_eig_capped_equals_a_plain_solve(groups, samples, n, real, seed, offsets):
-    # caps from far below to far above each group's minimum, and exactly at it
+    # caps from far below to far above each group's minimum, and exactly at it;
+    # stacks of up to 10 000 matrices reach the path over components (at
+    # n <= 5 from 1024 matrices on) and split into several of its blocks
     rng = np.random.default_rng(seed)
     mats = random_stack(rng, groups, samples, n, real)
     plain = np.linalg.eigvalsh(mats)[..., 0].min(axis=1)

@@ -137,11 +137,16 @@ def test_grid_matches_pointwise_classifier():
             assert grid["numeric_eb"][i, j] == n.entanglement_breaking
 
 
-@pytest.mark.parametrize("d, n", [(2, 7), (3, 7), (5, 5), (8, 4), (16, 3)])
-def test_grid_minima_match_dense_pointwise_solves(d, n):
-    # the blockwise, affine oracle against dense solves of each point's own map
+@pytest.mark.parametrize("d, n, budget",
+                         [(2, 7, 16), (3, 7, 16), (5, 5, 16), (8, 4, 16), (16, 3, 16),
+                          (3, 7, 32)],
+                         ids=["2-7", "3-7", "5-5", "8-4", "16-3", "3-7-32"])
+def test_grid_minima_match_dense_pointwise_solves(d, n, budget):
+    # the blockwise, affine oracle against dense solves of each point's own map;
+    # with budget 32 at d = 3 the 49 points' 1568 sampled outputs exceed the
+    # size crossover, so the certificate runs over components
     alphas, betas = r.default_grid(d, n)
-    grid = r.classify_grid(d, alphas, betas, sample_budget=16, seed=11)
+    grid = r.classify_grid(d, alphas, betas, sample_budget=budget, seed=11)
     for i, a in enumerate(alphas):
         for j, b in enumerate(betas):
             m = build_phi_family(MapParams(d, float(a), float(b)))
@@ -149,7 +154,7 @@ def test_grid_minima_match_dense_pointwise_solves(d, n):
             pt_min = np.linalg.eigvalsh(partial_transpose(m.choi, d, 2))[0]
             assert abs(grid["choi_min"][i, j] - choi_min) <= 1e-12
             assert abs(grid["pt_min"][i, j] - pt_min) <= 1e-12
-            pos_min = dense_positivity_min(m, sample_budget=16, seed=11)
+            pos_min = dense_positivity_min(m, sample_budget=budget, seed=11)
             assert abs(grid["pos_min"][i, j] - pos_min) <= 1e-12
 
 
@@ -172,14 +177,18 @@ def test_grid_through_the_identity_matches_dense_solves(d):
 def test_sampled_candidate_sets_the_minimum_of_a_random_map(d, seed, scale):
     # a Hermitian Choi matrix gives a Hermiticity-preserving map outside the
     # family, on which a random candidate beats every deterministic one; at
-    # scale 1e-8 it wins by less than 1e-8, which the certificate must not miss
+    # scale 1e-8 it wins by less than 1e-8, which the certificate must not miss;
+    # 64 samples take the LAPACK path of the certificate, 2048 the one over
+    # components
     rng = np.random.default_rng(seed)
     choi = scale * la.random_hermitian(d * d, rng)
     m = SuperMap(d, choi_from_transfer(choi, d))
     deterministic = dense_positivity_min(m, sample_budget=0, seed=seed)
-    sampled = dense_positivity_min(m, sample_budget=64, seed=seed)
-    assert sampled < deterministic - 1e-3 * scale
-    assert abs(r.sampled_positivity_min(m, sample_budget=64, seed=seed) - sampled) <= 1e-12
+    for budget in (64, 2048):
+        sampled = dense_positivity_min(m, sample_budget=budget, seed=seed)
+        assert sampled < deterministic - 1e-3 * scale
+        assert abs(r.sampled_positivity_min(m, sample_budget=budget, seed=seed)
+                   - sampled) <= 1e-12
     assert abs(r.sampled_positivity_min(m, sample_budget=0, seed=seed)
                - deterministic) <= 1e-12
 
