@@ -183,16 +183,18 @@ _COMPONENT_STACK = 1024
 _COMPONENT_BLOCK = 8192
 
 
-def _cholesky_passes(mats) -> np.ndarray:
-    """Whether the Cholesky factorisation of each of the (B, n, n) ``mats`` succeeds.
+def _cholesky_passes(mats, shift) -> np.ndarray:
+    """Whether the Cholesky factorisation of each ``mats[b] - shift[b] I`` succeeds.
 
-    The standard right-looking algorithm on the lower triangle, run on the
-    real and imaginary part of each entry as a (B,) array, so each step is
-    one numpy operation over the whole stack: column k is divided by the
-    square root of the pivot, and l_ik conj(l_jk) is subtracted from every
-    entry (i, j) with i >= j > k.  Only the real part of a diagonal entry
-    is read, as LAPACK does.  A matrix passes when every pivot is > 0, so
-    a NaN pivot fails it.  Entries are read from ``mats`` and never written.
+    ``mats`` is a (B, n, n) stack and ``shift`` a (B,) array.  The standard
+    right-looking algorithm on the lower triangle, run on the real and
+    imaginary part of each entry as a (B,) array, so each step is one numpy
+    operation over the whole stack: the shift is subtracted from the
+    diagonal, then column k is divided by the square root of the pivot, and
+    l_ik conj(l_jk) is subtracted from every entry (i, j) with i >= j > k.
+    Only the real part of a diagonal entry is read, as LAPACK does.  A
+    matrix passes when every pivot is > 0, so a NaN pivot fails it.
+    Entries are read from ``mats`` and never written.
     """
     b, n = mats.shape[:2]
     entries = mats.reshape(b, n * n)
@@ -200,6 +202,8 @@ def _cholesky_passes(mats) -> np.ndarray:
     re = {(i, j): entries[:, i * n + j].real for i in range(n) for j in range(i + 1)}
     im = {(i, j): entries[:, i * n + j].imag for i in range(n) for j in range(i)} \
         if cplx else None
+    for k in range(n):
+        re[k, k] = re[k, k] - shift
     ok = np.ones(b, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         for k in range(n):
@@ -223,22 +227,25 @@ def min_eig_capped(mats, cap) -> np.ndarray:
     """``min(cap[g], smallest eigenvalue of mats[g, s] over s)`` for every g.
 
     ``mats`` is a writable C-contiguous (G, S, n, n) stack of Hermitian
-    matrices, and it is overwritten: each group's diagonals are shifted in
-    place by ``-cap[g]`` and lowered further by a rounding margin.  A
-    shifted matrix that has a Cholesky factor has no eigenvalue at or below
-    its cap and is not diagonalised; the others get their diagonals back
-    and go through ``eigvalsh``.  The factorisation takes one of two paths,
-    chosen by the input's size alone:
+    matrices, and it may be overwritten.  Each group's matrices are shifted
+    by ``-cap[g]`` I, lowered further by a rounding margin.  A shifted
+    matrix that has a Cholesky factor has no eigenvalue at or below its cap
+    and is not diagonalised; the others go through ``eigvalsh`` unshifted.
+    The factorisation takes one of two paths, chosen by the input's size
+    alone:
 
     * n <= ``_COMPONENT_ORDER`` with at least ``_COMPONENT_STACK``
       matrices: ``_cholesky_passes`` factors them over components, in
-      blocks of ``_COMPONENT_BLOCK``, and gives a verdict per matrix; the
-      matrices that fail are gathered into one ``eigvalsh`` call.
-    * otherwise ``np.linalg.cholesky`` factors pieces of
-      ``16 * _SOLVE_SIZE`` matrices, with a verdict per piece.  A piece
-      that does not factor is factored again in 16 parts of
-      ``_SOLVE_SIZE`` (unless it is no larger than one part), and only the
-      parts that fail go through ``eigvalsh``.
+      blocks of ``_COMPONENT_BLOCK``, subtracting the shift as it reads
+      the diagonal, and gives a verdict per matrix; ``mats`` is not
+      written, and the matrices that fail are gathered into one
+      ``eigvalsh`` call.
+    * otherwise the diagonals are shifted in place and
+      ``np.linalg.cholesky`` factors pieces of ``16 * _SOLVE_SIZE``
+      matrices, with a verdict per piece.  A piece that does not factor is
+      factored again in 16 parts of ``_SOLVE_SIZE`` (unless it is no
+      larger than one part), and only the parts that fail get their
+      diagonals back and go through ``eigvalsh``.
 
     The margin, 2 (n + 1)^2 machine epsilons of the largest diagonal entry
     and cap in magnitude, exceeds the rounding of the factorisation and of
@@ -258,20 +265,22 @@ def min_eig_capped(mats, cap) -> np.ndarray:
         return out
     flat = mats.reshape(g * s, n, n, copy=False)  # views: writing them writes mats
     diag = mats.reshape(g, s, n * n, copy=False)[..., ::n + 1]
-    saved = diag.copy().reshape(g * s, n)
-    scale = np.abs(saved).max() + np.abs(cap).max()
-    diag -= (cap + 2 * (n + 1) ** 2 * np.finfo(float).eps * scale)[:, None, None]
+    scale = np.abs(diag).max() + np.abs(cap).max()
+    shift = cap + 2 * (n + 1) ** 2 * np.finfo(float).eps * scale
 
     if n <= _COMPONENT_ORDER and g * s >= _COMPONENT_STACK:
+        shift = np.repeat(shift, s)
         blocks = -(-g * s // _COMPONENT_BLOCK)  # of equal size, up to one matrix
         bounds = [i * g * s // blocks for i in range(blocks + 1)]
         failed = np.flatnonzero(~np.concatenate(
-            [_cholesky_passes(flat[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]))
+            [_cholesky_passes(flat[lo:hi], shift[lo:hi])
+             for lo, hi in zip(bounds[:-1], bounds[1:])]))
         if failed.size:
-            redo = flat[failed]
-            redo.reshape(failed.size, n * n)[:, ::n + 1] = saved[failed]
-            np.minimum.at(out, failed // s, np.linalg.eigvalsh(redo)[:, 0])
+            np.minimum.at(out, failed // s, np.linalg.eigvalsh(flat[failed])[:, 0])
         return out
+
+    saved = diag.copy().reshape(g * s, n)
+    diag -= shift[:, None, None]
 
     def factors(lo, hi):
         try:
