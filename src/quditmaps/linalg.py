@@ -192,16 +192,15 @@ def _cholesky_passes(mats, shift) -> np.ndarray:
     operation over the whole stack: the shift is subtracted from the
     diagonal, then column k is divided by the square root of the pivot, and
     l_ik conj(l_jk) is subtracted from every entry (i, j) with i >= j > k.
-    Only the real part of a diagonal entry is read, as LAPACK does.  A
-    matrix passes when every pivot is > 0, so a NaN pivot fails it.
-    Entries are read from ``mats`` and never written.
+    Only the real part of a diagonal entry is read, as LAPACK does; a real
+    stack is read as one with zero imaginary parts.  A matrix passes when
+    every pivot is > 0, so a NaN pivot fails it.  Entries are read from
+    ``mats`` and never written.
     """
     b, n = mats.shape[:2]
     entries = mats.reshape(b, n * n)
-    cplx = np.iscomplexobj(mats)
     re = {(i, j): entries[:, i * n + j].real for i in range(n) for j in range(i + 1)}
-    im = {(i, j): entries[:, i * n + j].imag for i in range(n) for j in range(i)} \
-        if cplx else None
+    im = {(i, j): entries[:, i * n + j].imag for i in range(n) for j in range(i)}
     for k in range(n):
         re[k, k] = re[k, k] - shift
     ok = np.ones(b, dtype=bool)
@@ -211,15 +210,12 @@ def _cholesky_passes(mats, shift) -> np.ndarray:
             root = np.sqrt(re[k, k])
             for i in range(k + 1, n):
                 re[i, k] = re[i, k] / root
-                if cplx:
-                    im[i, k] = im[i, k] / root
+                im[i, k] = im[i, k] / root
             for i in range(k + 1, n):
                 for j in range(k + 1, i + 1):  # a_ij -= l_ik conj(l_jk)
-                    re[i, j] = re[i, j] - re[i, k] * re[j, k]
-                    if cplx:
-                        re[i, j] = re[i, j] - im[i, k] * im[j, k]
-                        if j < i:
-                            im[i, j] = im[i, j] - (im[i, k] * re[j, k] - re[i, k] * im[j, k])
+                    re[i, j] = re[i, j] - re[i, k] * re[j, k] - im[i, k] * im[j, k]
+                    if j < i:
+                        im[i, j] = im[i, j] - (im[i, k] * re[j, k] - re[i, k] * im[j, k])
     return ok
 
 
