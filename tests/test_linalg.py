@@ -292,7 +292,7 @@ def test_min_eig_affine_matches_dense(sizes, twos, n_parts, n_rows, real, seed):
     # ``twos`` adds 2 x 2 blocks [[p, conj(c)], [c, q]] that are nearly
     # degenerate in every part, |q - p| and |c| at most ``gap`` and ``mag``
     # (1e-9), then scaled by up to 1e8; the tolerance is relative to the norm
-    # of such a block where that exceeds 1, as eigvalsh's error is
+    # of such a block where that exceeds 1, since eigvalsh's own error grows with it
     rng = np.random.default_rng(seed)
     n = sum(sizes) + 2 * len(twos)
     parts = np.zeros((n_parts, n, n), dtype=complex)
