@@ -84,12 +84,12 @@ combines it:
   the blocks; no (d^2 - 1)-dimensional eigensolve is made.  The dissipativity
   oracle compresses with the same basis.
 
-The two sampling oracles each keep the parts of their last seeded sample
-set only, keyed by (oracle, d, sample count, seed), and drop them before
-their next set is drawn.  On one BLAS thread (2-core shared machine), a
-9-call Schwarz bisection with budget 10 000 takes about 10, 10, 13, 30 and
-170 ms at d = 2, 3, 5, 8 and 16 (about 50, 70, 140, 300 and 1000 ms when
-10 000 random X were solved).  A call with budget 1000 and a new seed, forms
+The two sampling oracles keep the parts of the last seeded sample set only,
+keyed by (oracle, d, sample count, seed), and drop them before the next set
+is drawn.  On one BLAS thread (2-core shared machine), a 9-call Schwarz
+bisection with budget 10 000 takes about 10, 10, 13, 30 and 170 ms at
+d = 2, 3, 5, 8 and 16 (about 50, 70, 140, 300 and 1000 ms when 10 000
+random X were solved).  A call with budget 1000 and a new seed, forms
 built included, takes about 1 ms at d = 2, 3 ms at d = 8 (2.4 and 13 ms
 with random X), 8 ms at d = 12 and 32 ms at d = 16.
 ``generator_blocks(16)`` takes under 2 ms.  The pair parts of budget
@@ -296,11 +296,9 @@ def spectrum_rates(p: GenParams, positivity_class: str = "kpositive",
 # seeded sample parts, reused across calls with one seed
 # ---------------------------------------------------------------------------
 
-# The parts of each oracle's last seeded sample set, keyed by (oracle, d,
-# budget, seed).  One slot per oracle: a bisection reuses one seed, and
-# dropping an oracle's old set before its next is drawn keeps two of its sets
-# from ever being held at once; ``spectrum`` calls both oracles in turn, so a
-# shared slot would never be hit there.
+# The parts of the last seeded sample set, keyed by (oracle, d, budget, seed).
+# One slot: a bisection reuses one seed, and dropping the old set before the
+# next is drawn keeps two sets from ever being held at once.
 _sample_parts: dict = {}
 
 
@@ -315,8 +313,7 @@ def _seeded_parts(oracle: str, d: int, n: int, seed, build):
     key = (oracle, d, n, seed)
     parts = _sample_parts.get(key)
     if parts is None:
-        for old in [k for k in _sample_parts if k[0] == oracle]:
-            del _sample_parts[old]
+        _sample_parts.clear()
         parts = build(d, n, seed)
         for arr in parts:
             arr.flags.writeable = False

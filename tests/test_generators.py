@@ -411,41 +411,18 @@ def test_bisection_draws_its_samples_once(monkeypatch, fresh_sample_parts):
     _bisect_nine(lambda nu: g.is_dissipative(
         g.GenParams(d, 1.3, nu), budget, seed).min_sampled_eig >= -1e-9, -0.9, -0.5)
     assert draws["positivity_candidates"] == 1
-    # each oracle has its own slot, so the pair set stays; ceil(2000 / 5^3)
-    # Haar w were drawn, after the three orbit representatives
+    # the pair set was dropped when the Haar w were drawn: ceil(2000 / 5^3) of
+    # them, after the three orbit representatives
     key = ("dissipativity", d, 16, seed)
-    assert list(fresh_sample_parts) == [("pair", d, budget, seed), key]
+    assert list(fresh_sample_parts) == [key]
     hop, phase, ws = fresh_sample_parts[key]
     assert hop.shape == phase.shape == (3 + 16, d * d - 1, d * d - 1)
     assert ws.shape == (3 + 16, d)
     assert all(not a.flags.writeable for a in fresh_sample_parts[key])
 
-    # a new seed replaces the oracle's own set only
     g.is_dissipative(g.GenParams(d, 1.3, -0.6), budget, seed + 1)
     assert draws["positivity_candidates"] == 2
-    assert list(fresh_sample_parts) == [("pair", d, budget, seed),
-                                        ("dissipativity", d, 16, seed + 1)]
-
-
-def test_repeated_spectrum_sequences_build_each_oracles_parts_once(monkeypatch,
-                                                                   fresh_sample_parts):
-    # ``spectrum`` calls the pair oracle, then the Schwarz oracle, with one
-    # seed and budget; a second such sequence reads both slots
-    builds = {"_pair_parts": 0, "_form_parts": 0}
-    for name in builds:
-        orig = getattr(g, name)
-
-        def counting(*args, _name=name, _orig=orig, **kwargs):
-            builds[_name] += 1
-            return _orig(*args, **kwargs)
-
-        monkeypatch.setattr(g, name, counting)
-    p, budget, seed = g.GenParams(4, 1.0, -0.6), 1000, 9
-    reports = [(g.is_conditionally_positive(p, budget, seed), g.is_dissipative(p, budget, seed))
-               for _ in range(2)]
-    assert builds == {"_pair_parts": 1, "_form_parts": 1}
-    assert reports[0][0].sampled_min == reports[1][0].sampled_min
-    assert reports[0][1] == reports[1][1]
+    assert list(fresh_sample_parts) == [("dissipativity", d, 16, seed + 1)]
 
 
 @pytest.mark.parametrize("far_nu", [-3.0, 1.5])
