@@ -130,9 +130,9 @@ def choi_from_transfer(transfer: np.ndarray, d: int) -> np.ndarray:
 
 
 def partial_trace_output(choi: np.ndarray, d: int) -> np.ndarray:
-    """Trace the output factor of a Choi matrix; equals I_d iff trace-preserving."""
-    c4 = np.asarray(choi, dtype=complex).reshape(d, d, d, d)
-    return np.einsum("iaja->ij", c4)
+    """Trace the output factor of Choi matrices (..., d^2, d^2); I_d iff trace-preserving."""
+    c = np.asarray(choi, dtype=complex)
+    return np.einsum("...iaja->...ij", c.reshape(c.shape[:-2] + (d, d, d, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +160,21 @@ def family_transfer_parts(d: int):
     return t_id, t_tau0, t_delta
 
 
+def family_transfer(d: int, alpha, beta) -> np.ndarray:
+    """Transfers of (1 - alpha - beta) id + alpha tau0 + beta Delta, shape (..., d^2, d^2).
+
+    ``alpha`` and ``beta`` are real numbers or arrays that broadcast
+    together; each transfer is the one ``build_phi_family`` makes, bit for bit.
+    """
+    t_id, t_tau0, t_delta = family_transfer_parts(d)
+    alpha = np.asarray(alpha, dtype=float)[..., None, None]
+    beta = np.asarray(beta, dtype=float)[..., None, None]
+    return (1.0 - alpha - beta) * t_id + alpha * t_tau0 + beta * t_delta
+
+
 def build_phi_family(params: MapParams) -> SuperMap:
     """The map (1 - alpha - beta) id + alpha tau0 + beta Delta as a SuperMap."""
-    t_id, t_tau0, t_delta = family_transfer_parts(params.d)
-    transfer = (
-        (1.0 - params.alpha - params.beta) * t_id
-        + params.alpha * t_tau0
-        + params.beta * t_delta
-    )
-    return SuperMap(params.d, transfer)
+    return SuperMap(params.d, family_transfer(params.d, params.alpha, params.beta))
 
 
 def named_map_coordinates(name: str, d: int) -> MapParams:

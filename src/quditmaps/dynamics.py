@@ -464,22 +464,38 @@ def weyl_ops(d: int):
     return list(_weyl_cached(d))
 
 
+@lru_cache(maxsize=None)
+def _weyl_power_index(d: int) -> np.ndarray:
+    """Index j with W_{kl}^n = W_j up to a phase, over (k, l > 0, n); read-only."""
+    k, l, n = np.meshgrid(np.arange(d), np.arange(1, d), np.arange(d), indexing="ij")
+    j = (n * k % d) * d + n * l % d
+    j.flags.writeable = False
+    return j
+
+
 def _weyl_mixture_transfer(d: int, w: np.ndarray) -> np.ndarray:
-    """Transfer of the uniform mixture over k, l > 0 of sum_n w_n C_{kl}^n.
+    """Transfers of the uniform mixture over k, l > 0 of sum_n w_n C_{kl}^n.
 
     C_{kl} is conjugation by W_{kl}.  W_{kl}^n is W_{nk mod d, nl mod d} up
     to a phase, so the mixture is the Weyl channel sum_j p_j W_j . W_j^+
-    with the weights p gathered from w.
+    with the weights p gathered from w.  ``w`` is real, of shape (..., d);
+    the result has shape (..., d^2, d^2), and each row of weights is
+    gathered and summed as a single row would be.
     """
-    k, l, n = np.meshgrid(np.arange(d), np.arange(1, d), np.arange(d), indexing="ij")
-    j = (n * k % d) * d + n * l % d
-    p = np.bincount(j.ravel(), weights=np.broadcast_to(w, j.shape).ravel(),
-                    minlength=d * d) / (d * (d - 1))
+    j = _weyl_power_index(d)
+    w = np.asarray(w)
+    rows = w.reshape(-1, 1, 1, d)
+    m = rows.shape[0]
+    # row r gathers into bins r d^2 + j, so each row's bins fill in its own order
+    bins = (np.arange(m)[:, None, None, None] * (d * d) + j).ravel()
+    p = np.bincount(bins, weights=np.broadcast_to(rows, (m,) + j.shape).ravel(),
+                    minlength=m * d * d).reshape(m, 1, d * d) / (d * (d - 1))
     ops = _weyl_cached(d).reshape(d * d, d * d)
     # acc[(a, b), (c, e)] = sum_j p_j conj(W_j)[a, b] W_j[c, e]; the transpose
     # reorders it to sum_j p_j kron(conj(W_j), W_j)
     acc = (ops.conj().T * p) @ ops
-    return acc.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    acc = acc.reshape(m, d, d, d, d).transpose(0, 1, 3, 2, 4)
+    return acc.reshape(w.shape[:-1] + (d * d, d * d))
 
 
 def weyl_mixture_map(d: int, t: float) -> SuperMap:

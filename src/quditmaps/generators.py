@@ -86,18 +86,7 @@ combines it:
 
 The two sampling oracles keep the parts of the last seeded sample set only,
 keyed by (oracle, d, sample count, seed), and drop them before the next set
-is drawn.  On one BLAS thread (2-core shared machine), a 9-call Schwarz
-bisection with budget 10 000 takes about 10, 10, 13, 30 and 170 ms at
-d = 2, 3, 5, 8 and 16 (about 50, 70, 140, 300 and 1000 ms when 10 000
-random X were solved).  A call with budget 1000 and a new seed, forms
-built included, takes about 1 ms at d = 2, 3 ms at d = 8 (2.4 and 13 ms
-with random X), 8 ms at d = 12 and 32 ms at d = 16.
-``generator_blocks(16)`` takes under 2 ms.  The pair parts of budget
-10 000 take about 6, 6, 9, 14 and 28 ms at d = 2, 3, 5, 8 and 16 (about
-13, 18, 33, 58 and 185 ms through the (d^2, N) stack), half of it or more
-in drawing the normals.  A repeated pair-oracle call at d = 8 takes 0.1 ms;
-``is_ccp`` at d = 16 takes 2 to 5 ms, where the dense 255 x 255 eigensolve
-took 24 ms.
+is drawn.  The README gives the measured cost of each oracle call.
 """
 
 from __future__ import annotations
@@ -177,12 +166,6 @@ def schwarz_threshold(d: int) -> float:
 def ccp_threshold(d: int) -> float:
     """exp(tL) completely positive for all t iff nu >= this value."""
     return 0.0
-
-
-def phase_unitary(d: int) -> np.ndarray:
-    """Z = sum_l exp(2 pi i l / d) E_ll, the diagonal clock unitary."""
-    d = check_dimension(d)
-    return np.diag(np.exp(2j * np.pi * np.arange(1, d + 1) / d))
 
 
 @lru_cache(maxsize=None)
@@ -324,12 +307,6 @@ def _seeded_parts(oracle: str, d: int, n: int, seed, build):
 # ---------------------------------------------------------------------------
 # conditional positivity (orthonormal-pair oracle)
 # ---------------------------------------------------------------------------
-
-def pair_functional(gen: SuperMap, x: np.ndarray, y: np.ndarray) -> float:
-    """<y| L(|x><x|) |y> evaluated through the transfer matrix."""
-    out = gen(np.outer(x, x.conj()))
-    return float(np.real(y.conj() @ out @ y))
-
 
 @dataclass(frozen=True)
 class PairSamplingReport:

@@ -49,31 +49,34 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def hermiticity_defect(a) -> float:
-    """max_ij |A_ij - conj(A_ji)|."""
-    m = np.asarray(a)
-    return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+def _hermiticity_failures(m, tol: float) -> np.ndarray:
+    """Defects max_ij |A_ij - conj(A_ji)| of the matrices A of a (..., n, n) stack
+    that exceed tol * (1 + ||A||_F)."""
+    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    return defect[defect > tol * (1.0 + np.linalg.norm(m, axis=(-2, -1)))]
 
 
 def is_hermitian(a, tol: float = _HERM_TOL) -> bool:
-    m = as_complex_matrix(a)
-    return hermiticity_defect(m) <= tol * (1.0 + frobenius(m))
+    return _hermiticity_failures(as_complex_matrix(a), tol).size == 0
 
 
 def _require_hermitian(a) -> np.ndarray:
-    m = as_complex_matrix(a)
-    if not is_hermitian(m):
-        raise NonHermitianInput(
-            f"matrix is not Hermitian (defect {hermiticity_defect(m):.3e})"
-        )
+    """``a`` as complex (..., n, n) matrices, each checked as ``is_hermitian`` checks one."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {m.shape}")
+    failures = _hermiticity_failures(m, _HERM_TOL)
+    if failures.size:
+        raise NonHermitianInput(f"matrix is not Hermitian (defect {failures.max():.3e})")
     return m
 
 
 def eig_hermitian(a):
-    """Eigenvalues (ascending, real) and eigenvectors of a Hermitian matrix.
+    """Eigenvalues (ascending, real) and eigenvectors of Hermitian matrices (..., n, n).
 
-    Returns ``(w, v)`` with ``a @ v == v @ diag(w)`` up to numerical residual.
-    Raises NonHermitianInput when the Hermiticity check fails.
+    Returns ``(w, v)`` with ``a @ v == v @ diag(w)`` up to numerical residual,
+    for each matrix of a stack.  Raises NonHermitianInput when the
+    Hermiticity check fails for any of them.
     """
     m = _require_hermitian(a)
     w, v = np.linalg.eigh(m)
@@ -82,7 +85,7 @@ def eig_hermitian(a):
 
 def min_eig(a) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    m = _require_hermitian(a)
+    m = _require_hermitian(as_complex_matrix(a))
     return float(np.linalg.eigvalsh(m)[0])
 
 
@@ -307,7 +310,7 @@ def is_psd(a, tol: float | None = None) -> bool:
     objects sit exactly at eigenvalue zero, so callers that care about the
     sign of the margin should use ``min_eig`` directly.
     """
-    m = _require_hermitian(a)
+    m = _require_hermitian(as_complex_matrix(a))
     if tol is None:
         tol = PSD_TOL * (1.0 + frobenius(m))
     return min_eig(m) >= -tol
@@ -345,13 +348,6 @@ def partial_transpose(m, d: int, subsystem: int = 2) -> np.ndarray:
     m4 = mat.reshape(-1, d, d, d, d)  # [batch, i, a, j, b]
     out = m4.transpose(0, 1, 4, 3, 2) if subsystem == 2 else m4.transpose(0, 3, 2, 1, 4)
     return np.ascontiguousarray(out).reshape(mat.shape)
-
-
-def basis_matrix(i: int, j: int, d: int) -> np.ndarray:
-    """Matrix unit |i><j| (0-indexed)."""
-    e = np.zeros((d, d), dtype=complex)
-    e[i, j] = 1.0
-    return e
 
 
 def maximally_entangled_vector(d: int) -> np.ndarray:

@@ -9,10 +9,7 @@ from quditmaps import channels as ch
 from quditmaps import linalg as la
 from quditmaps import verify
 from quditmaps.errors import BadWeights, DimensionMismatch, UnknownName
-
-
-def basis(i, j, d):
-    return la.basis_matrix(i, j, d)
+from reference import basis_matrix as basis
 
 
 def identity_map(d: int) -> ch.SuperMap:
@@ -59,6 +56,22 @@ def test_family_identity_and_depolarizing():
 def test_family_point_e4_scales_offdiagonals():
     m = ch.build_phi_family(ch.MapParams(3, 1.0, -1.0 / 3.0))
     assert np.allclose(m(basis(0, 1, 3)), basis(0, 1, 3) / 3.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+def test_family_transfer_of_arrays_is_build_phi_family_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    alpha = rng.uniform(-1.0, 3.0, (2, 4))
+    beta = rng.uniform(-2.0, 2.0, (2, 4))
+    beta[0, 0] = 0.0
+    stack = ch.family_transfer(d, alpha, beta)
+    assert stack.shape == (2, 4, d * d, d * d)
+    for a, b, t in zip(alpha.ravel(), beta.ravel(), stack.reshape(8, d * d, d * d)):
+        assert np.array_equal(t, ch.build_phi_family(ch.MapParams(d, a, b)).transfer)
+    choi = ch.choi_from_transfer(stack, d)
+    ptr = ch.partial_trace_output(choi, d)
+    assert ptr.shape == (2, 4, d, d)
+    assert np.array_equal(ptr[1, 2], ch.partial_trace_output(choi[1, 2], d))
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,7 @@ from quditmaps import linalg as la
 from quditmaps.channels import MapParams, build_phi_family, family_fit, named_map
 from quditmaps.errors import NegativeTime, NoLimit, SingularMap, UnknownName
 from quditmaps.regions import classify_point
+from reference import basis_matrix
 
 
 ALL_SCHEDULES = lambda d: [
@@ -361,7 +362,7 @@ def test_weyl_completeness_relation():
             a = la.ginibre(d, rng)
             twirl = sum(w @ a @ w.conj().T for w in ops)
             assert np.abs(twirl - d * np.eye(d) * np.trace(a)).max() <= 1e-10
-    e12 = la.basis_matrix(0, 1, 3)
+    e12 = basis_matrix(0, 1, 3)
     twirl = sum(w @ e12 @ w.conj().T for w in dy.weyl_ops(3))
     assert np.abs(twirl).max() <= 1e-12
 
@@ -428,6 +429,17 @@ def test_weyl_mixture_matches_dense_reference(d):
         diff = np.abs(dy.weyl_mixture_map(d, t).transfer - dense_weyl_mixture(d, t)).max()
         assert diff <= 1e-12
     assert np.abs(dy.weyl_commutant_average(d) - dense_commutant_average(d)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_weyl_mixture_transfer_of_a_stack_matches_the_map_bit_for_bit(d):
+    ts = np.linspace(0.0, 3.0, 6)
+    shift = np.roll(np.eye(d), 1, axis=0)
+    w = dy.expm(ts[:, None, None] * (shift - np.eye(d)))[:, :, 0]
+    stack = dy._weyl_mixture_transfer(d, w.reshape(2, 3, d))
+    assert stack.shape == (2, 3, d * d, d * d)
+    for t, transfer in zip(ts, stack.reshape(6, d * d, d * d)):
+        assert np.array_equal(transfer, dy.weyl_mixture_map(d, t).transfer)
 
 
 def test_weyl_mixture_makes_one_small_expm(monkeypatch):

@@ -10,6 +10,7 @@ from quditmaps import generators as g
 from quditmaps import linalg as la
 from quditmaps import verify
 from quditmaps.errors import NegativeRate, NotOrthonormal, NotTraceless, QuditMapsError
+from reference import basis_matrix, pair_functional, phase_unitary
 
 
 def qubit_generator_transfer(kappa, nu, omega):
@@ -47,7 +48,7 @@ def test_generator_is_unital():
 
 def test_generator_offdiagonal_eigenvalue():
     gen = g.build_generator(g.GenParams(3, 1.0, 0.0))
-    e12 = la.basis_matrix(0, 1, 3)
+    e12 = basis_matrix(0, 1, 3)
     assert np.allclose(gen(e12), -2.0 * e12)
 
 
@@ -72,10 +73,10 @@ def literal_generator_blocks(d):
     for i in range(d):
         for j in range(d):
             if i != j:
-                e = la.basis_matrix(i, j, d)
+                e = basis_matrix(i, j, d)
                 hop += np.kron(e.conj(), e)  # X -> E_ij X E_ji
     hop -= (d - 1) * eye
-    z = g.phase_unitary(d)
+    z = phase_unitary(d)
     phase = np.zeros_like(hop)
     for k in range(1, d):
         zk = np.linalg.matrix_power(z, k)
@@ -177,7 +178,7 @@ def test_pair_functional_closed_form():
         gen = g.build_generator(g.GenParams(d, kappa, nu))
         for _ in range(50):
             x, y = la.haar_orthonormal_pair(d, rng)
-            val = g.pair_functional(gen, x, y)
+            val = pair_functional(gen, x, y)
             s = float(np.sum(np.abs(x) ** 2 * np.abs(y) ** 2))
             assert val == pytest.approx(kappa * (1.0 - (1.0 - nu) * s), abs=1e-10)
 
@@ -186,7 +187,7 @@ def test_conditional_positivity_boundary_pair():
     d, kappa = 4, 1.0
     gen = g.build_generator(g.GenParams(d, kappa, -1.0))
     x, y = saturating_pair(d)
-    assert g.pair_functional(gen, x, y) == pytest.approx(0.0, abs=1e-12)
+    assert pair_functional(gen, x, y) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_conditional_positivity_sampled_minima():
@@ -233,8 +234,8 @@ def test_ccp_insensitive_to_hamiltonian():
 
 def test_dissipativity_matrix_on_matrix_unit():
     for d, a in ((3, 1.6), (4, 0.5)):
-        m = g.dissipativity_matrix(d, a, la.basis_matrix(0, 1, d))
-        expected = np.eye(d) + (d - 2 * a) * la.basis_matrix(1, 1, d)
+        m = g.dissipativity_matrix(d, a, basis_matrix(0, 1, d))
+        expected = np.eye(d) + (d - 2 * a) * basis_matrix(1, 1, d)
         assert np.abs(m - expected).max() <= 1e-12
 
 
@@ -325,7 +326,7 @@ def test_lemma1_rejects_bad_pairs():
 def reference_pair_min(p, budget, seed):
     """Pair oracle minimum from the generator's dense transfer, one call at a time."""
     gen = g.build_generator(p)
-    best = min(g.pair_functional(gen, x, y) for x, y in g.two_coordinate_pairs(p.d))
+    best = min(pair_functional(gen, x, y) for x, y in g.two_coordinate_pairs(p.d))
     if budget > 0:
         xs, ys = la.haar_orthonormal_pair(p.d, np.random.default_rng(seed), n=budget)
         rho = np.einsum("ni,nj->nij", xs, xs.conj())
@@ -363,7 +364,7 @@ def test_oracles_match_dense_references(d, kappa, nu, with_h, seed, budget, data
     pair = g.is_conditionally_positive(p, budget, seed)
     assert abs(pair.sampled_min - reference_pair_min(p, budget, seed)) <= tol
     x, y = pair.argmin_pair
-    assert abs(g.pair_functional(g.build_generator(p), x, y) - pair.sampled_min) <= tol
+    assert abs(pair_functional(g.build_generator(p), x, y) - pair.sampled_min) <= tol
     hit = g.is_conditionally_positive(p, budget, seed)
     assert hit.sampled_min == pair.sampled_min
     assert all(np.array_equal(u, v) for u, v in zip(hit.argmin_pair, pair.argmin_pair))
@@ -486,7 +487,7 @@ def test_pair_oracle_with_a_hamiltonian_matches_the_dense_stack(d):
     vals = stacked_pair_parts(d, xs, ys) @ np.array([p.kappa, p.kappa * p.nu / d, *h])
     assert np.abs(vals).max() > 0.1
     assert abs(rep.sampled_min - vals.min()) <= 1e-13 * (1.0 + np.abs(vals).max())
-    dense = g.pair_functional(g.build_generator(p), *rep.argmin_pair)
+    dense = pair_functional(g.build_generator(p), *rep.argmin_pair)
     assert abs(dense - rep.sampled_min) <= 1e-12 * (1.0 + np.abs(vals).max())
 
 

@@ -12,10 +12,7 @@ from quditmaps import channels as ch
 from quditmaps import linalg as la
 from quditmaps import verify
 from quditmaps.errors import DimensionMismatch, NonHermitianInput
-
-
-def basis(i, j, d):
-    return la.basis_matrix(i, j, d)
+from reference import basis_matrix as basis
 
 
 def swap_matrix(d):
@@ -72,6 +69,20 @@ def test_eig_hermitian_witness_block():
 def test_eig_hermitian_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         la.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eig_hermitian_of_a_stack_checks_every_member():
+    rng = np.random.default_rng(4)
+    a = la.random_hermitian(4, rng, n=6).reshape(2, 3, 4, 4)
+    w, v = la.eig_hermitian(a)
+    assert w.shape == (2, 3, 4) and v.shape == (2, 3, 4, 4)
+    w1, v1 = la.eig_hermitian(a[1, 2])
+    assert np.array_equal(w[1, 2], w1) and np.array_equal(v[1, 2], v1)
+    a[1, 1, 0, 3] += 1e-6
+    with pytest.raises(NonHermitianInput):
+        la.eig_hermitian(a)
+    with pytest.raises(DimensionMismatch):
+        la.eig_hermitian(np.zeros((2, 3, 4)))
 
 
 def test_is_psd_examples():

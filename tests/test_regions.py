@@ -15,6 +15,7 @@ from quditmaps.errors import NotUnital, QuditMapsError, UnknownName
 from quditmaps.generators import (GenParams, build_generator, schwarz_threshold,
                                   witness_operator)
 from quditmaps.linalg import partial_transpose
+from reference import basis_matrix
 
 
 def transposition_map(d):
@@ -424,7 +425,7 @@ def reference_candidates(d, sample_budget, rng):
     for i in range(d):
         for j in range(d):
             if i != j:
-                yield la.basis_matrix(i, j, d)
+                yield basis_matrix(i, j, d)
     for c in np.linspace(-5.0, 5.0, 101):
         yield witness_operator(d, float(c))
     for v in la.positivity_candidates(d, 0, rng):
@@ -594,7 +595,7 @@ def test_falsifier_stops_at_the_first_violating_matrix_unit(d, solver_batches, m
     monkeypatch.setattr(r, "positivity_candidates", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
     x = r.schwarz_falsify(transposition_map(d))
-    assert np.array_equal(x, la.basis_matrix(0, 1, d))
+    assert np.array_equal(x, basis_matrix(0, 1, d))
     assert 0 < sum(solver_batches["cholesky"]) <= d * (d - 1)
     assert sum(solver_batches["eigvalsh"]) <= d * (d - 1)
 
@@ -619,7 +620,7 @@ def test_schwarz_violation_takes_stacks(kind):
 
 def test_transposition_violates_schwarz():
     m = transposition_map(2)
-    x = m_x = la.basis_matrix(0, 1, 2)
+    x = m_x = basis_matrix(0, 1, 2)
     assert r.schwarz_violation(m, x) == pytest.approx(-1.0, abs=1e-12)
     found = r.schwarz_falsify(m, sample_budget=0, seed=5)
     assert found is not None
