@@ -28,6 +28,9 @@ from .linalg import (
     vec,
 )
 
+# Tolerance of the trace-preserving, unital and state checks.
+_CHECK_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class MapParams:
@@ -74,13 +77,13 @@ class SuperMap:
         # one matrix-vector product per input, so a batch matches one-by-one calls
         return unvec((self.transfer @ v[..., None])[..., 0], self.d)
 
-    def is_trace_preserving(self, tol: float = 1e-10) -> bool:
+    def is_trace_preserving(self) -> bool:
         ptr = partial_trace_output(self.choi, self.d)
-        return float(np.abs(ptr - np.eye(self.d)).max()) <= tol
+        return float(np.abs(ptr - np.eye(self.d)).max()) <= _CHECK_TOL
 
-    def is_unital(self, tol: float = 1e-10) -> bool:
+    def is_unital(self) -> bool:
         vi = vec(np.eye(self.d))
-        return float(np.abs(self.transfer @ vi - vi).max()) <= tol
+        return float(np.abs(self.transfer @ vi - vi).max()) <= _CHECK_TOL
 
     def __repr__(self):
         return f"SuperMap(d={self.d})"
@@ -102,14 +105,14 @@ class QuantumState:
             )
 
 
-def validate_state(state: QuantumState, tol: float = 1e-10) -> bool:
-    """Hermitian, unit trace, and no eigenvalue below -tol."""
+def validate_state(state: QuantumState) -> bool:
+    """Hermitian, unit trace, and no eigenvalue below -1e-10 (``_CHECK_TOL``)."""
     rho = state.rho
-    if np.abs(rho - rho.conj().T).max() > tol * (1.0 + frobenius(rho)):
+    if np.abs(rho - rho.conj().T).max() > _CHECK_TOL * (1.0 + frobenius(rho)):
         return False
-    if abs(np.trace(rho) - 1.0) > tol:
+    if abs(np.trace(rho) - 1.0) > _CHECK_TOL:
         return False
-    return float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]) >= -tol
+    return float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]) >= -_CHECK_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +283,14 @@ def apply(m: SuperMap, state: QuantumState) -> QuantumState:
 # JSON wire format
 # ---------------------------------------------------------------------------
 
-def _matrix_to_pairs(mat: np.ndarray):
-    flat = np.asarray(mat, dtype=complex).reshape(-1)  # row-major
-    return [[float(z.real), float(z.imag)] for z in flat]
+def state_to_json(state: QuantumState) -> dict:
+    """{"d": d, "rho": [[re, im], ...]} with row-major entries."""
+    flat = np.asarray(state.rho, dtype=complex).reshape(-1)
+    return {"d": state.d, "rho": [[float(z.real), float(z.imag)] for z in flat]}
 
 
-def supermap_to_json(m: SuperMap) -> dict:
-    """{"d": d, "transfer": [[re, im], ...]} with row-major entries."""
-    return {"d": m.d, "transfer": _matrix_to_pairs(m.transfer)}
-
-
-def _from_json(obj, key: str, power: int):
-    """``(d, M)`` from a wire object holding M (d^power x d^power) as [re, im] pairs.
+def state_from_json(obj) -> QuantumState:
+    """The state of a ``state_to_json`` object, or of its JSON text.
 
     A missing key or a non-numeric entry raises QuditMapsError.
     """
@@ -299,27 +298,14 @@ def _from_json(obj, key: str, power: int):
         if isinstance(obj, str):
             obj = json.loads(obj)
         d = int(obj["d"])
-        arr = np.asarray(obj[key], dtype=float)
+        arr = np.asarray(obj["rho"], dtype=float)
     except KeyError as exc:
         raise QuditMapsError(f"JSON object has no {exc.args[0]!r} entry") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise QuditMapsError(f"malformed JSON object: {exc}") from None
-    n = d**power
-    if arr.shape != (n * n, 2):
-        raise DimensionMismatch(f"expected {n*n} [re, im] pairs, got shape {arr.shape}")
-    return d, (arr[:, 0] + 1j * arr[:, 1]).reshape(n, n)
-
-
-def supermap_from_json(obj) -> SuperMap:
-    return SuperMap(*_from_json(obj, "transfer", 2))
-
-
-def state_to_json(state: QuantumState) -> dict:
-    return {"d": state.d, "rho": _matrix_to_pairs(state.rho)}
-
-
-def state_from_json(obj) -> QuantumState:
-    return QuantumState(*_from_json(obj, "rho", 1))
+    if arr.shape != (d * d, 2):
+        raise DimensionMismatch(f"expected {d*d} [re, im] pairs, got shape {arr.shape}")
+    return QuantumState(d, (arr[:, 0] + 1j * arr[:, 1]).reshape(d, d))
 
 
 def unitary_conjugation(u: np.ndarray) -> SuperMap:

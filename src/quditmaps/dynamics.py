@@ -72,7 +72,7 @@ __all__ = [
     "alpha_beta_at", "kappa_nu_at", "map_at", "asymptotic_map",
     "crossing_times", "tangency_slope", "weyl_ops", "weyl_mixture_map",
     "weyl_commutant_average", "extract_time_local_generator",
-    "alpha_beta_by_quadrature", "schedule_from_name", "trajectory_point",
+    "schedule_from_name", "trajectory_point",
 ]
 
 
@@ -367,6 +367,10 @@ class CrossingReport:
     horizon: float
 
 
+# ``crossing_times`` looks for crossings on (0, _HORIZON].
+_HORIZON = 50.0
+
+
 def _first_root(g: Callable[[float], float], horizon: float) -> Optional[float]:
     """First sign change of g on (0, horizon] by doubling scan plus brentq."""
     from scipy.optimize import brentq
@@ -383,10 +387,10 @@ def _first_root(g: Callable[[float], float], horizon: float) -> Optional[float]:
     return None
 
 
-def crossing_times(d: int, kappa: float, nu: float,
-                   horizon: float = 50.0) -> CrossingReport:
+def crossing_times(d: int, kappa: float, nu: float) -> CrossingReport:
     """Times at which the constant-nu trajectory (re)enters P, CP, and EB.
 
+    The scan ends at t = 50 (``_HORIZON``), where ``margins`` are taken.
     For nu >= -1 the map never leaves the positivity region (t_p = 0); for
     nu >= 0 it never leaves CP (t_cp = 0).  The EB entry time is the root of
     the binding inequality beta >= 1 - alpha - alpha/d, which exists for
@@ -403,16 +407,16 @@ def crossing_times(d: int, kappa: float, nu: float,
         "EB": lambda alpha, beta: beta + alpha + alpha / d - 1.0,
     }
     g = {k: (lambda t, f=f: f(*trajectory(t))) for k, f in forms.items()}
-    t_p = 0.0 if nu >= -1.0 else _first_root(g["P"], horizon)
-    t_cp = 0.0 if nu >= 0.0 else _first_root(g["CP"], horizon)
-    t_eb = _first_root(g["EB"], horizon)
-    margins = {k: float(fn(horizon)) for k, fn in g.items()}
+    t_p = 0.0 if nu >= -1.0 else _first_root(g["P"], _HORIZON)
+    t_cp = 0.0 if nu >= 0.0 else _first_root(g["CP"], _HORIZON)
+    t_eb = _first_root(g["EB"], _HORIZON)
+    margins = {k: float(fn(_HORIZON)) for k, fn in g.items()}
     times = [t for t in (t_p, t_cp, t_eb) if t is not None]
     if len(times) == 3 and not (times[0] <= times[1] + 1e-12 and
                                 times[1] <= times[2] + 1e-12):
         raise RuntimeError(f"crossing times out of order: {times}")
     return CrossingReport(t_p=t_p, t_cp=t_cp, t_eb=t_eb, margins=margins,
-                          horizon=horizon)
+                          horizon=_HORIZON)
 
 
 def tangency_slope(d: int, kappa: float, nu: float, boundary: str) -> float:
@@ -498,6 +502,18 @@ def _weyl_mixture_transfer(d: int, w: np.ndarray) -> np.ndarray:
     return acc.reshape(w.shape[:-1] + (d * d, d * d))
 
 
+def _weyl_weights(d: int, t) -> np.ndarray:
+    """Weights w(t) with exp(t(C - id)) = sum_{n<d} w_n(t) C^n for any C with C^d = id.
+
+    w is the first column of exp(t(X - I)) for the d x d cyclic shift X.
+    ``t`` is a number or an array of times; the result has shape t.shape + (d,),
+    from one (stacked) ``expm`` call.
+    """
+    shift = np.roll(np.eye(d), 1, axis=0)
+    t = np.asarray(t, dtype=float)
+    return expm(t[..., None, None] * (shift - np.eye(d)))[..., :, 0]
+
+
 def weyl_mixture_map(d: int, t: float) -> SuperMap:
     """Uniform mixture of the d(d-1) semigroups exp(t(W . W^+ - id)), l > 0.
 
@@ -506,11 +522,7 @@ def weyl_mixture_map(d: int, t: float) -> SuperMap:
     """
     t = _check_time(t)
     check_dimension(d)
-    # C^d = id, so exp(t(C - id)) = sum_{n<d} w_n C^n, where w is the first
-    # column of exp(t(X - I)) for the d x d cyclic shift X
-    shift = np.roll(np.eye(d), 1, axis=0)
-    w = expm(t * (shift - np.eye(d)))[:, 0]
-    return SuperMap(d, _weyl_mixture_transfer(d, w))
+    return SuperMap(d, _weyl_mixture_transfer(d, _weyl_weights(d, t)))
 
 
 def weyl_commutant_average(d: int) -> np.ndarray:
@@ -537,23 +549,29 @@ class ExtractionReport:
     condition_number: float
 
 
-def extract_time_local_generator(map_fn: Callable[[float], SuperMap], t: float,
-                                 dt: float = 1e-5,
-                                 cond_limit: float = 1e12) -> ExtractionReport:
+# Step of the finite differences in ``extract_time_local_generator``, and the
+# transfer condition number above which it calls the map singular.
+_EXTRACT_DT = 1e-5
+_COND_LIMIT = 1e12
+
+
+def extract_time_local_generator(map_fn: Callable[[float], SuperMap],
+                                 t: float) -> ExtractionReport:
     """Numerical time-local generator L_t = (d Phi_t / dt) Phi_t^{-1}.
 
-    Central differences with step ``dt``; the result is least-squares
-    fitted to the two-parameter generator structure (diagonal Hamiltonian
-    absent), reporting (kappa_fit, nu_fit) and the Frobenius residual of
-    the fit.  Raises SingularMap when the transfer condition number
-    exceeds ``cond_limit`` (the map is not invertible there).
+    Central differences with step dt = 1e-5 (forward ones for t < dt); the
+    result is least-squares fitted to the two-parameter generator structure
+    (diagonal Hamiltonian absent), reporting (kappa_fit, nu_fit) and the
+    Frobenius residual of the fit.  Raises SingularMap when the transfer
+    condition number exceeds 1e12 (the map is not invertible there).
     """
     t = _check_time(t)
     m0 = map_fn(t)
     d = m0.d
     cond = float(np.linalg.cond(m0.transfer))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularMap(f"transfer condition number {cond:.3e} at t={t}")
+    dt = _EXTRACT_DT
     if t >= dt:
         deriv = (map_fn(t + dt).transfer - map_fn(t - dt).transfer) / (2.0 * dt)
     else:
@@ -576,27 +594,8 @@ def extract_time_local_generator(map_fn: Callable[[float], SuperMap], t: float,
 
 
 # ---------------------------------------------------------------------------
-# quadrature fallback for generic (kappa(t), nu(t)) rates
+# trajectory points
 # ---------------------------------------------------------------------------
-
-def alpha_beta_by_quadrature(d: int, kappa_fn: Callable[[float], float],
-                             nu_fn: Callable[[float], float], t: float,
-                             tol: float = 1e-11):
-    """(alpha, beta) from adaptive quadrature of the rate integrals.
-
-    Cross-checks the closed-form trajectories; useful for arbitrary rates.
-    """
-    from scipy.integrate import quad
-
-    t = _check_time(t)
-    check_dimension(d)
-    int_kappa = quad(kappa_fn, 0.0, t, epsabs=tol, epsrel=tol, limit=500)[0]
-    int_kn = quad(lambda u: kappa_fn(u) * (d - 1.0 + nu_fn(u)), 0.0, t,
-                  epsabs=tol, epsrel=tol, limit=500)[0]
-    a_fac = np.exp(-d * int_kappa)
-    b_fac = np.exp(-int_kn)
-    return 1.0 - a_fac, a_fac - b_fac
-
 
 @dataclass(frozen=True)
 class TrajectoryPoint:

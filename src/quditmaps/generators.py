@@ -243,8 +243,12 @@ def rate_bound_coefficient(d: int, positivity_class: str) -> float:
     return table[key]
 
 
-def spectrum_rates(p: GenParams, positivity_class: str = "kpositive",
-                   saturation_tol: float = 1e-12) -> RateReport:
+# Slack of the rate-bound test: absolute for "satisfied", relative to
+# max(1, bound) for "saturated".
+_SATURATION_TOL = 1e-12
+
+
+def spectrum_rates(p: GenParams, positivity_class: str = "kpositive") -> RateReport:
     """Closed-form relaxation rates and the rate bound of a positivity class.
 
     Gamma_diag = kappa d, Gamma_offdiag = kappa (d - 1 + nu),
@@ -270,8 +274,8 @@ def spectrum_rates(p: GenParams, positivity_class: str = "kpositive",
         gamma_max=gamma_max,
         positivity_class=positivity_class.lower(),
         c_d=c_d,
-        bound_satisfied=gamma_max <= bound + saturation_tol,
-        bound_saturated=abs(gamma_max - bound) <= saturation_tol * max(1.0, bound),
+        bound_satisfied=gamma_max <= bound + _SATURATION_TOL,
+        bound_saturated=abs(gamma_max - bound) <= _SATURATION_TOL * max(1.0, bound),
     )
 
 

@@ -56,12 +56,8 @@ def _hermiticity_failures(m, tol: float) -> np.ndarray:
     return defect[defect > tol * (1.0 + np.linalg.norm(m, axis=(-2, -1)))]
 
 
-def is_hermitian(a, tol: float = _HERM_TOL) -> bool:
-    return _hermiticity_failures(as_complex_matrix(a), tol).size == 0
-
-
 def _require_hermitian(a) -> np.ndarray:
-    """``a`` as complex (..., n, n) matrices, each checked as ``is_hermitian`` checks one."""
+    """``a`` as complex (..., n, n) matrices, each within ``_HERM_TOL`` of Hermitian."""
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {m.shape}")
@@ -169,18 +165,14 @@ _SOLVE_SIZE = 64
 
 # Stacks of at least _COMPONENT_STACK matrices of order n <= _COMPONENT_ORDER
 # are factored over components, in blocks of at most _COMPONENT_BLOCK matrices
-# (a few hundred kB of components each; 4096 to 16384 time alike).  Measured
-# per matrix on a whole ``min_eig_capped`` call, one BLAS thread, complex
-# matrices that all pass, components against LAPACK:
-#   n = 3: 1.15 vs 0.67 us at 64, even at 256, 0.11-0.12 vs 0.34 from 1024 on;
-#   n = 5: 4.1 vs 0.74 us at 64, 0.44 vs 0.57 at 1024, 0.35-0.39 vs 0.60-0.66
-#          from 2048 on;
-#   n = 6: even at 1024, 0.49 vs 0.94 us at 32768;
-#   n = 8: slower up to 2048 (1.27 vs 1.20 us), even at 32768.
-# The package's stacks on this path: the positivity outputs of
-# ``regions.classify_grid`` at d <= 5, of a single map at d <= 5 with a budget
-# of at least 1024, and the Haar forms of ``generators.is_dissipative`` at
-# d = 2 with a budget above 8184.
+# (a few hundred kB of components each; larger blocks gain nothing).  Each
+# step over components is one numpy operation on the whole stack, with a
+# fixed cost per step and O(n^3) steps, so it beats one LAPACK call per
+# matrix only on long stacks of small matrices; the README ("Numerical
+# notes") gives the measured crossover.  The package's stacks on this path:
+# the positivity outputs of ``regions.classify_grid`` at d <= 5, of a single
+# map at d <= 5 with a budget of at least 1024, and the Haar forms of
+# ``generators.is_dissipative`` at d = 2 with a budget above 8184.
 _COMPONENT_ORDER = 5
 _COMPONENT_STACK = 1024
 _COMPONENT_BLOCK = 8192
@@ -310,10 +302,11 @@ def is_psd(a, tol: float | None = None) -> bool:
     objects sit exactly at eigenvalue zero, so callers that care about the
     sign of the margin should use ``min_eig`` directly.
     """
-    m = _require_hermitian(as_complex_matrix(a))
+    m = as_complex_matrix(a)
+    lowest = min_eig(m)  # checks Hermiticity
     if tol is None:
         tol = PSD_TOL * (1.0 + frobenius(m))
-    return min_eig(m) >= -tol
+    return lowest >= -tol
 
 
 def vec(a) -> np.ndarray:

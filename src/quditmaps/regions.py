@@ -38,8 +38,8 @@ and ``sampled_positivity_min`` (a single map is one part with coefficient
 
 1. the d^2 + 1 deterministic candidates are solved blockwise by
    ``min_eig_affine``; their outputs are sparse (2 x 2 blocks, which have
-   a closed-form minimum, and scalars for the pairs), so this stage costs
-   1.5-3 ms per benchmark grid;
+   a closed-form minimum, and scalars for the pairs), so no block reaches
+   ``eigvalsh``;
 2. the sampled candidates are certified by ``linalg.min_eig_capped``: the
    Cholesky factorisation of a sampled output minus the stage-1 minimum
    times I (less a rounding margin) succeeds only if its eigenvalues all
@@ -70,9 +70,8 @@ decides by one batched Cholesky, capped at the threshold, whether any of
 its gaps m(X^+ X) - m(X)^+ m(X) falls below it, so the verdict is a plain
 ``eigvalsh``'s.  The scan stops at the first stack that holds a violation
 and returns that stack's first violating X; later stacks are never built.
-The gap has one implementation, shared with ``schwarz_violation``, which
-takes its smallest eigenvalue for one X or a stack.  The loop of
-one map application and one ``eigvalsh`` per candidate it replaced is the
+The gap has one implementation, ``_schwarz_gap``.  The loop of one map
+application and one ``eigvalsh`` per candidate it replaced is the
 reference in ``tests/test_regions.py`` (``reference_falsify``).
 """
 
@@ -111,6 +110,13 @@ REGIONS = ("P", "CP", "EB")
 
 # Oracle-agreement tests exclude points closer to a boundary than this.
 MARGIN_FILTER = 1e-6
+
+# The standard grid extends this far beyond [0, d/(d-1)] on both axes.
+_GRID_PAD = 0.2
+
+# ``schwarz_boundary_scan`` stops bisecting when the bracket is narrower than
+# this share of the gap alpha/d between the CP and P lower boundaries.
+_SCAN_BETA_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -302,10 +308,10 @@ def classify_numeric(p: MapParams, sample_budget: int = 256, seed: int = 42,
 # vectorized grid classification
 # ---------------------------------------------------------------------------
 
-def default_grid(d: int, n: int = 101, pad: float = 0.2):
-    """n-point axes spanning [-pad, d/(d-1) + pad] in both coordinates."""
-    hi = d / (d - 1.0) + pad
-    ax = np.linspace(-pad, hi, n)
+def default_grid(d: int, n: int = 101):
+    """Two n-point axes spanning [-0.2, d/(d-1) + 0.2]; 0.2 is ``_GRID_PAD``."""
+    hi = d / (d - 1.0) + _GRID_PAD
+    ax = np.linspace(-_GRID_PAD, hi, n)
     return ax, ax.copy()
 
 
@@ -369,26 +375,24 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
     }
 
 
-def grid_agreement_report(d: int, n: int = 101, pad: float = 0.2,
-                          sample_budget: int = 32, seed: int = 42,
-                          tol: float = 1e-9,
-                          margin_filter: float = MARGIN_FILTER) -> dict:
+def grid_agreement_report(d: int, n: int = 101, sample_budget: int = 32,
+                          seed: int = 42) -> dict:
     """Closed-form vs oracle agreement on the standard grid, margin-filtered.
 
     Counts disagreements for P, CP and EB among points whose closed-form
-    margin exceeds ``margin_filter`` in absolute value (boundary points are
+    margin exceeds ``MARGIN_FILTER`` in absolute value (boundary points are
     honestly ambiguous at floating-point precision and are excluded).
     Also checks the nesting EB => CP => positive at every grid point and
     that within the CP region the PPT verdict coincides with the closed-form
     EB inequalities.
     """
-    ax, bx = default_grid(d, n, pad)
-    res = classify_grid(d, ax, bx, sample_budget, seed, tol)
+    ax, bx = default_grid(d, n)
+    res = classify_grid(d, ax, bx, sample_budget, seed)
     report = {"d": d, "points": int(ax.size * bx.size)}
     for key, mkey in (("positive", "margin_positive"),
                       ("cp", "margin_cp"),
                       ("eb", "margin_eb")):
-        mask = np.abs(res[mkey]) > margin_filter
+        mask = np.abs(res[mkey]) > MARGIN_FILTER
         diff = res[f"closed_{key}"][mask] != res[f"numeric_{key}"][mask]
         report[f"{key}_tested"] = int(mask.sum())
         report[f"{key}_disagreements"] = int(diff.sum())
@@ -397,10 +401,10 @@ def grid_agreement_report(d: int, n: int = 101, pad: float = 0.2,
         & (~res["closed_cp"] | res["closed_positive"])
     )
     report["nesting_violations"] = int((~nest).sum())
-    ppt_ok = res["numeric_cp"] & (np.abs(res["margin_eb"]) > margin_filter)
-    ppt = res["pt_min"] >= -tol
+    # where the Choi matrix passes, the numeric EB verdict is the PPT verdict
+    ppt_ok = res["numeric_cp"] & (np.abs(res["margin_eb"]) > MARGIN_FILTER)
     report["ppt_vs_eb_disagreements"] = int(
-        (ppt[ppt_ok] != res["closed_eb"][ppt_ok]).sum()
+        (res["numeric_eb"][ppt_ok] != res["closed_eb"][ppt_ok]).sum()
     )
     return report
 
@@ -512,15 +516,6 @@ def _schwarz_gap(transfer, x) -> np.ndarray:
     return gap.reshape(x.shape)
 
 
-def schwarz_violation(m: SuperMap, x: np.ndarray):
-    """Smallest eigenvalue of m(X^+ X) - m(X)^+ m(X); negative = violation.
-
-    ``x`` is one d x d matrix (a float is returned) or a (..., d, d) stack.
-    """
-    vals = np.linalg.eigvalsh(_schwarz_gap(m.transfer, x))[..., 0]
-    return float(vals) if vals.ndim == 0 else vals
-
-
 def _falsifier_chunks(d: int, sample_budget: int, seed):
     """The falsifier's candidates in scan order, as stacks of at most ``_CHUNK``.
 
@@ -606,14 +601,14 @@ def schwarz_falsify(m: SuperMap, sample_budget: int = 10_000, seed: int = 42,
 
 
 def schwarz_boundary_scan(d: int, n_alpha: int = 16, sample_budget: int = 200,
-                          seed: int = 42, beta_tol: float = 1e-3):
+                          seed: int = 42):
     """EMPIRICAL lower Schwarz boundary of the family, by bisection in beta.
 
     For each alpha the scan bisects between the CP lower boundary
     beta = -alpha/d (certified Schwarz) and a point below the positivity
     boundary (certified non-Schwarz), using the falsifier as the test.
-    ``beta_tol`` is relative: the bisection stops when the bracket is
-    narrower than ``beta_tol`` times the gap alpha/d between the CP and P
+    The bisection stops when the bracket is narrower than 1e-3
+    (``_SCAN_BETA_TOL``) times the gap alpha/d between the CP and P
     boundaries, so the returned midpoint cannot fall below the P boundary
     at small alpha, where an absolute width would exceed the gap.
     The result is an estimate produced by a falsifier with finite budget,
@@ -624,7 +619,7 @@ def schwarz_boundary_scan(d: int, n_alpha: int = 16, sample_budget: int = 200,
     for alpha in np.linspace(1e-3, d / (d - 1.0), n_alpha):
         hi = -alpha / d              # Schwarz holds (map is CP)
         lo = -2.0 * alpha / d - 0.1  # map is not positive, hence not Schwarz
-        while hi - lo > beta_tol * alpha / d:
+        while hi - lo > _SCAN_BETA_TOL * alpha / d:
             mid = 0.5 * (hi + lo)
             m = build_phi_family(MapParams(d, float(alpha), float(mid)))
             if schwarz_falsify(m, sample_budget, seed) is None:

@@ -1,6 +1,12 @@
 """Reference helpers the tests build expected values from; the package does not use them."""
 
+import json
+
 import numpy as np
+from scipy.integrate import quad
+
+from quditmaps.channels import SuperMap
+from quditmaps.regions import _schwarz_gap
 
 
 def basis_matrix(i: int, j: int, d: int) -> np.ndarray:
@@ -19,3 +25,41 @@ def pair_functional(gen, x: np.ndarray, y: np.ndarray) -> float:
     """<y| L(|x><x|) |y> evaluated through the generator's transfer matrix."""
     out = gen(np.outer(x, x.conj()))
     return float(np.real(y.conj() @ out @ y))
+
+
+def supermap_to_json(m: SuperMap) -> dict:
+    """{"d": d, "transfer": [[re, im], ...]} with row-major entries."""
+    return {"d": m.d, "transfer": [[float(z.real), float(z.imag)]
+                                   for z in m.transfer.reshape(-1)]}
+
+
+def supermap_from_json(obj) -> SuperMap:
+    """The map of a ``supermap_to_json`` object, or of its JSON text."""
+    if isinstance(obj, str):
+        obj = json.loads(obj)
+    d = int(obj["d"])
+    arr = np.asarray(obj["transfer"], dtype=float)
+    return SuperMap(d, (arr[:, 0] + 1j * arr[:, 1]).reshape(d * d, d * d))
+
+
+def alpha_beta_by_quadrature(d: int, kappa_fn, nu_fn, t: float, tol: float = 1e-11):
+    """(alpha, beta) at time t from adaptive quadrature of the rate integrals.
+
+    alpha = 1 - A and beta = A - B with A = exp(-d Int kappa) and
+    B = exp(-Int kappa (d - 1 + nu)); cross-checks the closed-form trajectories.
+    """
+    int_kappa = quad(kappa_fn, 0.0, t, epsabs=tol, epsrel=tol, limit=500)[0]
+    int_kn = quad(lambda u: kappa_fn(u) * (d - 1.0 + nu_fn(u)), 0.0, t,
+                  epsabs=tol, epsrel=tol, limit=500)[0]
+    a_fac = np.exp(-d * int_kappa)
+    b_fac = np.exp(-int_kn)
+    return 1.0 - a_fac, a_fac - b_fac
+
+
+def schwarz_violation(m: SuperMap, x: np.ndarray):
+    """Smallest eigenvalue of m(X^+ X) - m(X)^+ m(X); negative = violation.
+
+    ``x`` is one d x d matrix (a float is returned) or a (..., d, d) stack.
+    """
+    vals = np.linalg.eigvalsh(_schwarz_gap(m.transfer, x))[..., 0]
+    return float(vals) if vals.ndim == 0 else vals

@@ -197,8 +197,8 @@ def test_c08_weyl_mixture():
     for d in (2, 3, 4):
         for t in np.linspace(0.2, 5.0, 25):
             m = dy.weyl_mixture_map(d, float(t))
-            assert m.is_trace_preserving(1e-10)
-            assert m.is_unital(1e-10)
+            assert m.is_trace_preserving()
+            assert m.is_unital()
             ev = float(np.linalg.eigvalsh(m.choi)[0])
             assert abs(ev) <= 1e-9
     _report(8, "Weyl mixture")

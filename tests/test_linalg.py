@@ -90,6 +90,34 @@ def test_is_psd_examples():
     assert not la.is_psd(np.diag([1.0, -1e-3]), tol=1e-10)
 
 
+def test_is_psd_default_tolerance_is_relative_to_the_norm():
+    # tol=None allows a lowest eigenvalue down to -PSD_TOL * (1 + ||A||_F)
+    big = np.diag([1e6, -5e-4])  # allowance about 1e-3
+    assert la.is_psd(big)
+    assert not la.is_psd(big, tol=1e-10)
+    assert not la.is_psd(np.diag([1e6, -2e-3]))
+    assert la.is_psd(np.diag([1.0, -1e-9]))  # allowance about 2e-9
+    assert not la.is_psd(np.diag([1.0, -1e-8]))
+    for lowest in (-0.99, -1.01):  # around the allowance of a norm-1e9 matrix
+        allowance = la.PSD_TOL * (1.0 + np.hypot(1e9, lowest))
+        assert la.is_psd(np.diag([1e9, lowest])) == (lowest >= -allowance)
+
+
+def test_is_psd_checks_hermiticity_once(monkeypatch):
+    calls = []
+    original = la._hermiticity_failures
+
+    def counting(m, tol):
+        calls.append(m.shape)
+        return original(m, tol)
+
+    monkeypatch.setattr(la, "_hermiticity_failures", counting)
+    assert la.is_psd(np.eye(3))
+    assert calls == [(3, 3)]
+    with pytest.raises(NonHermitianInput):
+        la.is_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
 def test_min_eig_requires_hermitian():
     with pytest.raises(NonHermitianInput):
         la.min_eig(la.ginibre(3, np.random.default_rng(0)))

