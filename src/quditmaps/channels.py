@@ -292,7 +292,8 @@ def state_to_json(state: QuantumState) -> dict:
 def state_from_json(obj) -> QuantumState:
     """The state of a ``state_to_json`` object, or of its JSON text.
 
-    A missing key or a non-numeric entry raises QuditMapsError.
+    A missing key or a non-numeric entry raises QuditMapsError; a dimension
+    outside 2..16 or a wrong number of pairs raises DimensionMismatch.
     """
     try:
         if isinstance(obj, str):
@@ -303,6 +304,7 @@ def state_from_json(obj) -> QuantumState:
         raise QuditMapsError(f"JSON object has no {exc.args[0]!r} entry") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise QuditMapsError(f"malformed JSON object: {exc}") from None
+    check_dimension(d)
     if arr.shape != (d * d, 2):
         raise DimensionMismatch(f"expected {d*d} [re, im] pairs, got shape {arr.shape}")
     return QuantumState(d, (arr[:, 0] + 1j * arr[:, 1]).reshape(d, d))

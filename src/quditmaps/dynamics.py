@@ -48,7 +48,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .channels import (
     MapParams,
@@ -500,6 +499,13 @@ def _weyl_mixture_transfer(d: int, w: np.ndarray) -> np.ndarray:
     acc = (ops.conj().T * p) @ ops
     acc = acc.reshape(m, d, d, d, d).transpose(0, 1, 3, 2, 4)
     return acc.reshape(w.shape[:-1] + (d * d, d * d))
+
+
+def expm(a) -> np.ndarray:
+    """``scipy.linalg.expm`` of a square matrix or a stack of them."""
+    from scipy.linalg import expm as scipy_expm  # deferred: only the Weyl weights need it
+
+    return scipy_expm(a)
 
 
 def _weyl_weights(d: int, t) -> np.ndarray:

@@ -95,7 +95,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .channels import SuperMap, dephase
 from .errors import (
@@ -115,6 +114,7 @@ from .linalg import (
     min_eig,
     min_eig_affine,
     min_eig_capped,
+    null_space,
     positivity_candidates,
     two_coordinate_pairs,
     unvec,

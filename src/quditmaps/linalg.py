@@ -49,6 +49,22 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+def null_space(a) -> np.ndarray:
+    """Orthonormal basis of the null space of the matrix a, as columns.
+
+    One full ``svd``; singular values at most max(a.shape) * eps * s_max
+    count as zero, the default cut of ``scipy.linalg.null_space``.  The
+    columns are read from vh in Fortran order, the layout LAPACK gives scipy,
+    so products with the basis take scipy's BLAS path and round the same way
+    (at d = 2 ``generators._compress`` differs in the last bits otherwise).
+    """
+    a = np.asarray(a)
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = max(a.shape) * np.finfo(s.dtype).eps * np.amax(s, initial=0.0)
+    rank = np.count_nonzero(s > tol)
+    return np.asfortranarray(vh)[rank:].conj().T
+
+
 def _hermiticity_failures(m, tol: float) -> np.ndarray:
     """Defects max_ij |A_ij - conj(A_ji)| of the matrices A of a (..., n, n) stack
     that exceed tol * (1 + ||A||_F)."""

@@ -65,3 +65,22 @@ def test_tracer_records_the_schwarz_falsifier_and_restores_its_names():
     assert all(getattr(r, name) is fn for name, fn in before.items())
     spans = {span[0] for span in tracer.spans}
     assert {"regions.schwarz_falsify", "regions.positivity_candidates"} <= spans
+
+
+def test_tracer_times_the_null_space_and_expm_the_package_calls():
+    # generators.null_space (numpy, from linalg) and dynamics.expm (scipy's,
+    # imported on first call) stay the names the per-layer counts are read by
+    from quditmaps import dynamics as dy
+
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    g._omega_complement.cache_clear()  # so is_ccp computes its basis again
+    try:
+        with tracer.call(0, "probe", 3):
+            g.is_ccp(g.GenParams(3, 1.0, 0.5))
+            dy.weyl_mixture_map(3, 0.5)
+    finally:
+        tracer.restore()
+    metrics = tracer.layer_metrics(1)
+    assert metrics["linalg.null_space.calls"] == 1
+    assert metrics["linalg.expm.calls"] == 1

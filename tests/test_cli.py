@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quditmaps import cli, generators
+from quditmaps import cli, dynamics, generators
 from quditmaps.channels import QuantumState, apply as apply_map, state_to_json
 from quditmaps.dynamics import OptimalENM, map_at
 
@@ -254,7 +254,8 @@ def test_bad_state_file_is_a_usage_error(tmp_path, capsys, text):
     assert _single_error_line(capsys)
 
 
-@pytest.mark.parametrize("state", [{"d": 2}, {"d": 2, "rho": "abc"}])
+@pytest.mark.parametrize("state", [{"d": 2}, {"d": 2, "rho": "abc"},
+                                   {"d": -2, "rho": [[1, 0], [0, 0], [0, 0], [1, 0]]}])
 def test_malformed_state_object_is_a_usage_error(tmp_path, capsys, state):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state))
@@ -447,10 +448,40 @@ def test_reused_parser_gives_the_same_output_as_a_fresh_process(tmp_path, capsys
     assert cli.build_parser() is not cli.build_parser()
 
 
-def test_cli_import_loads_no_scipy_optimize():
-    code = ("import sys, quditmaps.cli; "
-            "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)")
+NUMPY_ONLY_COMMANDS = [
+    ["classify", "--d", "3", "--alpha", "0.5", "--beta", "0.1", "--budget", "200"],
+    *(["spectrum", "--d", "3", "--kappa", "1", "--nu", "-0.5", "--class", c,
+       "--budget", "200"] for c in ("positive", "schwarz", "kpos")),
+    ["area", "--d", "3"],
+    ["region", "--d", "3", "--which", "cp"],
+    *(["trajectory", "--d", "3", "--schedule", s, "--t-max", "2", "--steps", "4"]
+      for s in dynamics.SCHEDULES if s != "weyl"),
+]
+# the paths that load scipy on first use, run last so the check can see a load
+SCIPY_COMMANDS = [
+    ["trajectory", "--d", "3", "--schedule", "weyl", "--t-max", "2", "--steps", "4"],
+    ["crossings", "--d", "3", "--kappa", "1", "--nu", "-0.5"],
+]
+
+
+def test_import_and_the_numpy_commands_load_no_scipy():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import quditmaps, quditmaps.cli, quditmaps.verify\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded, codes = [scipy_modules()], []\n"
+        "for batch in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes += [quditmaps.cli.main(argv) for argv in batch]\n"
+        "    loaded.append(scipy_modules())\n"
+        "print(json.dumps([codes, loaded]))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout.strip() == "False False"
+    batches = json.dumps([NUMPY_ONLY_COMMANDS, SCIPY_COMMANDS])
+    proc = subprocess.run([sys.executable, "-c", code, batches], capture_output=True,
+                          text=True, env=env, check=True)
+    codes, (at_import, after_numpy, after_scipy) = json.loads(proc.stdout)
+    assert codes == [0] * (len(NUMPY_ONLY_COMMANDS) + len(SCIPY_COMMANDS))
+    assert at_import == []
+    assert after_numpy == []
+    assert {"scipy.linalg", "scipy.optimize"} <= set(after_scipy)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space as scipy_null_space
 
 from quditmaps import channels as ch
 from quditmaps import linalg as la
@@ -244,6 +245,49 @@ def test_match_multisets_is_exact():
     assert la.match_multisets([0.5, 1.0], [0.1, 0.6], tol=0.45)
     assert not la.match_multisets([0.5, 1.0], [0.1, 0.6], tol=0.39)
     assert not la.match_multisets([0.5, 1.0], [0.5], tol=1.0)
+
+
+# --- null_space ----------------------------------------------------------------
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_null_space_of_the_omega_row_is_scipys_bit_for_bit(d):
+    # the row generators._omega_complement passes; the same memory layout as
+    # well, since a product with the basis rounds by the layout it is read in
+    omega = la.maximally_entangled_vector(d).real
+    row = omega[np.flatnonzero(omega)][None, :]
+    ours, theirs = la.null_space(row), scipy_null_space(row)
+    assert np.array_equal(ours, theirs)
+    assert ours.strides == theirs.strides
+
+
+@pytest.mark.parametrize("factor, nullity", [(0.5, 1), (1.0, 1), (1.5, 0)])
+def test_null_space_cuts_at_the_larger_side_times_eps(factor, nullity):
+    # 3 x 2 with singular values 1 and factor * 3 eps: the cut is 3 eps,
+    # a value on it counts as zero
+    a = np.zeros((3, 2))
+    a[0, 0], a[1, 1] = 1.0, factor * 3 * np.finfo(float).eps
+    assert la.null_space(a).shape == (2, nullity)
+    assert scipy_null_space(a).shape == (2, nullity)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 6), n=st.integers(1, 6), rank=st.integers(0, 6),
+       scale=st.sampled_from((1e-8, 1.0, 1e8)), seed=st.integers(0, 2**32 - 1))
+def test_null_space_of_a_random_rank_deficient_matrix(m, n, rank, scale, seed):
+    # A = U diag(s) V^dagger with orthonormal U, V and s in [1, 10]: rounding
+    # leaves its zero singular values below the cut (at most 0.71 of it over
+    # 30 000 such draws)
+    rank = min(rank, m, n)
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(_ginibre(rng.integers(2**32), (m, m)))[0][:, :rank]
+    v = np.linalg.qr(_ginibre(rng.integers(2**32), (n, n)))[0][:, :rank]
+    a = scale * (u * rng.uniform(1.0, 10.0, rank)) @ v.conj().T
+    basis = la.null_space(a)
+    assert basis.shape == (n, n - rank)
+    assert np.abs(basis.conj().T @ basis - np.eye(n - rank)).max(initial=0.0) <= 1e-12
+    assert np.linalg.norm(a @ basis) <= 1e-12 * np.linalg.norm(a)
+    theirs = scipy_null_space(a)
+    assert np.abs(basis @ basis.conj().T - theirs @ theirs.conj().T).max() <= 1e-12
 
 
 # --- index conventions on batches ---------------------------------------------
