@@ -15,6 +15,9 @@ Conventions fixed project-wide:
 from __future__ import annotations
 
 import numpy as np
+# The gufunc behind np.linalg.cholesky: it factors a stack without raising,
+# so each matrix gets its own verdict.
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from .errors import DimensionMismatch, NonHermitianInput, QuditMapsError
 
@@ -175,10 +178,6 @@ def min_eig_affine(parts, coef) -> np.ndarray:
     return out
 
 
-# Matrices ``min_eig_capped`` solves together where its certificate fails;
-# it factors 16 times as many per Cholesky call (4 MB at n = 16).
-_SOLVE_SIZE = 64
-
 # Stacks of at least _COMPONENT_STACK matrices of order n <= _COMPONENT_ORDER
 # are factored over components, in blocks of at most _COMPONENT_BLOCK matrices
 # (a few hundred kB of components each; larger blocks gain nothing).  Each
@@ -188,10 +187,14 @@ _SOLVE_SIZE = 64
 # notes") gives the measured crossover.  The package's stacks on this path:
 # the positivity outputs of ``regions.classify_grid`` at d <= 5, of a single
 # map at d <= 5 with a budget of at least 1024, and the Haar forms of
-# ``generators.is_dissipative`` at d = 2 with a budget above 8184.
+# ``generators.is_dissipative`` at d = 2 with a budget above 8184.  Other
+# stacks are factored by LAPACK in blocks of at most _LAPACK_BLOCK matrices
+# (4 MB at n = 16; at n = 8, 5408 complex matrices took 2.71 ms as one
+# block and 2.55 ms as six, on one BLAS thread of a 2-core Xeon).
 _COMPONENT_ORDER = 5
 _COMPONENT_STACK = 1024
 _COMPONENT_BLOCK = 8192
+_LAPACK_BLOCK = 1024
 
 
 def _cholesky_passes(mats, shift) -> np.ndarray:
@@ -230,29 +233,44 @@ def _cholesky_passes(mats, shift) -> np.ndarray:
     return ok
 
 
+def _lapack_passes(mats, shift) -> np.ndarray:
+    """Whether the Cholesky factorisation of each ``mats[b] - shift[b] I`` succeeds.
+
+    The contract of ``_cholesky_passes``, for a writable C-contiguous
+    (B, n, n) stack: the diagonals are shifted in place, the whole stack
+    goes through one call of LAPACK's factorisation (the gufunc behind
+    ``np.linalg.cholesky``, which returns NaN for a matrix it cannot
+    factor instead of raising for the stack), and the diagonals are put
+    back, bit for bit, before returning.  A matrix passes when every
+    diagonal entry of its factor is > 0, so a NaN pivot fails it whether or
+    not LAPACK rejects it.
+    """
+    b, n = mats.shape[:2]
+    diag = mats.reshape(b, n * n, copy=False)[:, ::n + 1]  # a view: writing it writes mats
+    saved = diag.copy()
+    np.subtract(saved, shift[:, None], out=diag)
+    try:
+        with np.errstate(invalid="ignore"):
+            low = _cholesky_lo(mats, signature="D->D" if mats.dtype.kind == "c" else "d->d")
+    finally:
+        diag[...] = saved
+    return (low.reshape(b, n * n)[:, ::n + 1].real > 0).all(axis=1)
+
+
 def min_eig_capped(mats, cap) -> np.ndarray:
     """``min(cap[g], smallest eigenvalue of mats[g, s] over s)`` for every g.
 
     ``mats`` is a writable C-contiguous (G, S, n, n) stack of Hermitian
-    matrices, and it may be overwritten.  Each group's matrices are shifted
-    by ``-cap[g]`` I, lowered further by a rounding margin.  A shifted
-    matrix that has a Cholesky factor has no eigenvalue at or below its cap
-    and is not diagonalised; the others go through ``eigvalsh`` unshifted.
-    The factorisation takes one of two paths, chosen by the input's size
-    alone:
-
-    * n <= ``_COMPONENT_ORDER`` with at least ``_COMPONENT_STACK``
-      matrices: ``_cholesky_passes`` factors them over components, in
-      blocks of ``_COMPONENT_BLOCK``, subtracting the shift as it reads
-      the diagonal, and gives a verdict per matrix; ``mats`` is not
-      written, and the matrices that fail are gathered into one
-      ``eigvalsh`` call.
-    * otherwise the diagonals are shifted in place and
-      ``np.linalg.cholesky`` factors pieces of ``16 * _SOLVE_SIZE``
-      matrices, with a verdict per piece.  A piece that does not factor is
-      factored again in 16 parts of ``_SOLVE_SIZE`` (unless it is no
-      larger than one part), and only the parts that fail get their
-      diagonals back and go through ``eigvalsh``.
+    matrices; it is unchanged on return.  Each group's matrices are
+    shifted by ``-cap[g]`` I, lowered further by a rounding margin.  A
+    shifted matrix that has a Cholesky factor has no eigenvalue at or below
+    its cap and is not diagonalised; the others go through one ``eigvalsh``
+    call, unshifted.  The stack is factored in blocks of equal size, each
+    with a verdict per matrix, by one of two factorisations chosen by the
+    input's size alone: ``_cholesky_passes`` over components, in blocks of
+    up to ``_COMPONENT_BLOCK``, for n <= ``_COMPONENT_ORDER`` and at least
+    ``_COMPONENT_STACK`` matrices, and ``_lapack_passes`` in blocks of up
+    to ``_LAPACK_BLOCK`` otherwise.
 
     The margin, 2 (n + 1)^2 machine epsilons of the largest diagonal entry
     and cap in magnitude, exceeds the rounding of the factorisation and of
@@ -268,46 +286,22 @@ def min_eig_capped(mats, cap) -> np.ndarray:
     g, s, n = mats.shape[:3]
     cap = np.asarray(cap, dtype=float)
     out = cap.copy()
-    if g * s == 0:
+    size = g * s
+    if size == 0:
         return out
-    flat = mats.reshape(g * s, n, n, copy=False)  # views: writing them writes mats
-    diag = mats.reshape(g, s, n * n, copy=False)[..., ::n + 1]
-    scale = np.abs(diag).max() + np.abs(cap).max()
-    shift = cap + 2 * (n + 1) ** 2 * np.finfo(float).eps * scale
-
-    if n <= _COMPONENT_ORDER and g * s >= _COMPONENT_STACK:
-        shift = np.repeat(shift, s)
-        blocks = -(-g * s // _COMPONENT_BLOCK)  # of equal size, up to one matrix
-        bounds = [i * g * s // blocks for i in range(blocks + 1)]
-        failed = np.flatnonzero(~np.concatenate(
-            [_cholesky_passes(flat[lo:hi], shift[lo:hi])
-             for lo, hi in zip(bounds[:-1], bounds[1:])]))
-        if failed.size:
-            np.minimum.at(out, failed // s, np.linalg.eigvalsh(flat[failed])[:, 0])
-        return out
-
-    saved = diag.copy().reshape(g * s, n)
-    diag -= shift[:, None, None]
-
-    def factors(lo, hi):
-        try:
-            np.linalg.cholesky(flat[lo:hi])
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
-    piece = 16 * _SOLVE_SIZE
-    for start in range(0, g * s, piece):
-        stop = min(start + piece, g * s)
-        if factors(start, stop):
-            continue
-        for lo in range(start, stop, _SOLVE_SIZE):
-            hi = min(lo + _SOLVE_SIZE, stop)
-            # a failed piece of one part is that part: it is not factored again
-            if hi - lo == stop - start or not factors(lo, hi):
-                flat[lo:hi].reshape(hi - lo, n * n, copy=False)[:, ::n + 1] = saved[lo:hi]
-                vals = np.linalg.eigvalsh(flat[lo:hi])[:, 0]
-                np.minimum.at(out, np.arange(lo, hi) // s, vals)
+    flat = mats.reshape(size, n, n, copy=False)
+    scale = np.abs(flat.reshape(size, n * n)[:, ::n + 1]).max() + np.abs(cap).max()
+    shift = (cap + 2 * (n + 1) ** 2 * np.finfo(float).eps * scale).repeat(s)
+    if n <= _COMPONENT_ORDER and size >= _COMPONENT_STACK:
+        passes, block = _cholesky_passes, _COMPONENT_BLOCK
+    else:
+        passes, block = _lapack_passes, _LAPACK_BLOCK
+    blocks = -(-size // block)  # of equal size, up to one matrix
+    bounds = [i * size // blocks for i in range(blocks + 1)]
+    failed = np.concatenate([lo + (~passes(flat[lo:hi], shift[lo:hi])).nonzero()[0]
+                             for lo, hi in zip(bounds[:-1], bounds[1:])])
+    if failed.size:
+        np.minimum.at(out, failed // s, np.linalg.eigvalsh(flat[failed])[:, 0])
     return out
 
 

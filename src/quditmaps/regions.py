@@ -44,12 +44,11 @@ and ``sampled_positivity_min`` (a single map is one part with coefficient
    Cholesky factorisation of a sampled output minus the stage-1 minimum
    times I (less a rounding margin) succeeds only if its eigenvalues all
    lie above that minimum.  At d <= 5 a chunk's outputs are factored over
-   components, all at once, with a verdict per output, and only the
-   outputs that fail (a tie, as at the identity, or a sample that sets the
-   minimum) are solved by ``eigvalsh``, in one call.  At larger d (or on
-   fewer than 1024 outputs) ``np.linalg.cholesky`` factors pieces of 1024,
-   a failing piece is factored again in parts of 64, and only the parts
-   that still fail are solved.
+   components, all at once; at larger d (or on fewer than 1024 outputs)
+   LAPACK factors them in blocks of up to 1024.  Either way each output
+   gets its own verdict, and only the outputs that fail (a tie, as at the
+   identity, or a sample that sets the minimum) are solved by
+   ``eigvalsh``, in one call.
 
 The result never depends on the certificate succeeding, only the time
 does.  Nothing here takes anything from the closed forms: no inequality,
@@ -103,7 +102,7 @@ from .linalg import (
 # Kept only because perfbench/tracer.py patches ``regions.ginibre``.  Nothing in
 # this module calls it: ``schwarz_falsify`` draws its samples a stack at a time
 # from ``rng.standard_normal``, so the patched name no longer counts its draws
-# (nor does the tracer see its ``np.linalg.cholesky`` certificate).
+# (nor does the tracer see its Cholesky certificate).
 from .linalg import ginibre  # noqa: F401
 
 REGIONS = ("P", "CP", "EB")
@@ -160,21 +159,19 @@ class AreaReport:
 # ---------------------------------------------------------------------------
 
 def _half_planes(which: str, d: int):
-    """Constraints a*alpha + b*beta + c >= 0 defining each region."""
+    """Constraints a*alpha + b*beta + c >= 0 defining ``which``, one of REGIONS."""
     h = d / (d - 1.0)
     base = [(1.0, 0.0, 0.0), (-1.0, 0.0, h)]  # 0 <= alpha <= d/(d-1)
     if which == "P":
         return base + [(2.0 / d, 1.0, 0.0), (-1.0, -1.0, h)]
     if which == "CP":
         return base + [(1.0 / d, 1.0, 0.0), (-(d + 1.0) / d, -1.0, h)]
-    if which == "EB":
-        return base + [
-            (1.0 / d, 1.0, 0.0),
-            ((d + 1.0) / d, 1.0, -1.0),      # beta >= 1 - alpha - alpha/d
-            (-(d + 1.0) / d, -1.0, h),
-            (-(d - 1.0) / d, -1.0, 1.0),     # beta <= 1 - alpha + alpha/d
-        ]
-    raise UnknownName(f"unknown region {which!r}; choose from {REGIONS}")
+    return base + [  # EB
+        (1.0 / d, 1.0, 0.0),
+        ((d + 1.0) / d, 1.0, -1.0),      # beta >= 1 - alpha - alpha/d
+        (-(d + 1.0) / d, -1.0, h),
+        (-(d - 1.0) / d, -1.0, 1.0),     # beta <= 1 - alpha + alpha/d
+    ]
 
 
 def _normalize_region(which: str) -> str:
@@ -187,21 +184,19 @@ def _normalize_region(which: str) -> str:
 def region_margin(which: str, p: MapParams) -> float:
     """Smallest slack of the region's inequalities at (alpha, beta); signed."""
     which = _normalize_region(which)
-    return min(a * p.alpha + b * p.beta + c for a, b, c in _half_planes(which, p.d))
+    return float(_closed_slacks(p.d, p.alpha, p.beta)[which])
 
 
 def classify_point(p: MapParams) -> RegionVerdict:
     """Closed-form region membership with the binding-inequality slacks."""
-    m_p = region_margin("P", p)
-    m_cp = region_margin("CP", p)
-    m_eb = region_margin("EB", p)
+    m = {k: float(v) for k, v in _closed_slacks(p.d, p.alpha, p.beta).items()}
     return RegionVerdict(
-        positive=m_p >= 0.0,
-        completely_positive=m_cp >= 0.0,
-        entanglement_breaking=m_eb >= 0.0,
-        margin_positive=m_p,
-        margin_cp=m_cp,
-        margin_eb=m_eb,
+        positive=m["P"] >= 0.0,
+        completely_positive=m["CP"] >= 0.0,
+        entanglement_breaking=m["EB"] >= 0.0,
+        margin_positive=m["P"],
+        margin_cp=m["CP"],
+        margin_eb=m["EB"],
     )
 
 
@@ -210,8 +205,8 @@ def classify_point(p: MapParams) -> RegionVerdict:
 # ---------------------------------------------------------------------------
 
 # Points whose sampled positivity outputs are certified together, and the bytes
-# of those outputs and their Cholesky factor held at once (at d <= 5 the copy of
-# the outputs that fail the certificate takes the factor's place); at d = 16
+# of those outputs and one more array as large held at once: the Cholesky
+# factor, or the copy of the outputs that fail the certificate; at d = 16
 # with budget 256 a point's take 2 MB, so ``_CHUNK`` points alone would hold 1 GB.
 # ``_CHUNK`` also bounds the Schwarz falsifier's stacks of candidates (2 MB of
 # complex gaps at d = 16).
@@ -248,7 +243,7 @@ def _positivity_min(parts, coef, d: int, sample_budget: int, seed: int) -> np.nd
     them by Cholesky factorisations and solves by ``eigvalsh`` only the
     outputs where the certificate fails (ties, or a sample that sets the
     minimum).  A chunk holds at most ``_CHUNK`` points and, with the
-    Cholesky factor, ``_CHUNK_BYTES``.
+    Cholesky factor or the copy of the failing outputs, ``_CHUNK_BYTES``.
     """
     rng = np.random.default_rng(seed)
     cand = positivity_candidates(d, sample_budget, rng)
@@ -316,10 +311,11 @@ def default_grid(d: int, n: int = 101):
 
 
 def _closed_slacks(d: int, aa, bb) -> dict:
-    """Binding-inequality slack of each region, elementwise over (alpha, beta) arrays."""
+    """Binding-inequality slack of each region, elementwise over (alpha, beta) arrays
+    or at one point."""
     return {
-        which: np.min(np.stack([pa * aa + pb * bb + pc
-                                for pa, pb, pc in _half_planes(which, d)]), axis=0)
+        which: np.minimum.reduce([pa * aa + pb * bb + pc
+                                  for pa, pb, pc in _half_planes(which, d)])
         for which in REGIONS
     }
 
@@ -583,11 +579,11 @@ def schwarz_falsify(m: SuperMap, sample_budget: int = 10_000, seed: int = 42,
     For a stack of k matrices X, m(X) and m(X^+ X) are one product
     ``vec(.) @ T^T`` with the transfer matrix T (a real one where T is
     real), and the k gaps m(X^+ X) - m(X)^+ m(X) go to
-    ``linalg.min_eig_capped`` capped at ``threshold``: one batched Cholesky
-    shows that no gap has an eigenvalue below it, and only parts of 64 gaps
-    where it fails are solved by ``eigvalsh``, so the verdict is a plain
-    ``eigvalsh``'s.  Returns the violating X with the lowest scan index
-    (complex), or None; None is NOT a proof of the Schwarz property.
+    ``linalg.min_eig_capped`` capped at ``threshold``: a batched Cholesky
+    factorisation shows, gap by gap, that no eigenvalue lies below it, and
+    only the gaps where it fails are solved by ``eigvalsh``, so the verdict
+    is a plain ``eigvalsh``'s.  Returns the violating X with the lowest scan
+    index (complex), or None; None is NOT a proof of the Schwarz property.
     """
     if not m.is_unital():
         raise NotUnital("the operator Schwarz inequality is defined for unital maps")

@@ -436,11 +436,13 @@ def test_min_eig_affine_on_path_blocks_and_zero_rows(sizes, zeros, n_parts, n_ro
 
 @pytest.fixture
 def solver_shapes(monkeypatch):
-    """Shapes of the arrays passed to ``np.linalg.cholesky``, ``eigvalsh`` and
-    the factorisation over components (``components``)."""
-    shapes = {"cholesky": [], "eigvalsh": [], "components": []}
+    """Shapes of the arrays passed to ``eigvalsh`` and to the two factorisations,
+    by LAPACK (``lapack``) and over components (``components``)."""
+    shapes = {"lapack": [], "eigvalsh": [], "components": []}
+    owners = {"lapack": (la, "_lapack_passes"), "eigvalsh": (np.linalg, "eigvalsh"),
+              "components": (la, "_cholesky_passes")}
     for name, recorded in shapes.items():
-        owner, attr = (la, "_cholesky_passes") if name == "components" else (np.linalg, name)
+        owner, attr = owners[name]
         solve = getattr(owner, attr)
 
         def recording(a, *args, _solve=solve, _recorded=recorded, **kwargs):
@@ -473,8 +475,8 @@ def test_min_eig_capped_certifies_a_cap_below_every_eigenvalue(n, real, solver_s
         cap = lowest - 1e-3
         assert np.array_equal(la.min_eig_capped(mats, cap), cap)
         assert not solver_shapes["eigvalsh"]
-        path, other = ("components", "cholesky") if on_component_path(n, 3 * samples) \
-            else ("cholesky", "components")
+        path, other = ("components", "lapack") if on_component_path(n, 3 * samples) \
+            else ("lapack", "components")
         assert solver_shapes[path] and not solver_shapes[other]
 
 
@@ -489,41 +491,144 @@ def test_min_eig_capped_solves_the_one_matrix_below_the_cap(n, solver_shapes):
     expected = np.linalg.eigvalsh(low)[0]
     solver_shapes["eigvalsh"].clear()
     assert la.min_eig_capped(mats, [lowest.min() - 0.5])[0] == expected
-    solved = sum(int(np.prod(shape[:-2])) for shape in solver_shapes["eigvalsh"])
-    assert 0 < solved <= la._SOLVE_SIZE
+    assert [shape[:-2] for shape in solver_shapes["eigvalsh"]] == [(1,)]
 
 
 def test_min_eig_capped_bounds_the_batches_it_passes(solver_shapes):
-    # every sample below its cap: each piece fails, is split and solved
+    # 6000 samples at n = 16, every one below its cap: six LAPACK blocks of
+    # 1000 fail whole, and one eigvalsh call solves exactly those 6000
     rng = np.random.default_rng(5)
     mats = random_stack(rng, 4, 1500, 16)
     dense = np.linalg.eigvalsh(mats)[..., 0].min(axis=1)
     solver_shapes["eigvalsh"].clear()
-    got = la.min_eig_capped(mats.copy(), np.full(4, np.inf))
+    got = la.min_eig_capped(mats, np.full(4, np.inf))
     assert np.array_equal(got, dense)
     counts = {name: [int(np.prod(shape[:-2])) for shape in shapes]
               for name, shapes in solver_shapes.items()}
-    assert max(counts["cholesky"]) == 16 * la._SOLVE_SIZE  # 4 MB at n = 16
-    assert max(counts["eigvalsh"]) == la._SOLVE_SIZE
-    assert sum(counts["eigvalsh"]) == mats.shape[0] * mats.shape[1]
+    assert counts["lapack"] == [1000] * 6  # at most _LAPACK_BLOCK: 4 MB at n = 16
+    assert la._LAPACK_BLOCK == 1024 and not counts["components"]
+    assert counts["eigvalsh"] == [mats.shape[0] * mats.shape[1]]
+
+
+def assert_capped_is_plain(mats, cap):
+    """``min_eig_capped`` gives ``min(cap, plain eigvalsh minimum)`` per group, or
+    raises where that solve raises, and leaves ``mats`` as it was, bit for bit."""
+    before = mats.copy()
+    try:
+        expected = np.minimum(cap, np.linalg.eigvalsh(mats)[..., 0].min(axis=1))
+    except np.linalg.LinAlgError:  # eigvalsh may not converge on a NaN entry
+        with pytest.raises(np.linalg.LinAlgError):
+            la.min_eig_capped(mats, cap)
+    else:
+        assert np.array_equal(la.min_eig_capped(mats, cap), expected, equal_nan=True)
+    assert mats.tobytes() == before.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(groups=st.integers(1, 4), samples=st.integers(1, 2500), n=st.integers(1, 6),
        real=st.booleans(), seed=st.integers(0, 2**32 - 1),
        offsets=st.lists(st.sampled_from([-1.0, -1e-9, 0.0, 1e-15, 1e-9, 1.0]),
-                        min_size=4, max_size=4))
-@example(groups=4, samples=2500, n=5, real=False, seed=3, offsets=[0.0, 1e-15, -1e-9, 1e-9])
-@example(groups=1, samples=1024, n=3, real=True, seed=4, offsets=[0.0, 0.0, 0.0, 0.0])
-def test_min_eig_capped_equals_a_plain_solve(groups, samples, n, real, seed, offsets):
+                        min_size=4, max_size=4),
+       nan=st.sampled_from([None, "diagonal", "below"]))
+@example(groups=4, samples=2500, n=5, real=False, seed=3, offsets=[0.0, 1e-15, -1e-9, 1e-9],
+         nan=None)
+@example(groups=1, samples=1024, n=3, real=True, seed=4, offsets=[0.0, 0.0, 0.0, 0.0], nan=None)
+@example(groups=2, samples=700, n=3, real=False, seed=5, offsets=[1.0, 1.0, 1.0, 1.0],
+         nan="below")
+@example(groups=2, samples=300, n=3, real=True, seed=6, offsets=[1.0, 1.0, 1.0, 1.0],
+         nan="below")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_min_eig_capped_equals_a_plain_solve(groups, samples, n, real, seed, offsets, nan):
     # caps from far below to far above each group's minimum, and exactly at it;
     # stacks of up to 10 000 matrices reach the path over components (at
-    # n <= 5 from 1024 matrices on) and split into several of its blocks
+    # n <= 5 from 1024 matrices on) and split into several of its blocks.  A
+    # NaN entry on one matrix's diagonal makes the rounding margin NaN, one
+    # below it only that matrix's later pivots: either way the NaN matrix is
+    # solved, on both paths
     rng = np.random.default_rng(seed)
     mats = random_stack(rng, groups, samples, n, real)
-    plain = np.linalg.eigvalsh(mats)[..., 0].min(axis=1)
-    cap = plain + np.array(offsets[:groups])
-    assert np.array_equal(la.min_eig_capped(mats, cap), np.minimum(cap, plain))
+    cap = np.linalg.eigvalsh(mats)[..., 0].min(axis=1) + np.array(offsets[:groups])
+    if nan is not None:
+        g, k, i = rng.integers(groups), rng.integers(samples), rng.integers(n)
+        j = rng.integers(i) if nan == "below" and i > 0 else i
+        mats[g, k, i, j] = mats[g, k, j, i] = np.nan
+    assert_capped_is_plain(mats, cap)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("tiles", [1, 600])  # 2 or 1200 matrices: LAPACK or components
+@pytest.mark.parametrize("entry", [(2, 2), (1, 0), (2, 0)])
+def test_min_eig_capped_solves_a_matrix_with_a_nan(tiles, entry, solver_shapes):
+    # LAPACK returns a factor for eye(3) with a NaN at (2, 2) instead of
+    # failing; the certificate must not pass it, on either path
+    bad = np.eye(3)
+    bad[entry] = bad[entry[::-1]] = np.nan
+    mats = np.ascontiguousarray(np.tile([np.eye(3), bad], (tiles, 1, 1))[None])
+    assert_capped_is_plain(mats, np.array([0.5]))
+    assert solver_shapes["components" if on_component_path(3, 2 * tiles) else "lapack"]
+
+
+@pytest.mark.parametrize("n, samples", [(3, 300), (3, 1200), (8, 1200)])
+def test_min_eig_capped_leaves_its_input_unchanged(n, samples, solver_shapes):
+    # caps below every eigenvalue (all pass), at the median of the minima and
+    # above every eigenvalue (all fail), on both paths of the certificate
+    rng = np.random.default_rng(samples + n)
+    mats = random_stack(rng, 2, samples // 2, n)
+    lowest = np.linalg.eigvalsh(mats)[..., 0]
+    for cap in (lowest.min(axis=1) - 1, np.median(lowest, axis=1), np.full(2, np.inf)):
+        assert_capped_is_plain(mats, cap)
+    assert solver_shapes["components" if on_component_path(n, samples) else "lapack"]
+
+
+def test_lapack_passes_restores_the_diagonals_when_the_factorisation_raises(monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    rng = np.random.default_rng(9)
+    mats = la.random_hermitian(4, rng, n=10)
+    before = mats.copy()
+    monkeypatch.setattr(la, "_cholesky_lo", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        la._lapack_passes(mats, np.ones(10))
+    assert mats.tobytes() == before.tobytes()
+
+
+def factors(m) -> bool:
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 16), batch=st.integers(1, 40), real=st.booleans(),
+       rotate=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=3, batch=8, real=False, rotate=False, seed=0)
+@example(n=5, batch=8, real=True, rotate=True, seed=1)
+def test_lapack_passes_is_a_cholesky_per_matrix(n, batch, real, rotate, seed):
+    # spectra in {-1, 0, 1, 2} and shifts in {-0.5, 0, 0.5}: indefinite,
+    # singular (exactly so when not rotated) and definite matrices
+    rng = np.random.default_rng(seed)
+    spectra = rng.choice([-1.0, 0.0, 1.0, 2.0], size=(batch, n), p=[0.1, 0.2, 0.35, 0.35])
+    shift = rng.choice([-0.5, 0.0, 0.5], size=batch)
+    mats = spectra[:, :, None] * np.eye(n)
+    if rotate:
+        g = la.ginibre(n, rng, batch)
+        q = np.linalg.qr(g.real if real else g)[0]
+        mats = q @ mats @ q.conj().swapaxes(-1, -2)
+        mats = (mats + mats.conj().swapaxes(-1, -2)) / 2
+    mats = np.ascontiguousarray(mats if real else mats.astype(complex))
+    before = mats.copy()
+    passes = la._lapack_passes(mats, shift)
+    assert mats.tobytes() == before.tobytes()
+    shifted = mats - shift[:, None, None] * np.eye(n)
+    assert passes.tolist() == [factors(m) for m in shifted]
+    if n <= la._COMPONENT_ORDER:
+        # at an exact zero eigenvalue of a rotated matrix the last pivot is
+        # rounding, which the two factorisations may round differently
+        clear = np.all(spectra - shift[:, None] != 0, axis=1) | (not rotate)
+        assert np.array_equal(passes[clear], la._cholesky_passes(mats, shift)[clear])
 
 
 def test_linalg_import_loads_no_csgraph():

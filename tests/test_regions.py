@@ -293,12 +293,12 @@ def test_grid_positivity_batches_stay_within_byte_budget(monkeypatch):
             return solve(a, *args, **kwargs)
         return wrapper
 
-    sizes = {"eigvalsh": [], "cholesky": []}
-    for name, recorded in sizes.items():
-        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name), recorded))
+    sizes = {"eigvalsh": [], "lapack": []}
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh, sizes["eigvalsh"]))
+    monkeypatch.setattr(la, "_lapack_passes", recording(la._lapack_passes, sizes["lapack"]))
     d = 16
     res = r.classify_grid(d, *r.default_grid(d, 8), sample_budget=256, seed=2)
-    assert sizes["cholesky"] and 2 * max(sizes["cholesky"]) <= r._CHUNK_BYTES
+    assert sizes["lapack"] and 2 * max(sizes["lapack"]) <= r._CHUNK_BYTES
     assert sizes["eigvalsh"] and max(sizes["eigvalsh"]) <= r._CHUNK_BYTES
     monkeypatch.undo()
     monkeypatch.setattr(r, "_CHUNK", 1)
@@ -564,8 +564,9 @@ def test_batched_falsifier_does_not_depend_on_the_chunk_size(monkeypatch):
 
 @pytest.fixture
 def solver_batches(monkeypatch):
-    """Matrices in every array passed to ``np.linalg.cholesky`` and ``eigvalsh``."""
-    batches = {"cholesky": [], "eigvalsh": []}
+    """Matrices in every array passed to the LAPACK Cholesky certificate
+    (``linalg._lapack_passes``) and to ``eigvalsh``."""
+    batches = {"lapack": [], "eigvalsh": []}
 
     def recording(solve, sizes):
         def wrapper(a, *args, **kwargs):
@@ -573,8 +574,8 @@ def solver_batches(monkeypatch):
             return solve(a, *args, **kwargs)
         return wrapper
 
-    for name, sizes in batches.items():
-        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name), sizes))
+    monkeypatch.setattr(la, "_lapack_passes", recording(la._lapack_passes, batches["lapack"]))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh, batches["eigvalsh"]))
     return batches
 
 
@@ -582,8 +583,8 @@ def test_falsifier_chunks_stay_within_the_chunk_bound(solver_batches):
     # a CP point at d = 16 with the default budget scans all 10 000 draws
     d = 16
     assert r.schwarz_falsify(build_phi_family(MapParams(d, 0.5, 0.0))) is None
-    assert solver_batches["cholesky"]
-    assert max(solver_batches["cholesky"] + solver_batches["eigvalsh"]) <= r._CHUNK
+    assert solver_batches["lapack"]
+    assert max(solver_batches["lapack"] + solver_batches["eigvalsh"]) <= r._CHUNK
 
 
 @pytest.mark.parametrize("d", [2, 3, 16])
@@ -596,7 +597,7 @@ def test_falsifier_stops_at_the_first_violating_matrix_unit(d, solver_batches, m
     monkeypatch.setattr(np.random, "default_rng", refuse)
     x = r.schwarz_falsify(transposition_map(d))
     assert np.array_equal(x, basis_matrix(0, 1, d))
-    assert 0 < sum(solver_batches["cholesky"]) <= d * (d - 1)
+    assert 0 < sum(solver_batches["lapack"]) <= d * (d - 1)
     assert sum(solver_batches["eigvalsh"]) <= d * (d - 1)
 
 
