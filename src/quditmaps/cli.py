@@ -121,9 +121,10 @@ def _check_config(cfg: RunConfig) -> RunConfig:
     """Each resolved value has its type and range; any other is a usage error."""
     if not _is_int(cfg.seed) or cfg.seed < 0:
         raise QuditMapsError(f"seed must be an integer >= 0, got {cfg.seed!r}")
-    if not _is_int(cfg.sample_budget) or cfg.sample_budget < 0:
+    most = np.iinfo(np.intp).max  # numpy shapes no more samples than this
+    if not _is_int(cfg.sample_budget) or not 0 <= cfg.sample_budget <= most:
         raise QuditMapsError(
-            f"sampling budget must be an integer >= 0, got {cfg.sample_budget!r}")
+            f"sampling budget must be an integer in [0, {most}], got {cfg.sample_budget!r}")
     tol = cfg.tolerance
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not math.isfinite(tol):
         raise QuditMapsError(f"tolerance must be a finite number, got {tol!r}")

@@ -60,7 +60,7 @@ from .channels import (
 )
 from .errors import NegativeRate, NegativeTime, NoLimit, SingularMap, UnknownName
 from .generators import (
-    ccp_threshold, generator_blocks, positivity_threshold, schwarz_threshold,
+    GenParams, ccp_threshold, generator_blocks, positivity_threshold, schwarz_threshold,
 )
 from .linalg import check_dimension, min_eig_affine
 
@@ -169,9 +169,7 @@ class ConstantNu(Schedule):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (math.isfinite(self.kappa) and math.isfinite(self.nu)):
-            raise NegativeRate(
-                f"kappa and nu must be finite, got {self.kappa} and {self.nu}")
+        GenParams(self.d, self.kappa, self.nu)  # the generator's checks: finite rates
 
     def kappa_nu(self, t):
         return self.kappa, self.nu
@@ -370,19 +368,22 @@ class CrossingReport:
 _HORIZON = 50.0
 
 
-def _first_root(g: Callable[[float], float], horizon: float) -> Optional[float]:
-    """First sign change of g on (0, horizon] by doubling scan plus brentq."""
+def _first_root(g: Callable[[float], float], kappa: float) -> Optional[float]:
+    """First time t in (0, _HORIZON] at which g(kappa t) changes sign.
+
+    The scan grows s = kappa t from 1e-6 and brentq refines the root in s.
+    """
     from scipy.optimize import brentq
 
-    t_lo = 1e-6
-    if g(t_lo) >= 0.0:
+    s_lo, horizon = 1e-6, _HORIZON * kappa
+    if g(s_lo) >= 0.0:
         return 0.0 if g(0.0) >= -1e-15 else None
-    t_hi = t_lo
-    while t_hi < horizon:
-        t_next = min(t_hi * 1.5, horizon)
-        if g(t_next) >= 0.0:
-            return float(brentq(g, t_hi, t_next, xtol=1e-12, rtol=8.9e-16))
-        t_hi = t_next
+    s_hi = s_lo
+    while s_hi < horizon:
+        s_next = min(s_hi * 1.5, horizon)
+        if g(s_next) >= 0.0:
+            return float(brentq(g, s_hi, s_next, xtol=1e-12, rtol=8.9e-16)) / kappa
+        s_hi = s_next
     return None
 
 
@@ -393,8 +394,9 @@ def crossing_times(d: int, kappa: float, nu: float) -> CrossingReport:
     For nu >= -1 the map never leaves the positivity region (t_p = 0); for
     nu >= 0 it never leaves CP (t_cp = 0).  The EB entry time is the root of
     the binding inequality beta >= 1 - alpha - alpha/d, which exists for
-    every decaying trajectory (d - 1 + nu > 0).  When all three are present
-    the ordering t_p <= t_cp <= t_eb is enforced as a postcondition.
+    every decaying trajectory (d - 1 + nu > 0).  The trajectory depends on
+    kappa t only, so the roots are found in s = kappa t, from s = 1e-6 on,
+    and the same crossings are found at every kappa.
     Raises NegativeRate unless kappa and nu are finite and kappa > 0.
     """
     trajectory = ConstantNu(d, kappa, nu).alpha_beta  # checks d and finite rates
@@ -405,15 +407,12 @@ def crossing_times(d: int, kappa: float, nu: float) -> CrossingReport:
         "CP": lambda alpha, beta: beta + alpha / d,
         "EB": lambda alpha, beta: beta + alpha + alpha / d - 1.0,
     }
-    g = {k: (lambda t, f=f: f(*trajectory(t))) for k, f in forms.items()}
-    t_p = 0.0 if nu >= -1.0 else _first_root(g["P"], _HORIZON)
-    t_cp = 0.0 if nu >= 0.0 else _first_root(g["CP"], _HORIZON)
-    t_eb = _first_root(g["EB"], _HORIZON)
-    margins = {k: float(fn(_HORIZON)) for k, fn in g.items()}
-    times = [t for t in (t_p, t_cp, t_eb) if t is not None]
-    if len(times) == 3 and not (times[0] <= times[1] + 1e-12 and
-                                times[1] <= times[2] + 1e-12):
-        raise RuntimeError(f"crossing times out of order: {times}")
+    in_s = ConstantNu(d, 1.0, nu).alpha_beta  # the trajectory in s = kappa t
+    g = {k: (lambda s, f=f: f(*in_s(s))) for k, f in forms.items()}
+    t_p = 0.0 if nu >= -1.0 else _first_root(g["P"], kappa)
+    t_cp = 0.0 if nu >= 0.0 else _first_root(g["CP"], kappa)
+    t_eb = _first_root(g["EB"], kappa)
+    margins = {k: float(f(*trajectory(_HORIZON))) for k, f in forms.items()}
     return CrossingReport(t_p=t_p, t_cp=t_cp, t_eb=t_eb, margins=margins,
                           horizon=_HORIZON)
 
@@ -444,16 +443,13 @@ def tangency_slope(d: int, kappa: float, nu: float, boundary: str) -> float:
 
 @lru_cache(maxsize=None)
 def _weyl_cached(d: int) -> np.ndarray:
-    """The d^2 Weyl unitaries as one read-only (d^2, d, d) stack."""
+    """The d^2 Weyl unitaries as one read-only (d^2, d, d) stack.
+
+    W_kl[r, c] = omega^(k r) where r = c + l (mod d), and 0 elsewhere.
+    """
     check_dimension(d)
-    omega = np.exp(2j * np.pi / d)
-    z = np.diag(omega ** np.arange(d))
-    x = np.roll(np.eye(d), 1, axis=0)  # X|k> = |k+1 mod d>
-    ops = np.empty((d * d, d, d), dtype=complex)
-    for k in range(d):
-        zk = np.linalg.matrix_power(z, k)
-        for l in range(d):
-            ops[k * d + l] = zk @ np.linalg.matrix_power(x, l)
+    k, l, r, c = np.ogrid[:d, :d, :d, :d]
+    ops = (np.exp(2j * np.pi * (k * r % d) / d) * ((c + l) % d == r)).reshape(d * d, d, d)
     ops.flags.writeable = False
     return ops
 
@@ -468,56 +464,70 @@ def weyl_ops(d: int):
 
 
 @lru_cache(maxsize=None)
-def _weyl_power_index(d: int) -> np.ndarray:
-    """Index j with W_{kl}^n = W_j up to a phase, over (k, l > 0, n); read-only."""
-    k, l, n = np.meshgrid(np.arange(d), np.arange(1, d), np.arange(d), indexing="ij")
-    j = (n * k % d) * d + n * l % d
-    j.flags.writeable = False
-    return j
+def _weyl_tables(d: int):
+    """Read-only tables ``(counts, wave, lag, rows, cols)`` of the Weyl mixture.
 
-
-def _weyl_mixture_transfer(d: int, w: np.ndarray) -> np.ndarray:
-    """Transfers of the uniform mixture over k, l > 0 of sum_n w_n C_{kl}^n.
-
-    C_{kl} is conjugation by W_{kl}.  W_{kl}^n is W_{nk mod d, nl mod d} up
-    to a phase, so the mixture is the Weyl channel sum_j p_j W_j . W_j^+
-    with the weights p gathered from w.  ``w`` is real, of shape (..., d);
-    the result has shape (..., d^2, d^2), and each row of weights is
-    gathered and summed as a single row would be.
+    Conjugation by W_kl scales W_ab by omega^n, n = (k b - l a) mod d.
+    ``counts[a d + b, n]`` is the number of (k, l > 0) with that n.  The
+    other four build the transfer; see ``_weyl_mixture_transfer``.
     """
-    j = _weyl_power_index(d)
-    w = np.asarray(w)
-    rows = w.reshape(-1, 1, 1, d)
-    m = rows.shape[0]
-    # row r gathers into bins r d^2 + j, so each row's bins fill in its own order
-    bins = (np.arange(m)[:, None, None, None] * (d * d) + j).ravel()
-    p = np.bincount(bins, weights=np.broadcast_to(rows, (m,) + j.shape).ravel(),
-                    minlength=m * d * d).reshape(m, 1, d * d) / (d * (d - 1))
-    ops = _weyl_cached(d).reshape(d * d, d * d)
-    # acc[(a, b), (c, e)] = sum_j p_j conj(W_j)[a, b] W_j[c, e]; the transpose
-    # reorders it to sum_j p_j kron(conj(W_j), W_j)
-    acc = (ops.conj().T * p) @ ops
-    acc = acc.reshape(m, d, d, d, d).transpose(0, 1, 3, 2, 4)
-    return acc.reshape(w.shape[:-1] + (d * d, d * d))
+    k, l = np.divmod(np.arange(d * d), d)
+    n = (k[l > 0, None] * l - l[l > 0, None] * k) % d  # rows (k, l > 0), columns (a, b)
+    counts = (n[..., None] == np.arange(d)).sum(axis=0).astype(float)
+    m = np.arange(d)
+    wave = np.cos(2.0 * np.pi * (m[:, None] * m % d) / d) / d  # [m, a]: cos(2 pi a m / d) / d
+    lag = (m[:, None] - m) % d  # [r, r']: m = r - r'
+    b, r, r2 = np.ogrid[:d, :d, :d]
+    # vec stacks columns, so entry (r, c) of a matrix sits at index c d + r
+    rows, cols = (r - b) % d * d + r, (r2 - b) % d * d + r2
+    tables = (counts, wave, lag, rows, cols)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
+def _weyl_spectrum(d: int, t) -> np.ndarray:
+    """mu(t): the Weyl mixture at time t scales W_ab by 1 + mu_ab(t).
+
+    exp(t(C_kl - id)) scales W_ab by exp(t(omega^n - 1)), so
+    mu_ab = sum_n counts[ab, n] expm1(t(omega^n - 1)) / (d(d-1)), which is
+    real since n and d - n occur equally often.  ``t`` is a number or an
+    array of times; the result has shape t.shape + (d^2,), and each row is
+    summed as a single time's would be.
+    """
+    t = np.asarray(t, dtype=float)
+    e = np.expm1(t[..., None] * (np.exp(2j * np.pi * np.arange(d) / d) - 1.0)).real
+    return (e[..., None, :] * _weyl_tables(d)[0]).sum(axis=-1) / (d * (d - 1))
+
+
+def _weyl_mixture_transfer(d: int, mu: np.ndarray) -> np.ndarray:
+    """Transfers I + sum_ab mu_ab vec(W_ab) vec(W_ab)^+ / d, for mu of shape (..., d^2).
+
+    vec(W_ab)/sqrt(d) is an orthonormal basis, so this is the map that
+    scales W_ab by 1 + mu_ab.  W_ab is nonzero only where r - c = b, with
+    entries omega^(a r); so the transfer is nonzero only between (r, c) and
+    (r', c') with r - c = r' - c' = b, where it is the sum over a of
+    mu_ab omega^(a (r - r')) / d.  mu_ab equals mu_{-a, b}, so that sum is
+    real: g[b, m] = sum_a mu_ab cos(2 pi a m / d) / d at m = (r - r') mod d.
+    At mu = 0 the result is exactly the identity.
+    """
+    _, wave, lag, rows, cols = _weyl_tables(d)
+    mu = np.asarray(mu, dtype=float)
+    by_b = mu.reshape(mu.shape[:-1] + (d, d)).swapaxes(-1, -2)[..., None, :]
+    g = (by_b * wave).sum(axis=-1)  # (..., b, m)
+    out = np.zeros(mu.shape[:-1] + (d * d, d * d))
+    out[..., rows, cols] = g[..., lag]
+    out.reshape(mu.shape[:-1] + (-1,))[..., ::d * d + 1] += 1.0  # the diagonal
+    return out
+
+
+# Kept only because perfbench/tracer.py patches ``dynamics.expm``.  Nothing in
+# the package calls it: the Weyl mixture is built from its spectrum.
 def expm(a) -> np.ndarray:
     """``scipy.linalg.expm`` of a square matrix or a stack of them."""
-    from scipy.linalg import expm as scipy_expm  # deferred: only the Weyl weights need it
+    from scipy.linalg import expm as scipy_expm
 
     return scipy_expm(a)
-
-
-def _weyl_weights(d: int, t) -> np.ndarray:
-    """Weights w(t) with exp(t(C - id)) = sum_{n<d} w_n(t) C^n for any C with C^d = id.
-
-    w is the first column of exp(t(X - I)) for the d x d cyclic shift X.
-    ``t`` is a number or an array of times; the result has shape t.shape + (d,),
-    from one (stacked) ``expm`` call.
-    """
-    shift = np.roll(np.eye(d), 1, axis=0)
-    t = np.asarray(t, dtype=float)
-    return expm(t[..., None, None] * (shift - np.eye(d)))[..., :, 0]
 
 
 def weyl_mixture_map(d: int, t: float) -> SuperMap:
@@ -528,7 +538,7 @@ def weyl_mixture_map(d: int, t: float) -> SuperMap:
     """
     t = _check_time(t)
     check_dimension(d)
-    return SuperMap(d, _weyl_mixture_transfer(d, _weyl_weights(d, t)))
+    return SuperMap(d, _weyl_mixture_transfer(d, _weyl_spectrum(d, t)))
 
 
 def weyl_commutant_average(d: int) -> np.ndarray:
@@ -536,10 +546,11 @@ def weyl_commutant_average(d: int) -> np.ndarray:
 
     Conjugation by W_{kl} has order dividing d, so each semigroup converges
     to the group average (1/d) sum_n C^n, the conditional expectation onto
-    the commutant of W_{kl}; the mixture converges to their mean.
+    the commutant of W_{kl}: it keeps W_ab when n = 0 and drops it
+    otherwise.  So mu_ab(infinity) = counts[ab, 0] / (d(d-1)) - 1.
     """
     check_dimension(d)
-    return _weyl_mixture_transfer(d, np.full(d, 1.0 / d))
+    return _weyl_mixture_transfer(d, _weyl_tables(d)[0][:, 0] / (d * (d - 1)) - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -135,11 +135,15 @@ class GenParams:
     h: tuple = ()
 
     def __post_init__(self):
-        check_dimension(self.d)
+        d = check_dimension(self.d)
         h = tuple(float(x) for x in self.h)
-        if not np.isfinite((self.kappa, self.nu) + h).all():
-            raise NegativeRate(f"kappa, nu and h must be finite, got kappa={self.kappa}, "
-                               f"nu={self.nu}, h={h}")
+        kappa, nu = float(self.kappa), float(self.nu)  # so an overflow warns nothing
+        rates = (kappa * d, kappa * (d - 1 + nu), kappa * nu / d,
+                 kappa * d * (d - 1) * (d + nu))
+        if not np.isfinite((kappa, nu) + h + rates).all():
+            raise NegativeRate(
+                f"kappa, nu, h and the rates kappa d, kappa (d-1+nu), kappa nu/d and "
+                f"kappa d (d-1) (d+nu) must be finite, got kappa={kappa}, nu={nu}, h={h}")
         if h and len(h) != self.d:
             raise DimensionMismatch(f"h must have {self.d} entries, got {len(h)}")
         if not h:

@@ -113,6 +113,10 @@ MARGIN_FILTER = 1e-6
 # The standard grid extends this far beyond [0, d/(d-1)] on both axes.
 _GRID_PAD = 0.2
 
+# ``schwarz_falsify`` reports X when the gap m(X^+ X) - m(X)^+ m(X) has an
+# eigenvalue below this.
+_FALSIFY_THRESHOLD = -1e-8
+
 # ``schwarz_boundary_scan`` stops bisecting when the bracket is narrower than
 # this share of the gap alpha/d between the CP and P lower boundaries.
 _SCAN_BETA_TOL = 1e-3
@@ -562,8 +566,7 @@ def _cut(family: np.ndarray, sizes):
         start = stop
 
 
-def schwarz_falsify(m: SuperMap, sample_budget: int = 10_000, seed: int = 42,
-                    threshold: float = -1e-8):
+def schwarz_falsify(m: SuperMap, sample_budget: int = 10_000, seed: int = 42):
     """Search for X violating the operator Schwarz inequality for a unital map.
 
     The candidates, in scan order: the d(d-1) matrix units E_ij (i != j,
@@ -579,18 +582,19 @@ def schwarz_falsify(m: SuperMap, sample_budget: int = 10_000, seed: int = 42,
     For a stack of k matrices X, m(X) and m(X^+ X) are one product
     ``vec(.) @ T^T`` with the transfer matrix T (a real one where T is
     real), and the k gaps m(X^+ X) - m(X)^+ m(X) go to
-    ``linalg.min_eig_capped`` capped at ``threshold``: a batched Cholesky
-    factorisation shows, gap by gap, that no eigenvalue lies below it, and
-    only the gaps where it fails are solved by ``eigvalsh``, so the verdict
-    is a plain ``eigvalsh``'s.  Returns the violating X with the lowest scan
-    index (complex), or None; None is NOT a proof of the Schwarz property.
+    ``linalg.min_eig_capped`` capped at ``_FALSIFY_THRESHOLD`` (-1e-8): a
+    batched Cholesky factorisation shows, gap by gap, that no eigenvalue
+    lies below it, and only the gaps where it fails are solved by
+    ``eigvalsh``, so the verdict is a plain ``eigvalsh``'s.  Returns the
+    violating X with the lowest scan index (complex), or None; None is NOT
+    a proof of the Schwarz property.
     """
     if not m.is_unital():
         raise NotUnital("the operator Schwarz inequality is defined for unital maps")
     for chunk in _falsifier_chunks(m.d, int(sample_budget), seed):
         gap = np.ascontiguousarray(_schwarz_gap(m.transfer, chunk)[:, None])
-        hits = np.flatnonzero(min_eig_capped(gap, np.full(len(chunk), threshold))
-                              < threshold)
+        cap = np.full(len(chunk), _FALSIFY_THRESHOLD)
+        hits = np.flatnonzero(min_eig_capped(gap, cap) < _FALSIFY_THRESHOLD)
         if hits.size:
             return chunk[hits[0]].copy()
     return None

@@ -285,7 +285,7 @@ def check_rate_violation_signature(seed, budget):
 
 def check_weyl_mixture_tanh(seed, budget):
     ts = np.linspace(0.0, 5.0, 100)
-    mixture = dynamics._weyl_mixture_transfer(2, dynamics._weyl_weights(2, ts))
+    mixture = dynamics._weyl_mixture_transfer(2, dynamics._weyl_spectrum(2, ts))
     tanh = channels.family_transfer(2, *dynamics.OptimalENM(2).alpha_beta(ts))
     worst = _max_abs(mixture - tanh)
     return worst <= 1e-10, f"max transfer deviation from the tanh schedule {worst:.2e}"

@@ -297,6 +297,13 @@ def test_negative_budget_is_a_usage_error(capsys, argv):
     assert _single_error_line(capsys)
 
 
+def test_budget_beyond_numpy_index_range_is_a_usage_error(capsys):
+    # rejected before anything is drawn; numpy could not shape the samples
+    assert cli.main(["classify", "--d", "3", "--alpha", "0.1", "--beta", "0.1",
+                     "--budget", "99999999999999999999"]) == 2
+    assert _single_error_line(capsys)
+
+
 def test_negative_config_budget_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sample_budget": -4}))
@@ -400,6 +407,10 @@ def test_unwritable_output_leaves_no_temp_file(tmp_path, capsys, where):
     ["apply", "--state", "{state}", "--schedule", "const", "--kappa=inf", "--t", "0.5"],
     ["trajectory", "--d", "3", "--schedule", "enm", "--t-max=inf", "--steps", "4"],
     ["trajectory", "--d", "3", "--schedule", "const", "--t-max=nan", "--steps", "4"],
+    # finite rates whose products overflow
+    ["spectrum", "--d", "3", "--kappa", "1", "--nu", "1e308"],
+    ["spectrum", "--d", "16", "--kappa", "1e308", "--nu", "1"],
+    ["crossings", "--d", "3", "--kappa", "1e308", "--nu", "-0.5"],
 ])
 def test_non_finite_values_are_usage_errors(tmp_path, capsys, argv):
     state = tmp_path / "state.json"
@@ -455,16 +466,16 @@ NUMPY_ONLY_COMMANDS = [
     ["area", "--d", "3"],
     ["region", "--d", "3", "--which", "cp"],
     *(["trajectory", "--d", "3", "--schedule", s, "--t-max", "2", "--steps", "4"]
-      for s in dynamics.SCHEDULES if s != "weyl"),
+      for s in dynamics.SCHEDULES),
+    ["apply", "--state", "{state}", "--schedule", "weyl", "--t", "0.5"],
 ]
 # the paths that load scipy on first use, run last so the check can see a load
 SCIPY_COMMANDS = [
-    ["trajectory", "--d", "3", "--schedule", "weyl", "--t-max", "2", "--steps", "4"],
     ["crossings", "--d", "3", "--kappa", "1", "--nu", "-0.5"],
 ]
 
 
-def test_import_and_the_numpy_commands_load_no_scipy():
+def test_import_and_the_numpy_commands_load_no_scipy(tmp_path):
     code = (
         "import contextlib, io, json, sys\n"
         "import quditmaps, quditmaps.cli, quditmaps.verify\n"
@@ -477,7 +488,9 @@ def test_import_and_the_numpy_commands_load_no_scipy():
         "    loaded.append(scipy_modules())\n"
         "print(json.dumps([codes, loaded]))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    batches = json.dumps([NUMPY_ONLY_COMMANDS, SCIPY_COMMANDS])
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(state_to_json(QuantumState(2, np.eye(2) / 2))))
+    batches = json.dumps([NUMPY_ONLY_COMMANDS, SCIPY_COMMANDS]).replace("{state}", str(state))
     proc = subprocess.run([sys.executable, "-c", code, batches], capture_output=True,
                           text=True, env=env, check=True)
     codes, (at_import, after_numpy, after_scipy) = json.loads(proc.stdout)

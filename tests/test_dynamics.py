@@ -298,6 +298,21 @@ def test_crossings_nondecaying_regime_reports_none():
     assert rep.margins["P"] < 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(d_nu=st.integers(2, 16).flatmap(lambda d: st.tuples(
+           st.just(d), st.floats(1.0 - d, 0.5, exclude_min=True, exclude_max=True))),
+       kappa=st.floats(1.0, 1e8))
+def test_crossings_are_ordered_and_scale_as_one_over_kappa(d_nu, kappa):
+    # the trajectory depends on kappa t only, so kappa t is the kappa = 1 root
+    d, nu = d_nu
+    rep, unit = dy.crossing_times(d, kappa, nu), dy.crossing_times(d, 1.0, nu)
+    times = [t for t in (rep.t_p, rep.t_cp, rep.t_eb) if t is not None]
+    assert all(kappa * a <= kappa * b + 1e-12 for a, b in zip(times, times[1:]))
+    for t, t1 in ((rep.t_p, unit.t_p), (rep.t_cp, unit.t_cp), (rep.t_eb, unit.t_eb)):
+        if t1 is not None:
+            assert t is not None and abs(kappa * t - t1) <= 1e-12 * t1
+
+
 # --- tangency slopes ----------------------------------------------------------------
 
 def test_tangency_zero_slopes_at_thresholds():
@@ -367,10 +382,24 @@ def test_weyl_completeness_relation():
     assert np.abs(twirl).max() <= 1e-12
 
 
-def test_weyl_mixture_identity_at_zero():
-    for d in (2, 3):
-        m = dy.weyl_mixture_map(d, 0.0)
-        assert np.abs(m.transfer - np.eye(d * d)).max() <= 1e-12
+@pytest.mark.parametrize("d", range(2, 17))
+def test_weyl_mixture_identity_at_zero(d):
+    # exactly id, so the t = 0 verdicts are the identity map's
+    assert np.array_equal(dy.weyl_mixture_map(d, 0.0).transfer, np.eye(d * d))
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_weyl_conjugation_is_diagonal_on_the_weyl_operators(d):
+    # W_kl W_ab W_kl^+ = omega^((k b - l a) mod d) W_ab, the relation the
+    # mixture's spectrum is built from
+    ops = dy._weyl_cached(d)
+    k, l = np.divmod(np.arange(d * d), d)
+    n = (k[:, None] * l - l[:, None] * k) % d
+    for w, row in zip(ops, n):
+        conj = w @ ops @ w.conj().T
+        assert np.abs(conj - np.exp(2j * np.pi * row / d)[:, None, None] * ops).max() <= 1e-12
+    counts = np.stack([np.bincount(n[l > 0, ab], minlength=d) for ab in range(d * d)])
+    assert np.array_equal(dy._weyl_tables(d)[0], counts)
 
 
 def test_weyl_mixture_is_cptp_on_boundary():
@@ -423,7 +452,7 @@ def dense_commutant_average(d):
     return acc / (d * (d - 1))
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8])
 def test_weyl_mixture_matches_dense_reference(d):
     for t in (0.0, 0.05, 0.7, 2.0, 5.0, 50.0):
         diff = np.abs(dy.weyl_mixture_map(d, t).transfer - dense_weyl_mixture(d, t)).max()
@@ -431,34 +460,54 @@ def test_weyl_mixture_matches_dense_reference(d):
     assert np.abs(dy.weyl_commutant_average(d) - dense_commutant_average(d)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 8])
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
 def test_weyl_mixture_transfer_of_a_stack_matches_the_map_bit_for_bit(d):
     ts = np.linspace(0.0, 3.0, 6)
-    w = dy._weyl_weights(d, ts.reshape(2, 3))
-    assert w.shape == (2, 3, d)
-    shift = np.roll(np.eye(d), 1, axis=0)
-    assert np.array_equal(w[1, 2], expm(ts[5] * (shift - np.eye(d)))[:, 0])
-    stack = dy._weyl_mixture_transfer(d, w)
+    mu = dy._weyl_spectrum(d, ts.reshape(2, 3))
+    assert mu.shape == (2, 3, d * d)
+    stack = dy._weyl_mixture_transfer(d, mu)
     assert stack.shape == (2, 3, d * d, d * d)
     for t, transfer in zip(ts, stack.reshape(6, d * d, d * d)):
         assert np.array_equal(transfer, dy.weyl_mixture_map(d, t).transfer)
 
 
-def test_weyl_mixture_makes_one_small_expm(monkeypatch):
-    shapes = []
-    original = dy.expm
-
-    def counting(a):
-        shapes.append(a.shape)
-        return original(a)
-
-    monkeypatch.setattr(dy, "expm", counting)
+def test_weyl_mixture_makes_no_expm(monkeypatch):
+    calls = []
+    monkeypatch.setattr(dy, "expm", lambda a: calls.append(a.shape))
     for d in (2, 3, 5, 8):
-        shapes.clear()
         dy.weyl_mixture_map(d, 0.7)
-        assert shapes == [(d, d)]
+        dy.weyl_commutant_average(d)
+    assert calls == []
     assert not hasattr(dy, "_shift_weyl_transfers")
     assert not hasattr(dy, "_generator_basis")
+    assert not hasattr(dy, "_weyl_power_index")
+    assert not hasattr(dy, "_weyl_weights")
+
+
+def exact_weyl_generator(d, t):
+    """L_t = V diag(mu'/(1 + mu)) V^+ from the spectrum, with V built from weyl_ops."""
+    ops = np.array(dy.weyl_ops(d))
+    v = la.vec(ops).T / np.sqrt(d)  # columns vec(W_ab)/sqrt(d)
+    k, l = np.divmod(np.arange(d * d), d)
+    n = (k[:, None] * l - l[:, None] * k)[l > 0] % d  # (k, l > 0) x (a, b)
+    z = np.exp(2j * np.pi * n / d) - 1.0
+    mu = np.exp(t * z).real.sum(axis=0) / (d * (d - 1)) - 1.0
+    dmu = (z * np.exp(t * z)).real.sum(axis=0) / (d * (d - 1))
+    return (v * (dmu / (1.0 + mu))) @ v.conj().T
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 8), t=st.floats(dy._EXTRACT_DT, 3.0))
+def test_extracted_weyl_generator_matches_the_exact_one(d, t):
+    # from t = dt on, where the extraction takes central differences
+    try:
+        rep = dy.extract_time_local_generator(lambda u: dy.weyl_mixture_map(d, u), t)
+    except SingularMap:  # some 1 + mu_ab passes through 0
+        return
+    exact = exact_weyl_generator(d, t)
+    assert np.abs(rep.generator.transfer - exact).max() <= 1e-6
+    if d == 2:  # kappa = 1, nu = -tanh t
+        assert rep.nu_fit == pytest.approx(-np.tanh(t), abs=1e-6)
 
 
 @settings(max_examples=40, deadline=None)

@@ -534,7 +534,10 @@ def test_batched_falsifier_matches_the_loop_at_any_threshold(case, pick):
     above = order[order > low + 1e-9]
     threshold = (low + above[0]) / 2.0 if above.size else low + 1.0
     k = int(np.argmax(mins < threshold))
-    assert_same_candidate(r.schwarz_falsify(m, budget, seed, threshold), k, cands[k], m.d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(r, "_FALSIFY_THRESHOLD", threshold)
+        found = r.schwarz_falsify(m, budget, seed)
+    assert_same_candidate(found, k, cands[k], m.d)
 
 
 @pytest.mark.parametrize("d", range(2, 17))
