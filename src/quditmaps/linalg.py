@@ -126,32 +126,27 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return (np.cumsum(roots) - 1)[labels]
 
 
-def min_eig_affine(parts, coef) -> np.ndarray:
-    """Smallest eigenvalue of ``sum_k coef[g, k] * parts[k]`` for every row g.
+def affine_blocks(parts) -> tuple:
+    """The blocks ``min_eig_affine`` solves for ``parts``, as ``(size, blocks)`` pairs.
 
     ``parts`` is a (K, n, n) stack of Hermitian matrices, or a (K, B, n, n)
-    stack of B such stacks, in which case the minimum is also taken over
-    the batch; ``coef`` is a real (G, K) array.  One matrix ``m`` is
-    ``min_eig_affine(m[None], [[1.0]])[0]``.  The blocks are the connected
-    components of each batch member's joint nonzero pattern over the K
-    parts, each with its indices ascending, so every combination is block
+    stack of B such stacks.  The blocks are the connected components of
+    each batch member's joint nonzero pattern over the K parts, each with
+    its indices ascending, so every real combination of the parts is block
     diagonal on them and its spectrum is the union of the block spectra.
     The components are labelled on an edge list over the B * n indices.
-    Blocks of equal size make one batched ``eigvalsh``, except the two
-    smallest sizes: 1 x 1 blocks are read off the diagonal, and a 2 x 2
-    block [[p, conj(c)], [c, q]] has the smaller root of its characteristic
-    polynomial, (p + q)/2 - hypot((p - q)/2, |c|).  That formula holds for
-    every Hermitian 2 x 2 matrix, and its error, a few machine epsilons of
-    the block's norm, is the size of ``eigvalsh``'s.  Parts with zero
-    imaginary part are solved in real arithmetic.
+    The pairs come in ascending size; ``blocks`` holds every component of
+    that size gathered from each part: the (K, blocks) diagonal entries for
+    size 1, and (K, blocks, size, size) matrices otherwise.  Parts with zero
+    imaginary part are gathered as real arrays.  The arrays are read-only,
+    so one decomposition can serve any number of coefficient arrays.
     """
     parts = np.asarray(parts)
     if parts.ndim == 3:
         parts = parts[:, None]
     if np.iscomplexobj(parts) and not parts.imag.any():
         parts = parts.real
-    coef = np.asarray(coef, dtype=float)
-    k, batch, n = parts.shape[:3]
+    batch, n = parts.shape[1:3]
     # index b * n + i stands for row i of batch member b
     rows, cols = np.divmod(np.flatnonzero(np.any(parts != 0, axis=0)), n)
     cols += rows - rows % n
@@ -159,16 +154,40 @@ def min_eig_affine(parts, coef) -> np.ndarray:
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    out = np.full(coef.shape[0], np.inf)
+    out = []
     for size in np.unique(sizes):
         first = starts[sizes == size]
         idx = order[first[:, None] + np.arange(size)]  # (blocks, size) indices
         b, loc = np.divmod(idx, n)  # a block lies inside one batch member
         if size == 1:
-            vals = coef @ parts[:, b[:, 0], loc[:, 0], loc[:, 0]].real
+            blocks = parts[:, b[:, 0], loc[:, 0], loc[:, 0]].real
         else:
             blocks = parts[:, b[:, :1, None], loc[:, :, None], loc[:, None, :]]
-            mats = (coef @ blocks.reshape(k, -1)).reshape((-1,) + blocks.shape[1:])
+        blocks.flags.writeable = False
+        out.append((int(size), blocks))
+    return tuple(out)
+
+
+def min_eig_blocks(blocks, coef) -> np.ndarray:
+    """Smallest eigenvalue of ``sum_k coef[g, k] * parts[k]`` for every row g,
+    from the decomposition ``blocks = affine_blocks(parts)``.
+
+    ``coef`` is a real (G, K) array.  Each block size is one product with
+    the coefficients; blocks of equal size make one batched ``eigvalsh``,
+    except the two smallest sizes: 1 x 1 blocks are their own minimum, and
+    a 2 x 2 block [[p, conj(c)], [c, q]] has the smaller root of its
+    characteristic polynomial, (p + q)/2 - hypot((p - q)/2, |c|).  That
+    formula holds for every Hermitian 2 x 2 matrix, and its error, a few
+    machine epsilons of the block's norm, is the size of ``eigvalsh``'s.
+    """
+    coef = np.asarray(coef, dtype=float)
+    out = np.full(coef.shape[0], np.inf)
+    for size, gathered in blocks:
+        if size == 1:
+            vals = coef @ gathered
+        else:
+            k = gathered.shape[0]
+            mats = (coef @ gathered.reshape(k, -1)).reshape((-1,) + gathered.shape[1:])
             if size == 2:
                 p, q = mats[..., 0, 0].real, mats[..., 1, 1].real
                 vals = (p + q) / 2 - np.hypot((p - q) / 2, np.abs(mats[..., 1, 0]))
@@ -176,6 +195,20 @@ def min_eig_affine(parts, coef) -> np.ndarray:
                 vals = np.linalg.eigvalsh(mats)[..., 0]
         out = np.minimum(out, vals.min(axis=1))
     return out
+
+
+def min_eig_affine(parts, coef) -> np.ndarray:
+    """Smallest eigenvalue of ``sum_k coef[g, k] * parts[k]`` for every row g.
+
+    ``parts`` is a (K, n, n) stack of Hermitian matrices, or a (K, B, n, n)
+    stack of B such stacks, in which case the minimum is also taken over
+    the batch; ``coef`` is a real (G, K) array.  One matrix ``m`` is
+    ``min_eig_affine(m[None], [[1.0]])[0]``.  The parts are decomposed into
+    the blocks of their joint nonzero pattern by ``affine_blocks``, and the
+    blocks solved by ``min_eig_blocks``; a caller with many coefficient
+    arrays for one stack decomposes it once and calls the second alone.
+    """
+    return min_eig_blocks(affine_blocks(parts), coef)
 
 
 # Stacks of at least _COMPONENT_STACK matrices of order n <= _COMPONENT_ORDER
@@ -431,39 +464,60 @@ def two_coordinate_pairs(d: int):
     return pairs
 
 
+def deterministic_candidates(d: int) -> np.ndarray:
+    """The d^2 + 1 deterministic unit vectors of ``positivity_candidates``, shape (d^2 + 1, d).
+
+    The d basis vectors, both vectors of each ``two_coordinate_pairs``
+    pair, and the uniform superposition.  For the map family, basis vectors
+    expose alpha < 0, the two-coordinate superpositions the lower boundary
+    beta >= -2 alpha/d, and the uniform superposition the upper boundary
+    beta <= d/(d-1) - alpha.
+    """
+    eye = np.eye(d, dtype=complex)
+    i, j = np.triu_indices(d, 1)
+    pairs = np.stack([eye[i] + eye[j], eye[i] - eye[j]], axis=1) * (1.0 / np.sqrt(2.0))
+    return np.concatenate([eye, pairs.reshape(-1, d), np.ones((1, d), dtype=complex) / np.sqrt(d)])
+
+
 def positivity_candidates(d: int, sample_budget: int = 0,
                           rng: np.random.Generator | None = None) -> np.ndarray:
     """Unit vectors in C^d probed by the positivity and dissipativity oracles, shape (N, d).
 
-    The d^2 + 1 deterministic candidates come first: the d basis vectors,
-    both vectors of each ``two_coordinate_pairs`` pair, and the uniform
-    superposition.  For the map family, basis vectors expose alpha < 0, the
-    two-coordinate superpositions the lower boundary beta >= -2 alpha/d, and
-    the uniform superposition the upper boundary beta <= d/(d-1) - alpha.
-    ``sample_budget`` Haar-random unit vectors are appended, drawn from
-    ``rng``, which is then required.
+    The d^2 + 1 ``deterministic_candidates`` come first, then
+    ``sample_budget`` Haar-random unit vectors drawn from ``rng``, which is
+    then required.
     """
     if sample_budget > 0 and rng is None:
         raise QuditMapsError("sample_budget > 0 needs a random generator rng")
-    vecs = list(np.eye(d, dtype=complex))
-    for x, y in two_coordinate_pairs(d):
-        vecs.extend([x, y])
-    vecs.append(np.ones(d, dtype=complex) / np.sqrt(d))
+    vecs = deterministic_candidates(d)
     if sample_budget > 0:
         g = ginibre(d, rng, n=int(sample_budget))[:, :, 0]
         g = g / np.linalg.norm(g, axis=1, keepdims=True)
-        vecs.extend(list(g))
-    return np.asarray(vecs)
+        vecs = np.concatenate([vecs, g])
+    return vecs
 
 
 def match_multisets(a, b, tol: float) -> bool:
-    """Exact test: some one-to-one pairing of the multisets has every distance <= tol."""
-    from scipy.optimize import linear_sum_assignment  # deferred: only this needs it
+    """Exact test: some one-to-one pairing of the multisets has every distance <= tol.
 
+    A perfect matching of the bipartite graph that joins the entries of a
+    and b not farther apart than tol, grown one entry of a at a time along
+    augmenting paths (Kuhn's algorithm): O(n^3) for n entries.
+    """
     xs = np.asarray(a, dtype=complex).reshape(-1)
     ys = np.asarray(b, dtype=complex).reshape(-1)
     if xs.size != ys.size:
         return False
-    cost = (np.abs(xs[:, None] - ys[None, :]) > tol).astype(float)
-    rows, cols = linear_sum_assignment(cost)
-    return cost[rows, cols].sum() == 0.0
+    near = [np.flatnonzero(~(np.abs(x - ys) > tol)) for x in xs]
+    owner = [-1] * ys.size  # owner[j]: the entry of a that y_j is paired with
+
+    def augment(i, seen) -> bool:
+        for j in near[i]:
+            if not seen[j]:
+                seen[j] = True
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, [False] * ys.size) for i in range(xs.size))

@@ -28,27 +28,34 @@ Numeric oracles
 its Choi matrix, and takes the Choi and partial-transpose minima from
 ``linalg.min_eig_affine``, which solves the blocks of each matrix's own
 nonzero pattern.  ``classify_grid`` also uses only generic structure: the
-family is affine in (alpha, beta), so the candidate images under its three
-parts are computed once per call, and the minima are solved on the blocks
-of the parts' joint nonzero pattern.
+family is affine in (alpha, beta), so every oracle works on its three
+parts.  ``linalg.affine_blocks`` decomposes a stack of parts into the
+blocks of their joint nonzero pattern, and ``linalg.min_eig_blocks``
+solves those blocks for one coefficient array.  What depends on d alone
+is decomposed once per d and cached, read-only (``_family_blocks``): the
+parts' Choi matrices, their partial transposes, and the parts' images of
+the deterministic positivity candidates.  A call makes the coefficient
+products, the block solves, the images of its sampled candidates and
+their certificate.
 
-The positivity minimum has one implementation, shared by ``classify_grid``
-and ``sampled_positivity_min`` (a single map is one part with coefficient
-1), in two exact stages:
+The positivity minimum has one implementation of each of its two exact
+stages, shared by ``classify_grid`` and ``sampled_positivity_min`` (a
+single map is one part with coefficient 1):
 
-1. the d^2 + 1 deterministic candidates are solved blockwise by
-   ``min_eig_affine``; their outputs are sparse (2 x 2 blocks, which have
+1. the d^2 + 1 deterministic candidates are solved blockwise, by
+   ``min_eig_blocks`` on the ``affine_blocks`` of their Hermitised images
+   (``_pure_images``); their outputs are sparse (2 x 2 blocks, which have
    a closed-form minimum, and scalars for the pairs), so no block reaches
    ``eigvalsh``;
-2. the sampled candidates are certified by ``linalg.min_eig_capped``: the
-   Cholesky factorisation of a sampled output minus the stage-1 minimum
-   times I (less a rounding margin) succeeds only if its eigenvalues all
-   lie above that minimum.  At d <= 5 a chunk's outputs are factored over
-   components, all at once; at larger d (or on fewer than 1024 outputs)
-   LAPACK factors them in blocks of up to 1024.  Either way each output
-   gets its own verdict, and only the outputs that fail (a tie, as at the
-   identity, or a sample that sets the minimum) are solved by
-   ``eigvalsh``, in one call.
+2. the sampled candidates are certified by ``_sampled_min`` with
+   ``linalg.min_eig_capped``: the Cholesky factorisation of a sampled
+   output minus the stage-1 minimum times I (less a rounding margin)
+   succeeds only if its eigenvalues all lie above that minimum.  At d <= 5
+   a chunk's outputs are factored over components, all at once; at larger
+   d (or on fewer than 1024 outputs) LAPACK factors them in blocks of up
+   to 1024.  Either way each output gets its own verdict, and only the
+   outputs that fail (a tie, as at the identity, or a sample that sets the
+   minimum) are solved by ``eigvalsh``, in one call.
 
 The result never depends on the certificate succeeding, only the time
 does.  Nothing here takes anything from the closed forms: no inequality,
@@ -77,6 +84,7 @@ reference in ``tests/test_regions.py`` (``reference_falsify``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -91,8 +99,11 @@ from .channels import (
 from .errors import DegenerateRegion, NotUnital, UnknownName
 from .generators import witness_operator
 from .linalg import (
+    affine_blocks,
     check_dimension,
+    deterministic_candidates,
     min_eig_affine,
+    min_eig_blocks,
     min_eig_capped,
     partial_transpose,
     positivity_candidates,
@@ -235,34 +246,31 @@ def _images(transfer, inputs) -> np.ndarray:
     return unvec(prod, inputs.shape[-1])
 
 
-def _positivity_min(parts, coef, d: int, sample_budget: int, seed: int) -> np.ndarray:
-    """Smallest output eigenvalue over the positivity candidates, per row of ``coef``.
-
-    The maps are ``sum_k coef[g, k] * parts[k]`` for (K, d^2, d^2) transfer
-    matrices ``parts``.  Each candidate's image under each part is computed
-    once.  Stage 1 solves the d^2 + 1 deterministic candidates blockwise
-    with ``min_eig_affine``, which takes the minimum over them.  Stage 2
-    passes the sampled outputs of a chunk of points to
-    ``linalg.min_eig_capped`` with the stage-1 minima as caps: it certifies
-    them by Cholesky factorisations and solves by ``eigvalsh`` only the
-    outputs where the certificate fails (ties, or a sample that sets the
-    minimum).  A chunk holds at most ``_CHUNK`` points and, with the
-    Cholesky factor or the copy of the failing outputs, ``_CHUNK_BYTES``.
-    """
-    rng = np.random.default_rng(seed)
-    cand = positivity_candidates(d, sample_budget, rng)
-    images = _images(parts, np.einsum("ni,nj->nij", cand, cand.conj()))  # (K, N, d, d)
+def _pure_images(parts, cand) -> np.ndarray:
+    """Images of the pure states |c><c| of the (N, d) rows c of ``cand`` under
+    (K, d^2, d^2) transfer matrices ``parts``, Hermitised: (K, N, d, d)."""
+    images = _images(parts, np.einsum("ni,nj->nij", cand, cand.conj()))
     # the products carry rounding; real combinations of Hermitian images stay Hermitian
-    images = (images + np.conj(np.swapaxes(images, -1, -2))) / 2.0
-    coef = np.asarray(coef, dtype=float)
-    n_det = d * d + 1  # positivity_candidates(d, 0): basis, +/- pairs, uniform
-    best = min_eig_affine(images[:, :n_det], coef)
-    sampled = images[:, n_det:]
-    n_samples = sampled.shape[1]
+    return (images + np.conj(np.swapaxes(images, -1, -2))) / 2.0
+
+
+def _sampled_min(sampled, coef, best) -> np.ndarray:
+    """Stage 2 of the positivity minimum: ``best`` lowered to the sampled outputs' minima.
+
+    ``sampled`` holds the (K, S, d, d) images of the S sampled candidates
+    under the K parts, and ``best`` the stage-1 minima, one per row of
+    ``coef``.  The sampled outputs of a chunk of points go to
+    ``linalg.min_eig_capped`` with those minima as caps: it certifies them
+    by Cholesky factorisations and solves by ``eigvalsh`` only the outputs
+    where the certificate fails (ties, or a sample that sets the minimum).
+    A chunk holds at most ``_CHUNK`` points and, with the Cholesky factor or
+    the copy of the failing outputs, ``_CHUNK_BYTES``.
+    """
+    k, n_samples, d = sampled.shape[:3]
     if n_samples == 0:
         return best
     # the real coefficients combine the samples' real and imaginary parts alike
-    flat = np.ascontiguousarray(sampled).view(float).reshape(len(sampled), -1)
+    flat = np.ascontiguousarray(sampled).view(float).reshape(k, -1)
     g = coef.shape[0]
     chunk = max(1, min(_CHUNK, g, _CHUNK_BYTES // (2 * sampled[0].nbytes)))
     buf = np.empty((chunk, flat.shape[1]))
@@ -276,8 +284,17 @@ def _positivity_min(parts, coef, d: int, sample_budget: int, seed: int) -> np.nd
 
 def sampled_positivity_min(m: SuperMap, sample_budget: int = 256,
                            seed: int = 42) -> float:
-    """min over candidate pure inputs of the smallest output eigenvalue."""
-    return float(_positivity_min(m.transfer[None], [[1.0]], m.d, sample_budget, seed)[0])
+    """min over candidate pure inputs of the smallest output eigenvalue.
+
+    The two stages of ``classify_grid``'s positivity minimum on one part
+    with coefficient 1; the images of all the candidates are one product.
+    """
+    cand = positivity_candidates(m.d, sample_budget, np.random.default_rng(seed))
+    images = _pure_images(m.transfer[None], cand)
+    coef = np.ones((1, 1))
+    n_det = m.d * m.d + 1  # deterministic_candidates(d) come first
+    best = min_eig_affine(images[:, :n_det], coef)
+    return float(_sampled_min(images[:, n_det:], coef, best)[0])
 
 
 def classify_numeric(p: MapParams, sample_budget: int = 256, seed: int = 42,
@@ -324,19 +341,37 @@ def _closed_slacks(d: int, aa, bb) -> dict:
     }
 
 
+@lru_cache(maxsize=None)
+def _family_blocks(d: int) -> tuple:
+    """The ``affine_blocks`` of the family's three parts that ``classify_grid`` solves, per d.
+
+    Read-only and cached per d: the decompositions of the parts' Choi
+    matrices, of the partial transposes of those, and of the parts'
+    Hermitised images of the d^2 + 1 deterministic positivity candidates.
+    Only the gathered blocks are kept, not the d^2 x d^2 stacks.
+    """
+    parts = np.stack(family_transfer_parts(d))
+    choi_parts = choi_from_transfer(parts, d)
+    return (affine_blocks(choi_parts),
+            affine_blocks(partial_transpose(choi_parts, d, 2)),
+            affine_blocks(_pure_images(parts, deterministic_candidates(d))))
+
+
 def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
                   seed: int = 42, tol: float = 1e-9) -> dict:
     """Closed-form and numeric classification over a coordinate grid.
 
     Returns arrays of shape (len(alphas), len(betas)): closed-form booleans
-    and margins, plus numeric booleans with the oracle minima.  The numeric
-    pass shares one candidate set across the grid and combines each point's
-    outputs from the images under the family's three parts.  The Choi and
-    partial-transpose minima, and the positivity minimum over the
-    deterministic candidates, are solved blockwise; the sampled candidates'
-    outputs are certified against that minimum by Cholesky factorisations
-    (over components, all at once, at d <= 5) and solved by ``eigvalsh``
-    only where the certificate fails.
+    and margins, plus numeric booleans with the oracle minima.  Each point's
+    map is a real combination of the family's three parts.  The blocks that
+    depend on d alone are built by the first call at that d
+    (``_family_blocks``); a call then makes the coefficient products and
+    the small block solves of the Choi, partial-transpose and deterministic
+    positivity minima, draws one set of ``sample_budget`` candidates for
+    the whole grid, forms their images under the three parts, and
+    certifies each point's sampled outputs against its deterministic
+    minimum by Cholesky factorisations (over components, all at once, at
+    d <= 5), solving by ``eigvalsh`` only where the certificate fails.
     At most 512 points' sampled outputs are held at once, and fewer when
     the outputs and their Cholesky factor would exceed 64 MB.
     """
@@ -350,12 +385,16 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
 
     # Phi = (1-a-b) id + a tau0 + b Delta: every oracle works on the three parts
     coef = np.stack([1.0 - a_flat - b_flat, a_flat, b_flat], axis=1)
-    parts = np.stack(family_transfer_parts(d))
-    choi_parts = choi_from_transfer(parts, d)
-    choi_min = min_eig_affine(choi_parts, coef)
-    pt_min = min_eig_affine(partial_transpose(choi_parts, d, 2), coef)
+    choi_blocks, pt_blocks, det_blocks = _family_blocks(d)
+    choi_min = min_eig_blocks(choi_blocks, coef)
+    pt_min = min_eig_blocks(pt_blocks, coef)
 
-    pos_min = _positivity_min(parts, coef, d, sample_budget, seed)
+    pos_min = min_eig_blocks(det_blocks, coef)
+    rng = np.random.default_rng(seed)
+    sampled = positivity_candidates(d, sample_budget, rng)[d * d + 1:]
+    if len(sampled):
+        images = _pure_images(np.stack(family_transfer_parts(d)), sampled)
+        pos_min = _sampled_min(images, coef, pos_min)
 
     return {
         "alphas": alphas,

@@ -468,6 +468,7 @@ NUMPY_ONLY_COMMANDS = [
     *(["trajectory", "--d", "3", "--schedule", s, "--t-max", "2", "--steps", "4"]
       for s in dynamics.SCHEDULES),
     ["apply", "--state", "{state}", "--schedule", "weyl", "--t", "0.5"],
+    ["verify", "--suite", "generators"],
 ]
 # the paths that load scipy on first use, run last so the check can see a load
 SCIPY_COMMANDS = [

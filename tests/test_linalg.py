@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space as scipy_null_space
+from scipy.optimize import linear_sum_assignment
 
 from quditmaps import channels as ch
 from quditmaps import linalg as la
@@ -247,6 +248,43 @@ def test_match_multisets_is_exact():
     assert not la.match_multisets([0.5, 1.0], [0.5], tol=1.0)
 
 
+def assignment_match(xs, ys, tol):
+    """The matching test by scipy's assignment on the same 0/1 cost."""
+    if len(xs) != len(ys):
+        return False
+    cost = (np.abs(np.subtract.outer(xs, ys)) > tol).astype(float)
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].sum() == 0.0
+
+
+# points on a coarse lattice, so many distances tie with each other and with tol
+LATTICE = st.builds(complex, st.integers(-3, 3), st.integers(-2, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 36),
+       tol=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+       kind=st.sampled_from(["shifted", "drawn", "shorter"]))
+def test_match_multisets_agrees_with_the_assignment(data, n, tol, kind):
+    # "shifted": b permutes a, moves entries by lattice steps (a perfect
+    # matching for a large enough tol, with ties) and up to two entries 10
+    # away (then none exists); "drawn": b is drawn on its own; "shorter":
+    # b has one entry fewer
+    xs = data.draw(st.lists(LATTICE, min_size=n, max_size=n))
+    if kind == "shifted":
+        perm = data.draw(st.permutations(range(n)))
+        steps = data.draw(st.lists(st.sampled_from([0, 1, -1j, 1 + 1j]),
+                                   min_size=n, max_size=n))
+        far = data.draw(st.sets(st.integers(0, 35), max_size=2))
+        ys = [xs[p] + step + 10 * (i in far) for i, (p, step) in enumerate(zip(perm, steps))]
+    else:
+        size = n if kind == "drawn" else max(n - 1, 0)
+        ys = data.draw(st.lists(LATTICE, min_size=size, max_size=size))
+    got = la.match_multisets(xs, ys, tol)
+    assert got == assignment_match(np.asarray(xs, complex), np.asarray(ys, complex), tol)
+    assert got == la.match_multisets(ys, xs, tol)
+
+
 # --- null_space ----------------------------------------------------------------
 
 @pytest.mark.parametrize("d", range(2, 17))
@@ -359,24 +397,25 @@ def test_batched_conventions_check_dimensions():
         ch.SuperMap(2, np.eye(4))(np.zeros((2, 3, 3)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
-       twos=st.lists(st.tuples(st.floats(-3.0, 3.0),
-                               st.sampled_from([0.0, 1e-15, 1e-12, 1e-9]),
-                               st.sampled_from([0.0, 1e-15, 1e-12, 1e-9]),
-                               st.sampled_from([1e-8, 1.0, 1e8])), max_size=3),
-       n_parts=st.integers(1, 3), n_rows=st.integers(1, 4), real=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-@example(sizes=[2], twos=[(-3.0, 1e-12, 1e-9, 1e8), (-2.9, 0.0, 1e-15, 1e8)], n_parts=2,
-         n_rows=3, real=False, seed=1)
-@example(sizes=[3], twos=[(-3.0, 1e-9, 1e-9, 1.0), (2.0, 1e-15, 0.0, 1e-8)], n_parts=3,
-         n_rows=2, real=True, seed=2)
-def test_min_eig_affine_matches_dense(sizes, twos, n_parts, n_rows, real, seed):
-    # ``twos`` adds 2 x 2 blocks [[p, conj(c)], [c, q]] that are nearly
-    # degenerate in every part, |q - p| and |c| at most ``gap`` and ``mag``
-    # (1e-9), then scaled by up to 1e8; the tolerance is relative to the norm
-    # of such a block where that exceeds 1, since eigvalsh's own error grows with it
-    rng = np.random.default_rng(seed)
+# stacks of Hermitian parts with dense blocks of the ``sizes`` and, for each of
+# ``twos``, a nearly degenerate 2 x 2 block, hidden behind a permutation
+HIDDEN_BLOCK_STACKS = dict(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+    twos=st.lists(st.tuples(st.floats(-3.0, 3.0),
+                            st.sampled_from([0.0, 1e-15, 1e-12, 1e-9]),
+                            st.sampled_from([0.0, 1e-15, 1e-12, 1e-9]),
+                            st.sampled_from([1e-8, 1.0, 1e8])), max_size=3),
+    n_parts=st.integers(1, 3), n_rows=st.integers(1, 4), real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1))
+
+
+def hidden_block_stack(sizes, twos, n_parts, real, rng):
+    """(parts, added): the (n_parts, n, n) stack and its 2 x 2 blocks.
+
+    ``twos`` adds 2 x 2 blocks [[p, conj(c)], [c, q]] that are nearly
+    degenerate in every part, |q - p| and |c| at most ``gap`` and ``mag``
+    (1e-9), then scaled by up to 1e8.
+    """
     n = sum(sizes) + 2 * len(twos)
     parts = np.zeros((n_parts, n, n), dtype=complex)
     start = 0
@@ -397,12 +436,44 @@ def test_min_eig_affine_matches_dense(sizes, twos, n_parts, n_rows, real, seed):
         added.append(block)
         start += 2
     perm = rng.permutation(n)
-    parts = parts[:, perm][:, :, perm]  # hide the blocks behind a permutation
+    return parts[:, perm][:, :, perm], added  # the blocks hidden behind a permutation
+
+
+@settings(max_examples=60, deadline=None)
+@given(**HIDDEN_BLOCK_STACKS)
+@example(sizes=[2], twos=[(-3.0, 1e-12, 1e-9, 1e8), (-2.9, 0.0, 1e-15, 1e8)], n_parts=2,
+         n_rows=3, real=False, seed=1)
+@example(sizes=[3], twos=[(-3.0, 1e-9, 1e-9, 1.0), (2.0, 1e-15, 0.0, 1e-8)], n_parts=3,
+         n_rows=2, real=True, seed=2)
+def test_min_eig_affine_matches_dense(sizes, twos, n_parts, n_rows, real, seed):
+    # the tolerance is relative to the norm of a 2 x 2 block where that
+    # exceeds 1, since eigvalsh's own error grows with it
+    rng = np.random.default_rng(seed)
+    parts, added = hidden_block_stack(sizes, twos, n_parts, real, rng)
     coef = rng.standard_normal((n_rows, n_parts))
     norm = max([1.0] + [np.linalg.norm(np.tensordot(coef, block, axes=1), ord=2,
                                        axis=(1, 2)).max() for block in added])
     dense = np.linalg.eigvalsh(np.tensordot(coef, parts, axes=1))[:, 0]
     assert np.abs(la.min_eig_affine(parts, coef) - dense).max() <= 1e-12 * norm
+
+
+@settings(max_examples=60, deadline=None)
+@given(**HIDDEN_BLOCK_STACKS, batch=st.integers(0, 3))
+def test_one_decomposition_serves_every_coefficient_array(sizes, twos, n_parts, n_rows,
+                                                          real, seed, batch):
+    # a (K, n, n) stack, or a (K, B, n, n) stack of B copies under different
+    # permutations; one ``affine_blocks`` reused for two coefficient arrays
+    # gives ``min_eig_affine``'s minima bit for bit, and cannot be written
+    rng = np.random.default_rng(seed)
+    parts, _ = hidden_block_stack(sizes, twos, n_parts, real, rng)
+    if batch:
+        perms = [rng.permutation(parts.shape[-1]) for _ in range(batch)]
+        parts = np.stack([parts[:, p][:, :, p] for p in perms], axis=1)
+    blocks = la.affine_blocks(parts)
+    assert [size for size, _ in blocks] == sorted({size for size, _ in blocks})
+    assert not any(gathered.flags.writeable for _, gathered in blocks)
+    for coef in (rng.standard_normal((n_rows, n_parts)), rng.standard_normal((3, n_parts))):
+        assert np.array_equal(la.min_eig_blocks(blocks, coef), la.min_eig_affine(parts, coef))
 
 
 @settings(max_examples=60, deadline=None)

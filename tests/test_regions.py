@@ -306,6 +306,54 @@ def test_grid_positivity_batches_stay_within_byte_budget(monkeypatch):
     assert np.abs(res["pos_min"] - one["pos_min"]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("budget", [16, 0])
+def test_grid_is_the_same_on_a_cold_and_a_warm_cache(budget):
+    # the per-d blocks are built by the first call after ``cache_clear``
+    # and reused by the second; they are read-only
+    for d in range(2, 17):
+        r._family_blocks.cache_clear()
+        cold = r.classify_grid(d, *r.default_grid(d, 5), sample_budget=budget, seed=d)
+        warm = r.classify_grid(d, *r.default_grid(d, 5), sample_budget=budget, seed=d)
+        assert r._family_blocks.cache_info().hits >= 1
+        for key, value in cold.items():
+            assert value.dtype == warm[key].dtype and value.shape == warm[key].shape, key
+            assert value.tobytes() == warm[key].tobytes(), (d, key)
+        for blocks in r._family_blocks(d):
+            assert blocks and not any(gathered.flags.writeable for _, gathered in blocks)
+
+
+@pytest.mark.parametrize("d", [3, 16])
+def test_a_warm_grid_call_images_only_its_samples(d, monkeypatch):
+    # a warm call reshuffles no Choi matrix, takes no partial transpose, and
+    # its one image product takes the ``budget`` sampled candidates alone;
+    # the cold call before it is the spies' positive control
+    calls = {"choi_from_transfer": 0, "partial_transpose": 0, "images": []}
+    for name in ("choi_from_transfer", "partial_transpose"):
+        def counting(*args, _name=name, _solve=getattr(r, name), **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(r, name, counting)
+    images = r._images
+
+    def imaging(transfer, inputs):
+        calls["images"].append(len(inputs))
+        return images(transfer, inputs)
+
+    monkeypatch.setattr(r, "_images", imaging)
+    budget = 24
+    r._family_blocks.cache_clear()
+    r.classify_grid(d, *r.default_grid(d, 6), sample_budget=budget, seed=1)
+    assert calls == {"choi_from_transfer": 1, "partial_transpose": 1,
+                     "images": [d * d + 1, budget]}
+    calls["choi_from_transfer"] = calls["partial_transpose"] = 0
+    calls["images"] = []
+    r.classify_grid(d, *r.default_grid(d, 6), sample_budget=budget, seed=2)
+    assert calls == {"choi_from_transfer": 0, "partial_transpose": 0, "images": [budget]}
+    calls["images"] = []
+    r.classify_grid(d, *r.default_grid(d, 6), sample_budget=0, seed=3)
+    assert calls["images"] == []
+
+
 def test_positivity_candidates_need_rng_for_samples():
     with pytest.raises(QuditMapsError):
         r.positivity_candidates(16, 64)
