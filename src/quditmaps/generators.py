@@ -72,17 +72,22 @@ combines it:
   three orbit representatives of the deterministic ``positivity_candidates``
   plus ceil(budget / d^3) seeded Haar vectors: one (d^2 - 1)-square solve
   costs about as much as d^3 solves of d x d, so the budget buys about the
-  eigensolve work of the old budget of X samples.  The dense parts of both
-  are built together and kept per seed.  Stage 1 is one ``eigvalsh`` of the
-  three representatives' forms, in real arithmetic (real w and the exact
-  blocks give real forms); stage 2 certifies the Haar forms with
-  ``linalg.min_eig_capped``, capped at the stage-1 minimum;
-* projected-Choi oracle: the Choi matrix is compressed to Omega's complement
-  with a sparse orthonormal basis, the off-diagonal units |ij> plus an
-  orthonormal basis of Omega's complement inside span{|ii>}.  The compressed
-  matrix is block diagonal, and ``linalg.min_eig_affine`` finds and solves
-  the blocks; no (d^2 - 1)-dimensional eigensolve is made.  The dissipativity
-  oracle compresses with the same basis.
+  eigensolve work of the old budget of X samples.  Every form is built at
+  |w|: w = U |w| for a diagonal unitary U, and the covariance
+  ``_covariant_blocks`` checks makes Q(|w|) unitarily similar to Q(w) on
+  traceless X.  So the dense forms of both are real, built together in real
+  arithmetic and kept per seed, and the drawn w stay the reported argmin.
+  Stage 1 is one ``eigvalsh`` of the three representatives' forms; stage 2
+  certifies the Haar forms with ``linalg.min_eig_capped``, capped at the
+  stage-1 minimum, as real matrices;
+* projected-Choi oracle: nothing is kept but ``_covariant_blocks`` and the
+  basis of ``_omega_complement``, the off-diagonal units |ij> plus an
+  orthonormal basis ``inner`` of Omega's complement inside span{|ii>}.  On
+  the covariant support the compressed Choi matrix is diagonal on the units,
+  where it reads the population block, and inner^T S inner on span{|ii>};
+  the Hamiltonian part drops out of the compression.  A call is O(d^2) work
+  and one (d - 1)-square ``eigvalsh``, with no d^2 x d^2 matrix.  The
+  dissipativity oracle compresses its forms with the same basis.
 
 The two sampling oracles keep the parts of the last seeded sample set only,
 keyed by (oracle, d, sample count, seed), and drop them before the next set
@@ -112,13 +117,10 @@ from .linalg import (
     haar_orthonormal_pair,
     maximally_entangled_vector,
     min_eig,
-    min_eig_affine,
     min_eig_capped,
     null_space,
     positivity_candidates,
     two_coordinate_pairs,
-    unvec,
-    vec,
 )
 from .linalg import random_traceless  # noqa: F401  (perfbench/tracer.py patches this name)
 
@@ -336,18 +338,18 @@ def _covariant_blocks(d: int):
     with no imaginary part gives real arrays.
     """
     diag = np.arange(d) * (d + 1)  # vec index of X[i, i]
-    support = np.eye(d * d, dtype=bool)
-    support[np.ix_(diag, diag)] = True
     out = []
     for name, block in zip(("hop", "phase"), generator_blocks(d)):
-        if np.any(block[~support]):
-            raise QuditMapsError(f"the {name} block at d = {d} has entries outside the "
-                                 "diagonal and the population block")
         if not block.imag.any():
             block = block.real
         b = np.diagonal(block).reshape(d, d).T.copy()  # b[r, c] = T[c d + r, c d + r]
         np.fill_diagonal(b, 0.0)
         pop = block[np.ix_(diag, diag)]
+        # b and pop hold every entry of the support once; counting the
+        # block's nonzeros allocates nothing the size of the block
+        if np.count_nonzero(block) > np.count_nonzero(b) + np.count_nonzero(pop):
+            raise QuditMapsError(f"the {name} block at d = {d} has entries outside the "
+                                 "diagonal and the population block")
         for arr in (b, pop):
             arr.flags.writeable = False
         out.append((b, pop))
@@ -453,18 +455,33 @@ class CcpReport:
 def is_ccp(p: GenParams) -> CcpReport:
     """Closed form nu >= 0 next to the projected-Choi eigenvalue oracle.
 
-    The oracle compresses the generator's Choi matrix to the orthogonal
-    complement of the maximally entangled vector and reports the smallest
-    eigenvalue of that (d^2 - 1)-dimensional block.  The eigenvalues do not
-    depend on which orthonormal basis of the complement is used; a sparse one
-    keeps the compression block diagonal, so the blocks are solved apart.
+    The oracle compresses the generator's Choi matrix sum_rc E_rc (x) L(E_rc)
+    to the orthogonal complement of the maximally entangled vector Omega and
+    reports the smallest eigenvalue of that (d^2 - 1)-dimensional block.
+
+    The Hamiltonian part adds nothing: the Choi matrix of -i [H, .] is
+    -i (|v><Omega| - |Omega><v|) with v = (I kron H) Omega, which the
+    compression removes for every H.  The rest is read on the support
+    ``_covariant_blocks`` checks: L maps E_rc to b[r, c] E_rc for r != c and
+    E_jj to sum_i P[i, j] E_ii, with (b, P) = kappa (b, P)_hop +
+    (kappa nu / d) (b, P)_phase.  So the Choi matrix is diagonal, P[i, j],
+    on the off-diagonal units |ji>, and on span{|ii>} it is S with
+    S[r, c] = b[r, c] for r != c and S[j, j] = P[j, j].  In the basis of
+    ``_omega_complement`` the compression is those diagonal entries next to
+    inner^T S inner, so the minimum is the smaller of min_{i != j} P[i, j]
+    and one (d - 1)-square eigenvalue; no d^2 x d^2 matrix is built.
     """
     if p.kappa <= 0:
         raise NegativeRate(f"kappa must be > 0, got {p.kappa}")
-    c = _compress(build_generator(p).choi, p.d)
+    d, t = p.d, p.kappa * p.nu / p.d
+    (b_hop, pop_hop), (b_phase, pop_phase) = _covariant_blocks(d)
+    pop = p.kappa * pop_hop + t * pop_phase
+    s = p.kappa * b_hop + t * b_phase + np.diag(np.diagonal(pop))
+    _, inner = _omega_complement(d)
+    units = pop.real[~np.eye(d, dtype=bool)].min()
     return CcpReport(
-        closed_form=p.nu >= ccp_threshold(p.d),
-        min_eig_projected=float(min_eig_affine(c[None], [[1.0]])[0]),
+        closed_form=p.nu >= ccp_threshold(d),
+        min_eig_projected=float(min(units, np.linalg.eigvalsh(inner.T @ s @ inner)[0])),
     )
 
 
@@ -514,14 +531,16 @@ def dissipation_forms(d: int, ws: np.ndarray) -> np.ndarray:
     -i[H, .] is zero).  Each Q(w) is compressed to traceless X by
     ``_compress``; D(X + cI) = D(X), so only the identity's zero eigenvalue
     goes.  Dense, shape (2, len(ws), d^2 - 1, d^2 - 1); each part is
-    compressed as it is built.
+    compressed as it is built.  Real ``ws`` and blocks with no imaginary
+    part give real forms, built in real arithmetic throughout.
     """
     n, dd = len(ws), d * d
-    rho = vec(np.einsum("ni,nj->nij", ws, ws.conj()))
-    forms = np.empty((2, n, dd - 1, dd - 1), dtype=complex)
-    for out, block in zip(forms, generator_blocks(d)):
+    blocks = [block if block.imag.any() else block.real for block in generator_blocks(d)]
+    rho = np.einsum("nc,nr->ncr", ws.conj(), ws).reshape(n, dd)  # vec(w w^+)
+    forms = np.empty((2, n, dd - 1, dd - 1), dtype=np.result_type(ws, *blocks))
+    for out, block in zip(forms, blocks):
         adj = block.conj().T
-        g = unvec(rho @ adj.T, d)  # L^+(w w^+)
+        g = (rho @ adj.T).reshape(n, d, d).swapaxes(-1, -2)  # L^+(w w^+), unvec'd
         g = (g + g.conj().swapaxes(-1, -2)) / 2.0  # L^+ keeps Hermiticity; drop rounding
         # T^+ P_w at column c' d + r' is (T^+ (conj(w) kron I))[:, r'] w_c'
         u = np.einsum("icr,nc->nir", adj.reshape(dd, d, d), ws.conj())
@@ -539,24 +558,28 @@ _FAMILIES = ("basis", "pair", "uniform")
 
 
 def _form_parts(d: int, n: int, seed):
-    """Dense hop and phase forms, (3 + n, d^2 - 1, d^2 - 1) each, and their w.
+    """Dense real hop and phase forms, (3 + n, d^2 - 1, d^2 - 1) each, and their w.
 
     The first three w are the orbit representatives, the rest ``n`` Haar
-    vectors drawn from ``seed``.
+    vectors drawn from ``seed``.  Each form is built at |w|, entrywise: for
+    the diagonal unitary U with w = U |w|, w^+ D(X) w = |w|^+ D(U^+ X U) |w|
+    whenever hop and phase commute with X -> U X U^+, which
+    ``_covariant_blocks`` checks (it raises otherwise).  X -> U^+ X U is
+    unitary on traceless X, so Q(|w|) is unitarily similar to Q(w) there,
+    and it is real.  The drawn w are returned, so they stay the reported
+    argmin.
     """
+    _covariant_blocks(d)  # raises unless hop and phase are diagonal-unitary covariant
     ws = positivity_candidates(d, n, np.random.default_rng(seed))
     ws = np.concatenate((ws[[0, d, d * d]], ws[d * d + 1:]))
-    hop, phase = dissipation_forms(d, ws)
+    hop, phase = dissipation_forms(d, np.abs(ws))
     return hop, phase, ws
 
 
 def _representative_minimum(parts, t: float):
     """Smallest eigenvalue of Q_hop + t Q_phase over the three representatives, and its w."""
     hop, phase, ws = parts
-    mats = hop[:3] + t * phase[:3]
-    if not mats.imag.any():  # real w: the exact blocks give real forms
-        mats = mats.real
-    mins = np.linalg.eigvalsh(mats)[:, 0]
+    mins = np.linalg.eigvalsh(hop[:3] + t * phase[:3])[:, 0]
     k = int(np.argmin(mins))
     return mins[k], ws[k], _FAMILIES[k]
 
@@ -577,14 +600,15 @@ def is_dissipative(p: GenParams, sample_budget: int = 10_000,
     ``min_sampled_eig`` is the smallest eigenvalue of Q(w)/kappa on traceless
     X (the exact minimum of w^+ M(a, X) w over unit traceless X), minimised
     over the d^2 + 1 deterministic ``positivity_candidates`` and
-    ceil(budget / d^3) seeded Haar vectors w.  Stage 1 solves the forms of
-    the deterministic candidates' three orbit representatives, which have
-    their minimum; stage 2 certifies the Haar forms with
-    ``linalg.min_eig_capped``, capped at the stage-1 minimum, so the result
-    is a plain solve's.  ``argmin_w`` is the deciding w (a representative,
-    or a Haar vector) and ``argmin_family`` its kind: ``basis``, ``pair``,
-    ``uniform`` or ``haar``.  ``sample_budget = 0`` runs no oracle and
-    reports infinity.
+    ceil(budget / d^3) seeded Haar vectors w.  Each form is built, real, at
+    |w|, which has the spectrum of the form at w (see ``_form_parts``).
+    Stage 1 solves the forms of the deterministic candidates' three orbit
+    representatives, which have their minimum; stage 2 certifies the Haar
+    forms with ``linalg.min_eig_capped``, capped at the stage-1 minimum, so
+    the result is a plain solve's.  ``argmin_w`` is the deciding w as drawn
+    (a representative, or a Haar vector) and ``argmin_family`` its kind:
+    ``basis``, ``pair``, ``uniform`` or ``haar``.  ``sample_budget = 0`` runs
+    no oracle and reports infinity.
 
     The witness, a closed-form cross-check that decides nothing, is
     evaluated at its optimal parameter c* = d/(d+2-2a) when d + 2 - 2a > 0;

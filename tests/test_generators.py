@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -418,6 +420,7 @@ def test_bisection_draws_its_samples_once(monkeypatch, fresh_sample_parts):
     assert list(fresh_sample_parts) == [key]
     hop, phase, ws = fresh_sample_parts[key]
     assert hop.shape == phase.shape == (3 + 16, d * d - 1, d * d - 1)
+    assert hop.dtype == phase.dtype == float  # built at |w|, in real arithmetic
     assert ws.shape == (3 + 16, d)
     assert all(not a.flags.writeable for a in fresh_sample_parts[key])
 
@@ -538,6 +541,88 @@ def test_covariant_blocks_reject_an_entry_off_their_support(which, entry, monkey
         g.is_conditionally_positive(g.GenParams(d, 1.0, -0.5), 10, 0)
 
 
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("entry", ["coherence_to_coherence", "population_to_coherence",
+                                   "coherence_to_population"])
+def test_ccp_and_form_oracles_stop_on_an_entry_off_the_covariant_support(
+        which, entry, monkeypatch, fresh_covariant_blocks):
+    # both oracles read the transfer through the covariance _covariant_blocks
+    # checks, so an entry off its support must raise, not be dropped
+    d = 3
+    orig = g.generator_blocks
+
+    def perturbed(dim):
+        blocks = [b.copy() for b in orig(dim)]
+        row, col = {"coherence_to_coherence": (1, 3), "population_to_coherence": (1, 4),
+                    "coherence_to_population": (4, 3)}[entry]
+        blocks[which][row, col] = 1e-300
+        return tuple(blocks)
+
+    monkeypatch.setattr(g, "generator_blocks", perturbed)
+    p = g.GenParams(d, 1.0, -0.5, (0.3, -0.2, 0.1))
+    with pytest.raises(QuditMapsError, match=("hop", "phase")[which]):
+        g.is_ccp(p)
+    with pytest.raises(QuditMapsError, match=("hop", "phase")[which]):
+        g.is_dissipative(p, 10, 0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_ccp_oracle_contracts_any_covariant_transfer(d, monkeypatch, fresh_covariant_blocks):
+    # Hermiticity-preserving blocks on the covariant support with complex b
+    # and a population block that is not symmetric, against the dense Choi
+    # matrix of the generator they make
+    rng = np.random.default_rng(90 + d)
+    diag = np.arange(d) * (d + 1)
+    blocks = []
+    for _ in range(2):
+        b = la.random_hermitian(d, rng)
+        t = np.diag(b.T.ravel())  # T[c d + r, c d + r] = b[r, c]
+        t[np.ix_(diag, diag)] = rng.normal(size=(d, d))
+        blocks.append(t)
+    monkeypatch.setattr(g, "generator_blocks", lambda dim: tuple(blocks))
+    for nu in (-2.0, -0.3, 0.0, 0.8):
+        p = g.GenParams(d, 0.9, nu, tuple(rng.uniform(-2.0, 2.0, d)))
+        ref = reference_projected_choi_min(p)
+        assert abs(g.is_ccp(p).min_eig_projected - ref) <= 1e-12 * (1.0 + abs(ref) + d)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_ccp_oracle_matches_the_dense_compression(d):
+    rng = np.random.default_rng(20 + d)
+    for nu in (-1.5, -0.2, 0.0, 0.6):
+        for h in ((), tuple(rng.uniform(-3.0, 3.0, d))):
+            p = g.GenParams(d, 1.7, nu, h)
+            tol = 1e-12 * (1.0 + p.kappa * (d + abs(nu)) + sum(abs(x) for x in p.h))
+            assert abs(g.is_ccp(p).min_eig_projected - reference_projected_choi_min(p)) <= tol
+
+
+def test_cold_ccp_oracle_builds_no_dense_matrix(monkeypatch, fresh_covariant_blocks):
+    # a cold call at d = 16 peaks below one 256 x 256 complex array and never
+    # builds the generator's transfer; the transfer blocks themselves, built
+    # once per process, are warmed first
+    d = 16
+    g.generator_blocks(d)
+    g._omega_complement.cache_clear()
+    calls = []
+    orig = g.build_generator
+
+    def spy(p):
+        calls.append(p)
+        return orig(p)
+
+    monkeypatch.setattr(g, "build_generator", spy)
+    p = g.GenParams(d, 1.2, -0.3, tuple(np.linspace(-1.0, 1.0, d)))
+    tracemalloc.start()
+    try:
+        rep = g.is_ccp(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not calls
+    assert peak < (d * d) ** 2 * np.dtype(complex).itemsize
+    assert rep.min_eig_projected == pytest.approx(-0.3 * 1.2, abs=1e-12)
+
+
 # --- the fixed-w form oracle against its definition ----------------------------
 
 def haar_candidates(d, budget, seed):
@@ -581,6 +666,20 @@ def test_form_oracle_matches_dense_forms_from_the_definition(d, kappa, nu, seed,
     assert abs(rep.min_sampled_eig - ref.min()) <= tol
     assert abs(reference_form_minima(p, rep.argmin_w[None])[0] - rep.min_sampled_eig) <= tol
     assert rep.argmin_family in ("basis", "pair", "uniform", "haar")
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(2, 8), nu=st.floats(-3.0, 2.0), seed=st.integers(0, 2**31 - 1))
+def test_forms_at_abs_w_have_the_spectrum_of_the_forms_at_w(d, nu, seed):
+    # w = U |w| for a diagonal unitary U, and hop and phase commute with
+    # X -> U X U^+, so Q(|w|) is unitarily similar to Q(w) on traceless X
+    ws = la.positivity_candidates(d, 6, np.random.default_rng(seed))[d * d + 1:]
+    hop, phase = g.dissipation_forms(d, ws)
+    hop_abs, phase_abs = g.dissipation_forms(d, np.abs(ws))
+    assert hop_abs.dtype == phase_abs.dtype == float
+    ref = np.linalg.eigvalsh(hop + (nu / d) * phase)
+    got = np.linalg.eigvalsh(hop_abs + (nu / d) * phase_abs)
+    assert np.abs(got - ref).max() <= 1e-12 * (1.0 + d * (d + abs(nu)))
 
 
 @pytest.mark.parametrize("d", [9, 10, 11, 12])
