@@ -62,7 +62,7 @@ from .errors import NegativeRate, NegativeTime, NoLimit, SingularMap, UnknownNam
 from .generators import (
     GenParams, ccp_threshold, generator_blocks, positivity_threshold, schwarz_threshold,
 )
-from .linalg import check_dimension, min_eig_affine
+from .linalg import bisect, check_dimension, min_eig_affine
 
 __all__ = [
     "ConstantNu", "OptimalENM", "PDivisible", "SchwarzDivisible", "ENM2",
@@ -371,10 +371,10 @@ _HORIZON = 50.0
 def _first_root(g: Callable[[float], float], kappa: float) -> Optional[float]:
     """First time t in (0, _HORIZON] at which g(kappa t) changes sign.
 
-    The scan grows s = kappa t from 1e-6 and brentq refines the root in s.
+    The scan grows s = kappa t from 1e-6 by factors of 1.5 until g >= 0, then
+    ``linalg.bisect`` shrinks that bracket until its ends are adjacent floats.
+    The root is the end where g >= 0: in s, g < 0 at the float just below it.
     """
-    from scipy.optimize import brentq
-
     s_lo, horizon = 1e-6, _HORIZON * kappa
     if g(s_lo) >= 0.0:
         return 0.0 if g(0.0) >= -1e-15 else None
@@ -382,7 +382,7 @@ def _first_root(g: Callable[[float], float], kappa: float) -> Optional[float]:
     while s_hi < horizon:
         s_next = min(s_hi * 1.5, horizon)
         if g(s_next) >= 0.0:
-            return float(brentq(g, s_hi, s_next, xtol=1e-12, rtol=8.9e-16)) / kappa
+            return float(bisect(lambda s: g(s) >= 0.0, s_hi, s_next)[1]) / kappa
         s_hi = s_next
     return None
 
@@ -396,7 +396,9 @@ def crossing_times(d: int, kappa: float, nu: float) -> CrossingReport:
     the binding inequality beta >= 1 - alpha - alpha/d, which exists for
     every decaying trajectory (d - 1 + nu > 0).  The trajectory depends on
     kappa t only, so the roots are found in s = kappa t, from s = 1e-6 on,
-    and the same crossings are found at every kappa.
+    and the same crossings are found at every kappa.  Each root is bisected
+    to the last float: the boundary functional is >= 0 at the reported s and
+    < 0 at the float below it (numpy only; no tolerance to choose).
     Raises NegativeRate unless kappa and nu are finite and kappa > 0.
     """
     trajectory = ConstantNu(d, kappa, nu).alpha_beta  # checks d and finite rates

@@ -10,6 +10,9 @@ Conventions fixed project-wide:
   (row block i, column block j) and the second factor inside the block.
 * ``vec``, ``unvec``, ``partial_transpose`` and ``channels.choi_from_transfer``
   own these conventions and accept leading batch axes.
+
+``bisect`` is the package's one bisection: crossing roots and the empirical
+Schwarz boundary both shrink their brackets with it.
 """
 
 from __future__ import annotations
@@ -521,3 +524,17 @@ def match_multisets(a, b, tol: float) -> bool:
         return False
 
     return all(augment(i, [False] * ys.size) for i in range(xs.size))
+
+
+def bisect(holds, lo: float, hi: float, width: float = 0.0):
+    """Shrink a bracket [lo, hi] with holds(hi) true and holds(lo) false.
+
+    Halves at 0.5 (lo + hi) while hi - lo > width and a float lies strictly
+    between the ends; returns the final (lo, hi).  With width 0 the ends are
+    adjacent floats: ``holds`` is false at lo and true at the next float, hi.
+    """
+    mid = 0.5 * (lo + hi)
+    while hi - lo > width and lo < mid < hi:
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+        mid = 0.5 * (lo + hi)
+    return lo, hi

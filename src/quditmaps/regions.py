@@ -84,7 +84,7 @@ reference in ``tests/test_regions.py`` (``reference_falsify``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -100,6 +100,7 @@ from .errors import DegenerateRegion, NotUnital, UnknownName
 from .generators import witness_operator
 from .linalg import (
     affine_blocks,
+    bisect,
     check_dimension,
     deterministic_candidates,
     min_eig_affine,
@@ -194,12 +195,6 @@ def _normalize_region(which: str) -> str:
     if key not in REGIONS:
         raise UnknownName(f"unknown region {which!r}; choose from {REGIONS}")
     return key
-
-
-def region_margin(which: str, p: MapParams) -> float:
-    """Smallest slack of the region's inequalities at (alpha, beta); signed."""
-    which = _normalize_region(which)
-    return float(_closed_slacks(p.d, p.alpha, p.beta)[which])
 
 
 def classify_point(p: MapParams) -> RegionVerdict:
@@ -643,28 +638,27 @@ def schwarz_boundary_scan(d: int, n_alpha: int = 16, sample_budget: int = 200,
                           seed: int = 42):
     """EMPIRICAL lower Schwarz boundary of the family, by bisection in beta.
 
-    For each alpha the scan bisects between the CP lower boundary
-    beta = -alpha/d (certified Schwarz) and a point below the positivity
-    boundary (certified non-Schwarz), using the falsifier as the test.
-    The bisection stops when the bracket is narrower than 1e-3
-    (``_SCAN_BETA_TOL``) times the gap alpha/d between the CP and P
+    For each alpha, ``linalg.bisect`` shrinks the bracket between a point
+    below the positivity boundary (certified non-Schwarz) and the CP lower
+    boundary beta = -alpha/d (certified Schwarz), with "the falsifier finds
+    no violation" as the test.  It stops when the bracket is narrower than
+    1e-3 (``_SCAN_BETA_TOL``) times the gap alpha/d between the CP and P
     boundaries, so the returned midpoint cannot fall below the P boundary
     at small alpha, where an absolute width would exceed the gap.
     The result is an estimate produced by a falsifier with finite budget,
     not ground truth; no closed form for this boundary is known here.
     """
     d = check_dimension(d)
+
+    def schwarz(alpha, beta) -> bool:
+        m = build_phi_family(MapParams(d, float(alpha), float(beta)))
+        return schwarz_falsify(m, sample_budget, seed) is None
+
     out = []
     for alpha in np.linspace(1e-3, d / (d - 1.0), n_alpha):
-        hi = -alpha / d              # Schwarz holds (map is CP)
-        lo = -2.0 * alpha / d - 0.1  # map is not positive, hence not Schwarz
-        while hi - lo > _SCAN_BETA_TOL * alpha / d:
-            mid = 0.5 * (hi + lo)
-            m = build_phi_family(MapParams(d, float(alpha), float(mid)))
-            if schwarz_falsify(m, sample_budget, seed) is None:
-                hi = mid
-            else:
-                lo = mid
+        # from a map that is not positive, hence not Schwarz, to a CP one
+        lo, hi = bisect(partial(schwarz, alpha), -2.0 * alpha / d - 0.1, -alpha / d,
+                        _SCAN_BETA_TOL * alpha / d)
         out.append((float(alpha), float(0.5 * (hi + lo))))
     return out
 

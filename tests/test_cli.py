@@ -467,35 +467,65 @@ NUMPY_ONLY_COMMANDS = [
     ["region", "--d", "3", "--which", "cp"],
     *(["trajectory", "--d", "3", "--schedule", s, "--t-max", "2", "--steps", "4"]
       for s in dynamics.SCHEDULES),
+    ["crossings", "--d", "3", "--kappa", "1", "--nu", "-0.5"],
     ["apply", "--state", "{state}", "--schedule", "weyl", "--t", "0.5"],
     ["verify", "--suite", "generators"],
 ]
-# the paths that load scipy on first use, run last so the check can see a load
-SCIPY_COMMANDS = [
-    ["crossings", "--d", "3", "--kappa", "1", "--nu", "-0.5"],
-]
+
+# Runs the CLI commands of argv[1] in one process; prints their exit codes and
+# the scipy modules loaded at import and after the commands, then whatever
+# ``epilogue`` appends to ``loaded``.
+_COMMANDS_IN_ONE_PROCESS = (
+    "import contextlib, io, json, sys\n"
+    "{prelude}"
+    "import quditmaps, quditmaps.cli, quditmaps.verify\n"
+    "def scipy_modules():\n"
+    "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+    "loaded = [scipy_modules()]\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    codes = [quditmaps.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+    "loaded.append(scipy_modules())\n"
+    "{epilogue}"
+    "print(json.dumps([codes, loaded]))\n")
 
 
-def test_import_and_the_numpy_commands_load_no_scipy(tmp_path):
-    code = (
-        "import contextlib, io, json, sys\n"
-        "import quditmaps, quditmaps.cli, quditmaps.verify\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "loaded, codes = [scipy_modules()], []\n"
-        "for batch in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        codes += [quditmaps.cli.main(argv) for argv in batch]\n"
-        "    loaded.append(scipy_modules())\n"
-        "print(json.dumps([codes, loaded]))\n")
+def _run_commands(tmp_path, commands, prelude="", epilogue=""):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     state = tmp_path / "state.json"
     state.write_text(json.dumps(state_to_json(QuantumState(2, np.eye(2) / 2))))
-    batches = json.dumps([NUMPY_ONLY_COMMANDS, SCIPY_COMMANDS]).replace("{state}", str(state))
-    proc = subprocess.run([sys.executable, "-c", code, batches], capture_output=True,
+    code = _COMMANDS_IN_ONE_PROCESS.format(prelude=prelude, epilogue=epilogue)
+    argvs = json.dumps(commands).replace("{state}", str(state))
+    proc = subprocess.run([sys.executable, "-c", code, argvs], capture_output=True,
                           text=True, env=env, check=True)
-    codes, (at_import, after_numpy, after_scipy) = json.loads(proc.stdout)
-    assert codes == [0] * (len(NUMPY_ONLY_COMMANDS) + len(SCIPY_COMMANDS))
+    return json.loads(proc.stdout)
+
+
+def test_import_and_the_numpy_commands_load_no_scipy(tmp_path):
+    # positive control: the tracer-only ``dynamics.expm`` still imports
+    # scipy.linalg lazily, so the check can see a load
+    codes, (at_import, after_commands, after_expm) = _run_commands(
+        tmp_path, NUMPY_ONLY_COMMANDS,
+        epilogue=("quditmaps.dynamics.expm([[0.0]])\n"
+                  "loaded.append(scipy_modules())\n"))
+    assert codes == [0] * len(NUMPY_ONLY_COMMANDS)
     assert at_import == []
-    assert after_numpy == []
-    assert {"scipy.linalg", "scipy.optimize"} <= set(after_scipy)
+    assert after_commands == []
+    assert "scipy.linalg" in after_expm
+
+
+_BLOCK_SCIPY = (
+    "class NoScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.split('.')[0] == 'scipy':\n"
+    "            raise ImportError(name + ' is blocked')\n"
+    "sys.meta_path.insert(0, NoScipy())\n")
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    commands = NUMPY_ONLY_COMMANDS + [["verify", "--suite", "all"]]
+    codes, loaded = _run_commands(
+        tmp_path, commands, prelude=_BLOCK_SCIPY,
+        epilogue=("try:\n    import scipy\n"  # the block holds
+                  "except ImportError:\n    loaded.append('blocked')\n"))
+    assert codes == [0] * len(commands)
+    assert loaded == [[], [], "blocked"]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -311,6 +311,60 @@ def test_crossings_are_ordered_and_scale_as_one_over_kappa(d_nu, kappa):
     for t, t1 in ((rep.t_p, unit.t_p), (rep.t_cp, unit.t_cp), (rep.t_eb, unit.t_eb)):
         if t1 is not None:
             assert t is not None and abs(kappa * t - t1) <= 1e-12 * t1
+
+
+# the boundary functionals of ``crossing_times``, evaluated as it does, and the
+# weight c of alpha in each (beta + c alpha - e)
+_FORMS = {
+    "P": lambda d, a, b: b + 2.0 * a / d,
+    "CP": lambda d, a, b: b + a / d,
+    "EB": lambda d, a, b: b + a + a / d - 1.0,
+}
+_WEIGHTS = {"P": lambda d: 2.0 / d, "CP": lambda d: 1.0 / d, "EB": lambda d: 1.0 + 1.0 / d}
+
+
+def _brentq_first_root(g, horizon=50.0):
+    """The scan of ``crossing_times`` with scipy's brentq refining the bracket."""
+    from scipy.optimize import brentq
+
+    s_lo = 1e-6
+    if g(s_lo) >= 0.0:
+        return 0.0 if g(0.0) >= -1e-15 else None
+    s_hi = s_lo
+    while s_hi < horizon:
+        s_next = min(s_hi * 1.5, horizon)
+        if g(s_next) >= 0.0:
+            return float(brentq(g, s_hi, s_next, xtol=1e-12, rtol=8.9e-16))
+        s_hi = s_next
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(d_nu=st.integers(2, 16).flatmap(lambda d: st.tuples(
+           st.just(d), st.floats(1.0 - d, 0.5, exclude_min=True, exclude_max=True))))
+@example(d_nu=(2, -1e-5))  # a CP root where the functional's slope is -nu = 1e-5
+def test_crossing_roots_are_the_last_float_of_the_sign_change(d_nu):
+    # at kappa = 1, t = s: each root is a float where the functional is >= 0
+    # and the float below it one where it is < 0
+    d, nu = d_nu
+    rep = dy.crossing_times(d, 1.0, nu)
+    ab = dy.ConstantNu(d, 1.0, nu).alpha_beta
+    rate = d - 1.0 + nu
+    for key, t in (("P", rep.t_p), ("CP", rep.t_cp), ("EB", rep.t_eb)):
+        if (key == "P" and nu >= -1.0) or (key == "CP" and nu >= 0.0):
+            assert t == 0.0
+            continue
+        g = lambda s: _FORMS[key](d, *ab(s))
+        ref = _brentq_first_root(g)
+        assert (t is None) == (ref is None), (key, t, ref)
+        if t is None or t == 0.0:
+            assert t == ref
+            continue
+        assert g(t) >= 0.0 > g(np.nextafter(t, 0.0)), (key, t)
+        # brentq's root is within its xtol of 1e-12, plus the width of the
+        # band where g is within rounding (2 eps, its terms are at most ~1) of 0
+        slope = (_WEIGHTS[key](d) - 1.0) * d * np.exp(-d * t) + rate * np.exp(-rate * t)
+        assert abs(t - ref) <= 1e-12 + 2 * np.finfo(float).eps / abs(slope), (key, t, ref)
 
 
 # --- tangency slopes ----------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space as scipy_null_space
 from scipy.optimize import linear_sum_assignment
@@ -708,3 +708,23 @@ def test_linalg_import_loads_no_csgraph():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "False"
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=st.floats(-1e3, 1e3), span=st.floats(1e-300, 1e3), share=st.floats(0.0, 1.0))
+@example(lo=-1.0, span=2.0, share=0.5)  # down through the subnormals to 0
+def test_bisect_ends_on_adjacent_floats_around_the_threshold(lo, span, share):
+    hi = lo + span
+    cut = lo + share * (hi - lo)
+    holds = lambda x: x >= cut
+    assume(lo < hi and not holds(lo))
+    a, b = la.bisect(holds, lo, hi)
+    assert lo <= a < b <= hi
+    assert not holds(a) and holds(b)
+    assert np.nextafter(a, np.inf) == b
+
+
+def test_bisect_stops_at_the_width():
+    lo, hi = la.bisect(lambda x: x >= 1 / 3, 0.0, 1.0, width=1e-3)
+    assert 0.5e-3 < hi - lo <= 1e-3 and lo < 1 / 3 <= hi
+    assert la.bisect(lambda x: True, 0.0, 1.0, width=2.0) == (0.0, 1.0)

@@ -395,7 +395,8 @@ def test_polygons_are_ccw_and_satisfy_inequalities():
             poly = r.region_polygon(which, d)
             assert r.shoelace_area(poly.vertices) > 0.0
             for a, b in poly.vertices:
-                assert r.region_margin(which, MapParams(d, a, b)) >= -1e-12
+                margins = dict(zip(r.REGIONS, r.classify_point(MapParams(d, a, b)).margins))
+                assert margins[which] >= -1e-12
 
 
 def test_eb_vertices_are_extreme_points():
@@ -713,6 +714,28 @@ def test_schwarz_boundary_scan_sits_between_cp_and_p():
     for d in (2, 3, 5):
         for alpha, beta in r.schwarz_boundary_scan(d):
             assert -2.0 * alpha / d <= beta <= -alpha / d, (d, alpha, beta)
+
+
+def _inline_boundary_scan(d, n_alpha=16, sample_budget=200, seed=42):
+    """The scan's own bisection loop, as it was before it moved to ``linalg.bisect``."""
+    out = []
+    for alpha in np.linspace(1e-3, d / (d - 1.0), n_alpha):
+        hi = -alpha / d
+        lo = -2.0 * alpha / d - 0.1
+        while hi - lo > 1e-3 * alpha / d:
+            mid = 0.5 * (hi + lo)
+            m = build_phi_family(MapParams(d, float(alpha), float(mid)))
+            if r.schwarz_falsify(m, sample_budget, seed) is None:
+                hi = mid
+            else:
+                lo = mid
+        out.append((float(alpha), float(0.5 * (hi + lo))))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_schwarz_boundary_scan_is_the_inline_bisection_bit_for_bit(d):
+    assert r.schwarz_boundary_scan(d) == _inline_boundary_scan(d)
 
 
 def test_falsifier_and_boundary_scan_at_d16():
