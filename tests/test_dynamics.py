@@ -313,14 +313,13 @@ def test_crossings_are_ordered_and_scale_as_one_over_kappa(d_nu, kappa):
             assert t is not None and abs(kappa * t - t1) <= 1e-12 * t1
 
 
-# the boundary functionals of ``crossing_times``, evaluated as it does, and the
-# weight c of alpha in each (beta + c alpha - e)
+# the boundary functionals beta + c alpha - e of ``crossing_times``, evaluated
+# as it evaluates them
 _FORMS = {
     "P": lambda d, a, b: b + 2.0 * a / d,
     "CP": lambda d, a, b: b + a / d,
     "EB": lambda d, a, b: b + a + a / d - 1.0,
 }
-_WEIGHTS = {"P": lambda d: 2.0 / d, "CP": lambda d: 1.0 / d, "EB": lambda d: 1.0 + 1.0 / d}
 
 
 def _brentq_first_root(g, horizon=50.0):
@@ -349,7 +348,7 @@ def test_crossing_roots_are_the_last_float_of_the_sign_change(d_nu):
     d, nu = d_nu
     rep = dy.crossing_times(d, 1.0, nu)
     ab = dy.ConstantNu(d, 1.0, nu).alpha_beta
-    rate = d - 1.0 + nu
+    rate, weight = d - 1.0 + nu, {"P": 2.0 / d, "CP": 1.0 / d, "EB": 1.0 + 1.0 / d}
     for key, t in (("P", rep.t_p), ("CP", rep.t_cp), ("EB", rep.t_eb)):
         if (key == "P" and nu >= -1.0) or (key == "CP" and nu >= 0.0):
             assert t == 0.0
@@ -363,7 +362,7 @@ def test_crossing_roots_are_the_last_float_of_the_sign_change(d_nu):
         assert g(t) >= 0.0 > g(np.nextafter(t, 0.0)), (key, t)
         # brentq's root is within its xtol of 1e-12, plus the width of the
         # band where g is within rounding (2 eps, its terms are at most ~1) of 0
-        slope = (_WEIGHTS[key](d) - 1.0) * d * np.exp(-d * t) + rate * np.exp(-rate * t)
+        slope = (weight[key] - 1.0) * d * np.exp(-d * t) + rate * np.exp(-rate * t)
         assert abs(t - ref) <= 1e-12 + 2 * np.finfo(float).eps / abs(slope), (key, t, ref)
 
 
