@@ -34,9 +34,10 @@ Implemented schedules:
                            ``extract_time_local_generator``.
 
 Each schedule is a subclass of ``Schedule`` that owns its behaviour:
-``kappa_nu(t)``, ``alpha_beta(t)`` and ``limit()``.  Adding a schedule means
-adding one such class (and a name in ``SCHEDULES`` for the CLI); the public
-functions ``kappa_nu_at``, ``alpha_beta_at``, ``map_at`` and
+``kappa_nu(t)``, ``alpha_beta(t)``, ``limit()``, and ``point(t)``, the
+coordinates and Choi minimum of a trajectory point.  Adding a schedule
+means adding one such class (and a name in ``SCHEDULES`` for the CLI); the
+public functions ``kappa_nu_at``, ``alpha_beta_at``, ``map_at`` and
 ``asymptotic_map`` are thin wrappers around those methods.
 """
 
@@ -63,6 +64,7 @@ from .generators import (
     GenParams, ccp_threshold, generator_blocks, positivity_threshold, schwarz_threshold,
 )
 from .linalg import bisect, check_dimension, min_eig_affine
+from .regions import family_min_eig
 
 __all__ = [
     "ConstantNu", "OptimalENM", "PDivisible", "SchwarzDivisible", "ENM2",
@@ -131,7 +133,8 @@ class Schedule:
     """A time dependence (kappa(t), nu(t)) of the generator family in dimension d.
 
     Subclasses implement ``kappa_nu``, ``alpha_beta`` and ``limit``; the
-    default ``map`` builds the family map from ``alpha_beta``.  The methods
+    default ``map`` builds the family map from ``alpha_beta``, and the
+    default ``point`` reads the family's cached Choi blocks.  The methods
     take t >= 0 unchecked; the module-level wrappers check it.  Subclasses
     that add no fields need no ``@dataclass`` of their own.
     """
@@ -157,9 +160,14 @@ class Schedule:
         """The dynamical map at time t."""
         return build_phi_family(MapParams(self.d, *self.alpha_beta(t)))
 
-    def coordinates(self, m: SuperMap, t: float):
-        """(alpha, beta) of ``m = self.map(t)``; closed forms ignore ``m``."""
-        return self.alpha_beta(t)
+    def point(self, t: float):
+        """(alpha, beta, smallest Choi eigenvalue) of the map at time t.
+
+        The eigenvalue is ``regions.family_min_eig`` at (alpha, beta): a
+        combination of the family's cached Choi blocks, with no map built.
+        """
+        alpha, beta = self.alpha_beta(t)
+        return alpha, beta, float(family_min_eig(self.d, "choi", alpha, beta)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -262,7 +270,7 @@ class WeylMixture(Schedule):
         )
 
     def alpha_beta(self, t):
-        return self.coordinates(self.map(t), t)
+        return family_fit(self.map(t))[:2]
 
     def limit(self):
         return SuperMap(self.d, weyl_commutant_average(self.d))
@@ -270,8 +278,14 @@ class WeylMixture(Schedule):
     def map(self, t):
         return weyl_mixture_map(self.d, t)
 
-    def coordinates(self, m, t):
-        return family_fit(m)[:2]
+    def point(self, t):
+        """The fit of the mixture map and its Choi minimum, from one map build.
+
+        The mixture leaves the family at composite d, so its Choi matrix is
+        solved blockwise on its own nonzero pattern (d blocks of size d).
+        """
+        m = self.map(t)
+        return (*family_fit(m)[:2], float(min_eig_affine(m.choi[None], [[1.0]])[0]))
 
 
 # CLI name -> constructor from (d, kappa, nu)
@@ -387,6 +401,55 @@ def _first_root(g: Callable[[float], float], kappa: float) -> Optional[float]:
     return None
 
 
+def _boundary_functionals(d: int, nu: float) -> dict:
+    """The P, CP and EB boundary functionals of the constant-nu trajectory in s = kappa t.
+
+    With f(x) = -expm1(-x) and c = d - 1 + nu the trajectory is
+    alpha = f(d s), beta = f(c s) - f(d s).  The lower boundary
+    beta + m alpha/d >= 0 (m = 2: P, m = 1: CP) is split as
+    [f(c s) - f((d-m) s)] + [f((d-m) s) - (d-m) f(d s)/d], where
+
+    * the first bracket is e^{-(d-m)s} f((m-1+nu) s), or -e^{-cs} f(-(m-1+nu) s)
+      when m - 1 + nu < 0, so neither factor overflows into inf * 0;
+    * the second is expm1(-s)^2 q(e^{-s}) / d with
+      q(y) = m sum_{n<k} (n+1) y^n + (m-1) k y^k, k = d - m: a polynomial
+      with nonnegative coefficients, since 1 - d y^k + k y^d = (1-y)^2 q(y)
+      for m = 1, and 2 - d y^k + k y^d = (1-y)^2 q(y) for m = 2.
+
+    No term cancels against another, so g is exact to a few eps of its own
+    size near s = 0 and at flat roots, where 1 - A and A - B would each
+    carry an error of eps.  The EB boundary beta >= 1 - alpha - alpha/d is
+    alpha/d - e^{-cs}.
+    """
+    c = d - 1.0 + nu
+
+    def lower(m):
+        k, rate = d - m, m - 1 + nu
+        q = [float(m * (n + 1)) for n in range(k)] + [float((m - 1) * k)]
+
+        def g(s):
+            if rate >= 0:
+                near = math.exp(-k * s) * -math.expm1(-rate * s)
+            else:
+                near = -_exp(-c * s) * -math.expm1(rate * s)
+            y, poly = math.exp(-s), 0.0
+            for coef in reversed(q):  # Horner
+                poly = poly * y + coef
+            return near + math.expm1(-s) ** 2 * poly / d
+        return g
+
+    return {"P": lower(2), "CP": lower(1),
+            "EB": lambda s: -math.expm1(-d * s) / d - _exp(-c * s)}
+
+
+def _exp(x: float) -> float:
+    """e^x, or inf where it overflows (a trajectory that does not decay)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def crossing_times(d: int, kappa: float, nu: float) -> CrossingReport:
     """Times at which the constant-nu trajectory (re)enters P, CP, and EB.
 
@@ -396,25 +459,21 @@ def crossing_times(d: int, kappa: float, nu: float) -> CrossingReport:
     the binding inequality beta >= 1 - alpha - alpha/d, which exists for
     every decaying trajectory (d - 1 + nu > 0).  The trajectory depends on
     kappa t only, so the roots are found in s = kappa t, from s = 1e-6 on,
-    and the same crossings are found at every kappa.  Each root is bisected
-    to the last float: the boundary functional is >= 0 at the reported s and
-    < 0 at the float below it (numpy only; no tolerance to choose).
+    and the same crossings are found at every kappa.  The boundary
+    functionals are evaluated without cancellation
+    (``_boundary_functionals``), and each root is bisected to the last
+    float: the functional is >= 0 at the reported s and < 0 at the float
+    below it (numpy only; no tolerance to choose).
     Raises NegativeRate unless kappa and nu are finite and kappa > 0.
     """
-    trajectory = ConstantNu(d, kappa, nu).alpha_beta  # checks d and finite rates
+    ConstantNu(d, kappa, nu)  # checks d and finite rates
     if kappa <= 0:
         raise NegativeRate(f"kappa must be > 0, got {kappa}")
-    forms = {
-        "P": lambda alpha, beta: beta + 2.0 * alpha / d,
-        "CP": lambda alpha, beta: beta + alpha / d,
-        "EB": lambda alpha, beta: beta + alpha + alpha / d - 1.0,
-    }
-    in_s = ConstantNu(d, 1.0, nu).alpha_beta  # the trajectory in s = kappa t
-    g = {k: (lambda s, f=f: f(*in_s(s))) for k, f in forms.items()}
+    g = _boundary_functionals(d, nu)
     t_p = 0.0 if nu >= -1.0 else _first_root(g["P"], kappa)
     t_cp = 0.0 if nu >= 0.0 else _first_root(g["CP"], kappa)
     t_eb = _first_root(g["EB"], kappa)
-    margins = {k: float(f(*trajectory(_HORIZON))) for k, f in forms.items()}
+    margins = {k: f(kappa * _HORIZON) for k, f in g.items()}
     return CrossingReport(t_p=t_p, t_cp=t_cp, t_eb=t_eb, margins=margins,
                           horizon=_HORIZON)
 
@@ -634,26 +693,27 @@ def trajectory_point(s: Schedule, t: float, sample_budget: int = 0,
     'out' when it is not positive or a falsifier finds a witness (budget
     permitting), and 'unknown' otherwise.
 
-    ``min_choi_eig`` is the smallest eigenvalue of the map's Choi matrix,
-    solved blockwise on its nonzero pattern by ``linalg.min_eig_affine``: the
-    family's Choi matrix splits into one d x d block and scalars, the Weyl
-    mixture's into d blocks of size d.  Boundary-riding schedules sit at
-    margin zero, where the strict boolean verdicts are decided by the last
-    rounding error; use ``min_choi_eig`` (and the verdict margins) on the
-    boundary, not the booleans.
+    The coordinates and ``min_choi_eig``, the smallest eigenvalue of the
+    map's Choi matrix, come from the schedule's ``point``: the family
+    schedules read them off the family's cached Choi blocks
+    (``regions.family_min_eig``, the floats ``classify_grid`` gives at that
+    point) and build no map; the Weyl mixture builds its map once, fits it
+    and solves its Choi blocks.  A map is built for the falsifier only when
+    ``sample_budget`` > 0 and the point is positive but not CP.
+    Boundary-riding schedules sit at margin zero, where the strict boolean
+    verdicts are decided by the last rounding error; use ``min_choi_eig``
+    (and the verdict margins) on the boundary, not the booleans.
     """
     from .regions import classify_point, schwarz_falsify
 
     t = _check_time(t)
-    m = map_at(s, t)
-    alpha, beta = s.coordinates(m, t)
+    alpha, beta, choi_min = s.point(t)
     verdict = classify_point(MapParams(s.d, alpha, beta))
-    choi_min = float(min_eig_affine(m.choi[None], [[1.0]])[0])
     if verdict.completely_positive:
         flag = "in"
     elif not verdict.positive:
         flag = "out"
-    elif sample_budget > 0 and schwarz_falsify(m, sample_budget, seed) is not None:
+    elif sample_budget > 0 and schwarz_falsify(map_at(s, t), sample_budget, seed) is not None:
         flag = "out"
     else:
         flag = "unknown"

@@ -171,32 +171,40 @@ def affine_blocks(parts) -> tuple:
     return tuple(out)
 
 
+def min_eig_gathered(size: int, mats) -> np.ndarray:
+    """Smallest eigenvalue over the last-axis blocks of ``mats``, for every leading index.
+
+    ``mats`` holds (..., B) entries for ``size`` 1 and (..., B, size, size)
+    Hermitian blocks otherwise.  1 x 1 blocks are their own minimum, and a
+    2 x 2 block [[p, conj(c)], [c, q]] has the smaller root of its
+    characteristic polynomial, (p + q)/2 - hypot((p - q)/2, |c|).  That
+    formula holds for every Hermitian 2 x 2 matrix, and its error, a few
+    machine epsilons of the block's norm, is the size of ``eigvalsh``'s.
+    Larger blocks make one batched ``eigvalsh``.
+    """
+    if size == 1:
+        vals = mats
+    elif size == 2:
+        p, q = mats[..., 0, 0].real, mats[..., 1, 1].real
+        vals = (p + q) / 2 - np.hypot((p - q) / 2, np.abs(mats[..., 1, 0]))
+    else:
+        vals = np.linalg.eigvalsh(mats)[..., 0]
+    return vals.min(axis=-1)
+
+
 def min_eig_blocks(blocks, coef) -> np.ndarray:
     """Smallest eigenvalue of ``sum_k coef[g, k] * parts[k]`` for every row g,
     from the decomposition ``blocks = affine_blocks(parts)``.
 
     ``coef`` is a real (G, K) array.  Each block size is one product with
-    the coefficients; blocks of equal size make one batched ``eigvalsh``,
-    except the two smallest sizes: 1 x 1 blocks are their own minimum, and
-    a 2 x 2 block [[p, conj(c)], [c, q]] has the smaller root of its
-    characteristic polynomial, (p + q)/2 - hypot((p - q)/2, |c|).  That
-    formula holds for every Hermitian 2 x 2 matrix, and its error, a few
-    machine epsilons of the block's norm, is the size of ``eigvalsh``'s.
+    the coefficients, solved by ``min_eig_gathered``.
     """
     coef = np.asarray(coef, dtype=float)
     out = np.full(coef.shape[0], np.inf)
     for size, gathered in blocks:
-        if size == 1:
-            vals = coef @ gathered
-        else:
-            k = gathered.shape[0]
-            mats = (coef @ gathered.reshape(k, -1)).reshape((-1,) + gathered.shape[1:])
-            if size == 2:
-                p, q = mats[..., 0, 0].real, mats[..., 1, 1].real
-                vals = (p + q) / 2 - np.hypot((p - q) / 2, np.abs(mats[..., 1, 0]))
-            else:
-                vals = np.linalg.eigvalsh(mats)[..., 0]
-        out = np.minimum(out, vals.min(axis=1))
+        k = gathered.shape[0]
+        mats = (coef @ gathered.reshape(k, -1)).reshape((-1,) + gathered.shape[1:])
+        out = np.minimum(out, min_eig_gathered(size, mats))
     return out
 
 
@@ -242,15 +250,19 @@ def _cholesky_passes(mats, shift) -> np.ndarray:
     operation over the whole stack: the shift is subtracted from the
     diagonal, then column k is divided by the square root of the pivot, and
     l_ik conj(l_jk) is subtracted from every entry (i, j) with i >= j > k.
-    Only the real part of a diagonal entry is read, as LAPACK does; a real
-    stack is read as one with zero imaginary parts.  A matrix passes when
-    every pivot is > 0, so a NaN pivot fails it.  Entries are read from
-    ``mats`` and never written.
+    Only the real part of a diagonal entry is read, as LAPACK does.  A real
+    stack has no imaginary parts to update, so only the real updates are
+    made; they are the complex path's on a copy with zero imaginary parts
+    (every imaginary term there is an exact zero, or a NaN in a matrix
+    whose factorisation fails anyway), so the verdicts agree.  A matrix
+    passes when every pivot is > 0, so a NaN pivot fails it.  Entries are
+    read from ``mats`` and never written.
     """
     b, n = mats.shape[:2]
     entries = mats.reshape(b, n * n)
+    cplx = np.iscomplexobj(mats)
     re = {(i, j): entries[:, i * n + j].real for i in range(n) for j in range(i + 1)}
-    im = {(i, j): entries[:, i * n + j].imag for i in range(n) for j in range(i)}
+    im = {(i, j): entries[:, i * n + j].imag for i in range(n) for j in range(i)} if cplx else {}
     for k in range(n):
         re[k, k] = re[k, k] - shift
     ok = np.ones(b, dtype=bool)
@@ -260,12 +272,15 @@ def _cholesky_passes(mats, shift) -> np.ndarray:
             root = np.sqrt(re[k, k])
             for i in range(k + 1, n):
                 re[i, k] = re[i, k] / root
-                im[i, k] = im[i, k] / root
+                if cplx:
+                    im[i, k] = im[i, k] / root
             for i in range(k + 1, n):
                 for j in range(k + 1, i + 1):  # a_ij -= l_ik conj(l_jk)
-                    re[i, j] = re[i, j] - re[i, k] * re[j, k] - im[i, k] * im[j, k]
-                    if j < i:
-                        im[i, j] = im[i, j] - (im[i, k] * re[j, k] - re[i, k] * im[j, k])
+                    re[i, j] = re[i, j] - re[i, k] * re[j, k]
+                    if cplx:
+                        re[i, j] = re[i, j] - im[i, k] * im[j, k]
+                        if j < i:
+                            im[i, j] = im[i, j] - (im[i, k] * re[j, k] - re[i, k] * im[j, k])
     return ok
 
 

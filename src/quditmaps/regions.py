@@ -24,26 +24,23 @@ Numeric oracles
   so on this family the sampled verdict is exact; random draws are kept as
   a safety net.
 
-``classify_numeric`` classifies one point: it builds the d^2 x d^2 map and
-its Choi matrix, and takes the Choi and partial-transpose minima from
-``linalg.min_eig_affine``, which solves the blocks of each matrix's own
-nonzero pattern.  ``classify_grid`` also uses only generic structure: the
-family is affine in (alpha, beta), so every oracle works on its three
-parts.  ``linalg.affine_blocks`` decomposes a stack of parts into the
-blocks of their joint nonzero pattern, and ``linalg.min_eig_blocks``
-solves those blocks for one coefficient array.  What depends on d alone
-is decomposed once per d and cached, read-only (``_family_blocks``): the
-parts' Choi matrices, their partial transposes, and the parts' images of
-the deterministic positivity candidates.  A call makes the coefficient
-products, the block solves, the images of its sampled candidates and
-their certificate.
+Both classifiers use only generic structure: the family is affine in
+(alpha, beta), so every oracle works on its three parts.
+``linalg.affine_blocks`` decomposes a stack of parts into the blocks of
+their joint nonzero pattern.  What depends on d alone is decomposed once
+per d and oracle and cached, read-only (``_family_blocks``): the parts'
+Choi matrices, their partial transposes, and the parts' images of the
+deterministic positivity candidates.  ``family_min_eig`` combines one of
+them on a grid of (alpha, beta) and solves the blocks by
+``linalg.min_eig_gathered``; ``classify_grid`` calls it on a whole grid,
+and ``classify_numeric`` and ``dynamics.trajectory_point`` on one point.
+Its entries do not depend on the other points, so a point's minima are
+the same floats whichever of them computes it.
 
-The positivity minimum has one implementation of each of its two exact
-stages, shared by ``classify_grid`` and ``sampled_positivity_min`` (a
-single map is one part with coefficient 1):
+The positivity minimum has two exact stages:
 
 1. the d^2 + 1 deterministic candidates are solved blockwise, by
-   ``min_eig_blocks`` on the ``affine_blocks`` of their Hermitised images
+   ``family_min_eig`` on the blocks of their Hermitised images
    (``_pure_images``); their outputs are sparse (2 x 2 blocks, which have
    a closed-form minimum, and scalars for the pairs), so no block reaches
    ``eigvalsh``;
@@ -55,7 +52,9 @@ single map is one part with coefficient 1):
    d (or on fewer than 1024 outputs) LAPACK factors them in blocks of up
    to 1024.  Either way each output gets its own verdict, and only the
    outputs that fail (a tie, as at the identity, or a sample that sets the
-   minimum) are solved by ``eigvalsh``, in one call.
+   minimum) are solved by ``eigvalsh``, in one call.  ``classify_grid``
+   images its samples under the three parts, ``classify_numeric`` under
+   the one transfer matrix of its map (one part with coefficient 1).
 
 The result never depends on the certificate succeeding, only the time
 does.  Nothing here takes anything from the closed forms: no inequality,
@@ -103,9 +102,8 @@ from .linalg import (
     bisect,
     check_dimension,
     deterministic_candidates,
-    min_eig_affine,
-    min_eig_blocks,
     min_eig_capped,
+    min_eig_gathered,
     partial_transpose,
     positivity_candidates,
     unvec,
@@ -249,21 +247,22 @@ def _pure_images(parts, cand) -> np.ndarray:
     return (images + np.conj(np.swapaxes(images, -1, -2))) / 2.0
 
 
-def _sampled_min(sampled, coef, best) -> np.ndarray:
+def _sampled_min(d: int, parts, coef, best, sample_budget: int, seed) -> np.ndarray:
     """Stage 2 of the positivity minimum: ``best`` lowered to the sampled outputs' minima.
 
-    ``sampled`` holds the (K, S, d, d) images of the S sampled candidates
-    under the K parts, and ``best`` the stage-1 minima, one per row of
-    ``coef``.  The sampled outputs of a chunk of points go to
-    ``linalg.min_eig_capped`` with those minima as caps: it certifies them
-    by Cholesky factorisations and solves by ``eigvalsh`` only the outputs
-    where the certificate fails (ties, or a sample that sets the minimum).
-    A chunk holds at most ``_CHUNK`` points and, with the Cholesky factor or
-    the copy of the failing outputs, ``_CHUNK_BYTES``.
+    ``sample_budget`` > 0 seeded candidates are drawn once for all the maps
+    ``coef @ parts``, one per row of the real (G, K) ``coef``, and imaged
+    by one product under the (K, d^2, d^2) ``parts``; ``best`` holds the
+    stage-1 minima, one per row.  The sampled outputs of a chunk of maps go
+    to ``linalg.min_eig_capped`` with those minima as caps: it certifies
+    them by Cholesky factorisations and solves by ``eigvalsh`` only the
+    outputs where the certificate fails (ties, or a sample that sets the
+    minimum).  A chunk holds at most ``_CHUNK`` maps and, with the Cholesky
+    factor or the copy of the failing outputs, ``_CHUNK_BYTES``.
     """
-    k, n_samples, d = sampled.shape[:3]
-    if n_samples == 0:
-        return best
+    cand = positivity_candidates(d, sample_budget, np.random.default_rng(seed))[d * d + 1:]
+    sampled = _pure_images(parts, cand)
+    k, n_samples = sampled.shape[:2]
     # the real coefficients combine the samples' real and imaginary parts alike
     flat = np.ascontiguousarray(sampled).view(float).reshape(k, -1)
     g = coef.shape[0]
@@ -277,19 +276,60 @@ def _sampled_min(sampled, coef, best) -> np.ndarray:
     return best
 
 
-def sampled_positivity_min(m: SuperMap, sample_budget: int = 256,
-                           seed: int = 42) -> float:
-    """min over candidate pure inputs of the smallest output eigenvalue.
+# The oracles of ``_family_blocks``: the Choi matrix, its partial transpose,
+# and the outputs of the deterministic positivity candidates.
+_ORACLES = ("choi", "pt", "candidates")
 
-    The two stages of ``classify_grid``'s positivity minimum on one part
-    with coefficient 1; the images of all the candidates are one product.
+
+@lru_cache(maxsize=None)
+def _family_blocks(d: int, oracle: str) -> tuple:
+    """One oracle's ``affine_blocks`` of the family's three parts, per d, in the
+    basis that ``family_min_eig`` combines.
+
+    Read-only and cached per (d, oracle), so a caller builds only the
+    oracles it reads: "choi" decomposes the parts' Choi matrices, "pt" the
+    partial transposes of those, and "candidates" the parts' Hermitised
+    images of the d^2 + 1 deterministic positivity candidates.  Each block
+    size is kept as ``(size, shape, base, d_alpha, d_beta)``: the flattened
+    blocks of id, tau0 - id and Delta - id, since Phi = (1 - alpha - beta)
+    id + alpha tau0 + beta Delta = id + alpha (tau0 - id) + beta (Delta - id).
+    Only the gathered blocks are kept, not the d^2 x d^2 stacks.
     """
-    cand = positivity_candidates(m.d, sample_budget, np.random.default_rng(seed))
-    images = _pure_images(m.transfer[None], cand)
-    coef = np.ones((1, 1))
-    n_det = m.d * m.d + 1  # deterministic_candidates(d) come first
-    best = min_eig_affine(images[:, :n_det], coef)
-    return float(_sampled_min(images[:, n_det:], coef, best)[0])
+    parts = np.stack(family_transfer_parts(d))
+    if oracle == "candidates":
+        blocks = affine_blocks(_pure_images(parts, deterministic_candidates(d)))
+    else:
+        choi = choi_from_transfer(parts, d)
+        blocks = affine_blocks(partial_transpose(choi, d, 2) if oracle == "pt" else choi)
+    out = []
+    for size, gathered in blocks:
+        base, tau0, delta = gathered.reshape(3, -1)
+        arrays = (base.copy(), tau0 - base, delta - base)
+        for array in arrays:
+            array.flags.writeable = False
+        out.append((size, gathered.shape[1:]) + arrays)
+    return tuple(out)
+
+
+def family_min_eig(d: int, oracle: str, alphas, betas) -> np.ndarray:
+    """One oracle's smallest eigenvalue for the family maps on the grid ``alphas`` x ``betas``.
+
+    ``oracle`` is "choi" (the Choi matrix), "pt" (its partial transpose) or
+    "candidates" (the outputs of the d^2 + 1 deterministic positivity
+    candidates); ``alphas`` and ``betas`` are numbers or arrays, read flat,
+    and the result has shape (len(alphas), len(betas)).  Each block size of
+    the cached ``_family_blocks(d, oracle)`` is combined as
+    (base + alpha d_alpha) + beta d_beta, entry by entry, and solved by
+    ``linalg.min_eig_gathered``.  No entry depends on the other grid
+    points, so one point gets the same floats alone as inside a grid.
+    """
+    a = np.asarray(alphas, dtype=float).reshape(-1, 1, 1)
+    b = np.asarray(betas, dtype=float).reshape(1, -1, 1)
+    out = np.full((a.shape[0], b.shape[1]), np.inf)
+    for size, shape, base, d_alpha, d_beta in _family_blocks(d, oracle):
+        mats = ((base + a * d_alpha) + b * d_beta).reshape(out.shape + shape)
+        out = np.minimum(out, min_eig_gathered(size, mats))
+    return out
 
 
 def classify_numeric(p: MapParams, sample_budget: int = 256, seed: int = 42,
@@ -297,14 +337,19 @@ def classify_numeric(p: MapParams, sample_budget: int = 256, seed: int = 42,
     """Region membership from eigenvalue oracles, independent of the closed forms.
 
     CP: Choi PSD.  EB: Choi PSD and PPT of the Choi (faithful for this
-    family).  Positive: not falsified by pure-state sampling.  The Choi and
-    partial-transpose minima are solved blockwise on each matrix's own
-    nonzero pattern by ``linalg.min_eig_affine``.
+    family).  Positive: not falsified by pure-state sampling.  The Choi,
+    partial-transpose and deterministic-candidate minima are
+    ``family_min_eig`` at the one point, the floats ``classify_grid`` gives
+    there.  Only a positive ``sample_budget`` builds the d^2 x d^2 map: its
+    sampled candidates are imaged by its transfer matrix and certified
+    against the deterministic minimum.
     """
-    m = build_phi_family(p)
-    choi_min = float(min_eig_affine(m.choi[None], [[1.0]])[0])
-    pt_min = float(min_eig_affine(partial_transpose(m.choi, p.d, 2)[None], [[1.0]])[0])
-    pos_min = sampled_positivity_min(m, sample_budget, seed)
+    choi_min, pt_min, pos_min = (family_min_eig(p.d, oracle, p.alpha, p.beta)[0]
+                                 for oracle in _ORACLES)
+    if sample_budget > 0:
+        pos_min = _sampled_min(p.d, build_phi_family(p).transfer[None], np.ones((1, 1)),
+                               pos_min, sample_budget, seed)
+    choi_min, pt_min, pos_min = float(choi_min[0]), float(pt_min[0]), float(pos_min[0])
     return RegionVerdict(
         positive=pos_min >= -tol,
         completely_positive=choi_min >= -tol,
@@ -336,22 +381,6 @@ def _closed_slacks(d: int, aa, bb) -> dict:
     }
 
 
-@lru_cache(maxsize=None)
-def _family_blocks(d: int) -> tuple:
-    """The ``affine_blocks`` of the family's three parts that ``classify_grid`` solves, per d.
-
-    Read-only and cached per d: the decompositions of the parts' Choi
-    matrices, of the partial transposes of those, and of the parts'
-    Hermitised images of the d^2 + 1 deterministic positivity candidates.
-    Only the gathered blocks are kept, not the d^2 x d^2 stacks.
-    """
-    parts = np.stack(family_transfer_parts(d))
-    choi_parts = choi_from_transfer(parts, d)
-    return (affine_blocks(choi_parts),
-            affine_blocks(partial_transpose(choi_parts, d, 2)),
-            affine_blocks(_pure_images(parts, deterministic_candidates(d))))
-
-
 def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
                   seed: int = 42, tol: float = 1e-9) -> dict:
     """Closed-form and numeric classification over a coordinate grid.
@@ -360,13 +389,14 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
     and margins, plus numeric booleans with the oracle minima.  Each point's
     map is a real combination of the family's three parts.  The blocks that
     depend on d alone are built by the first call at that d
-    (``_family_blocks``); a call then makes the coefficient products and
-    the small block solves of the Choi, partial-transpose and deterministic
-    positivity minima, draws one set of ``sample_budget`` candidates for
-    the whole grid, forms their images under the three parts, and
-    certifies each point's sampled outputs against its deterministic
-    minimum by Cholesky factorisations (over components, all at once, at
-    d <= 5), solving by ``eigvalsh`` only where the certificate fails.
+    (``_family_blocks``); a call then makes the block combinations and the
+    small block solves of the Choi, partial-transpose and deterministic
+    positivity minima (``family_min_eig``), draws one set of
+    ``sample_budget`` candidates for the whole grid, forms their images
+    under the three parts, and certifies each point's sampled outputs
+    against its deterministic minimum by Cholesky factorisations (over
+    components, all at once, at d <= 5), solving by ``eigvalsh`` only
+    where the certificate fails.
     At most 512 points' sampled outputs are held at once, and fewer when
     the outputs and their Cholesky factor would exceed 64 MB.
     """
@@ -374,22 +404,16 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
     aa, bb = np.meshgrid(alphas, betas, indexing="ij")
-    a_flat, b_flat = aa.ravel(), bb.ravel()
-    shape = aa.shape
     margins = _closed_slacks(d, aa, bb)
 
-    # Phi = (1-a-b) id + a tau0 + b Delta: every oracle works on the three parts
-    coef = np.stack([1.0 - a_flat - b_flat, a_flat, b_flat], axis=1)
-    choi_blocks, pt_blocks, det_blocks = _family_blocks(d)
-    choi_min = min_eig_blocks(choi_blocks, coef)
-    pt_min = min_eig_blocks(pt_blocks, coef)
-
-    pos_min = min_eig_blocks(det_blocks, coef)
-    rng = np.random.default_rng(seed)
-    sampled = positivity_candidates(d, sample_budget, rng)[d * d + 1:]
-    if len(sampled):
-        images = _pure_images(np.stack(family_transfer_parts(d)), sampled)
-        pos_min = _sampled_min(images, coef, pos_min)
+    choi_min, pt_min, pos_min = (family_min_eig(d, oracle, alphas, betas)
+                                 for oracle in _ORACLES)
+    if sample_budget > 0:
+        # Phi = (1-a-b) id + a tau0 + b Delta: the samples are imaged under the three parts
+        a_flat, b_flat = aa.ravel(), bb.ravel()
+        coef = np.stack([1.0 - a_flat - b_flat, a_flat, b_flat], axis=1)
+        pos_min = _sampled_min(d, np.stack(family_transfer_parts(d)), coef,
+                               pos_min.ravel(), sample_budget, seed).reshape(aa.shape)
 
     return {
         "alphas": alphas,
@@ -400,12 +424,12 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
         "margin_positive": margins["P"],
         "margin_cp": margins["CP"],
         "margin_eb": margins["EB"],
-        "numeric_positive": (pos_min >= -tol).reshape(shape),
-        "numeric_cp": (choi_min >= -tol).reshape(shape),
-        "numeric_eb": ((choi_min >= -tol) & (pt_min >= -tol)).reshape(shape),
-        "choi_min": choi_min.reshape(shape),
-        "pt_min": pt_min.reshape(shape),
-        "pos_min": pos_min.reshape(shape),
+        "numeric_positive": pos_min >= -tol,
+        "numeric_cp": choi_min >= -tol,
+        "numeric_eb": (choi_min >= -tol) & (pt_min >= -tol),
+        "choi_min": choi_min,
+        "pt_min": pt_min,
+        "pos_min": pos_min,
     }
 
 

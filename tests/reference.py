@@ -6,7 +6,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from quditmaps.channels import SuperMap
-from quditmaps.regions import _schwarz_gap
+from quditmaps.linalg import deterministic_candidates, min_eig_affine
+from quditmaps.regions import _pure_images, _sampled_min, _schwarz_gap
 
 
 def basis_matrix(i: int, j: int, d: int) -> np.ndarray:
@@ -63,3 +64,18 @@ def schwarz_violation(m: SuperMap, x: np.ndarray):
     """
     vals = np.linalg.eigvalsh(_schwarz_gap(m.transfer, x))[..., 0]
     return float(vals) if vals.ndim == 0 else vals
+
+
+def sampled_positivity_min(m: SuperMap, sample_budget: int = 256, seed: int = 42) -> float:
+    """min over candidate pure inputs of the smallest output eigenvalue, for any map.
+
+    The two stages of the package's positivity minimum on one part with
+    coefficient 1: the deterministic candidates' outputs solved on their
+    own nonzero pattern by ``min_eig_affine``, then the sampled candidates
+    certified against that minimum by ``regions._sampled_min``.
+    """
+    one = np.ones((1, 1))
+    best = min_eig_affine(_pure_images(m.transfer[None], deterministic_candidates(m.d)), one)
+    if sample_budget > 0:
+        best = _sampled_min(m.d, m.transfer[None], one, best, sample_budget, seed)
+    return float(best[0])

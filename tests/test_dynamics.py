@@ -1,3 +1,6 @@
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -313,12 +316,29 @@ def test_crossings_are_ordered_and_scale_as_one_over_kappa(d_nu, kappa):
             assert t is not None and abs(kappa * t - t1) <= 1e-12 * t1
 
 
-# the boundary functionals beta + c alpha - e of ``crossing_times``, evaluated
-# as it evaluates them
+def _lower_form(m):
+    """beta + m alpha/d in s, as ``crossing_times`` evaluates it: the first
+    bracket as a product, the second as expm1(-s)^2 q(e^{-s}) / d."""
+    def g(d, nu, s):
+        k, rate = d - m, m - 1 + nu
+        if rate >= 0:
+            near = math.exp(-k * s) * -math.expm1(-rate * s)
+        else:
+            near = -math.exp(-(d - 1.0 + nu) * s) * -math.expm1(rate * s)
+        q = [float(m * (n + 1)) for n in range(k)] + [float((m - 1) * k)]
+        y, poly = math.exp(-s), 0.0
+        for coef in reversed(q):
+            poly = poly * y + coef
+        return near + math.expm1(-s) ** 2 * poly / d
+    return g
+
+
+# the boundary functionals of ``crossing_times`` in s = kappa t, evaluated as
+# it evaluates them
 _FORMS = {
-    "P": lambda d, a, b: b + 2.0 * a / d,
-    "CP": lambda d, a, b: b + a / d,
-    "EB": lambda d, a, b: b + a + a / d - 1.0,
+    "P": _lower_form(2),
+    "CP": _lower_form(1),
+    "EB": lambda d, nu, s: -math.expm1(-d * s) / d - math.exp(-(d - 1.0 + nu) * s),
 }
 
 
@@ -347,13 +367,12 @@ def test_crossing_roots_are_the_last_float_of_the_sign_change(d_nu):
     # and the float below it one where it is < 0
     d, nu = d_nu
     rep = dy.crossing_times(d, 1.0, nu)
-    ab = dy.ConstantNu(d, 1.0, nu).alpha_beta
     rate, weight = d - 1.0 + nu, {"P": 2.0 / d, "CP": 1.0 / d, "EB": 1.0 + 1.0 / d}
     for key, t in (("P", rep.t_p), ("CP", rep.t_cp), ("EB", rep.t_eb)):
         if (key == "P" and nu >= -1.0) or (key == "CP" and nu >= 0.0):
             assert t == 0.0
             continue
-        g = lambda s: _FORMS[key](d, *ab(s))
+        g = lambda s: _FORMS[key](d, nu, s)
         ref = _brentq_first_root(g)
         assert (t is None) == (ref is None), (key, t, ref)
         if t is None or t == 0.0:
@@ -364,6 +383,41 @@ def test_crossing_roots_are_the_last_float_of_the_sign_change(d_nu):
         # band where g is within rounding (2 eps, its terms are at most ~1) of 0
         slope = (weight[key] - 1.0) * d * np.exp(-d * t) + rate * np.exp(-rate * t)
         assert abs(t - ref) <= 1e-12 + 2 * np.finfo(float).eps / abs(slope), (key, t, ref)
+
+
+def _decimal_root(d, nu, m, lo, hi):
+    """Root of beta + m alpha/d on [lo, hi] by 200 bisections in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dd = Decimal(d)
+
+        def g(s):
+            a, b = (-dd * s).exp(), (-(dd - 1 + Decimal(nu)) * s).exp()
+            return (a - b) + m * (1 - a) / dd
+
+        lo, hi = Decimal(lo), Decimal(hi)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if g(mid) >= 0 else (mid, hi)
+        return float(hi)
+
+
+@pytest.mark.parametrize("d, nu, key", [
+    (3, -1e-4, "CP"),      # a flat root: the slope of g there is -nu = 1e-4; the
+                           # decimal root is 9.99966671388537e-05, and 1 - A and
+                           # A - B put it at 9.99966685330516e-05
+    (3, -2.6e-6, "CP"),
+    (5, -1.0 - 1e-4, "P"),
+    (16, -0.3, "CP"),
+])
+def test_crossing_roots_match_a_decimal_reference(d, nu, key):
+    # 1 - A and A - B carry an error of eps, which moves a root whose
+    # functional has slope |g'| by eps / |g'|: 1.4e-8 relative at nu = -1e-4;
+    # alpha and beta from expm1 alone, summed, still leave 2.4e-12
+    rep = dy.crossing_times(d, 1.0, nu)
+    t = rep.t_cp if key == "CP" else rep.t_p
+    ref = _decimal_root(d, nu, 1 if key == "CP" else 2, t / 2, 2 * t)
+    assert abs(t - ref) <= 1e-13 * ref, (t, ref)
 
 
 # --- tangency slopes ----------------------------------------------------------------

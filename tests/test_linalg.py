@@ -702,6 +702,31 @@ def test_lapack_passes_is_a_cholesky_per_matrix(n, batch, real, rotate, seed):
         assert np.array_equal(passes[clear], la._cholesky_passes(mats, shift)[clear])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cholesky_passes_on_a_real_stack_is_its_complex_copy(n):
+    # the real path skips the imaginary updates; the verdicts must be those of
+    # the same stack in complex128: definite, indefinite, exactly singular
+    # (ties at the shift), NaN and infinite matrices
+    rng = np.random.default_rng(n)
+    spectra = rng.choice([-1.0, 0.0, 1.0, 2.0], size=(64, n))
+    q = np.linalg.qr(rng.standard_normal((64, n, n)))[0]
+    rotated = q @ (spectra[:, :, None] * np.eye(n)) @ q.swapaxes(-1, -2)
+    rotated = (rotated + rotated.swapaxes(-1, -2)) / 2
+    integer = rng.integers(-2, 3, size=(64, n, n)).astype(float)
+    integer = integer @ integer.swapaxes(-1, -2)  # singular ones tie at shift 0
+    special = np.repeat(np.eye(n)[None], 4, axis=0)
+    special[0, -1, -1] = np.nan
+    special[1, 0, 0] = np.nan
+    special[2, -1, 0] = special[2, 0, -1] = np.inf
+    special[3, 0, 0] = np.inf
+    mats = np.ascontiguousarray(np.concatenate([rotated, integer, special]))
+    for shift in (np.zeros(len(mats)), rng.choice([-0.5, 0.0, 0.5], size=len(mats))):
+        real = la._cholesky_passes(mats, shift)
+        assert real.tolist() == la._cholesky_passes(mats.astype(complex), shift).tolist()
+        assert real.any() and not real.all()
+    assert not real[-4:-2].any()  # a NaN pivot fails
+
+
 def test_linalg_import_loads_no_csgraph():
     code = "import sys, quditmaps.linalg; print('scipy.sparse.csgraph' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(la.__file__).resolve().parents[1])}

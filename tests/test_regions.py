@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from quditmaps import channels
 from quditmaps import dynamics as dy
 from quditmaps import linalg as la
 from quditmaps import regions as r
@@ -15,7 +18,7 @@ from quditmaps.errors import NotUnital, QuditMapsError, UnknownName
 from quditmaps.generators import (GenParams, build_generator, schwarz_threshold,
                                   witness_operator)
 from quditmaps.linalg import partial_transpose
-from reference import basis_matrix, schwarz_violation
+from reference import basis_matrix, sampled_positivity_min, schwarz_violation
 
 
 def transposition_map(d):
@@ -188,9 +191,9 @@ def test_sampled_candidate_sets_the_minimum_of_a_random_map(d, seed, scale):
     for budget in (64, 2048):
         sampled = dense_positivity_min(m, sample_budget=budget, seed=seed)
         assert sampled < deterministic - 1e-3 * scale
-        assert abs(r.sampled_positivity_min(m, sample_budget=budget, seed=seed)
+        assert abs(sampled_positivity_min(m, sample_budget=budget, seed=seed)
                    - sampled) <= 1e-12
-    assert abs(r.sampled_positivity_min(m, sample_budget=0, seed=seed)
+    assert abs(sampled_positivity_min(m, sample_budget=0, seed=seed)
                - deterministic) <= 1e-12
 
 
@@ -318,15 +321,17 @@ def test_grid_is_the_same_on_a_cold_and_a_warm_cache(budget):
         for key, value in cold.items():
             assert value.dtype == warm[key].dtype and value.shape == warm[key].shape, key
             assert value.tobytes() == warm[key].tobytes(), (d, key)
-        for blocks in r._family_blocks(d):
-            assert blocks and not any(gathered.flags.writeable for _, gathered in blocks)
+        for blocks in (r._family_blocks(d, oracle) for oracle in r._ORACLES):
+            assert blocks and not any(array.flags.writeable
+                                      for _, _, *arrays in blocks for array in arrays)
 
 
 @pytest.mark.parametrize("d", [3, 16])
 def test_a_warm_grid_call_images_only_its_samples(d, monkeypatch):
     # a warm call reshuffles no Choi matrix, takes no partial transpose, and
     # its one image product takes the ``budget`` sampled candidates alone;
-    # the cold call before it is the spies' positive control
+    # the cold call before it is the spies' positive control: it builds the
+    # Choi and the partial-transpose blocks, each from its own Choi stack
     calls = {"choi_from_transfer": 0, "partial_transpose": 0, "images": []}
     for name in ("choi_from_transfer", "partial_transpose"):
         def counting(*args, _name=name, _solve=getattr(r, name), **kwargs):
@@ -343,7 +348,7 @@ def test_a_warm_grid_call_images_only_its_samples(d, monkeypatch):
     budget = 24
     r._family_blocks.cache_clear()
     r.classify_grid(d, *r.default_grid(d, 6), sample_budget=budget, seed=1)
-    assert calls == {"choi_from_transfer": 1, "partial_transpose": 1,
+    assert calls == {"choi_from_transfer": 2, "partial_transpose": 1,
                      "images": [d * d + 1, budget]}
     calls["choi_from_transfer"] = calls["partial_transpose"] = 0
     calls["images"] = []
@@ -352,6 +357,69 @@ def test_a_warm_grid_call_images_only_its_samples(d, monkeypatch):
     calls["images"] = []
     r.classify_grid(d, *r.default_grid(d, 6), sample_budget=0, seed=3)
     assert calls["images"] == []
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of the calls that build a family transfer, a Choi matrix, a
+    partial transpose or a block decomposition, on every name they are called by."""
+    calls = Counter()
+    for owner, name in ((channels, "family_transfer"), (channels, "choi_from_transfer"),
+                        (r, "choi_from_transfer"), (r, "partial_transpose"),
+                        (r, "affine_blocks"), (la, "affine_blocks")):
+        def counting(*args, _name=name, _solve=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("d", [3, 16])
+def test_a_warm_trajectory_point_builds_no_map_and_no_blocks(d, builds):
+    # a family schedule's point reads the cached Choi blocks; the Weyl
+    # mixture, which leaves the family, is the spies' positive control
+    for name in ("const", "enm", "pdiv", "sdiv", "enm2"):
+        s = dy.schedule_from_name(name, d, 0.7, -0.4)
+        dy.trajectory_point(s, 0.6)
+        builds.clear()
+        dy.trajectory_point(s, 1.1)
+        assert not builds, name
+    dy.trajectory_point(dy.WeylMixture(d), 0.6)
+    assert builds == {"choi_from_transfer": 1, "affine_blocks": 1}
+    # the falsifier needs the map: a positive, non-CP point with a budget builds it once
+    builds.clear()
+    pt = dy.trajectory_point(dy.ConstantNu(d, 1.0, -0.5), 1e-3, sample_budget=4)
+    assert pt.verdict.positive and not pt.verdict.completely_positive
+    assert builds == {"family_transfer": 1}
+
+
+@pytest.mark.parametrize("d", [3, 16])
+def test_a_warm_classify_numeric_takes_no_partial_transpose(d, builds):
+    r.classify_numeric(MapParams(d, 0.6, -0.2), sample_budget=8)
+    builds.clear()
+    r.classify_numeric(MapParams(d, 0.3, 0.1), sample_budget=8, seed=1)
+    assert builds == {"family_transfer": 1}  # the map that images the samples
+    builds.clear()
+    r.classify_numeric(MapParams(d, 0.3, 0.1), sample_budget=0)
+    assert not builds
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+def test_single_points_get_the_grid_floats(d):
+    # the trajectory's Choi minimum and classify_numeric's margins at a point
+    # are the grid's minima there, bit for bit, inside a grid of other points
+    rng = np.random.default_rng(d)
+    for name in ("const", "enm", "pdiv", "sdiv", "enm2"):
+        for t in (0.0, 0.05, 0.6, 2.0):
+            pt = dy.trajectory_point(dy.schedule_from_name(name, d, 0.7, -0.4), t)
+            alphas = np.insert(rng.uniform(-0.5, 2.5, 4), 2, pt.alpha)
+            betas = np.insert(rng.uniform(-1.5, 1.5, 3), 1, pt.beta)
+            grid = r.classify_grid(d, alphas, betas, sample_budget=0)
+            v = r.classify_numeric(MapParams(d, pt.alpha, pt.beta), sample_budget=0)
+            choi_min, pt_min = grid["choi_min"][2, 1], grid["pt_min"][2, 1]
+            assert pt.min_choi_eig == choi_min == v.margin_cp, (name, t)
+            assert v.margin_eb == min(choi_min, pt_min), (name, t)
+            assert v.margin_positive == grid["pos_min"][2, 1], (name, t)
 
 
 def test_positivity_candidates_need_rng_for_samples():
