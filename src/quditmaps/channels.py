@@ -14,6 +14,7 @@ trace-preserving and self-adjoint for all real (alpha, beta).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -227,18 +228,79 @@ def named_map(name: str, d: int):
 NAMED_MAPS = ("Reduction", "Pinch2", "PhiCP", "E1", "E2", "E3", "E4")
 
 
+@lru_cache(maxsize=None)
+def covariant_support(d: int) -> np.ndarray:
+    """Flat indices of the diagonal and the population block of a d^2 x d^2 matrix.
+
+    The population block holds the entries (i(d+1), j(d+1)) that map X[j, j]
+    to X[i, i].  A transfer that commutes with X -> U X U^+ for every
+    diagonal unitary U is zero outside these 2 d^2 - d entries; so are the
+    family's parts and the generator's hop and phase blocks.  Ascending,
+    read-only and cached per d.
+    """
+    d = check_dimension(d)
+    n = d * d
+    diag = np.arange(d) * (d + 1)  # vec index of X[i, i]
+    support = np.union1d(np.arange(n) * (n + 1), diag[:, None] * n + diag)
+    support.flags.writeable = False
+    return support
+
+
+def support_columns(d: int, offset, parts) -> tuple:
+    """The least-squares problem ``mat ~ offset + sum_k coef[k] parts[k]`` on ``covariant_support``.
+
+    ``offset`` and the K ``parts`` are real d^2 x d^2 matrices (complex
+    dtype allowed) that vanish off the support.  Returns ``(support, base,
+    cols, pinv)``: the support, the offset's entries there, the parts'
+    entries as (support, K) columns, and their pseudo-inverse;
+    ``support_fit`` solves with them.  Callers cache the tuple per d.
+    """
+    support = covariant_support(d)
+    base, *cols = (np.asarray(m).reshape(-1)[support].real for m in (offset, *parts))
+    cols = np.column_stack(cols)
+    out = (support, base, cols, np.linalg.pinv(cols))
+    for arr in out[1:]:
+        arr.flags.writeable = False
+    return out
+
+
+def support_fit(mat, columns) -> tuple:
+    """Least-squares ``coef`` of ``mat ~ offset + sum_k coef[k] parts[k]``, and the residual.
+
+    ``columns`` is ``support_columns(d, offset, parts)``.  The parts vanish off
+    the support, so the fit reads only the 2 d^2 - d support entries of
+    ``mat``: ``coef`` is the pseudo-inverse times their difference from the
+    offset (complex when ``mat`` is).  The residual is the Frobenius norm of
+    ``mat - offset - sum_k coef[k] parts[k]``: the misfit on the support
+    combined with the norm of ``mat`` off it.
+    """
+    support, base, cols, pinv = columns
+    flat = mat.reshape(-1)
+    rhs = flat[support] - base
+    coef = pinv @ rhs
+    rest = flat.copy()
+    rest[support] = 0.0
+    misfit = cols @ coef - rhs
+    return coef, math.sqrt(np.vdot(misfit, misfit).real + np.vdot(rest, rest).real)
+
+
+@lru_cache(maxsize=None)
+def _family_fit_columns(d: int) -> tuple:
+    t_id, t_tau0, t_delta = family_transfer_parts(d)
+    return support_columns(d, t_id, (t_tau0 - t_id, t_delta - t_id))
+
+
 def family_fit(m: SuperMap):
     """Least-squares (alpha, beta) coordinates of an arbitrary map.
 
     Returns ``(alpha, beta, residual)`` where residual is the Frobenius
     mismatch between the map and the fitted family member.  Residual ~ 0
-    certifies membership in the family.
+    certifies membership in the family.  The family's parts vanish off
+    ``covariant_support``, so the fit is ``support_fit`` with cached
+    columns: a product with their (2, 2 d^2 - d) pseudo-inverse, plus the
+    norm of the transfer off the support in the residual.
     """
-    t_id, t_tau0, t_delta = family_transfer_parts(m.d)
-    cols = np.column_stack([(t_tau0 - t_id).ravel(), (t_delta - t_id).ravel()])
-    rhs = (m.transfer - t_id).ravel()
-    coef, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
-    resid = float(np.linalg.norm(cols @ coef - rhs))
+    coef, resid = support_fit(m.transfer, _family_fit_columns(m.d))
     return float(coef[0].real), float(coef[1].real), resid
 
 

@@ -57,13 +57,15 @@ from .channels import (
     compose,
     family_fit,
     named_map,
+    support_columns,
+    support_fit,
     unitary_conjugation,
 )
 from .errors import NegativeRate, NegativeTime, NoLimit, SingularMap, UnknownName
 from .generators import (
     GenParams, ccp_threshold, generator_blocks, positivity_threshold, schwarz_threshold,
 )
-from .linalg import bisect, check_dimension, min_eig_affine
+from .linalg import bisect, check_dimension, min_eig_affine, pattern_components
 from .regions import family_min_eig
 
 __all__ = [
@@ -633,6 +635,12 @@ _EXTRACT_DT = 1e-5
 _COND_LIMIT = 1e12
 
 
+@lru_cache(maxsize=None)
+def _generator_fit_columns(d: int) -> tuple:
+    hop, phase = generator_blocks(d)
+    return support_columns(d, np.zeros((d * d, d * d)), (hop, phase))
+
+
 def extract_time_local_generator(map_fn: Callable[[float], SuperMap],
                                  t: float) -> ExtractionReport:
     """Numerical time-local generator L_t = (d Phi_t / dt) Phi_t^{-1}.
@@ -642,24 +650,54 @@ def extract_time_local_generator(map_fn: Callable[[float], SuperMap],
     (diagonal Hamiltonian absent), reporting (kappa_fit, nu_fit) and the
     Frobenius residual of the fit.  Raises SingularMap when the transfer
     condition number exceeds 1e12 (the map is not invertible there).
+
+    No d^2 x d^2 matrix is solved.  The transfers at t and t +- dt are
+    block diagonal on the connected components of their joint nonzero
+    pattern (``linalg.pattern_components``, cached per pattern), and so
+    are their difference, the inverse and the generator.  Each block size
+    takes one batched call for the singular values, one for the inverse
+    and one product (a 1 x 1 block is its own singular value and is
+    divided by), in real arithmetic when the transfers have no imaginary
+    part.  The condition number is the largest singular value over all
+    blocks divided by the smallest, and it is checked before any inverse
+    is taken.  The generator is exactly zero off its blocks.  The fit
+    reads the 2 d^2 - d entries where hop or phase can be nonzero
+    (``channels.support_fit``), and ``residual`` combines the misfit there
+    with the generator's norm elsewhere: it is the misfit of the fit
+    alone, with no rounding of a dense inverse in it.
     """
     t = _check_time(t)
     m0 = map_fn(t)
     d = m0.d
-    cond = float(np.linalg.cond(m0.transfer))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularMap(f"transfer condition number {cond:.3e} at t={t}")
     dt = _EXTRACT_DT
     if t >= dt:
-        deriv = (map_fn(t + dt).transfer - map_fn(t - dt).transfer) / (2.0 * dt)
+        ends, step = (map_fn(t + dt).transfer, map_fn(t - dt).transfer), 2.0 * dt
     else:
-        deriv = (map_fn(t + dt).transfer - m0.transfer) / dt
-    gen = deriv @ np.linalg.inv(m0.transfer)
+        ends, step = (map_fn(t + dt).transfer, m0.transfer), dt
+    transfers = (m0.transfer, *ends)
+    # the pattern of the real and imaginary parts, side by side: float
+    # comparisons are cheaper than complex ones (a transposed transfer is
+    # copied first, since the float view needs contiguous rows)
+    parts = np.logical_or.reduce([np.ascontiguousarray(x).view(float) != 0
+                                  for x in transfers])
+    real = not parts[:, 1::2].any()
+    groups = []
+    for size, idx in pattern_components(parts[:, ::2] | parts[:, 1::2]):
+        at = idx[:, :, None] * (d * d) + idx[:, None, :]  # flat indices of the blocks
+        now, ahead, behind = (x.take(at).real if real else x.take(at) for x in transfers)
+        # a 1 x 1 block is its own singular value, and its inverse a quotient
+        sv = np.abs(now) if size == 1 else np.linalg.svd(now, compute_uv=False)
+        groups.append((at, now, (ahead - behind) / step, sv))
+    s_max = max(float(sv.max()) for *_, sv in groups)
+    s_min = min(float(sv.min()) for *_, sv in groups)
+    cond = s_max / s_min if s_min > 0.0 else math.inf  # floats: an overflow is inf
+    if not math.isfinite(cond) or cond > _COND_LIMIT:
+        raise SingularMap(f"transfer condition number {cond:.3e} at t={t}")
+    gen = np.zeros((d * d, d * d), dtype=complex)
+    for at, now, diff, _ in groups:
+        gen.put(at, diff / now if at.shape[1] == 1 else diff @ np.linalg.inv(now))
 
-    hop, phase = generator_blocks(d)
-    basis = np.column_stack([hop.ravel(), phase.ravel()])
-    coef, *_ = np.linalg.lstsq(basis, gen.ravel(), rcond=None)
-    residual = float(np.linalg.norm(basis @ coef - gen.ravel()))
+    coef, residual = support_fit(gen, _generator_fit_columns(d))
     kappa_fit = float(coef[0].real)
     nu_fit = float(d * coef[1].real / kappa_fit) if kappa_fit != 0.0 else np.nan
     return ExtractionReport(

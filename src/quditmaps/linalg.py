@@ -17,6 +17,8 @@ Schwarz boundary both shrink their brackets with it.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 # The gufunc behind np.linalg.cholesky: it factors a stack without raising,
 # so each matrix gets its own verdict.
@@ -129,6 +131,44 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return (np.cumsum(roots) - 1)[labels]
 
 
+def components(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple:
+    """The connected components of the graph on ``n`` nodes with edges ``rows[e] -- cols[e]``.
+
+    Returns ``(size, idx)`` pairs in ascending size, where ``idx`` is the
+    (blocks, size) array of every component of that size: each row holds
+    one component's indices ascending, and the rows come in the order of
+    their smallest index.  A node without edges is a component of size 1.
+    A matrix whose nonzero entries (i, j) are the edges is block diagonal
+    on these components, whether or not it is Hermitian.
+    """
+    labels = _component_labels(rows, cols, n)
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    return tuple((int(size), order[starts[sizes == size][:, None] + np.arange(size)])
+                 for size in np.unique(sizes))
+
+
+@lru_cache(maxsize=128)
+def _packed_components(packed: bytes, n: int) -> tuple:
+    pattern = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * n)
+    out = components(*np.divmod(np.flatnonzero(pattern), n), n)
+    for _, idx in out:
+        idx.flags.writeable = False
+    return out
+
+
+def pattern_components(pattern) -> tuple:
+    """``components`` of the graph whose edges are the true entries of an (n, n) pattern.
+
+    Cached by the pattern's bits (the last 128 patterns), so a caller that
+    meets the same pattern again, such as a map family at another time,
+    labels it once.  The index arrays are read-only.
+    """
+    pattern = np.asarray(pattern, dtype=bool)
+    return _packed_components(np.packbits(pattern).tobytes(), pattern.shape[0])
+
+
 def affine_blocks(parts) -> tuple:
     """The blocks ``min_eig_affine`` solves for ``parts``, as ``(size, blocks)`` pairs.
 
@@ -137,7 +177,7 @@ def affine_blocks(parts) -> tuple:
     each batch member's joint nonzero pattern over the K parts, each with
     its indices ascending, so every real combination of the parts is block
     diagonal on them and its spectrum is the union of the block spectra.
-    The components are labelled on an edge list over the B * n indices.
+    They are the ``components`` of an edge list over the B * n indices.
     The pairs come in ascending size; ``blocks`` holds every component of
     that size gathered from each part: the (K, blocks) diagonal entries for
     size 1, and (K, blocks, size, size) matrices otherwise.  Parts with zero
@@ -153,21 +193,15 @@ def affine_blocks(parts) -> tuple:
     # index b * n + i stands for row i of batch member b
     rows, cols = np.divmod(np.flatnonzero(np.any(parts != 0, axis=0)), n)
     cols += rows - rows % n
-    labels = _component_labels(rows, cols, batch * n)
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     out = []
-    for size in np.unique(sizes):
-        first = starts[sizes == size]
-        idx = order[first[:, None] + np.arange(size)]  # (blocks, size) indices
+    for size, idx in components(rows, cols, batch * n):
         b, loc = np.divmod(idx, n)  # a block lies inside one batch member
         if size == 1:
             blocks = parts[:, b[:, 0], loc[:, 0], loc[:, 0]].real
         else:
             blocks = parts[:, b[:, :1, None], loc[:, :, None], loc[:, None, :]]
         blocks.flags.writeable = False
-        out.append((int(size), blocks))
+        out.append((size, blocks))
     return tuple(out)
 
 

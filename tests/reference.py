@@ -5,7 +5,10 @@ import json
 import numpy as np
 from scipy.integrate import quad
 
-from quditmaps.channels import SuperMap
+from quditmaps.channels import SuperMap, family_transfer_parts
+from quditmaps.dynamics import _COND_LIMIT, _EXTRACT_DT
+from quditmaps.errors import SingularMap
+from quditmaps.generators import generator_blocks
 from quditmaps.linalg import deterministic_candidates, min_eig_affine
 from quditmaps.regions import _pure_images, _sampled_min, _schwarz_gap
 
@@ -79,3 +82,37 @@ def sampled_positivity_min(m: SuperMap, sample_budget: int = 256, seed: int = 42
     if sample_budget > 0:
         best = _sampled_min(m.d, m.transfer[None], one, best, sample_budget, seed)
     return float(best[0])
+
+
+def dense_extraction(map_fn, t: float):
+    """(generator transfer, kappa_fit, nu_fit, residual, condition number) by dense algebra.
+
+    The extraction as one d^2 x d^2 problem: ``np.linalg.cond``, ``inv`` and
+    a product of the whole transfers, and ``lstsq`` over all d^4 entries.
+    Raises SingularMap on the package's condition.
+    """
+    m0 = map_fn(t)
+    d, dt = m0.d, _EXTRACT_DT
+    cond = float(np.linalg.cond(m0.transfer))
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise SingularMap(f"transfer condition number {cond:.3e} at t={t}")
+    if t >= dt:
+        deriv = (map_fn(t + dt).transfer - map_fn(t - dt).transfer) / (2.0 * dt)
+    else:
+        deriv = (map_fn(t + dt).transfer - m0.transfer) / dt
+    gen = deriv @ np.linalg.inv(m0.transfer)
+    hop, phase = generator_blocks(d)
+    basis = np.column_stack([hop.ravel(), phase.ravel()])
+    coef, *_ = np.linalg.lstsq(basis, gen.ravel(), rcond=None)
+    residual = float(np.linalg.norm(basis @ coef - gen.ravel()))
+    kappa = float(coef[0].real)
+    return gen, kappa, float(d * coef[1].real / kappa), residual, cond
+
+
+def dense_family_fit(m: SuperMap):
+    """(alpha, beta, residual) of ``channels.family_fit`` by ``lstsq`` over all d^4 entries."""
+    t_id, t_tau0, t_delta = family_transfer_parts(m.d)
+    cols = np.column_stack([(t_tau0 - t_id).ravel(), (t_delta - t_id).ravel()])
+    rhs = (m.transfer - t_id).ravel()
+    coef, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
+    return float(coef[0].real), float(coef[1].real), float(np.linalg.norm(cols @ coef - rhs))

@@ -10,7 +10,7 @@ from quditmaps import linalg as la
 from quditmaps import verify
 from quditmaps.errors import BadWeights, DimensionMismatch, UnknownName
 from reference import basis_matrix as basis
-from reference import supermap_from_json, supermap_to_json
+from reference import dense_family_fit, supermap_from_json, supermap_to_json
 
 
 def identity_map(d: int) -> ch.SuperMap:
@@ -239,6 +239,26 @@ def test_family_fit_recovers_coordinates():
     alpha, beta, resid = ch.family_fit(m)
     assert (alpha, beta) == pytest.approx((0.62, -0.11), abs=1e-12)
     assert resid <= 1e-12
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_family_fit_matches_the_dense_lstsq(d):
+    # the fit on the support against lstsq over all d^4 entries: a family
+    # map, one composed with a diagonal unitary (complex), the Weyl mixture
+    # (off the family at composite d) and a random dense map
+    from quditmaps.dynamics import weyl_mixture_map
+
+    rng = np.random.default_rng(d)
+    u = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, d)))
+    family = ch.build_phi_family(ch.MapParams(d, 0.62, -0.11))
+    maps = [family, ch.compose(ch.unitary_conjugation(u), family), weyl_mixture_map(d, 0.4),
+            ch.SuperMap(d, rng.standard_normal((d * d, d * d))
+                        + 1j * rng.standard_normal((d * d, d * d)))]
+    for m in maps:
+        tol = 64 * np.finfo(float).eps * d * np.abs(m.transfer).max()
+        (alpha, beta, resid), dense = ch.family_fit(m), dense_family_fit(m)
+        assert abs(alpha - dense[0]) <= tol and abs(beta - dense[1]) <= tol
+        assert abs(resid - dense[2]) <= tol * d  # a sum over d^4 entries
 
 
 # --- serialization -----------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -12,7 +13,7 @@ from quditmaps import linalg as la
 from quditmaps.channels import MapParams, build_phi_family, family_fit, named_map
 from quditmaps.errors import NegativeTime, NoLimit, SingularMap, UnknownName
 from quditmaps.regions import classify_point
-from reference import alpha_beta_by_quadrature, basis_matrix
+from reference import alpha_beta_by_quadrature, basis_matrix, dense_extraction
 
 
 ALL_SCHEDULES = lambda d: [
@@ -673,11 +674,90 @@ def test_extraction_enm_schedule():
 
 
 def test_extraction_singular_at_enm2_blowup():
-    d = 3
+    # at every d, before any inverse is taken: no numpy warning either
+    for d in range(2, 17):
+        fn, t1 = (lambda u, s=dy.ENM2(d): dy.map_at(s, u)), np.log(d) / d
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMap):
+                dy.extract_time_local_generator(fn, t1)
+        with pytest.raises(SingularMap):
+            dense_extraction(fn, t1)
+
+
+@pytest.mark.parametrize("d", [2, 5, 16])
+def test_extraction_singular_on_a_zero_one_by_one_block(d):
+    # one coherence entry of a regular family map set to zero: that 1 x 1
+    # block's singular value is 0, so the condition number is infinite
+    def fn(u):
+        transfer = dy.map_at(dy.ConstantNu(d, 0.8, -0.6), u).transfer.copy()
+        transfer[1, 1] = 0.0
+        return dy.SuperMap(d, transfer)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMap, match="inf"):
+            dy.extract_time_local_generator(fn, 0.4)
     with pytest.raises(SingularMap):
-        dy.extract_time_local_generator(
-            lambda u: dy.map_at(dy.ENM2(d), u), np.log(d) / d
-        )
+        dense_extraction(fn, 0.4)
+
+
+def _extraction_cases(d):
+    """(label, map_fn, t) for every schedule at a forward- and a central-difference
+    time, a Hamiltonian (complex transfers), a random dense map (one component),
+    and a family map's transposed transfer (not C-contiguous)."""
+    t1 = math.log(d) / d  # ENM2's blow-up
+    for name in sorted(dy.SCHEDULES):
+        s = dy.schedule_from_name(name, d, 0.8, -0.6)
+        for t in ((3e-6, 0.4 * t1, 1.6 * t1) if name == "enm2" else (3e-6, 0.7)):
+            yield f"{name} t={t:.3g}", (lambda u, s=s: dy.map_at(s, u)), t
+    s, h = dy.ConstantNu(d, 0.8, -0.6), np.linspace(-1.0, 1.0, d)
+    yield "h", (lambda u: dy.map_at(s, u, h)), 0.7
+    rng = np.random.default_rng(d)
+    a, b = rng.standard_normal((2, d * d, d * d)) + 1j * rng.standard_normal((2, d * d, d * d))
+    yield "dense", (lambda u: dy.SuperMap(d, np.eye(d * d) + u * a + u * u * b)), 0.3
+    yield "transposed", (lambda u: dy.SuperMap(d, dy.map_at(s, u, h).transfer.T)), 0.7
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_extraction_matches_the_dense_reference(d):
+    # the dense path rounds its singular values, inverse and product to
+    # eps times the condition number, so that is the scale of the tolerance
+    for label, fn, t in _extraction_cases(d):
+        try:
+            gen, kappa, nu, residual, cond = dense_extraction(fn, t)
+        except SingularMap:  # a Weyl 1 + mu_ab through 0; the other path must agree
+            with pytest.raises(SingularMap):
+                dy.extract_time_local_generator(fn, t)
+            continue
+        rep = dy.extract_time_local_generator(fn, t)
+        tol = 64 * np.finfo(float).eps * cond * np.abs(gen).max()
+        assert np.abs(rep.generator.transfer - gen).max() <= tol, label
+        assert abs(rep.kappa_fit - kappa) <= tol, label
+        assert abs(rep.nu_fit - nu) <= tol * d / abs(kappa), label
+        assert abs(rep.condition_number - cond) <= 64 * np.finfo(float).eps * cond * cond, label
+        assert abs(rep.residual - residual) <= tol * d * d, label
+
+
+def test_a_warm_extraction_and_fit_solve_nothing_larger_than_d(monkeypatch):
+    # no d^2 x d^2 svd, cond or inverse, and no lstsq over d^4 rows: every
+    # np.linalg call gets vectors or matrices of order at most d
+    d, shapes = 16, []
+    s = dy.ConstantNu(d, 0.8, -0.6)
+    extract = lambda: dy.extract_time_local_generator(lambda u: dy.map_at(s, u), 0.5)
+    weyl = dy.weyl_mixture_map(d, 0.5)
+    extract(), family_fit(weyl)
+    for name in ("svd", "inv", "cond", "lstsq", "pinv", "solve", "norm", "eig", "eigh",
+                 "eigvals", "eigvalsh", "qr", "det", "matrix_rank"):
+        def spy(*args, _call=getattr(np.linalg, name), **kwargs):
+            shapes.extend(np.shape(a) for a in args if isinstance(a, np.ndarray))
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    rep = extract()
+    fit = family_fit(weyl)
+    assert shapes  # the spies see the blockwise calls
+    assert all(max(shape[-2:], default=0) <= d for shape in shapes if len(shape) >= 2), shapes
+    assert rep.kappa_fit == pytest.approx(0.8, rel=1e-6) and fit[2] > 0.0
 
 
 def test_extraction_weyl_mixture_d2_gives_tanh():

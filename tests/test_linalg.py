@@ -505,6 +505,44 @@ def test_min_eig_affine_on_path_blocks_and_zero_rows(sizes, zeros, n_parts, n_ro
     assert np.abs(la.min_eig_affine(parts, coef) - dense).max() <= 1e-12
 
 
+@settings(max_examples=80, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 7), st.sampled_from(["dense", "upper", "zero row"])),
+                       min_size=1, max_size=8),
+       zeros=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_pattern_components_are_the_hidden_blocks(blocks, zeros, seed):
+    # random complex, non-Hermitian blocks: dense, upper triangular (a
+    # one-way pattern), or dense with one row zeroed (still joined through
+    # its column); ``zeros`` all-zero rows and columns are 1 x 1 components;
+    # a random permutation hides them all
+    rng = np.random.default_rng(seed)
+    n = sum(size for size, _ in blocks) + zeros
+    mat = np.zeros((n, n), dtype=complex)
+    truth, start = [], 0
+    for size, kind in blocks:
+        block = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        if kind == "upper":
+            block = np.triu(block)
+        elif kind == "zero row" and size > 1:
+            block[rng.integers(size)] = 0.0
+        mat[start:start + size, start:start + size] = block
+        truth.append(list(range(start, start + size)))
+        start += size
+    truth += [[i] for i in range(start, n)]
+    perm = rng.permutation(n)  # new index k holds old index perm[k]
+    mat = mat[perm][:, perm]
+    where = np.argsort(perm)
+    expected = {}
+    for comp in sorted((sorted(where[comp].tolist()) for comp in truth), key=lambda c: c[0]):
+        expected.setdefault(len(comp), []).append(comp)
+    got = la.pattern_components(mat != 0)
+    assert [size for size, _ in got] == sorted(expected)
+    for size, idx in got:
+        assert idx.tolist() == expected[size] and not idx.flags.writeable
+    rows, cols = np.nonzero(mat)
+    assert [(s, i.tolist()) for s, i in la.components(rows, cols, n)] == \
+        [(s, i.tolist()) for s, i in got]
+
+
 @pytest.fixture
 def solver_shapes(monkeypatch):
     """Shapes of the arrays passed to ``eigvalsh`` and to the two factorisations,
