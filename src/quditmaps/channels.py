@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -354,19 +355,22 @@ def state_to_json(state: QuantumState) -> dict:
 def state_from_json(obj) -> QuantumState:
     """The state of a ``state_to_json`` object, or of its JSON text.
 
-    A missing key or a non-numeric entry raises QuditMapsError; a dimension
-    outside 2..16 or a wrong number of pairs raises DimensionMismatch.
+    A missing key, a "d" that is not an integer (a float or a boolean is
+    not) or a non-numeric entry raises QuditMapsError; a dimension outside
+    2..16 or a wrong number of pairs raises DimensionMismatch.
     """
     try:
         if isinstance(obj, str):
             obj = json.loads(obj)
-        d = int(obj["d"])
+        d = obj["d"]
         arr = np.asarray(obj["rho"], dtype=float)
     except KeyError as exc:
         raise QuditMapsError(f"JSON object has no {exc.args[0]!r} entry") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise QuditMapsError(f"malformed JSON object: {exc}") from None
-    check_dimension(d)
+    if not isinstance(d, numbers.Integral) or isinstance(d, bool):
+        raise QuditMapsError(f"dimension d must be an integer, got {d!r}")
+    d = check_dimension(d)
     if arr.shape != (d * d, 2):
         raise DimensionMismatch(f"expected {d*d} [re, im] pairs, got shape {arr.shape}")
     return QuantumState(d, (arr[:, 0] + 1j * arr[:, 1]).reshape(d, d))

@@ -417,6 +417,9 @@ def main(argv=None) -> int:
     except (QuditMapsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # such as a sampling budget too large to allocate
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

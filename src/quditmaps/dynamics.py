@@ -65,7 +65,9 @@ from .errors import NegativeRate, NegativeTime, NoLimit, SingularMap, UnknownNam
 from .generators import (
     GenParams, ccp_threshold, generator_blocks, positivity_threshold, schwarz_threshold,
 )
-from .linalg import bisect, check_dimension, min_eig_affine, pattern_components
+from .linalg import (
+    affine_blocks, bisect, check_dimension, min_eig_gathered, pattern_components,
+)
 from .regions import family_min_eig
 
 __all__ = [
@@ -284,10 +286,15 @@ class WeylMixture(Schedule):
         """The fit of the mixture map and its Choi minimum, from one map build.
 
         The mixture leaves the family at composite d, so its Choi matrix is
-        solved blockwise on its own nonzero pattern (d blocks of size d).
+        solved blockwise on its own nonzero pattern (blocks of at most d x d)
+        by ``linalg.affine_blocks`` and ``linalg.min_eig_gathered``.  The
+        pattern is the same at every t > 0, so only the first such call
+        labels it.
         """
         m = self.map(t)
-        return (*family_fit(m)[:2], float(min_eig_affine(m.choi[None], [[1.0]])[0]))
+        choi_min = min(min_eig_gathered(size, blocks[0])
+                       for size, blocks in affine_blocks(m.choi[None]))
+        return (*family_fit(m)[:2], float(choi_min))
 
 
 # CLI name -> constructor from (d, kappa, nu)

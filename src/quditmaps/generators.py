@@ -113,6 +113,7 @@ from .errors import (
 from .linalg import (
     as_complex_matrix,
     check_dimension,
+    deterministic_candidates,
     frobenius,
     haar_orthonormal_pair,
     maximally_entangled_vector,
@@ -120,7 +121,6 @@ from .linalg import (
     min_eig_capped,
     null_space,
     positivity_candidates,
-    two_coordinate_pairs,
 )
 from .linalg import random_traceless  # noqa: F401  (perfbench/tracer.py patches this name)
 
@@ -359,7 +359,8 @@ def _covariant_blocks(d: int):
 def _pair_parts(d: int, n: int, seed):
     """Each pair's functional value under hop and phase, and the pairs.
 
-    Rows are the two-coordinate pairs, then ``n`` Haar pairs drawn from
+    Rows are the two-coordinate pairs, read as (x, y) from rows d .. d^2 - 1
+    of ``linalg.deterministic_candidates``, then ``n`` Haar pairs drawn from
     ``seed``; the columns are hop and phase, so ``parts @ [kappa, kappa nu / d]``
     is the functional of the generator with those parameters, whatever its
     Hamiltonian: for every H and every orthonormal pair (x, y),
@@ -374,7 +375,8 @@ def _pair_parts(d: int, n: int, seed):
 
     one (pairs x d) @ (d x d) product and a row sum per term.
     """
-    xs, ys = (np.asarray(v) for v in zip(*two_coordinate_pairs(d)))
+    pairs = deterministic_candidates(d)[d:d * d].reshape(-1, 2, d)
+    xs, ys = pairs[:, 0], pairs[:, 1]
     if n > 0:
         sx, sy = haar_orthonormal_pair(d, np.random.default_rng(seed), n=n)
         xs, ys = np.concatenate((xs, sx)), np.concatenate((ys, sy))

@@ -13,6 +13,15 @@ Conventions fixed project-wide:
 
 ``bisect`` is the package's one bisection: crossing roots and the empirical
 Schwarz boundary both shrink their brackets with it.
+
+Block-sparse matrices have one path.  ``pattern_components`` is the one
+labelling of a nonzero pattern (an (n, n) pattern or a (B, n, n) stack),
+cached by the pattern's bits and shape; ``components`` is its uncached
+core.  ``affine_blocks`` gathers a stack of parts on those components, and
+``min_eig_gathered`` solves the blocks of one size: ``regions`` combines
+the family's parts with it, ``dynamics`` solves the Weyl mixture's Choi
+matrix with it, and the generator extraction splits its transfers by
+``pattern_components``.
 """
 
 from __future__ import annotations
@@ -150,51 +159,56 @@ def components(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple:
 
 
 @lru_cache(maxsize=128)
-def _packed_components(packed: bytes, n: int) -> tuple:
-    pattern = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * n)
-    out = components(*np.divmod(np.flatnonzero(pattern), n), n)
+def _packed_components(packed: bytes, batch: int, n: int) -> tuple:
+    pattern = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=batch * n * n)
+    # index b * n + i stands for row i of member b, so no edge joins two members
+    rows, cols = np.divmod(np.flatnonzero(pattern), n)
+    cols += rows - rows % n
+    out = components(rows, cols, batch * n)
     for _, idx in out:
         idx.flags.writeable = False
     return out
 
 
 def pattern_components(pattern) -> tuple:
-    """``components`` of the graph whose edges are the true entries of an (n, n) pattern.
+    """``components`` of the graph whose edges are the true entries of a pattern.
 
-    Cached by the pattern's bits (the last 128 patterns), so a caller that
-    meets the same pattern again, such as a map family at another time,
-    labels it once.  The index arrays are read-only.
+    ``pattern`` is an (n, n) array, or a (B, n, n) stack in which index
+    b * n + i stands for row i of member b, so no component spans two
+    members.  Cached by the pattern's bits and (B, n) (the last 128
+    patterns), so a caller that meets the same pattern again, such as a
+    map family at another time, labels it once.  The index arrays are
+    read-only.
     """
     pattern = np.asarray(pattern, dtype=bool)
-    return _packed_components(np.packbits(pattern).tobytes(), pattern.shape[0])
+    batch, n = (1, pattern.shape[0]) if pattern.ndim == 2 else pattern.shape[:2]
+    return _packed_components(np.packbits(pattern).tobytes(), batch, n)
 
 
 def affine_blocks(parts) -> tuple:
-    """The blocks ``min_eig_affine`` solves for ``parts``, as ``(size, blocks)`` pairs.
+    """The blocks on which every real combination of ``parts`` is block diagonal,
+    as ``(size, blocks)`` pairs.
 
     ``parts`` is a (K, n, n) stack of Hermitian matrices, or a (K, B, n, n)
-    stack of B such stacks.  The blocks are the connected components of
-    each batch member's joint nonzero pattern over the K parts, each with
-    its indices ascending, so every real combination of the parts is block
-    diagonal on them and its spectrum is the union of the block spectra.
-    They are the ``components`` of an edge list over the B * n indices.
-    The pairs come in ascending size; ``blocks`` holds every component of
-    that size gathered from each part: the (K, blocks) diagonal entries for
-    size 1, and (K, blocks, size, size) matrices otherwise.  Parts with zero
+    stack of B such stacks.  The blocks are the ``pattern_components`` of
+    the B members' joint nonzero patterns over the K parts, so a
+    combination's spectrum is the union of its block spectra.  The pairs
+    come in ascending size; ``blocks`` holds every component of that size
+    gathered from each part: the (K, blocks) diagonal entries for size 1,
+    and (K, blocks, size, size) matrices otherwise.  Parts with zero
     imaginary part are gathered as real arrays.  The arrays are read-only,
-    so one decomposition can serve any number of coefficient arrays.
+    so one decomposition can serve any number of combinations, each solved
+    by ``min_eig_gathered`` per size; one matrix ``m`` is
+    ``affine_blocks(m[None])`` with its blocks read at part 0.
     """
     parts = np.asarray(parts)
     if parts.ndim == 3:
         parts = parts[:, None]
     if np.iscomplexobj(parts) and not parts.imag.any():
         parts = parts.real
-    batch, n = parts.shape[1:3]
-    # index b * n + i stands for row i of batch member b
-    rows, cols = np.divmod(np.flatnonzero(np.any(parts != 0, axis=0)), n)
-    cols += rows - rows % n
+    n = parts.shape[2]
     out = []
-    for size, idx in components(rows, cols, batch * n):
+    for size, idx in pattern_components(np.any(parts != 0, axis=0)):
         b, loc = np.divmod(idx, n)  # a block lies inside one batch member
         if size == 1:
             blocks = parts[:, b[:, 0], loc[:, 0], loc[:, 0]].real
@@ -209,7 +223,8 @@ def min_eig_gathered(size: int, mats) -> np.ndarray:
     """Smallest eigenvalue over the last-axis blocks of ``mats``, for every leading index.
 
     ``mats`` holds (..., B) entries for ``size`` 1 and (..., B, size, size)
-    Hermitian blocks otherwise.  1 x 1 blocks are their own minimum, and a
+    Hermitian blocks otherwise, such as one size of ``affine_blocks`` or a
+    combination of those.  1 x 1 blocks are their own minimum, and a
     2 x 2 block [[p, conj(c)], [c, q]] has the smaller root of its
     characteristic polynomial, (p + q)/2 - hypot((p - q)/2, |c|).  That
     formula holds for every Hermitian 2 x 2 matrix, and its error, a few
@@ -224,36 +239,6 @@ def min_eig_gathered(size: int, mats) -> np.ndarray:
     else:
         vals = np.linalg.eigvalsh(mats)[..., 0]
     return vals.min(axis=-1)
-
-
-def min_eig_blocks(blocks, coef) -> np.ndarray:
-    """Smallest eigenvalue of ``sum_k coef[g, k] * parts[k]`` for every row g,
-    from the decomposition ``blocks = affine_blocks(parts)``.
-
-    ``coef`` is a real (G, K) array.  Each block size is one product with
-    the coefficients, solved by ``min_eig_gathered``.
-    """
-    coef = np.asarray(coef, dtype=float)
-    out = np.full(coef.shape[0], np.inf)
-    for size, gathered in blocks:
-        k = gathered.shape[0]
-        mats = (coef @ gathered.reshape(k, -1)).reshape((-1,) + gathered.shape[1:])
-        out = np.minimum(out, min_eig_gathered(size, mats))
-    return out
-
-
-def min_eig_affine(parts, coef) -> np.ndarray:
-    """Smallest eigenvalue of ``sum_k coef[g, k] * parts[k]`` for every row g.
-
-    ``parts`` is a (K, n, n) stack of Hermitian matrices, or a (K, B, n, n)
-    stack of B such stacks, in which case the minimum is also taken over
-    the batch; ``coef`` is a real (G, K) array.  One matrix ``m`` is
-    ``min_eig_affine(m[None], [[1.0]])[0]``.  The parts are decomposed into
-    the blocks of their joint nonzero pattern by ``affine_blocks``, and the
-    blocks solved by ``min_eig_blocks``; a caller with many coefficient
-    arrays for one stack decomposes it once and calls the second alone.
-    """
-    return min_eig_blocks(affine_blocks(parts), coef)
 
 
 # Stacks of at least _COMPONENT_STACK matrices of order n <= _COMPONENT_ORDER
@@ -498,32 +483,17 @@ def haar_orthonormal_pair(d: int, rng: np.random.Generator, n: int | None = None
     return x, y / np.linalg.norm(y, axis=-1, keepdims=True)
 
 
-def two_coordinate_pairs(d: int):
-    """Orthonormal pairs ((e_i + e_j)/sqrt2, (e_i - e_j)/sqrt2) for i < j.
-
-    These saturate the pair functional sum_k |x_k|^2 |y_k|^2 at 1/2, so they
-    pin the conditional-positivity oracle to its exact threshold.
-    """
-    pairs = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            x = np.zeros(d, dtype=complex)
-            y = np.zeros(d, dtype=complex)
-            x[i] = x[j] = 1.0 / np.sqrt(2.0)
-            y[i] = 1.0 / np.sqrt(2.0)
-            y[j] = -1.0 / np.sqrt(2.0)
-            pairs.append((x, y))
-    return pairs
-
-
 def deterministic_candidates(d: int) -> np.ndarray:
     """The d^2 + 1 deterministic unit vectors of ``positivity_candidates``, shape (d^2 + 1, d).
 
-    The d basis vectors, both vectors of each ``two_coordinate_pairs``
-    pair, and the uniform superposition.  For the map family, basis vectors
-    expose alpha < 0, the two-coordinate superpositions the lower boundary
-    beta >= -2 alpha/d, and the uniform superposition the upper boundary
-    beta <= d/(d-1) - alpha.
+    The d basis vectors; for each i < j in lexicographic order the
+    orthonormal pair (e_i + e_j)/sqrt2, (e_i - e_j)/sqrt2, as rows d + 2k
+    and d + 2k + 1; and the uniform superposition.  For the map family,
+    basis vectors expose alpha < 0, the two-coordinate superpositions the
+    lower boundary beta >= -2 alpha/d, and the uniform superposition the
+    upper boundary beta <= d/(d-1) - alpha.  The pairs saturate the pair
+    functional sum_k |x_k|^2 |y_k|^2 at 1/2, so ``generators`` reads them
+    to pin the conditional-positivity oracle to its exact threshold.
     """
     eye = np.eye(d, dtype=complex)
     i, j = np.triu_indices(d, 1)

@@ -27,7 +27,8 @@ Numeric oracles
 Both classifiers use only generic structure: the family is affine in
 (alpha, beta), so every oracle works on its three parts.
 ``linalg.affine_blocks`` decomposes a stack of parts into the blocks of
-their joint nonzero pattern.  What depends on d alone is decomposed once
+their joint nonzero pattern, labelled by ``linalg.pattern_components``,
+the package's one block path.  What depends on d alone is decomposed once
 per d and oracle and cached, read-only (``_family_blocks``): the parts'
 Choi matrices, their partial transposes, and the parts' images of the
 deterministic positivity candidates.  ``family_min_eig`` combines one of

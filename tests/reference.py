@@ -9,7 +9,7 @@ from quditmaps.channels import SuperMap, family_transfer_parts
 from quditmaps.dynamics import _COND_LIMIT, _EXTRACT_DT
 from quditmaps.errors import SingularMap
 from quditmaps.generators import generator_blocks
-from quditmaps.linalg import deterministic_candidates, min_eig_affine
+from quditmaps.linalg import deterministic_candidates
 from quditmaps.regions import _pure_images, _sampled_min, _schwarz_gap
 
 
@@ -72,15 +72,15 @@ def schwarz_violation(m: SuperMap, x: np.ndarray):
 def sampled_positivity_min(m: SuperMap, sample_budget: int = 256, seed: int = 42) -> float:
     """min over candidate pure inputs of the smallest output eigenvalue, for any map.
 
-    The two stages of the package's positivity minimum on one part with
-    coefficient 1: the deterministic candidates' outputs solved on their
-    own nonzero pattern by ``min_eig_affine``, then the sampled candidates
-    certified against that minimum by ``regions._sampled_min``.
+    Stage 1 solves the deterministic candidates' outputs by a dense
+    ``eigvalsh``; stage 2 is the package's: the sampled candidates are
+    certified against that minimum by ``regions._sampled_min``, on one part
+    with coefficient 1.
     """
-    one = np.ones((1, 1))
-    best = min_eig_affine(_pure_images(m.transfer[None], deterministic_candidates(m.d)), one)
+    images = _pure_images(m.transfer[None], deterministic_candidates(m.d))
+    best = np.linalg.eigvalsh(images)[..., 0].min(axis=-1)
     if sample_budget > 0:
-        best = _sampled_min(m.d, m.transfer[None], one, best, sample_budget, seed)
+        best = _sampled_min(m.d, m.transfer[None], np.ones((1, 1)), best, sample_budget, seed)
     return float(best[0])
 
 

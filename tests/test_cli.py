@@ -264,6 +264,18 @@ def test_malformed_state_object_is_a_usage_error(tmp_path, capsys, state):
     assert _single_error_line(capsys)
 
 
+@pytest.mark.parametrize("d", [2.5, True, "2", None])
+def test_state_dimension_that_is_not_an_integer_is_a_usage_error(tmp_path, capsys, d):
+    # 2.5 was truncated to 2 and true read as 1
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"d": d, "rho": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+    assert cli.main(["apply", "--state", str(path), "--schedule", "enm",
+                     "--t", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: dimension d must be an integer, got {d!r}\n"
+
+
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert cli.main(["area", "--d", "3", "--output", str(tmp_path)]) == 2
     assert _single_error_line(capsys)
@@ -302,6 +314,24 @@ def test_budget_beyond_numpy_index_range_is_a_usage_error(capsys):
     assert cli.main(["classify", "--d", "3", "--alpha", "0.1", "--beta", "0.1",
                      "--budget", "99999999999999999999"]) == 2
     assert _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--d", "2", "--alpha", "0.5", "--beta", "0"],
+    ["classify", "--d", "3", "--alpha", "0.5", "--beta", "0"],
+    ["spectrum", "--d", "2", "--kappa", "1", "--nu", "-0.5"],
+    ["spectrum", "--d", "3", "--kappa", "1", "--nu", "-0.5"],
+    ["verify", "--suite", "generators"],
+])
+def test_budget_too_large_to_allocate_is_a_usage_error(capsys, argv):
+    # at d <= 3 every array a budget of 10**15 asks for exceeds a 2**47-byte
+    # address space, so numpy refuses it before touching memory; verify
+    # raises it instead of recording a failed check
+    assert cli.main(argv + ["--budget", str(10**15)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
 
 
 def test_negative_config_budget_is_a_usage_error(tmp_path, capsys):

@@ -328,7 +328,8 @@ def test_lemma1_rejects_bad_pairs():
 def reference_pair_min(p, budget, seed):
     """Pair oracle minimum from the generator's dense transfer, one call at a time."""
     gen = g.build_generator(p)
-    best = min(pair_functional(gen, x, y) for x, y in g.two_coordinate_pairs(p.d))
+    pairs = la.deterministic_candidates(p.d)[p.d:p.d * p.d].reshape(-1, 2, p.d)
+    best = min(pair_functional(gen, x, y) for x, y in pairs)
     if budget > 0:
         xs, ys = la.haar_orthonormal_pair(p.d, np.random.default_rng(seed), n=budget)
         rho = np.einsum("ni,nj->nij", xs, xs.conj())

@@ -9,6 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space as scipy_null_space
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from quditmaps import channels as ch
 from quditmaps import linalg as la
@@ -439,13 +441,23 @@ def hidden_block_stack(sizes, twos, n_parts, real, rng):
     return parts[:, perm][:, :, perm], added  # the blocks hidden behind a permutation
 
 
+def blockwise_min(blocks, coef):
+    """Smallest eigenvalue of sum_k coef[g, k] parts[k] for every row g of a real
+    (G, K) ``coef``, from ``blocks = affine_blocks(parts)``: each block size
+    is combined by one ``tensordot`` and solved by ``min_eig_gathered``."""
+    out = np.full(len(coef), np.inf)
+    for size, gathered in blocks:
+        out = np.minimum(out, la.min_eig_gathered(size, np.tensordot(coef, gathered, axes=1)))
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(**HIDDEN_BLOCK_STACKS)
 @example(sizes=[2], twos=[(-3.0, 1e-12, 1e-9, 1e8), (-2.9, 0.0, 1e-15, 1e8)], n_parts=2,
          n_rows=3, real=False, seed=1)
 @example(sizes=[3], twos=[(-3.0, 1e-9, 1e-9, 1.0), (2.0, 1e-15, 0.0, 1e-8)], n_parts=3,
          n_rows=2, real=True, seed=2)
-def test_min_eig_affine_matches_dense(sizes, twos, n_parts, n_rows, real, seed):
+def test_affine_blocks_minimum_matches_dense(sizes, twos, n_parts, n_rows, real, seed):
     # the tolerance is relative to the norm of a 2 x 2 block where that
     # exceeds 1, since eigvalsh's own error grows with it
     rng = np.random.default_rng(seed)
@@ -454,7 +466,7 @@ def test_min_eig_affine_matches_dense(sizes, twos, n_parts, n_rows, real, seed):
     norm = max([1.0] + [np.linalg.norm(np.tensordot(coef, block, axes=1), ord=2,
                                        axis=(1, 2)).max() for block in added])
     dense = np.linalg.eigvalsh(np.tensordot(coef, parts, axes=1))[:, 0]
-    assert np.abs(la.min_eig_affine(parts, coef) - dense).max() <= 1e-12 * norm
+    assert np.abs(blockwise_min(la.affine_blocks(parts), coef) - dense).max() <= 1e-12 * norm
 
 
 @settings(max_examples=60, deadline=None)
@@ -463,7 +475,7 @@ def test_one_decomposition_serves_every_coefficient_array(sizes, twos, n_parts, 
                                                           real, seed, batch):
     # a (K, n, n) stack, or a (K, B, n, n) stack of B copies under different
     # permutations; one ``affine_blocks`` reused for two coefficient arrays
-    # gives ``min_eig_affine``'s minima bit for bit, and cannot be written
+    # gives a fresh decomposition's minima bit for bit, and cannot be written
     rng = np.random.default_rng(seed)
     parts, _ = hidden_block_stack(sizes, twos, n_parts, real, rng)
     if batch:
@@ -473,15 +485,16 @@ def test_one_decomposition_serves_every_coefficient_array(sizes, twos, n_parts, 
     assert [size for size, _ in blocks] == sorted({size for size, _ in blocks})
     assert not any(gathered.flags.writeable for _, gathered in blocks)
     for coef in (rng.standard_normal((n_rows, n_parts)), rng.standard_normal((3, n_parts))):
-        assert np.array_equal(la.min_eig_blocks(blocks, coef), la.min_eig_affine(parts, coef))
+        assert np.array_equal(blockwise_min(blocks, coef),
+                              blockwise_min(la.affine_blocks(parts), coef))
 
 
 @settings(max_examples=60, deadline=None)
 @given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5),
        zeros=st.integers(0, 4), n_parts=st.integers(1, 3), n_rows=st.integers(1, 4),
        real=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_min_eig_affine_on_path_blocks_and_zero_rows(sizes, zeros, n_parts, n_rows,
-                                                     real, seed):
+def test_affine_blocks_minimum_on_path_blocks_and_zero_rows(sizes, zeros, n_parts, n_rows,
+                                                            real, seed):
     # tridiagonal blocks are connected but sparse, so labelling them takes
     # several rounds; the last ``zeros`` rows and columns stay all zero, as in
     # the identity map's Choi matrix
@@ -502,19 +515,23 @@ def test_min_eig_affine_on_path_blocks_and_zero_rows(sizes, zeros, n_parts, n_ro
     parts = parts[:, perm][:, :, perm]  # hide the blocks behind a permutation
     coef = rng.standard_normal((n_rows, n_parts))
     dense = np.linalg.eigvalsh(np.tensordot(coef, parts, axes=1))[:, 0]
-    assert np.abs(la.min_eig_affine(parts, coef) - dense).max() <= 1e-12
+    assert np.abs(blockwise_min(la.affine_blocks(parts), coef) - dense).max() <= 1e-12
 
 
-@settings(max_examples=80, deadline=None)
-@given(blocks=st.lists(st.tuples(st.integers(1, 7), st.sampled_from(["dense", "upper", "zero row"])),
-                       min_size=1, max_size=8),
-       zeros=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
-def test_pattern_components_are_the_hidden_blocks(blocks, zeros, seed):
-    # random complex, non-Hermitian blocks: dense, upper triangular (a
-    # one-way pattern), or dense with one row zeroed (still joined through
-    # its column); ``zeros`` all-zero rows and columns are 1 x 1 components;
-    # a random permutation hides them all
-    rng = np.random.default_rng(seed)
+PATTERN_BLOCKS = st.lists(st.tuples(st.integers(1, 7),
+                                    st.sampled_from(["dense", "upper", "zero row"])),
+                          min_size=1, max_size=8)
+
+
+def hidden_pattern(blocks, zeros, rng):
+    """(mat, truth): an n x n matrix of hidden blocks and its components.
+
+    Random complex, non-Hermitian blocks: dense, upper triangular (a one-way
+    pattern), or dense with one row zeroed (still joined through its
+    column); ``zeros`` all-zero rows and columns are 1 x 1 components; a
+    random permutation hides them all.  ``truth`` lists every component's
+    indices ascending, the components in the order of their smallest index.
+    """
     n = sum(size for size, _ in blocks) + zeros
     mat = np.zeros((n, n), dtype=complex)
     truth, start = [], 0
@@ -529,18 +546,88 @@ def test_pattern_components_are_the_hidden_blocks(blocks, zeros, seed):
         start += size
     truth += [[i] for i in range(start, n)]
     perm = rng.permutation(n)  # new index k holds old index perm[k]
-    mat = mat[perm][:, perm]
     where = np.argsort(perm)
-    expected = {}
-    for comp in sorted((sorted(where[comp].tolist()) for comp in truth), key=lambda c: c[0]):
-        expected.setdefault(len(comp), []).append(comp)
+    truth = sorted((sorted(where[comp].tolist()) for comp in truth), key=lambda c: c[0])
+    return mat[perm][:, perm], truth
+
+
+def by_size(comps):
+    """``components``'s layout of a list of components: [(size, [component, ...])]."""
+    grouped = {}
+    for comp in comps:
+        grouped.setdefault(len(comp), []).append(comp)
+    return sorted(grouped.items())
+
+
+def as_lists(got):
+    return [(size, idx.tolist()) for size, idx in got]
+
+
+@settings(max_examples=80, deadline=None)
+@given(blocks=PATTERN_BLOCKS, zeros=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_pattern_components_are_the_hidden_blocks(blocks, zeros, seed):
+    mat, truth = hidden_pattern(blocks, zeros, np.random.default_rng(seed))
     got = la.pattern_components(mat != 0)
-    assert [size for size, _ in got] == sorted(expected)
-    for size, idx in got:
-        assert idx.tolist() == expected[size] and not idx.flags.writeable
+    assert as_lists(got) == by_size(truth)
+    assert not any(idx.flags.writeable for _, idx in got)
     rows, cols = np.nonzero(mat)
-    assert [(s, i.tolist()) for s, i in la.components(rows, cols, n)] == \
-        [(s, i.tolist()) for s, i in got]
+    assert as_lists(la.components(rows, cols, len(mat))) == as_lists(got)
+
+
+def test_candidate_rows_hold_the_two_coordinate_pairs():
+    # rows d + 2k and d + 2k + 1 are (e_i + e_j)/sqrt2 and (e_i - e_j)/sqrt2
+    # for the k-th i < j, bit for bit, signed zeros included:
+    # generators._pair_parts reads them as its (x, y) pairs
+    c = 1.0 / np.sqrt(2.0)
+    for d in range(2, 17):
+        pairs = la.deterministic_candidates(d)[d:d * d].reshape(-1, 2, d)
+        expected = []
+        for i in range(d):
+            for j in range(i + 1, d):
+                x, y = np.zeros(d, dtype=complex), np.zeros(d, dtype=complex)
+                x[i] = x[j] = y[i] = c
+                y[j] = -c
+                expected.append((x, y))
+        assert pairs.dtype == complex and pairs.tobytes() == np.array(expected).tobytes()
+
+
+def weak_components(stack):
+    """The components of a (B, n, n) stack's block-diagonal graph, by scipy."""
+    b, i, j = np.nonzero(stack)
+    size = stack.shape[0] * stack.shape[1]
+    offset = b * stack.shape[1]
+    graph = coo_array((np.ones(b.size), (offset + i, offset + j)), shape=(size, size))
+    _, labels = connected_components(graph, directed=True, connection="weak")
+    comps = {}
+    for i, label in enumerate(labels):
+        comps.setdefault(label, []).append(i)
+    return sorted(comps.values(), key=lambda c: c[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=st.lists(PATTERN_BLOCKS, min_size=1, max_size=4), pad=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+@example(members=[[(2, "dense"), (2, "upper")], [(3, "zero row")]], pad=0, seed=0)
+def test_batched_pattern_components_keep_each_member_apart(members, pad, seed):
+    # every member's hidden components come back offset by b * n; the same
+    # bits read as another (B, n), such as (2, 4, 4) as (8, 2, 2), are
+    # another graph, so the cache must not return the first one's partition
+    rng = np.random.default_rng(seed)
+    n = max(sum(size for size, _ in blocks) for blocks in members) + pad
+    stack, truth = [], []
+    for b, blocks in enumerate(members):
+        mat, comps = hidden_pattern(blocks, n - sum(size for size, _ in blocks), rng)
+        stack.append(mat != 0)
+        truth += [[b * n + i for i in comp] for comp in comps]
+    stack = np.stack(stack)
+    got = la.pattern_components(stack)
+    assert as_lists(got) == by_size(truth) == by_size(weak_components(stack))
+    assert not any(idx.flags.writeable for _, idx in got)
+    assert as_lists(la.pattern_components(stack[0])) == as_lists(la.pattern_components(stack[:1]))
+    for m in {1, 2, n // 2} - {0, n}:
+        if stack.size % (m * m) == 0:
+            other = stack.reshape(-1, m, m)
+            assert as_lists(la.pattern_components(other)) == by_size(weak_components(other))
 
 
 @pytest.fixture

@@ -362,11 +362,13 @@ def test_a_warm_grid_call_images_only_its_samples(d, monkeypatch):
 @pytest.fixture
 def builds(monkeypatch):
     """Counts of the calls that build a family transfer, a Choi matrix, a
-    partial transpose or a block decomposition, on every name they are called by."""
+    partial transpose, a block decomposition or a labelling of a pattern, on
+    every name they are called by."""
     calls = Counter()
     for owner, name in ((channels, "family_transfer"), (channels, "choi_from_transfer"),
                         (r, "choi_from_transfer"), (r, "partial_transpose"),
-                        (r, "affine_blocks"), (la, "affine_blocks")):
+                        (r, "affine_blocks"), (dy, "affine_blocks"), (la, "affine_blocks"),
+                        (la, "components")):
         def counting(*args, _name=name, _solve=getattr(owner, name), **kwargs):
             calls[_name] += 1
             return _solve(*args, **kwargs)
@@ -377,7 +379,9 @@ def builds(monkeypatch):
 @pytest.mark.parametrize("d", [3, 16])
 def test_a_warm_trajectory_point_builds_no_map_and_no_blocks(d, builds):
     # a family schedule's point reads the cached Choi blocks; the Weyl
-    # mixture, which leaves the family, is the spies' positive control
+    # mixture, which leaves the family, is the spies' positive control: it
+    # reshuffles and decomposes its Choi matrix at every t, but its pattern
+    # is the same at every t > 0, so a warm point labels nothing
     for name in ("const", "enm", "pdiv", "sdiv", "enm2"):
         s = dy.schedule_from_name(name, d, 0.7, -0.4)
         dy.trajectory_point(s, 0.6)
@@ -385,6 +389,8 @@ def test_a_warm_trajectory_point_builds_no_map_and_no_blocks(d, builds):
         dy.trajectory_point(s, 1.1)
         assert not builds, name
     dy.trajectory_point(dy.WeylMixture(d), 0.6)
+    builds.clear()
+    dy.trajectory_point(dy.WeylMixture(d), 1.1)
     assert builds == {"choi_from_transfer": 1, "affine_blocks": 1}
     # the falsifier needs the map: a positive, non-CP point with a budget builds it once
     builds.clear()
