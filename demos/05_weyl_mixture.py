@@ -16,12 +16,16 @@ inside the (alpha, beta) family; for composite d it leaves it (coherence
 is exchanged between off-diagonals with the same cyclic displacement), so
 time-local rates are reported only through numerical extraction.
 
-The mixture is not built from d(d-1) matrix exponentials.  Each conjugation
-C_kl has order d, so exp(t L_kl) = sum_{n<d} w_n(t) C_kl^n, where w(t) is the
-first column of the d x d matrix exp(t(X - I)); and C_kl^n is conjugation by
-W_{nk mod d, nl mod d}.  Phi_t is therefore one Weyl channel
-sum_j p_j(t) W_j . W_j^+ over the d^2 Weyl unitaries, and its t -> infinity
-limit is the same sum with w_n = 1/d.
+The mixture is built from its spectrum, with no matrix exponential.
+Conjugation by a Weyl operator is diagonal on the Weyl operators:
+W_kl W_ab W_kl^+ = omega^n W_ab with n = (k b - l a) mod d.  So
+exp(t L_kl) scales W_ab by exp(t(omega^n - 1)), and the mixture scales it
+by 1 + mu_ab(t), where mu_ab(t) = sum_n counts[ab, n] expm1(t(omega^n - 1))
+/ (d(d-1)) and counts[ab, n] counts the (k, l > 0) with phase omega^n.
+The transfer is I + V diag(mu) V^+, with V the orthonormal columns
+vec(W_ab)/sqrt(d); it is real, and nonzero only between entries (r, c) and
+(r', c') with r - c = r' - c'.  Its t -> infinity limit is exact too:
+mu_ab = counts[ab, 0]/(d(d-1)) - 1.
 
 Usage:
     python demos/05_weyl_mixture.py [d]

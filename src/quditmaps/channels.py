@@ -26,6 +26,7 @@ from .linalg import (
     as_complex_matrix,
     check_dimension,
     frobenius,
+    real_or_complex,
     unvec,
     vec,
 )
@@ -43,17 +44,32 @@ class MapParams:
     beta: float
 
     def __post_init__(self):
-        check_dimension(self.d)
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
-            raise DimensionMismatch("alpha and beta must be finite")
+        """Rejects coordinates at which the map's numerics would overflow.
+
+        s = d^2 (|1 - alpha - beta| + |alpha| + |beta|) must be finite: the
+        map's transfer and Choi entries are at most s / d^2 in magnitude,
+        its Choi eigenvalues and its images of unit states at most s / d,
+        so the oracles' sums and Hermitisations stay finite.
+        """
+        d = check_dimension(self.d)
+        alpha, beta = float(self.alpha), float(self.beta)  # python floats overflow silently
+        if not math.isfinite(d * d * (abs(1.0 - alpha - beta) + abs(alpha) + abs(beta))):
+            raise DimensionMismatch(
+                f"alpha and beta must be finite, and so must d^2 (|1 - alpha - beta| + "
+                f"|alpha| + |beta|); got alpha = {alpha}, beta = {beta} at d = {d}")
 
 
 class SuperMap:
-    """A linear map on d x d matrices held as a d^2 x d^2 transfer matrix."""
+    """A linear map on d x d matrices held as a d^2 x d^2 transfer matrix.
+
+    The transfer follows ``linalg.real_or_complex``: real or integer input
+    is stored as ``float64`` and complex input as ``complex128``.  Input
+    that already has that dtype is stored as it is and made read-only.
+    """
 
     def __init__(self, d: int, transfer: np.ndarray):
         self.d = check_dimension(d)
-        t = np.asarray(transfer, dtype=complex)
+        t = real_or_complex(transfer)
         if t.shape != (d * d, d * d):
             raise DimensionMismatch(
                 f"transfer must be {d*d} x {d*d} for d={d}, got {t.shape}"
@@ -84,7 +100,7 @@ class SuperMap:
         return float(np.abs(ptr - np.eye(self.d)).max()) <= _CHECK_TOL
 
     def is_unital(self) -> bool:
-        vi = vec(np.eye(self.d))
+        vi = np.eye(self.d).reshape(-1)  # vec(I), real so a real transfer stays real
         return float(np.abs(self.transfer @ vi - vi).max()) <= _CHECK_TOL
 
     def __repr__(self):
@@ -125,9 +141,10 @@ def choi_from_transfer(transfer: np.ndarray, d: int) -> np.ndarray:
     """Reshuffle transfer matrices (..., d^2, d^2) into (unnormalized) Choi matrices.
 
     The same index permutation inverts itself, so it also maps a Choi
-    matrix back to its transfer matrix.
+    matrix back to its transfer matrix.  A real transfer gives a real Choi
+    matrix (``linalg.real_or_complex``).
     """
-    t = np.asarray(transfer, dtype=complex)
+    t = real_or_complex(transfer)
     if t.shape[-2:] != (d * d, d * d):
         raise DimensionMismatch(f"expected {d*d} x {d*d}, got {t.shape}")
     t4 = t.reshape(-1, d, d, d, d)  # [batch, col_out, row_out, col_in, row_in]
@@ -135,8 +152,11 @@ def choi_from_transfer(transfer: np.ndarray, d: int) -> np.ndarray:
 
 
 def partial_trace_output(choi: np.ndarray, d: int) -> np.ndarray:
-    """Trace the output factor of Choi matrices (..., d^2, d^2); I_d iff trace-preserving."""
-    c = np.asarray(choi, dtype=complex)
+    """Trace the output factor of Choi matrices (..., d^2, d^2); I_d iff trace-preserving.
+
+    Real for a real Choi matrix (``linalg.real_or_complex``).
+    """
+    c = real_or_complex(choi)
     return np.einsum("...iaja->...ij", c.reshape(c.shape[:-2] + (d, d, d, d)))
 
 
@@ -151,18 +171,20 @@ def dephase(x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def family_transfer_parts(d: int):
-    """Transfer matrices of (id, tau0, Delta); read-only and cached per d."""
+def family_transfer_parts(d: int) -> np.ndarray:
+    """Transfer matrices of (id, tau0, Delta) as one real (3, d^2, d^2) stack.
+
+    Read-only and cached per d; unpacking it gives the three parts.
+    """
     d = check_dimension(d)
-    t_id = np.eye(d * d, dtype=complex)
-    vi = vec(np.eye(d))
-    t_tau0 = np.outer(vi, vi.conj()) / d
-    t_delta = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        t_delta[k * d + k, k * d + k] = 1.0
-    for t in (t_id, t_tau0, t_delta):
-        t.flags.writeable = False
-    return t_id, t_tau0, t_delta
+    n = d * d
+    vi = np.eye(d).reshape(-1)  # vec(I)
+    parts = np.zeros((3, n, n))
+    parts[0] = np.eye(n)
+    parts[1] = np.outer(vi, vi) / d
+    parts[2][np.diag_indices(n)] = vi
+    parts.flags.writeable = False
+    return parts
 
 
 def family_transfer(d: int, alpha, beta) -> np.ndarray:
@@ -250,14 +272,14 @@ def covariant_support(d: int) -> np.ndarray:
 def support_columns(d: int, offset, parts) -> tuple:
     """The least-squares problem ``mat ~ offset + sum_k coef[k] parts[k]`` on ``covariant_support``.
 
-    ``offset`` and the K ``parts`` are real d^2 x d^2 matrices (complex
-    dtype allowed) that vanish off the support.  Returns ``(support, base,
-    cols, pinv)``: the support, the offset's entries there, the parts'
-    entries as (support, K) columns, and their pseudo-inverse;
-    ``support_fit`` solves with them.  Callers cache the tuple per d.
+    ``offset`` and the K ``parts`` are real d^2 x d^2 matrices that vanish
+    off the support.  Returns ``(support, base, cols, pinv)``: the support,
+    the offset's entries there, the parts' entries as (support, K)
+    columns, and their pseudo-inverse; ``support_fit`` solves with them.
+    Callers cache the tuple per d.
     """
     support = covariant_support(d)
-    base, *cols = (np.asarray(m).reshape(-1)[support].real for m in (offset, *parts))
+    base, *cols = (np.asarray(m).reshape(-1)[support] for m in (offset, *parts))
     cols = np.column_stack(cols)
     out = (support, base, cols, np.linalg.pinv(cols))
     for arr in out[1:]:
@@ -271,9 +293,9 @@ def support_fit(mat, columns) -> tuple:
     ``columns`` is ``support_columns(d, offset, parts)``.  The parts vanish off
     the support, so the fit reads only the 2 d^2 - d support entries of
     ``mat``: ``coef`` is the pseudo-inverse times their difference from the
-    offset (complex when ``mat`` is).  The residual is the Frobenius norm of
-    ``mat - offset - sum_k coef[k] parts[k]``: the misfit on the support
-    combined with the norm of ``mat`` off it.
+    offset (complex when ``mat`` is, real otherwise).  The residual is the
+    Frobenius norm of ``mat - offset - sum_k coef[k] parts[k]``: the misfit
+    on the support combined with the norm of ``mat`` off it.
     """
     support, base, cols, pinv = columns
     flat = mat.reshape(-1)
@@ -356,7 +378,8 @@ def state_from_json(obj) -> QuantumState:
     """The state of a ``state_to_json`` object, or of its JSON text.
 
     A missing key, a "d" that is not an integer (a float or a boolean is
-    not) or a non-numeric entry raises QuditMapsError; a dimension outside
+    not), a non-numeric entry or a non-finite one (Python's ``json`` reads
+    ``NaN`` and ``Infinity``) raises QuditMapsError; a dimension outside
     2..16 or a wrong number of pairs raises DimensionMismatch.
     """
     try:
@@ -373,6 +396,8 @@ def state_from_json(obj) -> QuantumState:
     d = check_dimension(d)
     if arr.shape != (d * d, 2):
         raise DimensionMismatch(f"expected {d*d} [re, im] pairs, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise QuditMapsError("state entries must be finite numbers")
     return QuantumState(d, (arr[:, 0] + 1j * arr[:, 1]).reshape(d, d))
 
 

@@ -169,8 +169,11 @@ class Schedule:
 
         The eigenvalue is ``regions.family_min_eig`` at (alpha, beta): a
         combination of the family's cached Choi blocks, with no map built.
+        The coordinates are checked first (``channels.MapParams``), so a
+        trajectory that overflows raises before any solve.
         """
         alpha, beta = self.alpha_beta(t)
+        MapParams(self.d, alpha, beta)
         return alpha, beta, float(family_min_eig(self.d, "choi", alpha, beta)[0, 0])
 
 
@@ -188,9 +191,11 @@ class ConstantNu(Schedule):
 
     def alpha_beta(self, t):
         d = self.d
-        a_fac = np.exp(-self.kappa * d * t)
-        b_fac = np.exp(-self.kappa * (d - 1.0 + self.nu) * t)
-        return 1.0 - a_fac, a_fac - b_fac
+        # a growing trajectory overflows to inf (and inf - inf to nan); MapParams rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_fac = np.exp(-self.kappa * d * t)
+            b_fac = np.exp(-self.kappa * (d - 1.0 + self.nu) * t)
+            return 1.0 - a_fac, a_fac - b_fac
 
     def limit(self):
         if self.d - 1 + self.nu <= 0 or self.kappa <= 0:
@@ -563,10 +568,12 @@ def _weyl_spectrum(d: int, t) -> np.ndarray:
     mu_ab = sum_n counts[ab, n] expm1(t(omega^n - 1)) / (d(d-1)), which is
     real since n and d - n occur equally often.  ``t`` is a number or an
     array of times; the result has shape t.shape + (d^2,), and each row is
-    summed as a single time's would be.
+    summed as a single time's would be.  At a huge t the exponent's real
+    part overflows to -inf, where expm1 is -1: the limit, without a warning.
     """
     t = np.asarray(t, dtype=float)
-    e = np.expm1(t[..., None] * (np.exp(2j * np.pi * np.arange(d) / d) - 1.0)).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.expm1(t[..., None] * (np.exp(2j * np.pi * np.arange(d) / d) - 1.0)).real
     return (e[..., None, :] * _weyl_tables(d)[0]).sum(axis=-1) / (d * (d - 1))
 
 
@@ -664,10 +671,11 @@ def extract_time_local_generator(map_fn: Callable[[float], SuperMap],
     are their difference, the inverse and the generator.  Each block size
     takes one batched call for the singular values, one for the inverse
     and one product (a 1 x 1 block is its own singular value and is
-    divided by), in real arithmetic when the transfers have no imaginary
-    part.  The condition number is the largest singular value over all
-    blocks divided by the smallest, and it is checked before any inverse
-    is taken.  The generator is exactly zero off its blocks.  The fit
+    divided by), in the transfers' dtype: real arithmetic for a real
+    schedule, complex only for complex transfers (a Hamiltonian, a unitary
+    conjugation).  The condition number is the largest singular value over
+    all blocks divided by the smallest, and it is checked before any
+    inverse is taken.  The generator is exactly zero off its blocks.  The fit
     reads the 2 d^2 - d entries where hop or phase can be nonzero
     (``channels.support_fit``), and ``residual`` combines the misfit there
     with the generator's norm elsewhere: it is the misfit of the fit
@@ -682,16 +690,10 @@ def extract_time_local_generator(map_fn: Callable[[float], SuperMap],
     else:
         ends, step = (map_fn(t + dt).transfer, m0.transfer), dt
     transfers = (m0.transfer, *ends)
-    # the pattern of the real and imaginary parts, side by side: float
-    # comparisons are cheaper than complex ones (a transposed transfer is
-    # copied first, since the float view needs contiguous rows)
-    parts = np.logical_or.reduce([np.ascontiguousarray(x).view(float) != 0
-                                  for x in transfers])
-    real = not parts[:, 1::2].any()
     groups = []
-    for size, idx in pattern_components(parts[:, ::2] | parts[:, 1::2]):
+    for size, idx in pattern_components(np.logical_or.reduce([x != 0 for x in transfers])):
         at = idx[:, :, None] * (d * d) + idx[:, None, :]  # flat indices of the blocks
-        now, ahead, behind = (x.take(at).real if real else x.take(at) for x in transfers)
+        now, ahead, behind = (x.take(at) for x in transfers)
         # a 1 x 1 block is its own singular value, and its inverse a quotient
         sv = np.abs(now) if size == 1 else np.linalg.svd(now, compute_uv=False)
         groups.append((at, now, (ahead - behind) / step, sv))
@@ -700,7 +702,7 @@ def extract_time_local_generator(map_fn: Callable[[float], SuperMap],
     cond = s_max / s_min if s_min > 0.0 else math.inf  # floats: an overflow is inf
     if not math.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularMap(f"transfer condition number {cond:.3e} at t={t}")
-    gen = np.zeros((d * d, d * d), dtype=complex)
+    gen = np.zeros((d * d, d * d), dtype=np.result_type(*transfers))
     for at, now, diff, _ in groups:
         gen.put(at, diff / now if at.shape[1] == 1 else diff @ np.linalg.inv(now))
 

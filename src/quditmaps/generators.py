@@ -176,7 +176,8 @@ def ccp_threshold(d: int) -> float:
 
 @lru_cache(maxsize=None)
 def generator_blocks(d: int):
-    """Transfers of the generator's kappa and kappa nu / d blocks; read-only, cached per d.
+    """Transfers of the generator's kappa and kappa nu / d blocks; real, read-only,
+    cached per d.
 
     The defining sums are set entrywise (``vec`` index c d + r holds X[r, c]).
     sum_{i != j} E_ij X E_ji = sum_{i != j} X_jj E_ii, so hop is 1 at (ii, jj)
@@ -186,17 +187,20 @@ def generator_blocks(d: int):
     """
     d = check_dimension(d)
     diag = np.arange(d) * (d + 1)  # vec index of X[i, i]
-    hop = np.zeros((d * d, d * d), dtype=complex)
+    hop = np.zeros((d * d, d * d))
     hop[np.ix_(diag, diag)] = 1.0
     np.fill_diagonal(hop, -(d - 1))
-    phase = np.diag((d * np.eye(d) - d).ravel().astype(complex))
+    phase = np.diag((d * np.eye(d) - d).ravel())
     for block in (hop, phase):
         block.flags.writeable = False
     return hop, phase
 
 
 def build_generator(p: GenParams) -> SuperMap:
-    """Transfer matrix of the generator, from ``generator_blocks`` and the Hamiltonian."""
+    """Transfer matrix of the generator, from ``generator_blocks`` and the Hamiltonian.
+
+    Real without a Hamiltonian, complex with one.
+    """
     d = p.d
     hop, phase = generator_blocks(d)
     transfer = p.kappa * (hop + (p.nu / d) * phase)
@@ -334,14 +338,12 @@ def _covariant_blocks(d: int):
     entries (i(d+1), j(d+1)) that map X[j, j] to X[i, i].  b[r, c] is the
     diagonal entry T[c d + r, c d + r] that scales X[r, c] (zero for r = c)
     and P[i, j] = T[i(d+1), j(d+1)].  Each block's support is checked
-    exactly; an entry outside it raises instead of being dropped.  A block
-    with no imaginary part gives real arrays.
+    exactly; an entry outside it raises instead of being dropped.  The
+    arrays have the blocks' dtype: real for ``generator_blocks``.
     """
     diag = np.arange(d) * (d + 1)  # vec index of X[i, i]
     out = []
     for name, block in zip(("hop", "phase"), generator_blocks(d)):
-        if not block.imag.any():
-            block = block.real
         b = np.diagonal(block).reshape(d, d).T.copy()  # b[r, c] = T[c d + r, c d + r]
         np.fill_diagonal(b, 0.0)
         pop = block[np.ix_(diag, diag)]
@@ -533,11 +535,11 @@ def dissipation_forms(d: int, ws: np.ndarray) -> np.ndarray:
     -i[H, .] is zero).  Each Q(w) is compressed to traceless X by
     ``_compress``; D(X + cI) = D(X), so only the identity's zero eigenvalue
     goes.  Dense, shape (2, len(ws), d^2 - 1, d^2 - 1); each part is
-    compressed as it is built.  Real ``ws`` and blocks with no imaginary
-    part give real forms, built in real arithmetic throughout.
+    compressed as it is built.  Real ``ws`` give real forms, since the
+    blocks are real: built in real arithmetic throughout.
     """
     n, dd = len(ws), d * d
-    blocks = [block if block.imag.any() else block.real for block in generator_blocks(d)]
+    blocks = generator_blocks(d)
     rho = np.einsum("nc,nr->ncr", ws.conj(), ws).reshape(n, dd)  # vec(w w^+)
     forms = np.empty((2, n, dd - 1, dd - 1), dtype=np.result_type(ws, *blocks))
     for out, block in zip(forms, blocks):

@@ -1,9 +1,15 @@
-"""Dense complex linear algebra primitives.
+"""Dense linear algebra primitives.
 
 Conventions fixed project-wide:
 
-* Matrices are dense ``complex128`` numpy arrays; everything here targets
-  dimensions d <= 16, so the largest object is 256 x 256.
+* Matrices are dense numpy arrays; everything here targets dimensions
+  d <= 16, so the largest object is 256 x 256.
+* One dtype rule (``real_or_complex``): a transfer matrix, its Choi matrix
+  and partial transpose, the family's parts and the generator's blocks are
+  ``float64`` when their entries are real by construction, and
+  ``complex128`` only when built from complex data (a Hamiltonian, a
+  unitary conjugation, a complex user array).  States and vectorised
+  matrices (``vec``, ``unvec``) are always ``complex128``.
 * ``vec`` uses column stacking: ``vec(X)[c*d + r] = X[r, c]``.  With this
   convention the transfer matrix of ``X -> A X B`` is ``kron(B.T, A)``.
 * Bipartite d^2 x d^2 matrices index the first tensor factor by the block
@@ -52,6 +58,14 @@ def check_dimension(d: int) -> int:
     if d > DIM_CAP:
         raise DimensionMismatch(f"dimension {d} exceeds the dense cap {DIM_CAP}")
     return d
+
+
+def real_or_complex(a) -> np.ndarray:
+    """``a`` as ``complex128`` when its dtype is complex, else as ``float64``.
+
+    An array that already has that dtype is returned as it is, not copied.
+    """
+    return np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -409,9 +423,10 @@ def partial_transpose(m, d: int, subsystem: int = 2) -> np.ndarray:
     """Transpose one tensor factor of d^2 x d^2 bipartite matrices (..., d^2, d^2).
 
     ``subsystem`` selects the factor (1 or 2).  The operation is an
-    involution and preserves trace and Hermiticity.
+    involution and preserves trace and Hermiticity.  It is a permutation of
+    entries, so a real input gives a real output (``real_or_complex``).
     """
-    mat = np.asarray(m, dtype=complex)
+    mat = real_or_complex(m)
     if mat.shape[-2:] != (d * d, d * d):
         raise DimensionMismatch(
             f"expected {d*d} x {d*d} matrices for d={d}, got {mat.shape}"

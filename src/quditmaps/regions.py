@@ -69,13 +69,15 @@ in ``tests/test_dynamics.py``.
 The Schwarz region has no closed form here; the module exposes only a
 falsifier for the operator Schwarz inequality and an empirical boundary
 scan built on it.  ``schwarz_falsify`` scans its candidates in a fixed
-order (matrix units, witnesses, rank-one probes, random draws) in stacks
-that grow from one candidate to ``_CHUNK``.  A stack's images are one
-matrix product with the transfer matrix, and ``linalg.min_eig_capped``
-decides by one batched Cholesky, capped at the threshold, whether any of
-its gaps m(X^+ X) - m(X)^+ m(X) falls below it, so the verdict is a plain
-``eigvalsh``'s.  The scan stops at the first stack that holds a violation
-and returns that stack's first violating X; later stacks are never built.
+order (matrix units, witnesses, rank-one probes, random draws): the
+first matrix unit alone, then one stack per fixed family and ``_CHUNK``
+draws per stack.  A stack's images are one matrix product with the
+transfer matrix, in real arithmetic for a real transfer, and
+``linalg.min_eig_capped`` decides by one batched Cholesky, capped at the
+threshold, whether any of its gaps m(X^+ X) - m(X)^+ m(X) falls below
+it, so the verdict is a plain ``eigvalsh``'s.  The scan stops at the
+first stack that holds a violation and returns that stack's first
+violating X; later stacks are never built.
 The gap has one implementation, ``_schwarz_gap``.  The loop of one map
 application and one ``eigvalsh`` per candidate it replaced is the
 reference in ``tests/test_regions.py`` (``reference_falsify``).
@@ -227,16 +229,18 @@ def _images(transfer, inputs) -> np.ndarray:
     """Images of (N, d, d) ``inputs`` under (..., d^2, d^2) transfer matrices: (..., N, d, d).
 
     All N inputs go through one matrix product ``vec(inputs) @ T^T`` per
-    transfer matrix T, not one matrix-vector product per input.
+    transfer matrix T, not one matrix-vector product per input.  The dtype
+    decides the product: a real T (``linalg.real_or_complex``) acts on the
+    inputs' real and imaginary parts alike, in one real product; a complex
+    T (a Hamiltonian, a unitary conjugation) in one complex product.
     """
     x = vec(inputs)
     transfer = np.asarray(transfer)
-    if np.iscomplexobj(transfer) and transfer.imag.any():
+    if np.iscomplexobj(transfer):
         prod = x @ np.swapaxes(transfer, -1, -2)
     else:
-        # a real matrix acts on real and imaginary parts alike: one real product
         x = np.ascontiguousarray(x.T).view(float)
-        prod = np.swapaxes((np.real(transfer) @ x).view(complex), -1, -2)
+        prod = np.swapaxes((transfer @ x).view(complex), -1, -2)
     return unvec(prod, inputs.shape[-1])
 
 
@@ -296,7 +300,7 @@ def _family_blocks(d: int, oracle: str) -> tuple:
     id + alpha tau0 + beta Delta = id + alpha (tau0 - id) + beta (Delta - id).
     Only the gathered blocks are kept, not the d^2 x d^2 stacks.
     """
-    parts = np.stack(family_transfer_parts(d))
+    parts = family_transfer_parts(d)
     if oracle == "candidates":
         blocks = affine_blocks(_pure_images(parts, deterministic_candidates(d)))
     else:
@@ -413,7 +417,7 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
         # Phi = (1-a-b) id + a tau0 + b Delta: the samples are imaged under the three parts
         a_flat, b_flat = aa.ravel(), bb.ravel()
         coef = np.stack([1.0 - a_flat - b_flat, a_flat, b_flat], axis=1)
-        pos_min = _sampled_min(d, np.stack(family_transfer_parts(d)), coef,
+        pos_min = _sampled_min(d, family_transfer_parts(d), coef,
                                pos_min.ravel(), sample_budget, seed).reshape(aa.shape)
 
     return {
@@ -578,51 +582,39 @@ def _schwarz_gap(transfer, x) -> np.ndarray:
 def _falsifier_chunks(d: int, sample_budget: int, seed):
     """The falsifier's candidates in scan order, as stacks of at most ``_CHUNK``.
 
-    The first stack holds one candidate and each next one twice as many,
-    up to ``_CHUNK``; a stack never spans two families.  A family is built
-    only when the scan reaches it, and matrix units and random draws only
-    for the stack being scanned; nothing before the draws takes from the
-    seeded stream.
+    The first matrix unit is a stack of its own, then each fixed family
+    (the other units, the witnesses, the rank-one probes) is one stack,
+    cut at ``_CHUNK``, which none reaches at d <= 16; the draws come in
+    stacks of ``_CHUNK``.  A family is built only when the scan reaches
+    it, and random draws only for the stack being scanned; nothing before
+    the draws takes from the seeded stream.
     """
-    sizes = _doubling()
     # E_ij has its 1 at flat index i d + j
-    for flat in _cut(np.flatnonzero(~np.eye(d, dtype=bool)), sizes):
-        units = np.zeros((len(flat), d * d), dtype=complex)
-        units[np.arange(len(flat)), flat] = 1.0
-        yield units.reshape(-1, d, d)
+    units = np.zeros((d * (d - 1), d * d), dtype=complex)
+    units[np.arange(len(units)), np.flatnonzero(~np.eye(d, dtype=bool))] = 1.0
+    units = units.reshape(-1, d, d)
+    # a family map commutes with basis permutations, so every unit's gap has
+    # the first one's spectrum: on the family this one candidate decides them all
+    yield units[:1]
+    yield from _cut(units[1:])
     yield from _cut(np.stack([witness_operator(d, float(c))
-                              for c in np.linspace(-5.0, 5.0, 101)]), sizes)
+                              for c in np.linspace(-5.0, 5.0, 101)]))
     # rank-one operators |e_1><v| whose X^+X are the positivity candidates:
     # a unital map violating positivity on |v><v| violates Schwarz on these
     v = positivity_candidates(d, 0).conj()
-    yield from _cut(np.eye(d)[0][:, None] * v[:, None, :], sizes)
+    yield from _cut(np.eye(d)[0][:, None] * v[:, None, :])
     # the stream of one ginibre(d, rng) per sample: its real, then its imaginary part
     rng = np.random.default_rng(seed)
-    left = sample_budget
-    while left > 0:
-        k = min(next(sizes), left)
-        left -= k
-        g = rng.standard_normal((k, 2, d, d))
+    for start in range(0, sample_budget, _CHUNK):
+        g = rng.standard_normal((min(_CHUNK, sample_budget - start), 2, d, d))
         g = g[:, 0] + 1j * g[:, 1]
         g /= np.linalg.norm(g, axis=(1, 2), keepdims=True)
         yield g
 
 
-def _doubling():
-    """Stack sizes 1, 2, 4, ... up to ``_CHUNK``, then ``_CHUNK`` on."""
-    size = 1
-    while True:
-        yield size
-        size = min(2 * size, _CHUNK)
-
-
-def _cut(family: np.ndarray, sizes):
-    """Consecutive slices of ``family``, sized by ``next(sizes)``; the last may be shorter."""
-    start = 0
-    while start < len(family):
-        stop = start + next(sizes)
-        yield family[start:stop]
-        start = stop
+def _cut(family: np.ndarray):
+    """Consecutive slices of ``family`` of ``_CHUNK`` candidates; the last may be shorter."""
+    return (family[start:start + _CHUNK] for start in range(0, len(family), _CHUNK))
 
 
 def schwarz_falsify(m: SuperMap, sample_budget: int = 10_000, seed: int = 42):
@@ -633,10 +625,13 @@ def schwarz_falsify(m: SuperMap, sample_budget: int = 10_000, seed: int = 42):
     [-5, 5], the rank-one probes |e_1><v| for the d^2 + 1 deterministic
     positivity candidates v, then ``sample_budget`` Ginibre draws of unit
     Frobenius norm (the stream of one ``linalg.ginibre(d, rng)`` per draw).
-    They are scanned in stacks: the first holds one candidate, each next
-    one twice as many up to ``_CHUNK``, and none spans two families.  A
+    They are scanned in stacks: the first matrix unit alone, then each
+    fixed family as one stack, and the draws ``_CHUNK`` at a time.  A
     stack is built only when every earlier one has passed, so a violation
-    among the first matrix units builds no witness and draws no sample.
+    on the first matrix unit builds no other candidate and draws no
+    sample.  On the map family a first violation lies at the first matrix
+    unit or among the witnesses, or there is none and every stack is
+    scanned, so few stacks pay the fixed cost per stack.
 
     For a stack of k matrices X, m(X) and m(X^+ X) are one product
     ``vec(.) @ T^T`` with the transfer matrix T (a real one where T is

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quditmaps import channels as ch
 from quditmaps import linalg as la
 from quditmaps import verify
-from quditmaps.errors import BadWeights, DimensionMismatch, UnknownName
+from quditmaps.errors import BadWeights, DimensionMismatch, QuditMapsError, UnknownName
 from reference import basis_matrix as basis
 from reference import dense_family_fit, supermap_from_json, supermap_to_json
 
@@ -282,3 +282,70 @@ def test_state_validation_accepts_boundary_pure_state():
     v = np.array([1.0, 0.0], dtype=complex)
     assert ch.validate_state(ch.QuantumState(2, np.outer(v, v.conj())))
     assert not ch.validate_state(ch.QuantumState(2, np.diag([1.2, -0.2])))
+
+
+# --- the dtype rule: real maps stay real ------------------------------------------
+
+@pytest.mark.parametrize("d", [2, 3, 16])
+def test_real_data_gives_float64_maps_and_complex_data_complex128(d):
+    parts = ch.family_transfer_parts(d)
+    assert parts.dtype == float and parts.shape == (3, d * d, d * d)
+    assert not parts.flags.writeable
+    maps = [ch.build_phi_family(ch.MapParams(d, 0.4, -0.1))]
+    maps += [ch.named_map(name, d)[0] for name in ch.NAMED_MAPS]
+    maps.append(ch.compose(maps[0], maps[1]))
+    maps.append(ch.mix([0.3, 0.7], maps[:2]))
+    maps.append(ch.hs_adjoint(maps[1]))
+    rng = np.random.default_rng(11)
+    x = la.ginibre(d, rng, n=3)
+    for m in maps:
+        assert m.transfer.dtype == float
+        assert m.choi.dtype == float
+        assert la.partial_transpose(m.choi, d).dtype == float
+        assert ch.partial_trace_output(m.choi, d).dtype == float
+        assert m.is_unital() and m.is_trace_preserving()
+        # SuperMap.__call__ keeps its product: a real map gives what its complex
+        # copy gives (numpy casts the transfer to a C-ordered complex buffer)
+        cplx = ch.SuperMap(d, np.ascontiguousarray(m.transfer, dtype=complex))
+        assert np.array_equal(m(x), cplx(x))
+    assert ch.family_transfer(d, [0.1, 0.2], [0.3, -0.1]).dtype == float
+
+    u = np.linalg.qr(la.ginibre(d, rng))[0]
+    conj = ch.unitary_conjugation(u)
+    user = ch.SuperMap(d, la.ginibre(d * d, rng).astype(np.complex64))
+    mixed = ch.compose(conj, ch.build_phi_family(ch.MapParams(d, 0.4, -0.1)))
+    for m in (conj, user, mixed):
+        assert m.transfer.dtype == complex and m.choi.dtype == complex
+        assert la.partial_transpose(m.choi, d).dtype == complex
+
+
+def test_integer_input_becomes_float64_and_float64_input_is_frozen_in_place():
+    d = 2
+    m = ch.SuperMap(d, np.eye(d * d, dtype=int))
+    assert m.transfer.dtype == float and np.array_equal(m.transfer, np.eye(d * d))
+    assert ch.SuperMap(d, np.eye(d * d, dtype=np.float32)).transfer.dtype == float
+    assert ch.SuperMap(d, np.eye(d * d).tolist()).transfer.dtype == float
+    assert ch.choi_from_transfer(np.eye(d * d, dtype=int), d).dtype == float
+    t = np.eye(d * d)
+    kept = ch.SuperMap(d, t)
+    assert kept.transfer is t and not t.flags.writeable
+    z = np.eye(d * d, dtype=complex)
+    assert ch.SuperMap(d, z).transfer is z
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_state_with_a_non_finite_entry_is_rejected(value):
+    obj = {"d": 2, "rho": [[value, 0], [0, 0], [0, 0], [0.5, 0]]}
+    with pytest.raises(QuditMapsError, match="finite"):
+        ch.state_from_json(obj)
+    with pytest.raises(QuditMapsError, match="finite"):
+        ch.state_from_json(json.dumps(obj))  # json writes NaN and Infinity, and reads them
+
+
+def test_map_params_reject_coordinates_whose_map_overflows():
+    for alpha, beta in [(-1e308, -1e308), (1e308, 1e308), (1.7e308, 0.0), (0.0, 1.7e308),
+                        (-5e307, 0.0)]:
+        with pytest.raises(DimensionMismatch, match="must be finite"):
+            ch.MapParams(3, alpha, beta)
+    p = ch.MapParams(16, 1e300, -1e300)  # large, but the map's entries stay finite
+    assert (p.alpha, p.beta) == (1e300, -1e300)

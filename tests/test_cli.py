@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from quditmaps import cli, dynamics, generators
@@ -231,10 +231,13 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def _single_error_line(capsys):
-    err = capsys.readouterr().err
+def _single_error_line_in(err):
     lines = err.strip().split("\n")
     return len(lines) == 1 and lines[0].startswith("error:")
+
+
+def _single_error_line(capsys):
+    return _single_error_line_in(capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("text", ["{bad", "[1, 2]"])
@@ -447,6 +450,76 @@ def test_non_finite_values_are_usage_errors(tmp_path, capsys, argv):
     state.write_text(json.dumps(state_to_json(QuantumState(2, np.eye(2) / 2))))
     assert cli.main([a.replace("{state}", str(state)) for a in argv]) == 2
     assert _single_error_line(capsys)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # a growing trajectory overflows alpha(t) and beta(t)
+    ["trajectory", "--d", "3", "--schedule", "const", "--kappa=-2", "--nu=0.2",
+     "--t-max=400", "--steps", "4"],
+    ["trajectory", "--d", "3", "--schedule", "const", "--kappa=1", "--nu=-5",
+     "--t-max=400", "--steps", "4"],
+    ["apply", "--state", "{state}", "--schedule", "const", "--kappa=-800", "--t=1"],
+    # finite coordinates whose map overflows
+    ["classify", "--d", "3", "--alpha=-1e308", "--beta=-1e308"],
+    ["classify", "--d", "3", "--alpha=1e308", "--beta=1e308"],
+    ["classify", "--d", "3", "--alpha=1.7e308", "--beta=0"],
+])
+def test_coordinates_that_overflow_are_usage_errors(tmp_path, capsys, argv):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(state_to_json(QuantumState(2, np.eye(2) / 2))))
+    assert cli.main([a.replace("{state}", str(state)) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line_in(captured.err)
+
+
+@pytest.mark.filterwarnings("error")
+def test_weyl_mixture_at_a_huge_time_is_its_limit_without_a_warning(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    rho = np.array([[0.7, 0.2], [0.2, 0.3]])
+    state.write_text(json.dumps(state_to_json(QuantumState(2, rho))))
+    assert cli.main(["apply", "--state", str(state), "--schedule", "weyl", "--t=1e308"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    limit = dynamics.asymptotic_map(dynamics.WeylMixture(2))(rho)
+    assert np.abs(np.array(json.loads(captured.out)["rho"]).reshape(2, 2, 2)
+                  @ [1.0, 1j] - limit).max() <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_state_file_with_a_non_finite_entry_is_a_usage_error(tmp_path, capsys, text):
+    state = tmp_path / "state.json"
+    state.write_text(f'{{"d": 2, "rho": [[{text}, 0], [0, 0], [0, 0], [0.5, 0]]}}')
+    assert cli.main(["apply", "--state", str(state), "--schedule", "enm", "--t", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line_in(captured.err)
+
+
+# capsys is read after every call, so one instance serves all examples
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(d=st.integers(2, 3),
+       alpha=st.floats(allow_nan=False, allow_infinity=False),
+       beta=st.floats(allow_nan=False, allow_infinity=False))
+@example(d=3, alpha=1.7e308, beta=0.0)
+@example(d=2, alpha=-1e308, beta=1e308)
+@example(d=3, alpha=7e305, beta=-7e305)
+@example(d=2, alpha=1e154, beta=-1e154)
+def test_classify_at_any_finite_coordinates_exits_cleanly(capsys, d, alpha, beta):
+    code = cli.main(["classify", "--d", str(d), f"--alpha={alpha!r}", f"--beta={beta!r}",
+                     "--budget", "8"])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 0:
+        assert captured.err == ""
+        json.loads(captured.out)
+    else:
+        assert captured.out == ""
+        assert _single_error_line_in(captured.err)
 
 
 def test_reused_parser_gives_the_same_output_as_a_fresh_process(tmp_path, capsys,

@@ -212,6 +212,26 @@ def test_map_with_hamiltonian_conjugation():
     assert np.allclose(m(rho), u @ phi(rho) @ u.conj().T)
 
 
+@pytest.mark.parametrize("d", [2, 3, 6, 16])
+def test_schedule_maps_limits_and_extractions_are_real_without_a_hamiltonian(d):
+    # every schedule's map, limit and time-local generator has a real transfer
+    for s in ALL_SCHEDULES(d):
+        for m in (dy.map_at(s, 0.4), dy.asymptotic_map(s)):
+            assert m.transfer.dtype == float and m.choi.dtype == float
+        # before ENM2's singular time ln(d)/d, which is at least 0.17 for d <= 16
+        assert dy.extract_time_local_generator(s.map, 0.1).generator.transfer.dtype == float
+    assert dy.weyl_mixture_map(d, 0.7).transfer.dtype == float
+    # a Hamiltonian makes the map and its extracted generator complex
+    h = tuple(np.linspace(-0.4, 0.3, d))
+    s = dy.ConstantNu(d, 1.0, -0.2)
+    m = dy.map_at(s, 0.6, h=h)
+    assert m.transfer.dtype == complex and m.choi.dtype == complex
+    rep = dy.extract_time_local_generator(lambda t: dy.map_at(s, t, h=h), 0.6)
+    assert rep.generator.transfer.dtype == complex
+    assert rep.kappa_fit == pytest.approx(1.0, abs=1e-6)
+    assert rep.nu_fit == pytest.approx(-0.2, abs=1e-6)
+
+
 # --- asymptotics -------------------------------------------------------------------
 
 def test_asymptotic_enm_is_e4():

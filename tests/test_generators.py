@@ -96,6 +96,17 @@ def test_generator_blocks_match_the_defining_sums(d):
     assert not (hop.flags.writeable or phase.flags.writeable)
 
 
+@pytest.mark.parametrize("d", [2, 3, 16])
+def test_generator_is_real_without_a_hamiltonian_and_complex_with_one(d):
+    assert all(block.dtype == float for block in g.generator_blocks(d))
+    assert all(a.dtype == float for pair in g._covariant_blocks(d) for a in pair)
+    gen = g.build_generator(g.GenParams(d, 0.9, -0.3))
+    assert gen.transfer.dtype == float and gen.choi.dtype == float
+    ham = g.build_generator(g.GenParams(d, 0.9, -0.3, tuple(np.linspace(-1.0, 1.0, d))))
+    assert ham.transfer.dtype == complex
+    assert np.array_equal(ham.transfer.real, gen.transfer)
+
+
 @pytest.mark.parametrize("d", range(2, 17))
 def test_generator_blocks_are_permutation_and_sign_covariant(d):
     # X -> U X U^+ for a transposition or a single-coordinate sign flip U (both
