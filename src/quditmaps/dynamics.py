@@ -61,7 +61,9 @@ from .channels import (
     support_fit,
     unitary_conjugation,
 )
-from .errors import NegativeRate, NegativeTime, NoLimit, SingularMap, UnknownName
+from .errors import (
+    DimensionMismatch, NegativeRate, NegativeTime, NoLimit, SingularMap, UnknownName,
+)
 from .generators import (
     GenParams, ccp_threshold, generator_blocks, positivity_threshold, schwarz_threshold,
 )
@@ -162,19 +164,34 @@ class Schedule:
 
     def map(self, t: float) -> SuperMap:
         """The dynamical map at time t."""
-        return build_phi_family(MapParams(self.d, *self.alpha_beta(t)))
+        return build_phi_family(self._params(t))
 
     def point(self, t: float):
         """(alpha, beta, smallest Choi eigenvalue) of the map at time t.
 
         The eigenvalue is ``regions.family_min_eig`` at (alpha, beta): a
         combination of the family's cached Choi blocks, with no map built.
-        The coordinates are checked first (``channels.MapParams``), so a
-        trajectory that overflows raises before any solve.
+        The coordinates are checked first (``_params``), so a trajectory
+        that overflows raises before any solve.
+        """
+        params = self._params(t)
+        alpha, beta = params.alpha, params.beta
+        return alpha, beta, float(family_min_eig(self.d, "choi", alpha, beta)[0, 0])
+
+    def _params(self, t: float) -> MapParams:
+        """The checked family coordinates at time t (``channels.MapParams``).
+
+        Coordinates that overflow raise ``DimensionMismatch`` naming the
+        schedule, t and the rates (kappa(t), nu(t)), on one line.
         """
         alpha, beta = self.alpha_beta(t)
-        MapParams(self.d, alpha, beta)
-        return alpha, beta, float(family_min_eig(self.d, "choi", alpha, beta)[0, 0])
+        try:
+            return MapParams(self.d, alpha, beta)
+        except DimensionMismatch as exc:
+            kappa, nu = self.kappa_nu(t)
+            raise DimensionMismatch(
+                f"the {type(self).__name__} trajectory overflows at t = {t} with "
+                f"(kappa, nu) = ({kappa}, {nu}): {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -258,7 +275,14 @@ class SchwarzDivisible(_FrozenENM):
 
 class ENM2(Schedule):
     def kappa_nu(self, t):
-        e = np.exp(self.d * t)
+        """(d/(d - e^{dt}), 1 - e^{dt}); singular at t1 = ln(d)/d.
+
+        Once e^{dt} overflows to inf, the rates are their IEEE limits,
+        kappa = -0.0 and nu = -inf (the t -> infinity limits kappa -> 0 and
+        nu -> -inf), and the overflow warns nothing.
+        """
+        with np.errstate(over="ignore"):
+            e = np.exp(self.d * t)
         if abs(self.d - e) < 1e-12:
             raise SingularMap(f"ENM2 rates are singular at t1 = ln(d)/d for d={self.d}")
         return self.d / (self.d - e), 1.0 - e

@@ -75,11 +75,14 @@ combines it:
   eigensolve work of the old budget of X samples.  Every form is built at
   |w|: w = U |w| for a diagonal unitary U, and the covariance
   ``_covariant_blocks`` checks makes Q(|w|) unitarily similar to Q(w) on
-  traceless X.  So the dense forms of both are real, built together in real
-  arithmetic and kept per seed, and the drawn w stay the reported argmin.
-  Stage 1 is one ``eigvalsh`` of the three representatives' forms; stage 2
-  certifies the Haar forms with ``linalg.min_eig_capped``, capped at the
-  stage-1 minimum, as real matrices;
+  traceless X.  So the dense forms of both are real, built in real
+  arithmetic, and the drawn w stay the reported argmin.  The
+  representatives' forms depend on d alone and are built once per d
+  (``_representative_parts``); only the Haar forms are kept per seed.
+  Stage 1 solves the basis and pair representatives, which are
+  block-sparse, on their ``linalg.affine_blocks``; stage 2 certifies the
+  dense forms, the uniform representative's and the Haar vectors', with
+  ``linalg.min_eig_capped``, capped at the stage-1 minimum;
 * projected-Choi oracle: nothing is kept but ``_covariant_blocks`` and the
   basis of ``_omega_complement``, the off-diagonal units |ij> plus an
   orthonormal basis ``inner`` of Omega's complement inside span{|ii>}.  On
@@ -111,15 +114,17 @@ from .errors import (
     UnknownName,
 )
 from .linalg import (
+    affine_blocks,
     as_complex_matrix,
     check_dimension,
     deterministic_candidates,
     frobenius,
     haar_orthonormal_pair,
     maximally_entangled_vector,
-    min_eig,
     min_eig_capped,
+    min_eig_gathered,
     null_space,
+    pattern_components,
     positivity_candidates,
 )
 from .linalg import random_traceless  # noqa: F401  (perfbench/tracer.py patches this name)
@@ -517,8 +522,12 @@ def witness_operator(d: int, c: float) -> np.ndarray:
 
 
 def witness_min_eig(d: int, a: float, c: float) -> float:
-    """Smallest eigenvalue of M(a, X(c)) for the witness family."""
-    return min_eig(dissipativity_matrix(d, a, witness_operator(d, c)))
+    """Smallest eigenvalue of M(a, X(c)) for the witness family.
+
+    ``dissipativity_matrix`` symmetrises M, so it is Hermitian by
+    construction and goes to ``eigvalsh`` unchecked.
+    """
+    return float(np.linalg.eigvalsh(dissipativity_matrix(d, a, witness_operator(d, c)))[0])
 
 
 def dissipation_forms(d: int, ws: np.ndarray) -> np.ndarray:
@@ -561,31 +570,86 @@ def dissipation_forms(d: int, ws: np.ndarray) -> np.ndarray:
 _FAMILIES = ("basis", "pair", "uniform")
 
 
-def _form_parts(d: int, n: int, seed):
-    """Dense real hop and phase forms, (3 + n, d^2 - 1, d^2 - 1) each, and their w.
+@lru_cache(maxsize=None)
+def _representative_parts(d: int):
+    """The three orbit representatives' hop and phase forms; read-only, cached per d.
 
-    The first three w are the orbit representatives, the rest ``n`` Haar
-    vectors drawn from ``seed``.  Each form is built at |w|, entrywise: for
-    the diagonal unitary U with w = U |w|, w^+ D(X) w = |w|^+ D(U^+ X U) |w|
-    whenever hop and phase commute with X -> U X U^+, which
-    ``_covariant_blocks`` checks (it raises otherwise).  X -> U^+ X U is
-    unitary on traceless X, so Q(|w|) is unitarily similar to Q(w) there,
-    and it is real.  The drawn w are returned, so they stay the reported
-    argmin.
+    Returns ``(sparse, layout, order, member, uniform, ws)``.  The forms do
+    not depend on the seed, so they are built once per d, by
+    ``dissipation_forms`` at |w| (see ``_form_parts``).  The basis and pair
+    forms are block-sparse at every d (at d = 16 the basis form is 240 1 x 1
+    blocks and one 15 x 15, the pair form 210 1 x 1, 14 2 x 2 and one
+    17 x 17), so they are kept only as the ``linalg.affine_blocks`` of their
+    stacked (2, 2, d^2 - 1, d^2 - 1) parts: ``sparse`` is every block's
+    (hop, phase) entries side by side, (2, entries), so a call combines them
+    in one step, and ``layout`` gives each block size's ``(size, span,
+    shape)``, its slice of the entries and its gathered shape (blocks, 1)
+    or (blocks, 1, size, size).  ``member[k]`` is the representative (0
+    basis, 1 pair) of the k-th block once the blocks of the sizes in turn
+    are reordered by ``order``, which sorts them by representative,
+    stably.  The uniform form is one dense block, solved whole with the
+    Haar forms, but most of its entries are zero (83 % at d = 16), so it is
+    kept as ``(support, hop, phase)``: the flat indices of its nonzero
+    entries and its two parts there.  ``ws`` are the three representatives
+    as drawn.
     """
     _covariant_blocks(d)  # raises unless hop and phase are diagonal-unitary covariant
-    ws = positivity_candidates(d, n, np.random.default_rng(seed))
-    ws = np.concatenate((ws[[0, d, d * d]], ws[d * d + 1:]))
+    ws = deterministic_candidates(d)[[0, d, d * d]]
+    forms = dissipation_forms(d, np.abs(ws))
+    blocks = affine_blocks(forms[:, :2])
+    sparse = np.concatenate([b.reshape(2, -1) for _, b in blocks], axis=1)
+    ends = np.cumsum([b[0].size for _, b in blocks])
+    layout = tuple((size, slice(end - b[0].size, end), (b.shape[1], 1) + b.shape[2:])
+                   for (size, b), end in zip(blocks, ends))
+    # the components ``affine_blocks`` labelled, in its order: index b n + i
+    # is row i of representative b
+    n = forms.shape[-1]
+    member = np.concatenate([idx[:, 0] // n for _, idx in
+                             pattern_components(np.any(forms[:, :2] != 0, axis=0))])
+    order = np.argsort(member, kind="stable")
+    member = member[order]
+    support = np.flatnonzero(np.any(forms[:, 2] != 0, axis=0))
+    uniform = (support, forms[0, 2].reshape(-1)[support], forms[1, 2].reshape(-1)[support])
+    for arr in (sparse, order, member, *uniform, ws):
+        arr.flags.writeable = False
+    return sparse, layout, order, member, uniform, ws
+
+
+def _form_parts(d: int, n: int, seed):
+    """Dense real hop and phase forms of ``n`` Haar vectors drawn from ``seed``,
+    (n, d^2 - 1, d^2 - 1) each, and the vectors.
+
+    The vectors are the seeded rows of ``positivity_candidates``.  Each form
+    is built at |w|, entrywise: for the diagonal unitary U with w = U |w|,
+    w^+ D(X) w = |w|^+ D(U^+ X U) |w| whenever hop and phase commute with
+    X -> U X U^+, which ``_covariant_blocks`` checks (it raises otherwise).
+    X -> U^+ X U is unitary on traceless X, so Q(|w|) is unitarily similar
+    to Q(w) there, and it is real.  The drawn w are returned, so they stay
+    the reported argmin.  The representatives' forms do not depend on the
+    seed and are built once per d (``_representative_parts``).
+    """
+    _covariant_blocks(d)  # raises unless hop and phase are diagonal-unitary covariant
+    ws = positivity_candidates(d, n, np.random.default_rng(seed))[d * d + 1:]
     hop, phase = dissipation_forms(d, np.abs(ws))
     return hop, phase, ws
 
 
-def _representative_minimum(parts, t: float):
-    """Smallest eigenvalue of Q_hop + t Q_phase over the three representatives, and its w."""
-    hop, phase, ws = parts
-    mins = np.linalg.eigvalsh(hop[:3] + t * phase[:3])[:, 0]
-    k = int(np.argmin(mins))
-    return mins[k], ws[k], _FAMILIES[k]
+def _representative_minimum(d: int, t: float):
+    """Smallest eigenvalue of Q_hop + t Q_phase over the basis and pair
+    representatives, and its w and family.
+
+    Solved on the blocks of ``_representative_parts``: one
+    ``linalg.min_eig_gathered`` per block size gives every block's minimum,
+    and the block's member names its representative.  On a tie the basis
+    representative decides, as the first of the three.
+    """
+    sparse, layout, order, member, _, ws = _representative_parts(d)
+    comb = sparse[1] * t
+    comb += sparse[0]
+    vals = np.concatenate([min_eig_gathered(size, comb[span].reshape(shape))
+                           for size, span, shape in layout])[order]
+    k = int(np.argmin(vals))
+    return vals[k], ws[member[k]], _FAMILIES[member[k]]
 
 
 @dataclass(frozen=True)
@@ -606,13 +670,17 @@ def is_dissipative(p: GenParams, sample_budget: int = 10_000,
     over the d^2 + 1 deterministic ``positivity_candidates`` and
     ceil(budget / d^3) seeded Haar vectors w.  Each form is built, real, at
     |w|, which has the spectrum of the form at w (see ``_form_parts``).
-    Stage 1 solves the forms of the deterministic candidates' three orbit
-    representatives, which have their minimum; stage 2 certifies the Haar
-    forms with ``linalg.min_eig_capped``, capped at the stage-1 minimum, so
-    the result is a plain solve's.  ``argmin_w`` is the deciding w as drawn
-    (a representative, or a Haar vector) and ``argmin_family`` its kind:
-    ``basis``, ``pair``, ``uniform`` or ``haar``.  ``sample_budget = 0`` runs
-    no oracle and reports infinity.
+    The deterministic candidates' three orbit representatives have their
+    minimum; their forms are built once per d (``_representative_parts``).
+    Stage 1 solves the basis and pair representatives on their blocks;
+    stage 2 certifies the dense forms, the uniform representative's and
+    the Haar vectors', with ``linalg.min_eig_capped``, capped at the
+    stage-1 minimum, so the result is a plain solve's of every form.
+    ``argmin_w`` is the deciding w as drawn (a representative, or a Haar
+    vector) and ``argmin_family`` its kind: ``basis``, ``pair``,
+    ``uniform`` or ``haar``; a later stage or form decides only when it is
+    strictly lower.  ``sample_budget = 0`` runs no oracle and reports
+    infinity.
 
     The witness, a closed-form cross-check that decides nothing, is
     evaluated at its optimal parameter c* = d/(d+2-2a) when d + 2 - 2a > 0;
@@ -630,15 +698,21 @@ def is_dissipative(p: GenParams, sample_budget: int = 10_000,
     best, w, family = np.inf, None, None
     if sample_budget > 0:
         n = -(-int(sample_budget) // d ** 3)
-        parts = _seeded_parts("dissipativity", d, n, seed, _form_parts)
-        best, w, family = _representative_minimum(parts, p.nu / d)
-        q0, q1, haar = (arr[3:] for arr in parts)
-        mats = np.multiply(q1, p.nu / d)
-        mats += q0
-        low = min_eig_capped(mats[:, None], np.full(n, best))
+        t = p.nu / d
+        best, w, family = _representative_minimum(d, t)
+        *_, uniform, reps = _representative_parts(d)
+        hop, phase, haar = _seeded_parts("dissipativity", d, n, seed, _form_parts)
+        mats = np.empty((1 + len(hop),) + hop.shape[1:], dtype=hop.dtype)
+        np.multiply(phase, t, out=mats[1:])
+        mats[1:] += hop
+        support, u_hop, u_phase = uniform
+        mats[0] = 0.0
+        mats[0].reshape(-1)[support] = u_phase * t + u_hop
+        low = min_eig_capped(mats[:, None], np.full(len(mats), best))
         k = int(np.argmin(low))
         if low[k] < best:
-            best, w, family = low[k], haar[k], "haar"
+            best = low[k]
+            w, family = (haar[k - 1], "haar") if k else (reps[2], "uniform")
     return DissipativityReport(
         closed_form=p.nu >= schwarz_threshold(d),
         min_witness_eig=float(min_witness),

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from quditmaps.channels import SuperMap, family_transfer_parts
 from quditmaps.dynamics import _COND_LIMIT, _EXTRACT_DT
 from quditmaps.errors import SingularMap
-from quditmaps.generators import generator_blocks
+from quditmaps.generators import dissipation_forms, generator_blocks
 from quditmaps.linalg import deterministic_candidates
 from quditmaps.regions import _pure_images, _sampled_min, _schwarz_gap
 
@@ -82,6 +82,18 @@ def sampled_positivity_min(m: SuperMap, sample_budget: int = 256, seed: int = 42
     if sample_budget > 0:
         best = _sampled_min(m.d, m.transfer[None], np.ones((1, 1)), best, sample_budget, seed)
     return float(best[0])
+
+
+def dense_representative_minima(d: int, t: float) -> np.ndarray:
+    """Smallest eigenvalue of Q_hop + t Q_phase for each orbit representative, by one dense solve.
+
+    The basis, pair and uniform representatives (rows 0, d and d^2 of the
+    deterministic candidates), in that order: their dense forms, built at |w|
+    by ``generators.dissipation_forms``, go through one ``eigvalsh``.
+    """
+    ws = deterministic_candidates(d)[[0, d, d * d]]
+    hop, phase = dissipation_forms(d, np.abs(ws))
+    return np.linalg.eigvalsh(hop + t * phase)[:, 0]
 
 
 def dense_extraction(map_fn, t: float):

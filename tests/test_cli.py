@@ -475,6 +475,24 @@ def test_coordinates_that_overflow_are_usage_errors(tmp_path, capsys, argv):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, where", [
+    (["trajectory", "--d", "3", "--schedule", "const", "--kappa=-2", "--nu=0.2",
+      "--t-max=400", "--steps", "4"], "at t = 200.0 with (kappa, nu) = (-2.0, 0.2)"),
+    (["apply", "--state", "{state}", "--schedule", "const", "--kappa=-800", "--nu=0.5",
+      "--t=1"], "at t = 1.0 with (kappa, nu) = (-800.0, 0.5)"),
+])
+def test_an_overflowing_trajectory_names_its_schedule_time_and_rates(tmp_path, capsys,
+                                                                     argv, where):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(state_to_json(QuantumState(2, np.eye(2) / 2))))
+    assert cli.main([a.replace("{state}", str(state)) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line_in(captured.err)
+    assert f"the ConstantNu trajectory overflows {where}: " in captured.err
+
+
+@pytest.mark.filterwarnings("error")
 def test_weyl_mixture_at_a_huge_time_is_its_limit_without_a_warning(tmp_path, capsys):
     state = tmp_path / "state.json"
     rho = np.array([[0.7, 0.2], [0.2, 0.3]])

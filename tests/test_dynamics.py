@@ -144,6 +144,23 @@ def test_enm2_converges_to_e3():
         assert np.abs(m.transfer - e3.transfer).max() <= 1e-10
 
 
+@pytest.mark.parametrize("d", range(2, 17))
+@pytest.mark.parametrize("t", [50.0, 300.0])
+def test_enm2_rates_at_late_times_reach_their_limits_without_a_warning(d, t):
+    # kappa = d/(d - e^{dt}) and nu = 1 - e^{dt}; once e^{dt} overflows they
+    # are the IEEE limits -0.0 and -inf, with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kappa, nu = dy.kappa_nu_at(dy.ENM2(d), t)
+    if d * t < math.log(np.finfo(float).max):
+        e = np.exp(d * t)
+        assert (kappa, nu) == (d / (d - e), 1.0 - e)
+        assert kappa < 0 and math.isfinite(nu)
+    else:
+        assert kappa == 0.0 and math.copysign(1.0, kappa) == -1.0
+        assert nu == -math.inf
+
+
 def test_pdivisible_piecewise_display():
     # for t > t_*: coefficients (1/2) e^{-(d-2)(t-t_*)} on X, the balance on
     # Delta, and (1 - e^{-dt})/d on I Tr

@@ -12,7 +12,8 @@ from quditmaps import generators as g
 from quditmaps import linalg as la
 from quditmaps import verify
 from quditmaps.errors import NegativeRate, NotOrthonormal, NotTraceless, QuditMapsError
-from reference import basis_matrix, pair_functional, phase_unitary
+from reference import (basis_matrix, dense_representative_minima, pair_functional,
+                       phase_unitary)
 
 
 def qubit_generator_transfer(kappa, nu, omega):
@@ -427,13 +428,13 @@ def test_bisection_draws_its_samples_once(monkeypatch, fresh_sample_parts):
         g.GenParams(d, 1.3, nu), budget, seed).min_sampled_eig >= -1e-9, -0.9, -0.5)
     assert draws["positivity_candidates"] == 1
     # the pair set was dropped when the Haar w were drawn: ceil(2000 / 5^3) of
-    # them, after the three orbit representatives
+    # them, alone, since the orbit representatives' forms are kept per d
     key = ("dissipativity", d, 16, seed)
     assert list(fresh_sample_parts) == [key]
     hop, phase, ws = fresh_sample_parts[key]
-    assert hop.shape == phase.shape == (3 + 16, d * d - 1, d * d - 1)
+    assert hop.shape == phase.shape == (16, d * d - 1, d * d - 1)
     assert hop.dtype == phase.dtype == float  # built at |w|, in real arithmetic
-    assert ws.shape == (3 + 16, d)
+    assert ws.shape == (16, d)
     assert all(not a.flags.writeable for a in fresh_sample_parts[key])
 
     g.is_dissipative(g.GenParams(d, 1.3, -0.6), budget, seed + 1)
@@ -674,10 +675,19 @@ def test_forms_at_abs_w_have_the_spectrum_of_the_forms_at_w(d, nu, seed):
     assert np.abs(got - ref).max() <= 1e-12 * (1.0 + d * (d + abs(nu)))
 
 
+def no_haar_forms(d, n, seed):
+    """``generators._form_parts`` without a single Haar vector."""
+    m = d * d - 1
+    return np.empty((0, m, m)), np.empty((0, m, m)), np.empty((0, d), dtype=complex)
+
+
 @pytest.mark.parametrize("d", [9, 10, 11, 12])
-def test_representatives_give_the_minimum_over_all_deterministic_forms(d):
+def test_representatives_give_the_minimum_over_all_deterministic_forms(d, monkeypatch,
+                                                                      fresh_sample_parts):
     # permutations and sign flips carry every deterministic candidate onto a
-    # representative, so its three forms have the minimum of all d^2 + 1
+    # representative, so its three forms have the minimum of all d^2 + 1; the
+    # oracle is run with its Haar vectors taken away, so the blockwise stage
+    # and the uniform form in the certified stage decide alone
     nus = (-1.5, -1.0, g.schwarz_threshold(d), -0.3, 0.0, 1.2)
     ws = la.positivity_candidates(d)
     ref = np.full(len(nus), np.inf)
@@ -685,27 +695,85 @@ def test_representatives_give_the_minimum_over_all_deterministic_forms(d):
         hop, phase = g.dissipation_forms(d, ws[start:start + 16])
         for i, nu in enumerate(nus):
             ref[i] = min(ref[i], np.linalg.eigvalsh(hop + (nu / d) * phase)[:, 0].min())
-    parts = g._form_parts(d, 1, 0)
+    monkeypatch.setattr(g, "_form_parts", no_haar_forms)
     for nu, expected in zip(nus, ref):
-        best, w, family = g._representative_minimum(parts, nu / d)
-        assert abs(best - expected) <= 1e-12 * (d + abs(1.0 - nu)) * d
-        assert np.array_equal(w, ws[{"basis": 0, "pair": d, "uniform": d * d}[family]])
+        rep = g.is_dissipative(g.GenParams(d, 1.0, nu), 1, 0)
+        assert abs(rep.min_sampled_eig - expected) <= 1e-12 * (d + abs(1.0 - nu)) * d
+        assert np.array_equal(rep.argmin_w,
+                              ws[{"basis": 0, "pair": d, "uniform": d * d}[rep.argmin_family]])
+        assert abs(dense_representative_minima(d, nu / d).min() - expected) \
+            <= 1e-12 * (d + abs(1.0 - nu)) * d
 
 
 @pytest.mark.parametrize("d, budget", [(2, 40), (3, 300), (5, 600)])
 def test_haar_stage_finds_the_minimum_below_its_cap(d, budget, monkeypatch,
                                                    fresh_sample_parts):
-    # the stage-1 result is replaced by a cap that half the Haar forms fall
-    # below, so the certified stage must find the exact minimum and its vector
+    # the stage-1 result is replaced by a cap that half the dense forms (the
+    # uniform representative's and the Haar vectors') fall below, so the
+    # certified stage must find the exact minimum and its vector
     p = g.GenParams(d, 0.9, -0.4, tuple(np.linspace(-1.0, 1.0, d)))
-    haar = haar_candidates(d, budget, 7)[d * d + 1:]
-    ref = reference_form_minima(p, haar)
+    ws = la.positivity_candidates(d)[d * d:]
+    dense = np.concatenate((ws, haar_candidates(d, budget, 7)[d * d + 1:]))
+    ref = reference_form_minima(p, dense)
     cap = float(np.median(ref))
-    monkeypatch.setattr(g, "_representative_minimum", lambda d, t: (cap, haar[0], "basis"))
+    monkeypatch.setattr(g, "_representative_minimum", lambda d, t: (cap, ws[0], "basis"))
     rep = g.is_dissipative(p, budget, 7)
-    assert rep.argmin_family == "haar"
+    assert rep.argmin_family == ("haar" if np.argmin(ref) else "uniform")
     assert abs(rep.min_sampled_eig - ref.min()) <= 1e-12 * (1.0 + d * (d + 0.4))
-    assert np.array_equal(rep.argmin_w, haar[np.argmin(ref)])
+    assert np.array_equal(rep.argmin_w, dense[np.argmin(ref)])
+
+
+FAMILIES = ("basis", "pair", "uniform")
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_staged_minimum_is_the_dense_minimum_of_every_form(d, fresh_sample_parts):
+    # the blockwise and certified stages against one dense eigvalsh of the
+    # three representatives' forms and the Haar forms; the deciding family is
+    # the dense argmin wherever the smallest minimum is apart from the others
+    budget, seed = 1000, 60 + d
+    haar = haar_candidates(d, budget, seed)[d * d + 1:]
+    hop, phase = g.dissipation_forms(d, np.abs(haar))
+    reps = la.positivity_candidates(d)[[0, d, d * d]]
+    decided = 0
+    for nu in (-3.0, -1.0, g.schwarz_threshold(d), -0.3, 0.0, 0.7, 1.0):
+        t = nu / d
+        dense = np.concatenate((dense_representative_minima(d, t),
+                                np.linalg.eigvalsh(hop + t * phase)[:, 0]))
+        rep = g.is_dissipative(g.GenParams(d, 1.0, nu), budget, seed)
+        tol = 1e-12 * (d + abs(1.0 - nu)) * d
+        assert abs(rep.min_sampled_eig - dense.min()) <= tol
+        first, second = np.sort(dense)[:2]
+        if second - first > tol:
+            k = int(np.argmin(dense))
+            assert rep.argmin_family == (FAMILIES[k] if k < 3 else "haar")
+            assert np.array_equal(rep.argmin_w, reps[k] if k < 3 else haar[k - 3])
+            decided += 1
+    assert decided >= 2
+
+
+def test_a_new_seed_builds_only_the_haar_forms(monkeypatch, fresh_sample_parts):
+    # the representatives' forms depend on d alone: after one call at d, a
+    # call with a new seed builds the forms of its Haar vectors and no other
+    d, budget = 6, 2000
+    p = g.GenParams(d, 1.0, -0.5)
+    g.is_dissipative(p, budget, 1)
+    built = []
+    orig = g.dissipation_forms
+
+    def spy(dim, ws):
+        built.append(ws.copy())
+        return orig(dim, ws)
+
+    monkeypatch.setattr(g, "dissipation_forms", spy)
+    rep = g.is_dissipative(p, budget, 2)
+    haar = haar_candidates(d, budget, 2)[d * d + 1:]
+    assert len(built) == 1 and np.array_equal(built[0], np.abs(haar))
+    assert len(haar) == -(-budget // d ** 3)
+    assert rep == g.is_dissipative(p, budget, 2)
+    assert all(not np.asarray(a).flags.writeable
+               for a in g._representative_parts(d)[:1] + g._representative_parts(d)[2:4]
+               + g._representative_parts(d)[4])
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
