@@ -168,8 +168,10 @@ def components(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple:
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    # the sizes present, ascending; np.unique would import numpy.ma on its
+    # first call, about 16 ms of a fresh process
     return tuple((int(size), order[starts[sizes == size][:, None] + np.arange(size)])
-                 for size in np.unique(sizes))
+                 for size in np.flatnonzero(np.bincount(sizes)))
 
 
 @lru_cache(maxsize=128)
