@@ -264,7 +264,11 @@ def covariant_support(d: int) -> np.ndarray:
     d = check_dimension(d)
     n = d * d
     diag = np.arange(d) * (d + 1)  # vec index of X[i, i]
-    support = np.union1d(np.arange(n) * (n + 1), diag[:, None] * n + diag)
+    # a mask, not np.union1d, which imports numpy.ma on its first call
+    mask = np.zeros(n * n, dtype=bool)
+    mask[np.arange(n) * (n + 1)] = True
+    mask[diag[:, None] * n + diag] = True
+    support = np.flatnonzero(mask)
     support.flags.writeable = False
     return support
 

@@ -71,13 +71,18 @@ falsifier for the operator Schwarz inequality and an empirical boundary
 scan built on it.  ``schwarz_falsify`` scans its candidates in a fixed
 order (matrix units, witnesses, rank-one probes, random draws): the
 first matrix unit alone, then one stack per fixed family and ``_CHUNK``
-draws per stack.  A stack's images are one matrix product with the
-transfer matrix, in real arithmetic for a real transfer, and
-``linalg.min_eig_capped`` decides by one batched Cholesky, capped at the
-threshold, whether any of its gaps m(X^+ X) - m(X)^+ m(X) falls below
-it, so the verdict is a plain ``eigvalsh``'s.  The scan stops at the
-first stack that holds a violation and returns that stack's first
-violating X; later stacks are never built.
+draws per stack.  The map's transfer matrix is split once per call on
+the ``linalg.pattern_components`` of its nonzero pattern
+(``_transfer_blocks``), and a stack's images are one product per
+component size (``_images``), so a family map at d = 16 acts as 240
+scalars and one 16 x 16 block.  The units, witnesses and rank-one probes
+are real arrays, so under a real map their images, gaps and certificate
+are real; only the draws are complex.  ``linalg.min_eig_capped`` decides
+by one batched Cholesky, capped at the threshold, whether any of a
+stack's gaps m(X^+ X) - m(X)^+ m(X) falls below it, so the verdict is a
+plain ``eigvalsh``'s.  The scan stops at the first stack that holds a
+violation and returns that stack's first violating X; later stacks are
+never built.
 The gap has one implementation, ``_schwarz_gap``.  The loop of one map
 application and one ``eigvalsh`` per candidate it replaced is the
 reference in ``tests/test_regions.py`` (``reference_falsify``).
@@ -88,6 +93,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
+from math import isqrt
 
 import numpy as np
 
@@ -108,9 +114,8 @@ from .linalg import (
     min_eig_capped,
     min_eig_gathered,
     partial_transpose,
+    pattern_components,
     positivity_candidates,
-    unvec,
-    vec,
 )
 # Kept only because perfbench/tracer.py patches ``regions.ginibre``.  Nothing in
 # this module calls it: ``schwarz_falsify`` draws its samples a stack at a time
@@ -225,29 +230,67 @@ _CHUNK = 512
 _CHUNK_BYTES = 64 * 2**20
 
 
-def _images(transfer, inputs) -> np.ndarray:
-    """Images of (N, d, d) ``inputs`` under (..., d^2, d^2) transfer matrices: (..., N, d, d).
+def _transfer_blocks(transfer) -> tuple:
+    """(..., d^2, d^2) transfer matrices on the components of their joint nonzero pattern.
 
-    All N inputs go through one matrix product ``vec(inputs) @ T^T`` per
-    transfer matrix T, not one matrix-vector product per input.  The dtype
-    decides the product: a real T (``linalg.real_or_complex``) acts on the
-    inputs' real and imaginary parts alike, in one real product; a complex
-    T (a Hamiltonian, a unitary conjugation) in one complex product.
+    Every transfer matrix of the stack is block diagonal on the
+    ``linalg.pattern_components`` of the pattern that any of them has
+    nonzero, so it maps the entries of X in one component to entries of
+    the same component.  Returns ``(diag, pairs)``.  ``diag`` (..., 1, d^2)
+    is each transfer's diagonal in the row-major order of X's entries (the
+    ``vec`` index c d + r is X[r, c], row-major index r d + c): on a
+    component of one entry, that is all the transfer does.  ``pairs`` holds
+    one ``(rows, blocks)`` pair per larger component size s: ``rows``
+    (B, s) lists each component's entries as row-major indices, and
+    ``blocks`` (..., B, s, s) the transfer matrices restricted to them.  A
+    family map at d = 16 is 240 scalars and one 16 x 16 block, a Weyl
+    mixture d blocks of size d, a dense transfer one block of size d^2.
     """
-    x = vec(inputs)
     transfer = np.asarray(transfer)
-    if np.iscomplexobj(transfer):
-        prod = x @ np.swapaxes(transfer, -1, -2)
-    else:
-        x = np.ascontiguousarray(x.T).view(float)
-        prod = np.swapaxes((transfer @ x).view(complex), -1, -2)
-    return unvec(prod, inputs.shape[-1])
+    n = transfer.shape[-1]
+    d = isqrt(n)
+    flat = np.arange(n).reshape(d, d).T.ravel()  # vec index <-> row-major index, both ways
+    pattern = (transfer != 0).reshape(-1, n, n).any(axis=0)
+    # C order, so that ``_images``'s output (``x * diag``) is C-contiguous
+    # and its block products run on contiguous stacks
+    diag = np.ascontiguousarray(transfer[..., None, flat, flat])
+    return diag, tuple(
+        (flat[idx], np.ascontiguousarray(transfer[..., idx[:, :, None], idx[:, None, :]]))
+        for size, idx in pattern_components(pattern) if size > 1)
+
+
+def _images(blocks, inputs) -> np.ndarray:
+    """Images of (N, d, d) ``inputs`` under the transfer matrices of ``_transfer_blocks``:
+    (..., N, d, d), C-contiguous.
+
+    The components of one entry are one elementwise product of the inputs
+    with the diagonal.  Each larger component size is one batched product
+    of its blocks with the inputs' entries in those components, laid out
+    one row per entry and one column per input; it overwrites those
+    entries.  There is no matrix-vector product per input, and no product
+    with the zeros between components.  The dtypes decide the arithmetic:
+    a real transfer (``linalg.real_or_complex``) acts on complex inputs'
+    real and imaginary parts alike, in real products; real inputs under a
+    real transfer stay real; a complex transfer makes complex products.
+    """
+    diag, pairs = blocks
+    n_in, d = inputs.shape[0], inputs.shape[-1]
+    # real inputs to a complex transfer are cast first: numpy's matmul of a
+    # complex and a real stack is several times slower than of two complex ones
+    x = inputs.reshape(n_in, d * d).astype(np.result_type(inputs, diag), copy=False)
+    out = x * diag
+    split = np.iscomplexobj(x) and not np.iscomplexobj(diag)
+    for rows, block in pairs:
+        cols = x.T[rows]  # (B, s, N), a new C-contiguous array
+        prod = block @ (cols.view(float) if split else cols)
+        np.swapaxes(out, -1, -2)[..., rows, :] = prod.view(complex) if split else prod
+    return out.reshape(out.shape[:-2] + (n_in, d, d))
 
 
 def _pure_images(parts, cand) -> np.ndarray:
     """Images of the pure states |c><c| of the (N, d) rows c of ``cand`` under
     (K, d^2, d^2) transfer matrices ``parts``, Hermitised: (K, N, d, d)."""
-    images = _images(parts, np.einsum("ni,nj->nij", cand, cand.conj()))
+    images = _images(_transfer_blocks(parts), np.einsum("ni,nj->nij", cand, cand.conj()))
     # the products carry rounding; real combinations of Hermitian images stay Hermitian
     return (images + np.conj(np.swapaxes(images, -1, -2))) / 2.0
 
@@ -257,7 +300,7 @@ def _sampled_min(d: int, parts, coef, best, sample_budget: int, seed) -> np.ndar
 
     ``sample_budget`` > 0 seeded candidates are drawn once for all the maps
     ``coef @ parts``, one per row of the real (G, K) ``coef``, and imaged
-    by one product under the (K, d^2, d^2) ``parts``; ``best`` holds the
+    under the (K, d^2, d^2) ``parts`` by ``_images``; ``best`` holds the
     stage-1 minima, one per row.  The sampled outputs of a chunk of maps go
     to ``linalg.min_eig_capped`` with those minima as caps: it certifies
     them by Cholesky factorisations and solves by ``eigvalsh`` only the
@@ -563,20 +606,19 @@ def region_area(which: str, d: int) -> AreaReport:
 # Schwarz falsification (empirical only; absence of a witness proves nothing)
 # ---------------------------------------------------------------------------
 
-def _schwarz_gap(transfer, x) -> np.ndarray:
-    """m(X^+ X) - m(X)^+ m(X) for X of shape (..., d, d), symmetrised.
+def _schwarz_gap(blocks, x) -> np.ndarray:
+    """m(X^+ X) - m(X)^+ m(X) for a stack X of shape (N, d, d), symmetrised, C-contiguous.
 
     The images of all the X, and of all the X^+ X, are one ``_images``
-    product each under the map's ``transfer``.
+    product each under the map's ``_transfer_blocks``; real X under a real
+    map give a real gap.
     """
-    x = np.asarray(x, dtype=complex)
-    stack = x.reshape((-1,) + x.shape[-2:])
-    mx = _images(transfer, stack)
-    gap = _images(transfer, np.conj(np.swapaxes(stack, -1, -2)) @ stack)
+    mx = _images(blocks, x)
+    gap = _images(blocks, np.conj(np.swapaxes(x, -1, -2)) @ x)
     gap -= np.conj(np.swapaxes(mx, -1, -2)) @ mx
     gap += np.conj(np.swapaxes(gap, -1, -2))
     gap *= 0.5
-    return gap.reshape(x.shape)
+    return gap
 
 
 def _falsifier_chunks(d: int, sample_budget: int, seed):
@@ -587,29 +629,33 @@ def _falsifier_chunks(d: int, sample_budget: int, seed):
     cut at ``_CHUNK``, which none reaches at d <= 16; the draws come in
     stacks of ``_CHUNK``.  A family is built only when the scan reaches
     it, and random draws only for the stack being scanned; nothing before
-    the draws takes from the seeded stream.
+    the draws takes from the seeded stream.  The fixed families hold real
+    values and are real arrays; only the draws are complex.
     """
-    # E_ij has its 1 at flat index i d + j
-    units = np.zeros((d * (d - 1), d * d), dtype=complex)
-    units[np.arange(len(units)), np.flatnonzero(~np.eye(d, dtype=bool))] = 1.0
-    units = units.reshape(-1, d, d)
-    # a family map commutes with basis permutations, so every unit's gap has
-    # the first one's spectrum: on the family this one candidate decides them all
-    yield units[:1]
-    yield from _cut(units[1:])
+    # E_ij (i != j, row-major) has its 1 at flat index i d + j; a family map
+    # commutes with basis permutations, so every unit's gap has the first
+    # one's spectrum: on the family the first unit alone decides them all
+    ones = np.flatnonzero(~np.eye(d, dtype=bool))
+    for at in (ones[:1], ones[1:]):
+        units = np.zeros((len(at), d * d))
+        units[np.arange(len(at)), at] = 1.0
+        yield from _cut(units.reshape(-1, d, d))
     yield from _cut(np.stack([witness_operator(d, float(c))
-                              for c in np.linspace(-5.0, 5.0, 101)]))
+                              for c in np.linspace(-5.0, 5.0, 101)]).real.copy())
     # rank-one operators |e_1><v| whose X^+X are the positivity candidates:
     # a unital map violating positivity on |v><v| violates Schwarz on these
-    v = positivity_candidates(d, 0).conj()
+    v = positivity_candidates(d, 0).real
     yield from _cut(np.eye(d)[0][:, None] * v[:, None, :])
     # the stream of one ginibre(d, rng) per sample: its real, then its imaginary part
     rng = np.random.default_rng(seed)
     for start in range(0, sample_budget, _CHUNK):
         g = rng.standard_normal((min(_CHUNK, sample_budget - start), 2, d, d))
-        g = g[:, 0] + 1j * g[:, 1]
-        g /= np.linalg.norm(g, axis=(1, 2), keepdims=True)
-        yield g
+        z = np.empty(g.shape[:1] + g.shape[2:], dtype=complex)
+        z.real, z.imag = g[:, 0], g[:, 1]
+        # the bits of dividing by the norm, which numpy does as a complex
+        # division: a product with the reciprocal
+        z *= 1.0 / np.linalg.norm(z, axis=(1, 2), keepdims=True)
+        yield z
 
 
 def _cut(family: np.ndarray):
@@ -633,9 +679,10 @@ def schwarz_falsify(m: SuperMap, sample_budget: int = 10_000, seed: int = 42):
     unit or among the witnesses, or there is none and every stack is
     scanned, so few stacks pay the fixed cost per stack.
 
-    For a stack of k matrices X, m(X) and m(X^+ X) are one product
-    ``vec(.) @ T^T`` with the transfer matrix T (a real one where T is
-    real), and the k gaps m(X^+ X) - m(X)^+ m(X) go to
+    The transfer matrix is split on its pattern's components once per
+    call.  For a stack of k matrices X, m(X) and m(X^+ X) are one
+    ``_images`` product each (real where the map and the stack are real),
+    and the k gaps m(X^+ X) - m(X)^+ m(X) go to
     ``linalg.min_eig_capped`` capped at ``_FALSIFY_THRESHOLD`` (-1e-8): a
     batched Cholesky factorisation shows, gap by gap, that no eigenvalue
     lies below it, and only the gaps where it fails are solved by
@@ -645,12 +692,13 @@ def schwarz_falsify(m: SuperMap, sample_budget: int = 10_000, seed: int = 42):
     """
     if not m.is_unital():
         raise NotUnital("the operator Schwarz inequality is defined for unital maps")
+    blocks = _transfer_blocks(m.transfer)
     for chunk in _falsifier_chunks(m.d, int(sample_budget), seed):
-        gap = np.ascontiguousarray(_schwarz_gap(m.transfer, chunk)[:, None])
+        gap = _schwarz_gap(blocks, chunk)[:, None]
         cap = np.full(len(chunk), _FALSIFY_THRESHOLD)
         hits = np.flatnonzero(min_eig_capped(gap, cap) < _FALSIFY_THRESHOLD)
         if hits.size:
-            return chunk[hits[0]].copy()
+            return chunk[hits[0]].astype(complex)
     return None
 
 

@@ -9,8 +9,7 @@ from quditmaps.channels import SuperMap, family_transfer_parts
 from quditmaps.dynamics import _COND_LIMIT, _EXTRACT_DT
 from quditmaps.errors import SingularMap
 from quditmaps.generators import dissipation_forms, generator_blocks
-from quditmaps.linalg import deterministic_candidates
-from quditmaps.regions import _pure_images, _sampled_min, _schwarz_gap
+from quditmaps.linalg import deterministic_candidates, positivity_candidates, unvec, vec
 
 
 def basis_matrix(i: int, j: int, d: int) -> np.ndarray:
@@ -60,28 +59,35 @@ def alpha_beta_by_quadrature(d: int, kappa_fn, nu_fn, t: float, tol: float = 1e-
     return 1.0 - a_fac, a_fac - b_fac
 
 
-def schwarz_violation(m: SuperMap, x: np.ndarray):
+def dense_images(m: SuperMap, x) -> np.ndarray:
+    """m applied to the (..., d, d) stack x by one dense product ``vec(x) @ T^T``."""
+    return unvec(vec(x) @ m.transfer.T, m.d)
+
+
+def schwarz_violation(m: SuperMap, x):
     """Smallest eigenvalue of m(X^+ X) - m(X)^+ m(X); negative = violation.
 
     ``x`` is one d x d matrix (a float is returned) or a (..., d, d) stack.
+    The images are ``dense_images``, not the package's blockwise product.
     """
-    vals = np.linalg.eigvalsh(_schwarz_gap(m.transfer, x))[..., 0]
+    x = np.asarray(x, dtype=complex)
+    adjoint = np.conj(np.swapaxes(x, -1, -2))
+    mx = dense_images(m, x)
+    gap = dense_images(m, adjoint @ x) - np.conj(np.swapaxes(mx, -1, -2)) @ mx
+    vals = np.linalg.eigvalsh((gap + np.conj(np.swapaxes(gap, -1, -2))) / 2.0)[..., 0]
     return float(vals) if vals.ndim == 0 else vals
 
 
 def sampled_positivity_min(m: SuperMap, sample_budget: int = 256, seed: int = 42) -> float:
     """min over candidate pure inputs of the smallest output eigenvalue, for any map.
 
-    Stage 1 solves the deterministic candidates' outputs by a dense
-    ``eigvalsh``; stage 2 is the package's: the sampled candidates are
-    certified against that minimum by ``regions._sampled_min``, on one part
-    with coefficient 1.
+    The package's candidates (``linalg.positivity_candidates`` with the
+    seeded draws), imaged by ``dense_images`` and solved by one dense
+    ``eigvalsh``; no certificate and no blockwise product.
     """
-    images = _pure_images(m.transfer[None], deterministic_candidates(m.d))
-    best = np.linalg.eigvalsh(images)[..., 0].min(axis=-1)
-    if sample_budget > 0:
-        best = _sampled_min(m.d, m.transfer[None], np.ones((1, 1)), best, sample_budget, seed)
-    return float(best[0])
+    cand = positivity_candidates(m.d, sample_budget, np.random.default_rng(seed))
+    images = dense_images(m, np.einsum("ni,nj->nij", cand, cand.conj()))
+    return float(np.linalg.eigvalsh((images + np.conj(np.swapaxes(images, -1, -2))) / 2.0)[:, 0].min())
 
 
 def dense_representative_minima(d: int, t: float) -> np.ndarray:

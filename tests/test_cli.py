@@ -650,3 +650,32 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
                   "except ImportError:\n    loaded.append('blocked')\n"))
     assert codes == [0] * len(commands)
     assert loaded == [[], [], "blocked"]
+
+
+# Runs one snippet in a fresh process, then ``np.unique`` as the positive
+# control; prints whether numpy.ma was loaded after each.
+_NUMPY_MA_PROBE = (
+    "import contextlib, io, json, sys\n"
+    "import numpy as np\n"
+    "import quditmaps.cli\n"
+    "from quditmaps import dynamics\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    {snippet}\n"
+    "loaded = ['numpy.ma' in sys.modules]\n"
+    "np.unique([2, 1])\n"
+    "loaded.append('numpy.ma' in sys.modules)\n"
+    "print(json.dumps(loaded))\n")
+
+
+@pytest.mark.parametrize("snippet", [
+    "quditmaps.cli.main(['trajectory', '--d', '4', '--schedule', 'weyl',"
+    " '--t-max', '1', '--steps', '3'])",
+    "dynamics.extract_time_local_generator("
+    "lambda t: dynamics.map_at(dynamics.OptimalENM(4), t), 0.2)",
+])
+def test_a_weyl_trajectory_and_an_extraction_leave_numpy_ma_unimported(snippet):
+    # numpy.ma costs 9-20 ms of a fresh process; np.union1d and np.unique import it
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE.format(snippet=snippet)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert json.loads(proc.stdout) == [False, True]

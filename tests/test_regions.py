@@ -40,6 +40,17 @@ def dense_positivity_min(m, sample_budget, seed):
     return min(mins)
 
 
+def package_positivity_min(m, sample_budget, seed):
+    """The package's two positivity stages on any map: the deterministic
+    candidates' blockwise images solved by ``eigvalsh``, then the sampled
+    outputs certified against that minimum by ``regions._sampled_min``."""
+    images = r._pure_images(m.transfer[None], la.deterministic_candidates(m.d))
+    best = np.linalg.eigvalsh(images)[..., 0].min(axis=-1)
+    if sample_budget > 0:
+        best = r._sampled_min(m.d, m.transfer[None], np.ones((1, 1)), best, sample_budget, seed)
+    return float(best[0])
+
+
 # --- closed-form classification -----------------------------------------------
 
 def test_identity_is_cp_not_eb():
@@ -191,10 +202,10 @@ def test_sampled_candidate_sets_the_minimum_of_a_random_map(d, seed, scale):
     for budget in (64, 2048):
         sampled = dense_positivity_min(m, sample_budget=budget, seed=seed)
         assert sampled < deterministic - 1e-3 * scale
-        assert abs(sampled_positivity_min(m, sample_budget=budget, seed=seed)
-                   - sampled) <= 1e-12
-    assert abs(sampled_positivity_min(m, sample_budget=0, seed=seed)
-               - deterministic) <= 1e-12
+        for path in (sampled_positivity_min, package_positivity_min):
+            assert abs(path(m, sample_budget=budget, seed=seed) - sampled) <= 1e-12
+    for path in (sampled_positivity_min, package_positivity_min):
+        assert abs(path(m, sample_budget=0, seed=seed) - deterministic) <= 1e-12
 
 
 @pytest.fixture
@@ -610,7 +621,8 @@ def semigroup_below_schwarz(d, nu, t=1e-3):
 def falsifier_cases(draw):
     d = draw(st.integers(2, 16))
     kind = draw(st.sampled_from(["cp", "p_not_cp", "not_p", "transposition",
-                                 "semigroup", "weyl", "orthogonal", "unitary"]))
+                                 "semigroup", "weyl", "phased_weyl", "orthogonal",
+                                 "unitary"]))
     h = d / (d - 1.0)
     u = st.floats(0.0, 1.0)
     alpha = draw(u) * h
@@ -627,10 +639,53 @@ def falsifier_cases(draw):
         m = transposition_map(d)
     elif kind == "semigroup":
         m = semigroup_below_schwarz(d, schwarz_threshold(d) - 0.05 - 0.9 * draw(u))
+    elif kind == "phased_weyl":
+        # a diagonal unitary after the Weyl mixture: a complex, unital transfer
+        # with the mixture's d blocks of size d, not symmetric
+        phases = np.exp(2j * np.pi * np.array([draw(u) for _ in range(d)]))
+        m = compose(unitary_conjugation(np.diag(phases)), dy.weyl_mixture_map(d, 0.05 + draw(u)))
     else:
         d = draw(st.sampled_from([4, 6, 8, 9, 10, 12, 14, 15, 16]))
         m = dy.weyl_mixture_map(d, draw(st.floats(0.05, 3.0)))
     return m, draw(st.integers(0, 300)), draw(st.integers(0, 2**31))
+
+
+@st.composite
+def block_sparse_transfers(draw):
+    """An (n, n) transfer or a (K, n, n) stack of parts, n = d^2, and (N, d, d) inputs.
+
+    The transfers are block diagonal on a random partition of the vec
+    indices; inside the blocks each part has its own random, non-symmetric
+    pattern, some indices have an all-zero row and column, and one group
+    at full density is a single dense block.  Transfers and inputs are real
+    or complex.
+    """
+    d = draw(st.integers(2, 6))
+    n = d * d
+    shape = (n, n) if draw(st.booleans()) else (draw(st.integers(1, 3)), n, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(draw(st.integers(1, n)), size=n)
+    empty = rng.random(n) < draw(st.sampled_from([0.0, 0.2]))
+    inside = (labels[:, None] == labels) & ~empty[:, None] & ~empty
+    mask = inside & (rng.random(shape) < draw(st.sampled_from([0.3, 0.7, 1.0])))
+    values = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        values = values + 1j * rng.standard_normal(shape)
+    x = rng.standard_normal((draw(st.integers(1, 5)), d, d))
+    if draw(st.booleans()):
+        x = x + 1j * rng.standard_normal(x.shape)
+    return np.where(mask, values, 0.0), x
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=block_sparse_transfers())
+def test_images_on_pattern_components_are_the_dense_product(case):
+    transfer, x = case
+    got = r._images(r._transfer_blocks(transfer), x)
+    want = la.unvec(la.vec(x) @ np.swapaxes(transfer, -1, -2), x.shape[-1])
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.dtype == np.result_type(transfer, x)  # real stays real
+    assert np.abs(got - want).max() <= 1e-13 * x.shape[-1] ** 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -744,6 +799,17 @@ def test_schwarz_violation_takes_stacks(kind):
     ref = [reference_gap_min(m, x) for x in xs]
     assert np.abs(vals.ravel() - ref).max() <= 1e-12
     assert np.abs(np.array(ones) - ref).max() <= 1e-12
+    # the package's gap, on the fixed candidates as the real arrays the
+    # falsifier scans and on the complex draws
+    blocks = r._transfer_blocks(m.transfer)
+    n_det = n_deterministic(d)
+    mins = []
+    for stack in (xs[:n_det].real.copy(), xs[n_det:]):
+        gap = r._schwarz_gap(blocks, stack)
+        assert gap.flags.c_contiguous and gap.dtype == np.result_type(m.transfer, stack)
+        mins.append(np.linalg.eigvalsh(gap)[:, 0])
+    assert np.abs(np.concatenate(mins) - ref).max() <= 1e-12
+
 
 def test_transposition_violates_schwarz():
     m = transposition_map(2)
