@@ -67,9 +67,7 @@ from .errors import (
 from .generators import (
     GenParams, ccp_threshold, generator_blocks, positivity_threshold, schwarz_threshold,
 )
-from .linalg import (
-    affine_blocks, bisect, check_dimension, min_eig_gathered, pattern_components,
-)
+from .linalg import affine_blocks, bisect, check_dimension, min_eig_gathered
 from .regions import family_min_eig
 
 __all__ = [
@@ -322,7 +320,7 @@ class WeylMixture(Schedule):
         """
         m = self.map(t)
         choi_min = min(min_eig_gathered(size, blocks[0])
-                       for size, blocks in affine_blocks(m.choi[None]))
+                       for size, _, blocks in affine_blocks((m.choi,)))
         return (*family_fit(m)[:2], float(choi_min))
 
 
@@ -691,10 +689,11 @@ def extract_time_local_generator(map_fn: Callable[[float], SuperMap],
 
     No d^2 x d^2 matrix is solved.  The transfers at t and t +- dt are
     block diagonal on the connected components of their joint nonzero
-    pattern (``linalg.pattern_components``, cached per pattern), and so
-    are their difference, the inverse and the generator.  Each block size
-    takes one batched call for the singular values, one for the inverse
-    and one product (a 1 x 1 block is its own singular value and is
+    pattern, and so are their difference, the inverse and the generator;
+    ``linalg.affine_blocks`` gathers the three on those components, each
+    transfer on its own (the labelling is cached per pattern).  Each block
+    size takes one batched call for the singular values, one for the
+    inverse and one product (a 1 x 1 block is its own singular value and is
     divided by), in the transfers' dtype: real arithmetic for a real
     schedule, complex only for complex transfers (a Hamiltonian, a unitary
     conjugation).  The condition number is the largest singular value over
@@ -713,22 +712,20 @@ def extract_time_local_generator(map_fn: Callable[[float], SuperMap],
         ends, step = (map_fn(t + dt).transfer, map_fn(t - dt).transfer), 2.0 * dt
     else:
         ends, step = (map_fn(t + dt).transfer, m0.transfer), dt
-    transfers = (m0.transfer, *ends)
     groups = []
-    for size, idx in pattern_components(np.logical_or.reduce([x != 0 for x in transfers])):
+    for size, idx, (now, ahead, behind) in affine_blocks((m0.transfer, *ends)):
         at = idx[:, :, None] * (d * d) + idx[:, None, :]  # flat indices of the blocks
-        now, ahead, behind = (x.take(at) for x in transfers)
         # a 1 x 1 block is its own singular value, and its inverse a quotient
         sv = np.abs(now) if size == 1 else np.linalg.svd(now, compute_uv=False)
-        groups.append((at, now, (ahead - behind) / step, sv))
+        groups.append((size, at, now, (ahead - behind) / step, sv))
     s_max = max(float(sv.max()) for *_, sv in groups)
     s_min = min(float(sv.min()) for *_, sv in groups)
     cond = s_max / s_min if s_min > 0.0 else math.inf  # floats: an overflow is inf
     if not math.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularMap(f"transfer condition number {cond:.3e} at t={t}")
-    gen = np.zeros((d * d, d * d), dtype=np.result_type(*transfers))
-    for at, now, diff, _ in groups:
-        gen.put(at, diff / now if at.shape[1] == 1 else diff @ np.linalg.inv(now))
+    gen = np.zeros((d * d, d * d), dtype=np.result_type(m0.transfer, *ends))
+    for size, at, now, diff, _ in groups:
+        gen.put(at, diff / now if size == 1 else diff @ np.linalg.inv(now))
 
     coef, residual = support_fit(gen, _generator_fit_columns(d))
     kappa_fit = float(coef[0].real)

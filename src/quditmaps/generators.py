@@ -124,7 +124,6 @@ from .linalg import (
     min_eig_capped,
     min_eig_gathered,
     null_space,
-    pattern_components,
     positivity_candidates,
 )
 from .linalg import random_traceless  # noqa: F401  (perfbench/tracer.py patches this name)
@@ -574,45 +573,28 @@ _FAMILIES = ("basis", "pair", "uniform")
 def _representative_parts(d: int):
     """The three orbit representatives' hop and phase forms; read-only, cached per d.
 
-    Returns ``(sparse, layout, order, member, uniform, ws)``.  The forms do
-    not depend on the seed, so they are built once per d, by
-    ``dissipation_forms`` at |w| (see ``_form_parts``).  The basis and pair
-    forms are block-sparse at every d (at d = 16 the basis form is 240 1 x 1
-    blocks and one 15 x 15, the pair form 210 1 x 1, 14 2 x 2 and one
-    17 x 17), so they are kept only as the ``linalg.affine_blocks`` of their
-    stacked (2, 2, d^2 - 1, d^2 - 1) parts: ``sparse`` is every block's
-    (hop, phase) entries side by side, (2, entries), so a call combines them
-    in one step, and ``layout`` gives each block size's ``(size, span,
-    shape)``, its slice of the entries and its gathered shape (blocks, 1)
-    or (blocks, 1, size, size).  ``member[k]`` is the representative (0
-    basis, 1 pair) of the k-th block once the blocks of the sizes in turn
-    are reordered by ``order``, which sorts them by representative,
-    stably.  The uniform form is one dense block, solved whole with the
-    Haar forms, but most of its entries are zero (83 % at d = 16), so it is
-    kept as ``(support, hop, phase)``: the flat indices of its nonzero
-    entries and its two parts there.  ``ws`` are the three representatives
-    as drawn.
+    Returns ``(blocks, uniform, ws)``.  The forms do not depend on the
+    seed, so they are built once per d, by ``dissipation_forms`` at |w|
+    (see ``_form_parts``).  The basis and pair forms are block-sparse at
+    every d (at d = 16 the basis form is 240 1 x 1 blocks and one 15 x 15,
+    the pair form 210 1 x 1, 14 2 x 2 and one 17 x 17), so they are kept
+    only as ``blocks``, the ``linalg.affine_blocks`` of their stacked
+    (2, 2, d^2 - 1, d^2 - 1) parts: per block size, the components (index
+    b (d^2 - 1) + i is row i of representative b, 0 basis and 1 pair) and
+    the (hop, phase) blocks there.  The uniform form is one dense block,
+    solved whole with the Haar forms, but most of its entries are zero
+    (83 % at d = 16), so it is kept as ``(support, hop, phase)``: the flat
+    indices of its nonzero entries and its two parts there.  ``ws`` are
+    the three representatives as drawn.
     """
     _covariant_blocks(d)  # raises unless hop and phase are diagonal-unitary covariant
     ws = deterministic_candidates(d)[[0, d, d * d]]
     forms = dissipation_forms(d, np.abs(ws))
-    blocks = affine_blocks(forms[:, :2])
-    sparse = np.concatenate([b.reshape(2, -1) for _, b in blocks], axis=1)
-    ends = np.cumsum([b[0].size for _, b in blocks])
-    layout = tuple((size, slice(end - b[0].size, end), (b.shape[1], 1) + b.shape[2:])
-                   for (size, b), end in zip(blocks, ends))
-    # the components ``affine_blocks`` labelled, in its order: index b n + i
-    # is row i of representative b
-    n = forms.shape[-1]
-    member = np.concatenate([idx[:, 0] // n for _, idx in
-                             pattern_components(np.any(forms[:, :2] != 0, axis=0))])
-    order = np.argsort(member, kind="stable")
-    member = member[order]
     support = np.flatnonzero(np.any(forms[:, 2] != 0, axis=0))
     uniform = (support, forms[0, 2].reshape(-1)[support], forms[1, 2].reshape(-1)[support])
-    for arr in (sparse, order, member, *uniform, ws):
+    for arr in (*uniform, ws):
         arr.flags.writeable = False
-    return sparse, layout, order, member, uniform, ws
+    return affine_blocks(forms[:, :2]), uniform, ws
 
 
 def _form_parts(d: int, n: int, seed):
@@ -640,16 +622,16 @@ def _representative_minimum(d: int, t: float):
 
     Solved on the blocks of ``_representative_parts``: one
     ``linalg.min_eig_gathered`` per block size gives every block's minimum,
-    and the block's member names its representative.  On a tie the basis
-    representative decides, as the first of the three.
+    and the block's component names its representative.  On a tie the
+    basis representative decides, as the first of the three.
     """
-    sparse, layout, order, member, _, ws = _representative_parts(d)
-    comb = sparse[1] * t
-    comb += sparse[0]
-    vals = np.concatenate([min_eig_gathered(size, comb[span].reshape(shape))
-                           for size, span, shape in layout])[order]
-    k = int(np.argmin(vals))
-    return vals[k], ws[member[k]], _FAMILIES[member[k]]
+    blocks, _, ws = _representative_parts(d)
+    vals = np.concatenate([min_eig_gathered(size, (phase * t + hop)[:, None])
+                           for size, _, (hop, phase) in blocks])
+    member = np.concatenate([idx[:, 0] // (d * d - 1) for _, idx, _ in blocks])
+    best = vals.min()
+    k = member[vals == best].min()
+    return best, ws[k], _FAMILIES[k]
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,13 @@ Schwarz boundary both shrink their brackets with it.
 Block-sparse matrices have one path.  ``pattern_components`` is the one
 labelling of a nonzero pattern (an (n, n) pattern or a (B, n, n) stack),
 cached by the pattern's bits and shape; ``components`` is its uncached
-core.  ``affine_blocks`` gathers a stack of parts on those components, and
-``min_eig_gathered`` solves the blocks of one size: ``regions`` combines
-the family's parts with it, ``dynamics`` solves the Weyl mixture's Choi
-matrix with it, and the generator extraction splits its transfers by
-``pattern_components``.
+core.  ``affine_blocks`` is its one caller and the package's one gatherer:
+it labels the joint pattern of a few parts and returns each component
+size's indices with the parts' blocks there.  ``min_eig_gathered`` solves
+the blocks of one size.  ``regions`` combines the family's parts and
+splits transfers with them, ``generators`` keeps the Schwarz
+representatives' forms as them, and ``dynamics`` solves the Weyl
+mixture's Choi matrix and extracts the time-local generator on them.
 """
 
 from __future__ import annotations
@@ -202,36 +204,39 @@ def pattern_components(pattern) -> tuple:
 
 
 def affine_blocks(parts) -> tuple:
-    """The blocks on which every real combination of ``parts`` is block diagonal,
-    as ``(size, blocks)`` pairs.
+    """The blocks on which every combination of ``parts`` is block diagonal,
+    as ``(size, idx, blocks)`` triples.
 
-    ``parts`` is a (K, n, n) stack of Hermitian matrices, or a (K, B, n, n)
-    stack of B such stacks.  The blocks are the ``pattern_components`` of
-    the B members' joint nonzero patterns over the K parts, so a
-    combination's spectrum is the union of its block spectra.  The pairs
-    come in ascending size; ``blocks`` holds every component of that size
-    gathered from each part: the (K, blocks) diagonal entries for size 1,
-    and (K, blocks, size, size) matrices otherwise.  Parts with zero
-    imaginary part are gathered as real arrays.  The arrays are read-only,
-    so one decomposition can serve any number of combinations, each solved
-    by ``min_eig_gathered`` per size; one matrix ``m`` is
-    ``affine_blocks(m[None])`` with its blocks read at part 0.
+    ``parts`` is an array or a sequence of K equally shaped parts, each an
+    (n, n) matrix or a (B, n, n) stack of B members.  The blocks are the
+    ``pattern_components`` of the parts' joint nonzero pattern, so a
+    combination maps each block's indices to the same block, and a real
+    combination of Hermitian parts has the union of its block spectra as
+    its spectrum.  The triples come in ascending size.  ``idx`` holds every
+    component of that size, one per row (index b n + i stands for row i of
+    member b), and ``blocks`` gathers them from each part in turn: the
+    (K, blocks) diagonal entries for size 1, and (K, blocks, size, size)
+    matrices otherwise, in the parts' dtype.  Each part is gathered on its
+    own, so a sequence of parts is never stacked whole.  The arrays are
+    read-only, so one decomposition can serve any number of combinations,
+    each solved by ``min_eig_gathered`` per size; one matrix ``m`` is
+    ``affine_blocks((m,))`` with its blocks read at part 0.
     """
-    parts = np.asarray(parts)
-    if parts.ndim == 3:
-        parts = parts[:, None]
-    if np.iscomplexobj(parts) and not parts.imag.any():
-        parts = parts.real
-    n = parts.shape[2]
+    parts = [np.asarray(part) for part in parts]
+    n = parts[0].shape[-1]
+    pattern = parts[0] != 0
+    for part in parts[1:]:
+        pattern |= part != 0
     out = []
-    for size, idx in pattern_components(np.any(parts != 0, axis=0)):
-        b, loc = np.divmod(idx, n)  # a block lies inside one batch member
+    for size, idx in pattern_components(pattern):
+        # a block lies inside one member, so its entry (row, col) is the
+        # flat index row n + col mod n of the part
+        at = idx[:, :, None] * n + idx[:, None, :] % n
         if size == 1:
-            blocks = parts[:, b[:, 0], loc[:, 0], loc[:, 0]].real
-        else:
-            blocks = parts[:, b[:, :1, None], loc[:, :, None], loc[:, None, :]]
+            at = at.reshape(-1)
+        blocks = np.array([part.take(at) for part in parts])
         blocks.flags.writeable = False
-        out.append((size, blocks))
+        out.append((size, idx, blocks))
     return tuple(out)
 
 
@@ -240,7 +245,8 @@ def min_eig_gathered(size: int, mats) -> np.ndarray:
 
     ``mats`` holds (..., B) entries for ``size`` 1 and (..., B, size, size)
     Hermitian blocks otherwise, such as one size of ``affine_blocks`` or a
-    combination of those.  1 x 1 blocks are their own minimum, and a
+    combination of those.  1 x 1 blocks are their own minimum (their real
+    part, so a complex stack's diagonal reads as real), and a
     2 x 2 block [[p, conj(c)], [c, q]] has the smaller root of its
     characteristic polynomial, (p + q)/2 - hypot((p - q)/2, |c|).  That
     formula holds for every Hermitian 2 x 2 matrix, and its error, a few
@@ -248,7 +254,7 @@ def min_eig_gathered(size: int, mats) -> np.ndarray:
     Larger blocks make one batched ``eigvalsh``.
     """
     if size == 1:
-        vals = mats
+        vals = mats.real
     elif size == 2:
         p, q = mats[..., 0, 0].real, mats[..., 1, 1].real
         vals = (p + q) / 2 - np.hypot((p - q) / 2, np.abs(mats[..., 1, 0]))
@@ -510,12 +516,13 @@ def deterministic_candidates(d: int) -> np.ndarray:
     lower boundary beta >= -2 alpha/d, and the uniform superposition the
     upper boundary beta <= d/(d-1) - alpha.  The pairs saturate the pair
     functional sum_k |x_k|^2 |y_k|^2 at 1/2, so ``generators`` reads them
-    to pin the conditional-positivity oracle to its exact threshold.
+    to pin the conditional-positivity oracle to its exact threshold.  Every
+    entry is real, so the array is ``float64``.
     """
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(d)
     i, j = np.triu_indices(d, 1)
     pairs = np.stack([eye[i] + eye[j], eye[i] - eye[j]], axis=1) * (1.0 / np.sqrt(2.0))
-    return np.concatenate([eye, pairs.reshape(-1, d), np.ones((1, d), dtype=complex) / np.sqrt(d)])
+    return np.concatenate([eye, pairs.reshape(-1, d), np.ones((1, d)) / np.sqrt(d)])
 
 
 def positivity_candidates(d: int, sample_budget: int = 0,

@@ -26,9 +26,8 @@ Numeric oracles
 
 Both classifiers use only generic structure: the family is affine in
 (alpha, beta), so every oracle works on its three parts.
-``linalg.affine_blocks`` decomposes a stack of parts into the blocks of
-their joint nonzero pattern, labelled by ``linalg.pattern_components``,
-the package's one block path.  What depends on d alone is decomposed once
+``linalg.affine_blocks``, the package's one block path, decomposes a
+stack of parts into the blocks of their joint nonzero pattern.  What depends on d alone is decomposed once
 per d and oracle and cached, read-only (``_family_blocks``): the parts'
 Choi matrices, their partial transposes, and the parts' images of the
 deterministic positivity candidates.  ``family_min_eig`` combines one of
@@ -72,8 +71,8 @@ scan built on it.  ``schwarz_falsify`` scans its candidates in a fixed
 order (matrix units, witnesses, rank-one probes, random draws): the
 first matrix unit alone, then one stack per fixed family and ``_CHUNK``
 draws per stack.  The map's transfer matrix is split once per call on
-the ``linalg.pattern_components`` of its nonzero pattern
-(``_transfer_blocks``), and a stack's images are one product per
+the components of its nonzero pattern (``_transfer_blocks``, by
+``linalg.affine_blocks``), and a stack's images are one product per
 component size (``_images``), so a family map at d = 16 acts as 240
 scalars and one 16 x 16 block.  The units, witnesses and rank-one probes
 are real arrays, so under a real map their images, gaps and certificate
@@ -114,7 +113,6 @@ from .linalg import (
     min_eig_capped,
     min_eig_gathered,
     partial_transpose,
-    pattern_components,
     positivity_candidates,
 )
 # Kept only because perfbench/tracer.py patches ``regions.ginibre``.  Nothing in
@@ -233,8 +231,8 @@ _CHUNK_BYTES = 64 * 2**20
 def _transfer_blocks(transfer) -> tuple:
     """(..., d^2, d^2) transfer matrices on the components of their joint nonzero pattern.
 
-    Every transfer matrix of the stack is block diagonal on the
-    ``linalg.pattern_components`` of the pattern that any of them has
+    Every transfer matrix of the stack is block diagonal on the components
+    that ``linalg.affine_blocks`` finds in the pattern any of them has
     nonzero, so it maps the entries of X in one component to entries of
     the same component.  Returns ``(diag, pairs)``.  ``diag`` (..., 1, d^2)
     is each transfer's diagonal in the row-major order of X's entries (the
@@ -250,13 +248,13 @@ def _transfer_blocks(transfer) -> tuple:
     n = transfer.shape[-1]
     d = isqrt(n)
     flat = np.arange(n).reshape(d, d).T.ravel()  # vec index <-> row-major index, both ways
-    pattern = (transfer != 0).reshape(-1, n, n).any(axis=0)
     # C order, so that ``_images``'s output (``x * diag``) is C-contiguous
     # and its block products run on contiguous stacks
     diag = np.ascontiguousarray(transfer[..., None, flat, flat])
-    return diag, tuple(
-        (flat[idx], np.ascontiguousarray(transfer[..., idx[:, :, None], idx[:, None, :]]))
-        for size, idx in pattern_components(pattern) if size > 1)
+    lead = transfer.shape[:-2]
+    return diag, tuple((flat[idx], blocks.reshape(lead + blocks.shape[1:]))
+                       for size, idx, blocks in affine_blocks(transfer.reshape(-1, n, n))
+                       if size > 1)
 
 
 def _images(blocks, inputs) -> np.ndarray:
@@ -350,7 +348,7 @@ def _family_blocks(d: int, oracle: str) -> tuple:
         choi = choi_from_transfer(parts, d)
         blocks = affine_blocks(partial_transpose(choi, d, 2) if oracle == "pt" else choi)
     out = []
-    for size, gathered in blocks:
+    for size, _, gathered in blocks:
         base, tau0, delta = gathered.reshape(3, -1)
         arrays = (base.copy(), tau0 - base, delta - base)
         for array in arrays:
@@ -644,7 +642,7 @@ def _falsifier_chunks(d: int, sample_budget: int, seed):
                               for c in np.linspace(-5.0, 5.0, 101)]).real.copy())
     # rank-one operators |e_1><v| whose X^+X are the positivity candidates:
     # a unital map violating positivity on |v><v| violates Schwarz on these
-    v = positivity_candidates(d, 0).real
+    v = positivity_candidates(d, 0)
     yield from _cut(np.eye(d)[0][:, None] * v[:, None, :])
     # the stream of one ginibre(d, rng) per sample: its real, then its imaginary part
     rng = np.random.default_rng(seed)

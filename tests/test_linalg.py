@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -446,7 +447,7 @@ def blockwise_min(blocks, coef):
     (G, K) ``coef``, from ``blocks = affine_blocks(parts)``: each block size
     is combined by one ``tensordot`` and solved by ``min_eig_gathered``."""
     out = np.full(len(coef), np.inf)
-    for size, gathered in blocks:
+    for size, _, gathered in blocks:
         out = np.minimum(out, la.min_eig_gathered(size, np.tensordot(coef, gathered, axes=1)))
     return out
 
@@ -482,8 +483,8 @@ def test_one_decomposition_serves_every_coefficient_array(sizes, twos, n_parts, 
         perms = [rng.permutation(parts.shape[-1]) for _ in range(batch)]
         parts = np.stack([parts[:, p][:, :, p] for p in perms], axis=1)
     blocks = la.affine_blocks(parts)
-    assert [size for size, _ in blocks] == sorted({size for size, _ in blocks})
-    assert not any(gathered.flags.writeable for _, gathered in blocks)
+    assert [size for size, *_ in blocks] == sorted({size for size, *_ in blocks})
+    assert not any(a.flags.writeable for _, idx, gathered in blocks for a in (idx, gathered))
     for coef in (rng.standard_normal((n_rows, n_parts)), rng.standard_normal((3, n_parts))):
         assert np.array_equal(blockwise_min(blocks, coef),
                               blockwise_min(la.affine_blocks(parts), coef))
@@ -574,6 +575,67 @@ def test_pattern_components_are_the_hidden_blocks(blocks, zeros, seed):
     assert as_lists(la.components(rows, cols, len(mat))) == as_lists(got)
 
 
+@settings(max_examples=80, deadline=None)
+@given(members=st.lists(PATTERN_BLOCKS, min_size=1, max_size=3), stacked=st.booleans(),
+       n_parts=st.integers(1, 3), kind=st.sampled_from(["real", "complex", "zero imaginary"]),
+       density=st.sampled_from([0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+@example(members=[[(2, "upper"), (3, "zero row")], [(1, "dense")]], stacked=True, n_parts=3,
+         kind="zero imaginary", density=0.5, seed=0)
+def test_affine_blocks_scatter_back_to_every_part(members, stacked, n_parts, kind, density,
+                                                  seed):
+    # each part keeps its own random share of the members' hidden
+    # non-Hermitian patterns; scattering every size's blocks back at ``idx``
+    # rebuilds each part bit for bit, and a tuple of the parts decomposes as
+    # their stacked array does, in the parts' dtype
+    rng = np.random.default_rng(seed)
+    n = max(sum(size for size, _ in blocks) for blocks in members)
+    pattern = np.stack([hidden_pattern(blocks, n - sum(size for size, _ in blocks), rng)[0]
+                        for blocks in members]) != 0
+    if not stacked:
+        pattern = pattern[0]
+    shape = (n_parts,) + pattern.shape
+    parts = rng.standard_normal(shape)
+    if kind == "complex":
+        parts = parts + 1j * rng.standard_normal(shape)
+    elif kind == "zero imaginary":
+        parts = parts.astype(complex)
+    parts[~(pattern & (rng.random(shape) < density))] = 0.0
+    got = la.affine_blocks(parts)
+    assert [size for size, *_ in got] == sorted({size for size, *_ in got})
+    cover = np.sort(np.concatenate([idx.ravel() for _, idx, _ in got]))
+    assert np.array_equal(cover, np.arange(parts[0].size // n))
+    rebuilt = np.zeros_like(parts).reshape(n_parts, -1)
+    for size, idx, blocks in got:
+        assert (idx // n == idx[:, :1] // n).all()  # inside one member
+        assert blocks.dtype == parts.dtype and not blocks.flags.writeable
+        at = idx[:, :, None] * n + idx[:, None, :] % n  # flat index of entry (row, col)
+        assert blocks.shape == (n_parts,) + (at.shape[:1] if size == 1 else at.shape)
+        rebuilt[:, at] = blocks.reshape((n_parts,) + at.shape)
+    assert rebuilt.reshape(shape).tobytes() == parts.tobytes()
+    from_tuple = la.affine_blocks(tuple(parts))
+    assert len(from_tuple) == len(got)
+    for (size, idx, blocks), (s2, idx2, blocks2) in zip(got, from_tuple):
+        assert size == s2 and np.array_equal(idx, idx2)
+        assert blocks2.dtype == blocks.dtype and blocks2.tobytes() == blocks.tobytes()
+
+
+def test_only_linalg_labels_patterns():
+    # ``affine_blocks`` is the one caller of ``pattern_components``: every
+    # other module takes its components, and its blocks, from ``affine_blocks``
+    users = set()
+    for path in Path(la.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Call):
+                names = [getattr(node.func, "id", getattr(node.func, "attr", None))]
+            else:
+                continue
+            if "pattern_components" in names:
+                users.add(path.stem)
+    assert users == {"linalg"}
+
+
 def test_candidate_rows_hold_the_two_coordinate_pairs():
     # rows d + 2k and d + 2k + 1 are (e_i + e_j)/sqrt2 and (e_i - e_j)/sqrt2
     # for the k-th i < j, bit for bit, signed zeros included:
@@ -584,11 +646,11 @@ def test_candidate_rows_hold_the_two_coordinate_pairs():
         expected = []
         for i in range(d):
             for j in range(i + 1, d):
-                x, y = np.zeros(d, dtype=complex), np.zeros(d, dtype=complex)
+                x, y = np.zeros(d), np.zeros(d)
                 x[i] = x[j] = y[i] = c
                 y[j] = -c
                 expected.append((x, y))
-        assert pairs.dtype == complex and pairs.tobytes() == np.array(expected).tobytes()
+        assert pairs.dtype == float and pairs.tobytes() == np.array(expected).tobytes()
 
 
 def weak_components(stack):

@@ -407,7 +407,7 @@ def test_a_warm_trajectory_point_builds_no_map_and_no_blocks(d, builds):
     builds.clear()
     pt = dy.trajectory_point(dy.ConstantNu(d, 1.0, -0.5), 1e-3, sample_budget=4)
     assert pt.verdict.positive and not pt.verdict.completely_positive
-    assert builds == {"family_transfer": 1}
+    assert builds == {"family_transfer": 1, "affine_blocks": 1}  # and splits it
 
 
 @pytest.mark.parametrize("d", [3, 16])
@@ -415,7 +415,8 @@ def test_a_warm_classify_numeric_takes_no_partial_transpose(d, builds):
     r.classify_numeric(MapParams(d, 0.6, -0.2), sample_budget=8)
     builds.clear()
     r.classify_numeric(MapParams(d, 0.3, 0.1), sample_budget=8, seed=1)
-    assert builds == {"family_transfer": 1}  # the map that images the samples
+    # the map that images the samples, split on its components
+    assert builds == {"family_transfer": 1, "affine_blocks": 1}
     builds.clear()
     r.classify_numeric(MapParams(d, 0.3, 0.1), sample_budget=0)
     assert not builds
