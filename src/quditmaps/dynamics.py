@@ -115,9 +115,14 @@ def switch_times(d: int) -> SwitchTimes:
     """Times where the ENM schedule crosses the positivity and Schwarz thresholds.
 
     t_* = (1/d) ln(2(d-1)/(d-2)) for d > 2 (infinite for d = 2) and
-    t_S = (1/d) ln(2(d^2-1)/(d^2-2)).
+    t_S = (1/d) ln(2(d^2-1)/(d^2-2)).  A pure function of d, cached per d:
+    the frozen schedules read it on every ``kappa_nu`` and ``alpha_beta``.
     """
-    check_dimension(d)
+    return _switch_times(check_dimension(d))
+
+
+@lru_cache(maxsize=None)
+def _switch_times(d: int) -> SwitchTimes:
     t_star = np.inf if d == 2 else np.log(2.0 * (d - 1) / (d - 2)) / d
     t_s = np.log(2.0 * (d * d - 1) / (d * d - 2)) / d
     return SwitchTimes(t_star=float(t_star), t_s=float(t_s))

@@ -118,6 +118,7 @@ from .linalg import (
     as_complex_matrix,
     check_dimension,
     deterministic_candidates,
+    diagonal_covariant,
     frobenius,
     haar_orthonormal_pair,
     maximally_entangled_vector,
@@ -342,20 +343,19 @@ def _covariant_blocks(d: int):
     entries (i(d+1), j(d+1)) that map X[j, j] to X[i, i].  b[r, c] is the
     diagonal entry T[c d + r, c d + r] that scales X[r, c] (zero for r = c)
     and P[i, j] = T[i(d+1), j(d+1)].  Each block's support is checked
-    exactly; an entry outside it raises instead of being dropped.  The
+    exactly, by ``linalg.diagonal_covariant`` on the components of its
+    pattern; an entry outside it raises instead of being dropped.  The
     arrays have the blocks' dtype: real for ``generator_blocks``.
     """
     diag = np.arange(d) * (d + 1)  # vec index of X[i, i]
     out = []
     for name, block in zip(("hop", "phase"), generator_blocks(d)):
+        if not diagonal_covariant(d, (idx for _, idx, _ in affine_blocks((block,)))):
+            raise QuditMapsError(f"the {name} block at d = {d} has entries outside the "
+                                 "diagonal and the population block")
         b = np.diagonal(block).reshape(d, d).T.copy()  # b[r, c] = T[c d + r, c d + r]
         np.fill_diagonal(b, 0.0)
         pop = block[np.ix_(diag, diag)]
-        # b and pop hold every entry of the support once; counting the
-        # block's nonzeros allocates nothing the size of the block
-        if np.count_nonzero(block) > np.count_nonzero(b) + np.count_nonzero(pop):
-            raise QuditMapsError(f"the {name} block at d = {d} has entries outside the "
-                                 "diagonal and the population block")
         for arr in (b, pop):
             arr.flags.writeable = False
         out.append((b, pop))
@@ -573,28 +573,32 @@ _FAMILIES = ("basis", "pair", "uniform")
 def _representative_parts(d: int):
     """The three orbit representatives' hop and phase forms; read-only, cached per d.
 
-    Returns ``(blocks, uniform, ws)``.  The forms do not depend on the
-    seed, so they are built once per d, by ``dissipation_forms`` at |w|
+    Returns ``(blocks, member, uniform, ws)``.  The forms do not depend on
+    the seed, so they are built once per d, by ``dissipation_forms`` at |w|
     (see ``_form_parts``).  The basis and pair forms are block-sparse at
     every d (at d = 16 the basis form is 240 1 x 1 blocks and one 15 x 15,
     the pair form 210 1 x 1, 14 2 x 2 and one 17 x 17), so they are kept
     only as ``blocks``, the ``linalg.affine_blocks`` of their stacked
     (2, 2, d^2 - 1, d^2 - 1) parts: per block size, the components (index
     b (d^2 - 1) + i is row i of representative b, 0 basis and 1 pair) and
-    the (hop, phase) blocks there.  The uniform form is one dense block,
-    solved whole with the Haar forms, but most of its entries are zero
-    (83 % at d = 16), so it is kept as ``(support, hop, phase)``: the flat
-    indices of its nonzero entries and its two parts there.  ``ws`` are
-    the three representatives as drawn.
+    the (hop, phase) blocks there.  ``member`` names each block's
+    representative, ``idx[:, 0] // (d^2 - 1)`` over the sizes, in the order
+    in which ``_representative_minimum`` concatenates the blocks' minima.
+    The uniform form is one dense block, solved whole with the Haar forms,
+    but most of its entries are zero (83 % at d = 16), so it is kept as
+    ``(support, hop, phase)``: the flat indices of its nonzero entries and
+    its two parts there.  ``ws`` are the three representatives as drawn.
     """
     _covariant_blocks(d)  # raises unless hop and phase are diagonal-unitary covariant
     ws = deterministic_candidates(d)[[0, d, d * d]]
     forms = dissipation_forms(d, np.abs(ws))
     support = np.flatnonzero(np.any(forms[:, 2] != 0, axis=0))
     uniform = (support, forms[0, 2].reshape(-1)[support], forms[1, 2].reshape(-1)[support])
-    for arr in (*uniform, ws):
+    blocks = affine_blocks(forms[:, :2])
+    member = np.concatenate([idx[:, 0] // (d * d - 1) for _, idx, _ in blocks])
+    for arr in (*uniform, ws, member):
         arr.flags.writeable = False
-    return affine_blocks(forms[:, :2]), uniform, ws
+    return blocks, member, uniform, ws
 
 
 def _form_parts(d: int, n: int, seed):
@@ -622,13 +626,12 @@ def _representative_minimum(d: int, t: float):
 
     Solved on the blocks of ``_representative_parts``: one
     ``linalg.min_eig_gathered`` per block size gives every block's minimum,
-    and the block's component names its representative.  On a tie the
-    basis representative decides, as the first of the three.
+    and ``member``, built once per d, names each block's representative.
+    On a tie the basis representative decides, as the first of the three.
     """
-    blocks, _, ws = _representative_parts(d)
+    blocks, member, _, ws = _representative_parts(d)
     vals = np.concatenate([min_eig_gathered(size, (phase * t + hop)[:, None])
                            for size, _, (hop, phase) in blocks])
-    member = np.concatenate([idx[:, 0] // (d * d - 1) for _, idx, _ in blocks])
     best = vals.min()
     k = member[vals == best].min()
     return best, ws[k], _FAMILIES[k]

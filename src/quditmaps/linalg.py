@@ -26,10 +26,12 @@ cached by the pattern's bits and shape; ``components`` is its uncached
 core.  ``affine_blocks`` is its one caller and the package's one gatherer:
 it labels the joint pattern of a few parts and returns each component
 size's indices with the parts' blocks there.  ``min_eig_gathered`` solves
-the blocks of one size.  ``regions`` combines the family's parts and
-splits transfers with them, ``generators`` keeps the Schwarz
-representatives' forms as them, and ``dynamics`` solves the Weyl
-mixture's Choi matrix and extracts the time-local generator on them.
+the blocks of one size, and ``diagonal_covariant`` reads from the indices
+whether the parts commute with every diagonal unitary conjugation.
+``regions`` combines the family's parts and splits transfers with them,
+``generators`` keeps the Schwarz representatives' forms as them, and
+``dynamics`` solves the Weyl mixture's Choi matrix and extracts the
+time-local generator on them.
 """
 
 from __future__ import annotations
@@ -240,6 +242,21 @@ def affine_blocks(parts) -> tuple:
     return tuple(out)
 
 
+def diagonal_covariant(d: int, groups) -> bool:
+    """Whether maps on d x d matrices, block diagonal on the components
+    ``groups``, commute with X -> U X U^+ for every diagonal unitary U.
+
+    ``groups`` holds (B, s) index arrays, one component per row, of the
+    entries of X (``vec`` or row-major indices: X[r, r] is r (d + 1) in
+    both), such as the ``idx`` of ``affine_blocks`` of transfer matrices.
+    U multiplies X[r, c] by u_r conj(u_c), so a map commutes with every
+    such U iff it links no two entries but diagonal ones, for which that
+    factor is 1: iff no component of size > 1 holds an entry off X's
+    diagonal.  The test is exact on the pattern.
+    """
+    return all(idx.shape[-1] == 1 or not (idx % (d + 1)).any() for idx in groups)
+
+
 def min_eig_gathered(size: int, mats) -> np.ndarray:
     """Smallest eigenvalue over the last-axis blocks of ``mats``, for every leading index.
 
@@ -270,9 +287,11 @@ def min_eig_gathered(size: int, mats) -> np.ndarray:
 # fixed cost per step and O(n^3) steps, so it beats one LAPACK call per
 # matrix only on long stacks of small matrices; the README ("Numerical
 # notes") gives the measured crossover.  The package's stacks on this path:
-# the positivity outputs of ``regions.classify_grid`` at d <= 5, of a single
-# map at d <= 5 with a budget of at least 1024, and the Haar forms of
-# ``generators.is_dissipative`` at d = 2 with a budget above 8184.  Other
+# the positivity outputs of ``regions.classify_grid`` at d <= 5 (real: the
+# family's parts pass the diagonal-unitary check, so the samples are imaged
+# at |c|), of a single map at d <= 5 with a budget of at least 1024 (real
+# for a map that passes the check, complex otherwise), and the real Haar
+# forms of ``generators.is_dissipative`` at d = 2 with a budget above 8184.  Other
 # stacks are factored by LAPACK in blocks of at most _LAPACK_BLOCK matrices
 # (4 MB at n = 16; at n = 8, 5408 complex matrices took 2.71 ms as one
 # block and 2.55 ms as six, on one BLAS thread of a 2-core Xeon).

@@ -27,10 +27,11 @@ Numeric oracles
 Both classifiers use only generic structure: the family is affine in
 (alpha, beta), so every oracle works on its three parts.
 ``linalg.affine_blocks``, the package's one block path, decomposes a
-stack of parts into the blocks of their joint nonzero pattern.  What depends on d alone is decomposed once
-per d and oracle and cached, read-only (``_family_blocks``): the parts'
-Choi matrices, their partial transposes, and the parts' images of the
-deterministic positivity candidates.  ``family_min_eig`` combines one of
+stack of parts into the blocks of their joint nonzero pattern.  What
+depends on d alone is decomposed once per d and oracle and cached,
+read-only (``_family_blocks``): the parts' Choi matrices, their partial
+transposes, and the parts' images of the deterministic positivity
+candidates.  ``family_min_eig`` combines one of
 them on a grid of (alpha, beta) and solves the blocks by
 ``linalg.min_eig_gathered``; ``classify_grid`` calls it on a whole grid,
 and ``classify_numeric`` and ``dynamics.trajectory_point`` on one point.
@@ -55,10 +56,16 @@ The positivity minimum has two exact stages:
    minimum) are solved by ``eigvalsh``, in one call.  ``classify_grid``
    images its samples under the three parts, ``classify_numeric`` under
    the one transfer matrix of its map (one part with coefficient 1).
+   When the parts pass ``linalg.diagonal_covariant``, a symmetry checked
+   exactly on the components of their pattern, a sample c is imaged at
+   its elementwise modulus |c|, whose output is unitarily similar to c's;
+   the family's real parts then give real outputs and a real certificate.
 
 The result never depends on the certificate succeeding, only the time
 does.  Nothing here takes anything from the closed forms: no inequality,
-and not which part is tau0 or Delta.  The dense d^2 x d^2 ``eigvalsh``
+and not which part is tau0 or Delta.  The one symmetry used, commuting
+with X -> U X U^+ for diagonal unitaries U, is read from the parts'
+nonzero pattern, not assumed.  The dense d^2 x d^2 ``eigvalsh``
 references live in the tests: ``dense_positivity_min``,
 ``test_grid_minima_match_dense_pointwise_solves`` and
 ``test_classify_numeric_margins_match_dense_solves`` in
@@ -110,6 +117,7 @@ from .linalg import (
     bisect,
     check_dimension,
     deterministic_candidates,
+    diagonal_covariant,
     min_eig_capped,
     min_eig_gathered,
     partial_transpose,
@@ -221,7 +229,8 @@ def classify_point(p: MapParams) -> RegionVerdict:
 # Points whose sampled positivity outputs are certified together, and the bytes
 # of those outputs and one more array as large held at once: the Cholesky
 # factor, or the copy of the outputs that fail the certificate; at d = 16
-# with budget 256 a point's take 2 MB, so ``_CHUNK`` points alone would hold 1 GB.
+# with budget 256 a point's take 1 MB (real) or 2 MB (complex), so ``_CHUNK``
+# points alone would hold 0.5 or 1 GB.
 # ``_CHUNK`` also bounds the Schwarz falsifier's stacks of candidates (2 MB of
 # complex gaps at d = 16).
 _CHUNK = 512
@@ -234,27 +243,34 @@ def _transfer_blocks(transfer) -> tuple:
     Every transfer matrix of the stack is block diagonal on the components
     that ``linalg.affine_blocks`` finds in the pattern any of them has
     nonzero, so it maps the entries of X in one component to entries of
-    the same component.  Returns ``(diag, pairs)``.  ``diag`` (..., 1, d^2)
-    is each transfer's diagonal in the row-major order of X's entries (the
-    ``vec`` index c d + r is X[r, c], row-major index r d + c): on a
-    component of one entry, that is all the transfer does.  ``pairs`` holds
-    one ``(rows, blocks)`` pair per larger component size s: ``rows``
-    (B, s) lists each component's entries as row-major indices, and
-    ``blocks`` (..., B, s, s) the transfer matrices restricted to them.  A
-    family map at d = 16 is 240 scalars and one 16 x 16 block, a Weyl
-    mixture d blocks of size d, a dense transfer one block of size d^2.
+    the same component.  Returns ``(diag, pairs)``, from that one
+    decomposition.  ``diag`` (..., 1, d^2) holds, in the row-major order of
+    X's entries (the ``vec`` index c d + r is X[r, c], row-major index
+    r d + c), each transfer's entry on the components of one entry, which
+    is all the transfer does there, and zero on the larger components.
+    ``pairs`` holds one ``(rows, blocks)`` pair per larger component size
+    s: ``rows`` (B, s) lists each component's entries as row-major
+    indices, and ``blocks`` (..., B, s, s) the transfer matrices restricted
+    to them.  A family map at d = 16 is 240 scalars and one 16 x 16 block,
+    a Weyl mixture d blocks of size d, a dense transfer one block of size
+    d^2.
     """
     transfer = np.asarray(transfer)
     n = transfer.shape[-1]
     d = isqrt(n)
     flat = np.arange(n).reshape(d, d).T.ravel()  # vec index <-> row-major index, both ways
+    lead = transfer.shape[:-2]
     # C order, so that ``_images``'s output (``x * diag``) is C-contiguous
     # and its block products run on contiguous stacks
-    diag = np.ascontiguousarray(transfer[..., None, flat, flat])
-    lead = transfer.shape[:-2]
-    return diag, tuple((flat[idx], blocks.reshape(lead + blocks.shape[1:]))
-                       for size, idx, blocks in affine_blocks(transfer.reshape(-1, n, n))
-                       if size > 1)
+    diag = np.zeros(lead + (1, n), dtype=transfer.dtype)
+    pairs = []
+    for size, idx, blocks in affine_blocks(transfer.reshape(-1, n, n)):
+        blocks = blocks.reshape(lead + blocks.shape[1:])
+        if size == 1:
+            diag[..., 0, flat[idx[:, 0]]] = blocks
+        else:
+            pairs.append((flat[idx], blocks))
+    return diag, tuple(pairs)
 
 
 def _images(blocks, inputs) -> np.ndarray:
@@ -285,10 +301,11 @@ def _images(blocks, inputs) -> np.ndarray:
     return out.reshape(out.shape[:-2] + (n_in, d, d))
 
 
-def _pure_images(parts, cand) -> np.ndarray:
+def _pure_images(blocks, cand) -> np.ndarray:
     """Images of the pure states |c><c| of the (N, d) rows c of ``cand`` under
-    (K, d^2, d^2) transfer matrices ``parts``, Hermitised: (K, N, d, d)."""
-    images = _images(_transfer_blocks(parts), np.einsum("ni,nj->nij", cand, cand.conj()))
+    the (K, d^2, d^2) transfer matrices split by ``_transfer_blocks``,
+    Hermitised: (K, N, d, d)."""
+    images = _images(blocks, np.einsum("ni,nj->nij", cand, cand.conj()))
     # the products carry rounding; real combinations of Hermitian images stay Hermitian
     return (images + np.conj(np.swapaxes(images, -1, -2))) / 2.0
 
@@ -296,18 +313,27 @@ def _pure_images(parts, cand) -> np.ndarray:
 def _sampled_min(d: int, parts, coef, best, sample_budget: int, seed) -> np.ndarray:
     """Stage 2 of the positivity minimum: ``best`` lowered to the sampled outputs' minima.
 
-    ``sample_budget`` > 0 seeded candidates are drawn once for all the maps
-    ``coef @ parts``, one per row of the real (G, K) ``coef``, and imaged
-    under the (K, d^2, d^2) ``parts`` by ``_images``; ``best`` holds the
-    stage-1 minima, one per row.  The sampled outputs of a chunk of maps go
-    to ``linalg.min_eig_capped`` with those minima as caps: it certifies
-    them by Cholesky factorisations and solves by ``eigvalsh`` only the
-    outputs where the certificate fails (ties, or a sample that sets the
-    minimum).  A chunk holds at most ``_CHUNK`` maps and, with the Cholesky
-    factor or the copy of the failing outputs, ``_CHUNK_BYTES``.
+    ``sample_budget`` > 0 seeded candidates c are drawn once for all the
+    maps ``coef @ parts``, one per row of the real (G, K) ``coef``, and
+    imaged under the (K, d^2, d^2) ``parts`` by ``_images``; ``best`` holds
+    the stage-1 minima, one per row.  When the components of the parts'
+    joint pattern pass ``linalg.diagonal_covariant``, every such map
+    commutes with X -> U X U^+ for diagonal unitaries U.  Then c = U |c|
+    for one of them makes the output at c unitarily similar to the output
+    at |c|, the elementwise modulus, so the candidates are imaged at |c|:
+    under real parts the outputs, the buffer and the certificate are real.
+    Parts that fail the check image c.  The sampled outputs of a chunk of
+    maps go to ``linalg.min_eig_capped`` with those minima as caps: it
+    certifies them by Cholesky factorisations and solves by ``eigvalsh``
+    only the outputs where the certificate fails (ties, or a sample that
+    sets the minimum).  A chunk holds at most ``_CHUNK`` maps and, with the
+    Cholesky factor or the copy of the failing outputs, ``_CHUNK_BYTES``.
     """
+    blocks = _transfer_blocks(parts)
     cand = positivity_candidates(d, sample_budget, np.random.default_rng(seed))[d * d + 1:]
-    sampled = _pure_images(parts, cand)
+    if diagonal_covariant(d, (rows for rows, _ in blocks[1])):
+        cand = np.abs(cand)
+    sampled = _pure_images(blocks, cand)
     k, n_samples = sampled.shape[:2]
     # the real coefficients combine the samples' real and imaginary parts alike
     flat = np.ascontiguousarray(sampled).view(float).reshape(k, -1)
@@ -318,7 +344,8 @@ def _sampled_min(d: int, parts, coef, best, sample_budget: int, seed) -> np.ndar
         sl = slice(start, min(start + chunk, g))
         rows = buf[:sl.stop - start]
         np.matmul(coef[sl], flat, out=rows)
-        best[sl] = min_eig_capped(rows.view(complex).reshape(-1, n_samples, d, d), best[sl])
+        best[sl] = min_eig_capped(rows.view(sampled.dtype).reshape(-1, n_samples, d, d),
+                                  best[sl])
     return best
 
 
@@ -343,7 +370,7 @@ def _family_blocks(d: int, oracle: str) -> tuple:
     """
     parts = family_transfer_parts(d)
     if oracle == "candidates":
-        blocks = affine_blocks(_pure_images(parts, deterministic_candidates(d)))
+        blocks = affine_blocks(_pure_images(_transfer_blocks(parts), deterministic_candidates(d)))
     else:
         choi = choi_from_transfer(parts, d)
         blocks = affine_blocks(partial_transpose(choi, d, 2) if oracle == "pt" else choi)
@@ -387,8 +414,9 @@ def classify_numeric(p: MapParams, sample_budget: int = 256, seed: int = 42,
     partial-transpose and deterministic-candidate minima are
     ``family_min_eig`` at the one point, the floats ``classify_grid`` gives
     there.  Only a positive ``sample_budget`` builds the d^2 x d^2 map: its
-    sampled candidates are imaged by its transfer matrix and certified
-    against the deterministic minimum.
+    sampled candidates are imaged by its transfer matrix, at |c| when it
+    passes the diagonal-unitary check of ``_sampled_min`` (a family map
+    does), and certified against the deterministic minimum.
     """
     choi_min, pt_min, pos_min = (family_min_eig(p.d, oracle, p.alpha, p.beta)[0]
                                  for oracle in _ORACLES)
@@ -439,10 +467,11 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
     small block solves of the Choi, partial-transpose and deterministic
     positivity minima (``family_min_eig``), draws one set of
     ``sample_budget`` candidates for the whole grid, forms their images
-    under the three parts, and certifies each point's sampled outputs
-    against its deterministic minimum by Cholesky factorisations (over
-    components, all at once, at d <= 5), solving by ``eigvalsh`` only
-    where the certificate fails.
+    under the three parts (at |c|, since the parts pass the diagonal-unitary
+    check of ``_sampled_min``, so the outputs are real), and certifies each
+    point's sampled outputs against its deterministic minimum by real
+    Cholesky factorisations (over components, all at once, at d <= 5),
+    solving by ``eigvalsh`` only where the certificate fails.
     At most 512 points' sampled outputs are held at once, and fewer when
     the outputs and their Cholesky factor would exceed 64 MB.
     """

@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from quditmaps import dynamics as dy
 from quditmaps import linalg as la
 from quditmaps.channels import MapParams, build_phi_family, family_fit, named_map
-from quditmaps.errors import NegativeTime, NoLimit, SingularMap, UnknownName
+from quditmaps.errors import DimensionMismatch, NegativeTime, NoLimit, SingularMap, UnknownName
 from quditmaps.regions import classify_point
 from reference import alpha_beta_by_quadrature, basis_matrix, dense_extraction
 
@@ -117,6 +117,17 @@ def test_switch_time_identities():
 
 def test_switch_time_infinite_at_d2():
     assert dy.switch_times(2).t_star == np.inf
+
+
+def test_switch_times_are_cached_per_d():
+    for d in range(2, 17):
+        sw = dy.switch_times(d)
+        assert dy.switch_times(np.int64(d)) is sw and dy.switch_times(float(d)) is sw
+        t_star = np.inf if d == 2 else np.log(2.0 * (d - 1) / (d - 2)) / d
+        t_s = np.log(2.0 * (d * d - 1) / (d * d - 2)) / d
+        assert (sw.t_star, sw.t_s) == (float(t_star), float(t_s))
+    with pytest.raises(DimensionMismatch):
+        dy.switch_times(17)
 
 
 # --- maps along schedules ---------------------------------------------------------

@@ -771,9 +771,9 @@ def test_a_new_seed_builds_only_the_haar_forms(monkeypatch, fresh_sample_parts):
     assert len(built) == 1 and np.array_equal(built[0], np.abs(haar))
     assert len(haar) == -(-budget // d ** 3)
     assert rep == g.is_dissipative(p, budget, 2)
-    blocks, uniform, ws = g._representative_parts(d)
+    blocks, member, uniform, ws = g._representative_parts(d)
     assert all(not a.flags.writeable
-               for a in [*uniform, ws] + [a for _, idx, b in blocks for a in (idx, b)])
+               for a in [*uniform, ws, member] + [a for _, idx, b in blocks for a in (idx, b)])
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from quditmaps import channels
 from quditmaps import dynamics as dy
+from quditmaps import generators
 from quditmaps import linalg as la
 from quditmaps import regions as r
 from quditmaps import verify
@@ -15,8 +16,8 @@ from quditmaps.channels import (MapParams, SuperMap, build_phi_family,
                                 choi_from_transfer, compose, named_map,
                                 unitary_conjugation)
 from quditmaps.errors import NotUnital, QuditMapsError, UnknownName
-from quditmaps.generators import (GenParams, build_generator, schwarz_threshold,
-                                  witness_operator)
+from quditmaps.generators import (GenParams, build_generator, generator_blocks,
+                                  schwarz_threshold, witness_operator)
 from quditmaps.linalg import partial_transpose
 from reference import basis_matrix, sampled_positivity_min, schwarz_violation
 
@@ -44,7 +45,8 @@ def package_positivity_min(m, sample_budget, seed):
     """The package's two positivity stages on any map: the deterministic
     candidates' blockwise images solved by ``eigvalsh``, then the sampled
     outputs certified against that minimum by ``regions._sampled_min``."""
-    images = r._pure_images(m.transfer[None], la.deterministic_candidates(m.d))
+    images = r._pure_images(r._transfer_blocks(m.transfer[None]),
+                            la.deterministic_candidates(m.d))
     best = np.linalg.eigvalsh(images)[..., 0].min(axis=-1)
     if sample_budget > 0:
         best = r._sampled_min(m.d, m.transfer[None], np.ones((1, 1)), best, sample_budget, seed)
@@ -208,6 +210,132 @@ def test_sampled_candidate_sets_the_minimum_of_a_random_map(d, seed, scale):
         assert abs(path(m, sample_budget=0, seed=seed) - deterministic) <= 1e-12
 
 
+def covariant(d, parts) -> bool:
+    """``linalg.diagonal_covariant`` on the components of a stack of transfers."""
+    return la.diagonal_covariant(d, (rows for rows, _ in r._transfer_blocks(parts)[1]))
+
+
+def off_pattern_maps(d, seed):
+    """A family map with one entry added that links X[0, 1] to X[1, 0], and a
+    family map conjugated by a random complex unitary."""
+    m = build_phi_family(MapParams(d, 0.4, -0.1))
+    t = m.transfer.copy()
+    t[1, d] = 0.3  # vec index 1 is X[1, 0], d is X[0, 1]
+    u = np.linalg.qr(la.ginibre(d, np.random.default_rng(seed)))[0]
+    conj = compose(unitary_conjugation(u), compose(m, unitary_conjugation(u.conj().T)))
+    return SuperMap(d, t), conj
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_family_parts_and_generator_blocks_pass_the_diagonal_unitary_check(d):
+    parts = channels.family_transfer_parts(d)
+    assert covariant(d, parts)
+    for block in generator_blocks(d):
+        assert la.diagonal_covariant(d, (idx for _, idx, _ in la.affine_blocks((block,))))
+    # what the check stands for: each part commutes with X -> U X U^+
+    u = np.diag(np.exp(2j * np.pi * np.random.default_rng(d).random(d)))
+    conj = unitary_conjugation(u).transfer
+    for part in (*parts, *generator_blocks(d)):
+        assert np.abs(part @ conj - conj @ part).max() <= 1e-14
+    assert r.diagonal_covariant is generators.diagonal_covariant is la.diagonal_covariant
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 16])
+def test_a_map_off_the_covariant_pattern_is_imaged_at_c(d, monkeypatch):
+    inputs = []
+    images = r._images
+
+    def imaging(blocks, x):
+        inputs.append(x)
+        return images(blocks, x)
+
+    monkeypatch.setattr(r, "_images", imaging)
+    budget, seed = 48, d
+    family = build_phi_family(MapParams(d, 0.4, -0.1))
+    cand = la.positivity_candidates(d, budget, np.random.default_rng(seed))[d * d + 1:]
+    for m in (family, *off_pattern_maps(d, seed)):
+        inputs.clear()
+        got = package_positivity_min(m, sample_budget=budget, seed=seed)
+        assert abs(got - dense_positivity_min(m, sample_budget=budget, seed=seed)) <= 1e-12
+        # the deterministic candidates, then the sampled ones: at |c| on the
+        # family, at c off its pattern
+        c = np.abs(cand) if m is family else cand
+        assert covariant(d, m.transfer[None]) == (m is family)
+        assert np.array_equal(inputs[-1], np.einsum("ni,nj->nij", c, c.conj()))
+
+
+def wide_grid(d):
+    """A 9 x 9 grid reaching far outside P, where samples set some minima."""
+    return np.linspace(-1.0, 3.0, 9), np.linspace(-3.0, 3.0, 9)
+
+
+def imaged_at_c(d, alphas, betas, budget, seed):
+    """``classify_grid``'s ``pos_min`` with the sampled candidates imaged at c."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(r, "diagonal_covariant", lambda d, groups: False)
+        return r.classify_grid(d, alphas, betas, sample_budget=budget, seed=seed)["pos_min"]
+
+
+def assert_within_capped_rounding(d, alphas, betas, real, cplx):
+    # ``min_eig_capped``'s margin, 2 (n + 1)^2 eps times the outputs' largest
+    # diagonal entry plus the cap, bounds how far two solves of unitarily
+    # similar outputs may differ
+    aa, bb = np.meshgrid(alphas, betas, indexing="ij")
+    scale = (np.abs(1.0 - aa - bb) + np.abs(aa) + np.abs(bb)).max() + np.abs(cplx).max()
+    assert np.abs(real - cplx).max() <= 2 * (d + 1) ** 2 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_the_real_path_gives_the_complex_minima_where_samples_set_them(d):
+    alphas, betas = wide_grid(d)
+    grid = r.classify_grid(d, alphas, betas, sample_budget=32, seed=d)
+    stage1 = r.family_min_eig(d, "candidates", alphas, betas)
+    assert (grid["pos_min"] < stage1).any()
+    assert_within_capped_rounding(d, alphas, betas, grid["pos_min"],
+                                  imaged_at_c(d, alphas, betas, 32, d))
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 16), seed=st.integers(0, 2**31 - 1),
+       alphas=st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=4),
+       betas=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+def test_sampling_at_the_modulus_keeps_every_minimum(d, seed, alphas, betas):
+    alphas, betas = np.array(alphas), np.array(betas)
+    real = r.classify_grid(d, alphas, betas, sample_budget=16, seed=seed)["pos_min"]
+    assert_within_capped_rounding(d, alphas, betas, real,
+                                  imaged_at_c(d, alphas, betas, 16, seed))
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_grid_and_single_map_certificates_are_real(d, monkeypatch):
+    dtypes = []
+    capped = r.min_eig_capped
+
+    def recording(mats, cap):
+        dtypes.append(mats.dtype)
+        return capped(mats, cap)
+
+    monkeypatch.setattr(r, "min_eig_capped", recording)
+    r.classify_grid(d, *r.default_grid(d, 4), sample_budget=8, seed=d)
+    r.classify_numeric(MapParams(d, 0.3, 0.1), sample_budget=8, seed=d)
+    assert dtypes and all(dtype == np.float64 for dtype in dtypes)
+
+
+@pytest.mark.parametrize("d", [2, 3, 16])
+def test_transfer_blocks_read_the_diagonal_from_the_one_entry_components(d):
+    rng = np.random.default_rng(d)
+    for transfer in (channels.family_transfer_parts(d), rng.standard_normal((d ** 4,))
+                     .reshape(d * d, d * d) * (rng.random((d * d, d * d)) < 2.0 / d ** 2)):
+        diag, pairs = r._transfer_blocks(transfer)
+        # row-major index r d + c is X[r, c], vec index c d + r
+        want = np.diagonal(transfer, axis1=-2, axis2=-1).reshape(transfer.shape[:-2] + (d, d))
+        want = np.swapaxes(want, -1, -2).reshape(transfer.shape[:-2] + (1, d * d)).copy()
+        for rows, _ in pairs:
+            want[..., 0, rows.ravel()] = 0.0
+        assert diag.dtype == transfer.dtype and diag.flags.c_contiguous
+        assert np.array_equal(diag, want)
+
+
 @pytest.fixture
 def eigvalsh_shapes(monkeypatch):
     """The shape of every array passed to ``np.linalg.eigvalsh`` in the test."""
@@ -298,9 +426,9 @@ def test_single_map_oracles_solve_no_matrix_larger_than_d(d, eigvalsh_shapes):
 
 
 def test_grid_positivity_batches_stay_within_byte_budget(monkeypatch):
-    # at d = 16 with budget 256 one point's sampled outputs take 1 MB and their
-    # Cholesky factor as much again: 64 points at once would hold 134 MB, more
-    # than the budget
+    # at d = 16 with budget 256 one point's sampled outputs, real, take 0.5 MB
+    # and their Cholesky factor as much again: the 100 points at once would
+    # hold 105 MB, more than the budget
     def recording(solve, sizes):
         def wrapper(a, *args, **kwargs):
             sizes.append(np.asarray(a).nbytes)
@@ -311,12 +439,12 @@ def test_grid_positivity_batches_stay_within_byte_budget(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh, sizes["eigvalsh"]))
     monkeypatch.setattr(la, "_lapack_passes", recording(la._lapack_passes, sizes["lapack"]))
     d = 16
-    res = r.classify_grid(d, *r.default_grid(d, 8), sample_budget=256, seed=2)
+    res = r.classify_grid(d, *r.default_grid(d, 10), sample_budget=256, seed=2)
     assert sizes["lapack"] and 2 * max(sizes["lapack"]) <= r._CHUNK_BYTES
     assert sizes["eigvalsh"] and max(sizes["eigvalsh"]) <= r._CHUNK_BYTES
     monkeypatch.undo()
     monkeypatch.setattr(r, "_CHUNK", 1)
-    one = r.classify_grid(d, *r.default_grid(d, 8), sample_budget=256, seed=2)
+    one = r.classify_grid(d, *r.default_grid(d, 10), sample_budget=256, seed=2)
     assert np.abs(res["pos_min"] - one["pos_min"]).max() <= 1e-12
 
 
