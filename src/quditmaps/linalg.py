@@ -291,8 +291,8 @@ def min_eig_gathered(size: int, mats) -> np.ndarray:
 # family's parts pass the diagonal-unitary check, so the samples are imaged
 # at |c|), of a single map at d <= 5 with a budget of at least 1024 (real
 # for a map that passes the check, complex otherwise), and the real Haar
-# forms of ``generators.is_dissipative`` at d = 2 with a budget above 8184.  Other
-# stacks are factored by LAPACK in blocks of at most _LAPACK_BLOCK matrices
+# forms of ``generators.is_dissipative`` at d = 2 with a budget above 8184.
+# Other stacks are factored by LAPACK in blocks of at most _LAPACK_BLOCK matrices
 # (4 MB at n = 16; at n = 8, 5408 complex matrices took 2.71 ms as one
 # block and 2.55 ms as six, on one BLAS thread of a 2-core Xeon).
 _COMPONENT_ORDER = 5

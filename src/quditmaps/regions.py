@@ -27,11 +27,10 @@ Numeric oracles
 Both classifiers use only generic structure: the family is affine in
 (alpha, beta), so every oracle works on its three parts.
 ``linalg.affine_blocks``, the package's one block path, decomposes a
-stack of parts into the blocks of their joint nonzero pattern.  What
-depends on d alone is decomposed once per d and oracle and cached,
-read-only (``_family_blocks``): the parts' Choi matrices, their partial
-transposes, and the parts' images of the deterministic positivity
-candidates.  ``family_min_eig`` combines one of
+stack of parts into the blocks of their joint nonzero pattern.  What depends on d alone is decomposed once
+per d and oracle and cached, read-only (``_family_blocks``): the parts'
+Choi matrices, their partial transposes, and the parts' images of the
+deterministic positivity candidates.  ``family_min_eig`` combines one of
 them on a grid of (alpha, beta) and solves the blocks by
 ``linalg.min_eig_gathered``; ``classify_grid`` calls it on a whole grid,
 and ``classify_numeric`` and ``dynamics.trajectory_point`` on one point.

@@ -252,15 +252,19 @@ def test_a_map_off_the_covariant_pattern_is_imaged_at_c(d, monkeypatch):
     monkeypatch.setattr(r, "_images", imaging)
     budget, seed = 48, d
     family = build_phi_family(MapParams(d, 0.4, -0.1))
+    # a complex map on the covariant pattern: the family after a diagonal unitary
+    u = np.diag(np.exp(2j * np.pi * np.random.default_rng(seed).random(d)))
+    on_pattern = (family, compose(family, unitary_conjugation(u)))
     cand = la.positivity_candidates(d, budget, np.random.default_rng(seed))[d * d + 1:]
-    for m in (family, *off_pattern_maps(d, seed)):
+    for m in (*on_pattern, *off_pattern_maps(d, seed)):
         inputs.clear()
         got = package_positivity_min(m, sample_budget=budget, seed=seed)
         assert abs(got - dense_positivity_min(m, sample_budget=budget, seed=seed)) <= 1e-12
         # the deterministic candidates, then the sampled ones: at |c| on the
-        # family, at c off its pattern
-        c = np.abs(cand) if m is family else cand
-        assert covariant(d, m.transfer[None]) == (m is family)
+        # covariant pattern, at c off it
+        imaged_at_modulus = any(m is k for k in on_pattern)
+        c = np.abs(cand) if imaged_at_modulus else cand
+        assert covariant(d, m.transfer[None]) == imaged_at_modulus
         assert np.array_equal(inputs[-1], np.einsum("ni,nj->nij", c, c.conj()))
 
 
