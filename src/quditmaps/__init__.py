@@ -57,14 +57,10 @@ from .generators import (
     is_ccp,
     is_conditionally_positive,
     is_dissipative,
-    lemma1_value,
     spectrum_rates,
 )
 from .linalg import (
     eig_hermitian,
-    is_psd,
-    maximally_entangled_projector,
-    min_eig,
     partial_transpose,
     unvec,
     vec,

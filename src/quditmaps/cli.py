@@ -126,8 +126,9 @@ def _check_config(cfg: RunConfig) -> RunConfig:
         raise QuditMapsError(
             f"sampling budget must be an integer in [0, {most}], got {cfg.sample_budget!r}")
     tol = cfg.tolerance
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not math.isfinite(tol):
-        raise QuditMapsError(f"tolerance must be a finite number, got {tol!r}")
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float)) or not math.isfinite(tol)
+            or tol < 0):
+        raise QuditMapsError(f"tolerance must be a finite number >= 0, got {tol!r}")
     if cfg.output_path is not None and not isinstance(cfg.output_path, str):
         raise QuditMapsError(f"output path must be a string, got {cfg.output_path!r}")
     return cfg

@@ -35,7 +35,9 @@ Implemented schedules:
 
 Each schedule is a subclass of ``Schedule`` that owns its behaviour:
 ``kappa_nu(t)``, ``alpha_beta(t)``, ``limit()``, and ``point(t)``, the
-coordinates and Choi minimum of a trajectory point.  Adding a schedule
+coordinates and Choi minimum of a trajectory point.  A family schedule
+gives ``kappa_nu`` and ``alpha_beta`` only: its map, point and limit (the
+family map at ``alpha_beta(inf)``) follow from them.  Adding a schedule
 means adding one such class (and a name in ``SCHEDULES`` for the CLI); the
 public functions ``kappa_nu_at``, ``alpha_beta_at``, ``map_at`` and
 ``asymptotic_map`` are thin wrappers around those methods.
@@ -56,7 +58,6 @@ from .channels import (
     build_phi_family,
     compose,
     family_fit,
-    named_map,
     support_columns,
     support_fit,
     unitary_conjugation,
@@ -141,11 +142,13 @@ def _enm_id_coefficient(d: int, t: float) -> float:
 class Schedule:
     """A time dependence (kappa(t), nu(t)) of the generator family in dimension d.
 
-    Subclasses implement ``kappa_nu``, ``alpha_beta`` and ``limit``; the
-    default ``map`` builds the family map from ``alpha_beta``, and the
-    default ``point`` reads the family's cached Choi blocks.  The methods
-    take t >= 0 unchecked; the module-level wrappers check it.  Subclasses
-    that add no fields need no ``@dataclass`` of their own.
+    Subclasses implement ``kappa_nu`` and ``alpha_beta``; the default
+    ``map`` builds the family map from ``alpha_beta``, the default ``point``
+    reads the family's cached Choi blocks, and the default ``limit`` is the
+    family map at ``alpha_beta(inf)``.  Only a schedule that leaves the
+    family overrides them.  The methods take t >= 0 unchecked; the
+    module-level wrappers check it.  Subclasses that add no fields need no
+    ``@dataclass`` of their own.
     """
 
     d: int
@@ -162,8 +165,22 @@ class Schedule:
         raise NotImplementedError
 
     def limit(self) -> SuperMap:
-        """The t -> infinity limit of the dynamical map."""
-        raise NotImplementedError
+        """The t -> infinity limit of the dynamical map: the family map at
+        ``alpha_beta(inf)``.
+
+        The closed forms evaluate to their limits at t = inf in IEEE
+        arithmetic: a decaying exponential is 0 there.  A trajectory that
+        does not decay gives an inf or NaN coordinate (an exponent of +inf,
+        or 0 * inf), and raises NoLimit: for ``ConstantNu`` that is
+        d - 1 + nu <= 0 or kappa <= 0, and also a rate kappa (d - 1 + nu)
+        that underflows to 0 (a subnormal kappa), with which the computed
+        trajectory does not decay at any finite t either.
+        """
+        alpha, beta = self.alpha_beta(math.inf)
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise NoLimit(f"the {type(self).__name__} trajectory has no finite limit "
+                          f"for d={self.d}: (alpha, beta)(inf) = ({alpha}, {beta})")
+        return build_phi_family(MapParams(self.d, alpha, beta))
 
     def map(self, t: float) -> SuperMap:
         """The dynamical map at time t."""
@@ -217,12 +234,6 @@ class ConstantNu(Schedule):
             b_fac = np.exp(-self.kappa * (d - 1.0 + self.nu) * t)
             return 1.0 - a_fac, a_fac - b_fac
 
-    def limit(self):
-        if self.d - 1 + self.nu <= 0 or self.kappa <= 0:
-            raise NoLimit(f"beta(t) does not decay for kappa={self.kappa}, "
-                          f"nu={self.nu}, d={self.d}")
-        return build_phi_family(MapParams(self.d, 1.0, 0.0))
-
 
 class OptimalENM(Schedule):
     def kappa_nu(self, t):
@@ -233,9 +244,6 @@ class OptimalENM(Schedule):
         # that way keeps the trajectory on the CP boundary bitwise
         alpha = 1.0 - np.exp(-self.d * t)
         return alpha, -alpha / self.d
-
-    def limit(self):
-        return named_map("E4", self.d)[0]
 
 
 class _FrozenENM(Schedule):
@@ -258,12 +266,6 @@ class _FrozenENM(Schedule):
         a_fac = np.exp(-d * t)
         b_fac = _enm_id_coefficient(d, t_sw) * np.exp(-(d - 1.0 + nu_f) * (t - t_sw))
         return 1.0 - a_fac, a_fac - b_fac
-
-    def limit(self):
-        t_sw, nu_f = self._switch()
-        if np.isinf(t_sw):  # never switches (t_* is infinite at d = 2)
-            return OptimalENM(self.d).limit()
-        return ConstantNu(self.d, 1.0, nu_f).limit()
 
 
 class PDivisible(_FrozenENM):
@@ -293,9 +295,6 @@ class ENM2(Schedule):
     def alpha_beta(self, t):
         alpha = self.d * (1.0 - np.exp(-self.d * t)) / (self.d - 1.0)
         return alpha, -alpha / self.d
-
-    def limit(self):
-        return named_map("E3", self.d)[0]
 
 
 class WeylMixture(Schedule):
@@ -389,12 +388,14 @@ def map_at(s: Schedule, t: float, h=None) -> SuperMap:
 def asymptotic_map(s: Schedule) -> SuperMap:
     """The t -> infinity limit of the schedule's dynamical map.
 
-    OptimalENM converges to E4; PDivisible, SchwarzDivisible, and any
-    ConstantNu with nu > -(d-1) relax to the completely depolarizing
-    channel; ENM2 converges to E3; WeylMixture converges to the average of
-    the cyclic-group conditional expectations of its Weyl unitaries (equal
-    to E4 exactly when d is prime).  Raises NoLimit when beta(t) does not
-    decay (ConstantNu with nu <= -(d-1)).
+    A family schedule's limit is the family map at its ``alpha_beta(inf)``
+    (``Schedule.limit``): OptimalENM converges to E4; PDivisible,
+    SchwarzDivisible, and any ConstantNu with kappa > 0 and nu > -(d-1)
+    relax to the completely depolarizing channel; ENM2 converges to E3.
+    WeylMixture converges to the average of the cyclic-group conditional
+    expectations of its Weyl unitaries (equal to E4 exactly when d is
+    prime).  Raises NoLimit when the coordinates do not converge
+    (ConstantNu with kappa <= 0 or nu <= -(d-1)).
     """
     return s.limit()
 

@@ -29,10 +29,6 @@ class NotTraceless(QuditMapsError):
     """An operator that must be traceless has a nonzero trace."""
 
 
-class NotOrthonormal(QuditMapsError):
-    """A vector pair that must be orthonormal is not, within tolerance."""
-
-
 class NotUnital(QuditMapsError):
     """A unital map was required (the operator Schwarz inequality needs one)."""
 

@@ -108,7 +108,6 @@ from .channels import SuperMap, dephase
 from .errors import (
     DimensionMismatch,
     NegativeRate,
-    NotOrthonormal,
     NotTraceless,
     QuditMapsError,
     UnknownName,
@@ -705,20 +704,3 @@ def is_dissipative(p: GenParams, sample_budget: int = 10_000,
         argmin_w=w,
         argmin_family=family,
     )
-
-
-# ---------------------------------------------------------------------------
-# the pair-functional bound
-# ---------------------------------------------------------------------------
-
-def lemma1_value(x, y) -> float:
-    """sum_i |x_i|^2 |y_i|^2 for an orthonormal pair; always <= 1/2."""
-    xv = np.asarray(x, dtype=complex).reshape(-1)
-    yv = np.asarray(y, dtype=complex).reshape(-1)
-    if xv.shape != yv.shape:
-        raise NotOrthonormal("x and y must have the same length")
-    if abs(np.linalg.norm(xv) - 1.0) > 1e-10 or abs(np.linalg.norm(yv) - 1.0) > 1e-10:
-        raise NotOrthonormal("x and y must be normalized")
-    if abs(np.vdot(xv, yv)) > 1e-10:
-        raise NotOrthonormal(f"|<x, y>| = {abs(np.vdot(xv, yv)):.3e} is not ~0")
-    return float(np.sum(np.abs(xv) ** 2 * np.abs(yv) ** 2))

@@ -48,9 +48,6 @@ from .errors import DimensionMismatch, NonHermitianInput, QuditMapsError
 # All objects handled here are at most 256 x 256; the dense code paths rely on it.
 DIM_CAP = 16
 
-# Default PSD tolerance, relative to (1 + Frobenius norm).
-PSD_TOL = 1e-9
-
 _HERM_TOL = 1e-12
 
 
@@ -128,12 +125,6 @@ def eig_hermitian(a):
     m = _require_hermitian(a)
     w, v = np.linalg.eigh(m)
     return w, v
-
-
-def min_eig(a) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    m = _require_hermitian(as_complex_matrix(a))
-    return float(np.linalg.eigvalsh(m)[0])
 
 
 def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -280,18 +271,21 @@ def min_eig_gathered(size: int, mats) -> np.ndarray:
     return vals.min(axis=-1)
 
 
-# Stacks of at least _COMPONENT_STACK matrices of order n <= _COMPONENT_ORDER
+# Real stacks of at least _COMPONENT_STACK matrices of order n <= _COMPONENT_ORDER
 # are factored over components, in blocks of at most _COMPONENT_BLOCK matrices
 # (a few hundred kB of components each; larger blocks gain nothing).  Each
 # step over components is one numpy operation on the whole stack, with a
 # fixed cost per step and O(n^3) steps, so it beats one LAPACK call per
 # matrix only on long stacks of small matrices; the README ("Numerical
 # notes") gives the measured crossover.  The package's stacks on this path:
-# the positivity outputs of ``regions.classify_grid`` at d <= 5 (real: the
+# the positivity outputs of ``regions.classify_grid`` at d <= 5 (the
 # family's parts pass the diagonal-unitary check, so the samples are imaged
-# at |c|), of a single map at d <= 5 with a budget of at least 1024 (real
-# for a map that passes the check, complex otherwise), and the real Haar
-# forms of ``generators.is_dissipative`` at d = 2 with a budget above 8184.
+# at |c|), of a single family map at d <= 5 with a budget of at least
+# 1024, and the Haar forms of ``generators.is_dissipative`` at d = 2 with a
+# budget above 8184.  Complex stacks go to LAPACK: the
+# falsifier's gaps under its Ginibre draws (at most 512 a call), and the
+# outputs of ``regions._sampled_min`` under a map that fails the check,
+# which no caller in the package passes it.
 # Other stacks are factored by LAPACK in blocks of at most _LAPACK_BLOCK matrices
 # (4 MB at n = 16; at n = 8, 5408 complex matrices took 2.71 ms as one
 # block and 2.55 ms as six, on one BLAS thread of a 2-core Xeon).
@@ -304,43 +298,30 @@ _LAPACK_BLOCK = 1024
 def _cholesky_passes(mats, shift) -> np.ndarray:
     """Whether the Cholesky factorisation of each ``mats[b] - shift[b] I`` succeeds.
 
-    ``mats`` is a (B, n, n) stack and ``shift`` a (B,) array.  The standard
-    right-looking algorithm on the lower triangle, run on the real and
-    imaginary part of each entry as a (B,) array, so each step is one numpy
-    operation over the whole stack: the shift is subtracted from the
-    diagonal, then column k is divided by the square root of the pivot, and
-    l_ik conj(l_jk) is subtracted from every entry (i, j) with i >= j > k.
-    Only the real part of a diagonal entry is read, as LAPACK does.  A real
-    stack has no imaginary parts to update, so only the real updates are
-    made; they are the complex path's on a copy with zero imaginary parts
-    (every imaginary term there is an exact zero, or a NaN in a matrix
-    whose factorisation fails anyway), so the verdicts agree.  A matrix
-    passes when every pivot is > 0, so a NaN pivot fails it.  Entries are
-    read from ``mats`` and never written.
+    ``mats`` is a real (B, n, n) stack and ``shift`` a (B,) array; complex
+    stacks go to ``_lapack_passes``.  The standard right-looking algorithm
+    on the lower triangle, run on each entry as a (B,) array, so each step
+    is one numpy operation over the whole stack: the shift is subtracted
+    from the diagonal, then column k is divided by the square root of the
+    pivot, and l_ik l_jk is subtracted from every entry (i, j) with
+    i >= j > k.  A matrix passes when every pivot is > 0, so a NaN pivot
+    fails it.  Entries are read from ``mats`` and never written.
     """
     b, n = mats.shape[:2]
     entries = mats.reshape(b, n * n)
-    cplx = np.iscomplexobj(mats)
-    re = {(i, j): entries[:, i * n + j].real for i in range(n) for j in range(i + 1)}
-    im = {(i, j): entries[:, i * n + j].imag for i in range(n) for j in range(i)} if cplx else {}
+    low = {(i, j): entries[:, i * n + j] for i in range(n) for j in range(i + 1)}
     for k in range(n):
-        re[k, k] = re[k, k] - shift
+        low[k, k] = low[k, k] - shift
     ok = np.ones(b, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         for k in range(n):
-            ok &= re[k, k] > 0
-            root = np.sqrt(re[k, k])
+            ok &= low[k, k] > 0
+            root = np.sqrt(low[k, k])
             for i in range(k + 1, n):
-                re[i, k] = re[i, k] / root
-                if cplx:
-                    im[i, k] = im[i, k] / root
+                low[i, k] = low[i, k] / root
             for i in range(k + 1, n):
-                for j in range(k + 1, i + 1):  # a_ij -= l_ik conj(l_jk)
-                    re[i, j] = re[i, j] - re[i, k] * re[j, k]
-                    if cplx:
-                        re[i, j] = re[i, j] - im[i, k] * im[j, k]
-                        if j < i:
-                            im[i, j] = im[i, j] - (im[i, k] * re[j, k] - re[i, k] * im[j, k])
+                for j in range(k + 1, i + 1):  # a_ij -= l_ik l_jk
+                    low[i, j] = low[i, j] - low[i, k] * low[j, k]
     return ok
 
 
@@ -378,10 +359,11 @@ def min_eig_capped(mats, cap) -> np.ndarray:
     its cap and is not diagonalised; the others go through one ``eigvalsh``
     call, unshifted.  The stack is factored in blocks of equal size, each
     with a verdict per matrix, by one of two factorisations chosen by the
-    input's size alone: ``_cholesky_passes`` over components, in blocks of
-    up to ``_COMPONENT_BLOCK``, for n <= ``_COMPONENT_ORDER`` and at least
-    ``_COMPONENT_STACK`` matrices, and ``_lapack_passes`` in blocks of up
-    to ``_LAPACK_BLOCK`` otherwise.
+    input's dtype and size: ``_cholesky_passes`` over components, in blocks
+    of up to ``_COMPONENT_BLOCK``, for a real stack of n <=
+    ``_COMPONENT_ORDER`` and at least ``_COMPONENT_STACK`` matrices, and
+    ``_lapack_passes`` in blocks of up to ``_LAPACK_BLOCK`` otherwise (every
+    complex stack).
 
     The margin, 2 (n + 1)^2 machine epsilons of the largest diagonal entry
     and cap in magnitude, exceeds the rounding of the factorisation and of
@@ -403,7 +385,7 @@ def min_eig_capped(mats, cap) -> np.ndarray:
     flat = mats.reshape(size, n, n, copy=False)
     scale = np.abs(flat.reshape(size, n * n)[:, ::n + 1]).max() + np.abs(cap).max()
     shift = (cap + 2 * (n + 1) ** 2 * np.finfo(float).eps * scale).repeat(s)
-    if n <= _COMPONENT_ORDER and size >= _COMPONENT_STACK:
+    if n <= _COMPONENT_ORDER and size >= _COMPONENT_STACK and not np.iscomplexobj(mats):
         passes, block = _cholesky_passes, _COMPONENT_BLOCK
     else:
         passes, block = _lapack_passes, _LAPACK_BLOCK
@@ -414,20 +396,6 @@ def min_eig_capped(mats, cap) -> np.ndarray:
     if failed.size:
         np.minimum.at(out, failed // s, np.linalg.eigvalsh(flat[failed])[:, 0])
     return out
-
-
-def is_psd(a, tol: float | None = None) -> bool:
-    """Positive semidefinite test: min eigenvalue >= -tol.
-
-    With ``tol=None`` the tolerance is PSD_TOL * (1 + ||A||_F).  Boundary
-    objects sit exactly at eigenvalue zero, so callers that care about the
-    sign of the margin should use ``min_eig`` directly.
-    """
-    m = as_complex_matrix(a)
-    lowest = min_eig(m)  # checks Hermiticity
-    if tol is None:
-        tol = PSD_TOL * (1.0 + frobenius(m))
-    return lowest >= -tol
 
 
 def vec(a) -> np.ndarray:
@@ -471,12 +439,6 @@ def maximally_entangled_vector(d: int) -> np.ndarray:
     v = np.zeros(d * d, dtype=complex)
     v[np.arange(d) * d + np.arange(d)] = 1.0
     return v / np.sqrt(d)
-
-
-def maximally_entangled_projector(d: int) -> np.ndarray:
-    """Rank-1, trace-1 projector onto the maximally entangled vector."""
-    v = maximally_entangled_vector(d)
-    return np.outer(v, v.conj())
 
 
 # ---------------------------------------------------------------------------

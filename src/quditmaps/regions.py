@@ -208,17 +208,19 @@ def _normalize_region(which: str) -> str:
     return key
 
 
+def _flags(margins, tol: float = 0.0) -> tuple:
+    """The P, CP and EB flags of their margins (numbers or arrays): margin >= -tol.
+
+    The one rule of every verdict: the closed forms use tol = 0 on their
+    slacks, the oracles their tolerance on the minima.
+    """
+    return tuple(m >= -tol for m in margins)
+
+
 def classify_point(p: MapParams) -> RegionVerdict:
     """Closed-form region membership with the binding-inequality slacks."""
-    m = {k: float(v) for k, v in _closed_slacks(p.d, p.alpha, p.beta).items()}
-    return RegionVerdict(
-        positive=m["P"] >= 0.0,
-        completely_positive=m["CP"] >= 0.0,
-        entanglement_breaking=m["EB"] >= 0.0,
-        margin_positive=m["P"],
-        margin_cp=m["CP"],
-        margin_eb=m["EB"],
-    )
+    margins = tuple(float(v) for v in _closed_slacks(p.d, p.alpha, p.beta).values())
+    return RegionVerdict(*_flags(margins), *margins)
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +424,8 @@ def classify_numeric(p: MapParams, sample_budget: int = 256, seed: int = 42,
     if sample_budget > 0:
         pos_min = _sampled_min(p.d, build_phi_family(p).transfer[None], np.ones((1, 1)),
                                pos_min, sample_budget, seed)
-    choi_min, pt_min, pos_min = float(choi_min[0]), float(pt_min[0]), float(pos_min[0])
-    return RegionVerdict(
-        positive=pos_min >= -tol,
-        completely_positive=choi_min >= -tol,
-        entanglement_breaking=(choi_min >= -tol) and (pt_min >= -tol),
-        margin_positive=pos_min,
-        margin_cp=choi_min,
-        margin_eb=min(choi_min, pt_min),
-    )
+    margins = tuple(float(m[0]) for m in (pos_min, choi_min, np.minimum(choi_min, pt_min)))
+    return RegionVerdict(*_flags(margins, tol), *margins)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +473,7 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
     aa, bb = np.meshgrid(alphas, betas, indexing="ij")
-    margins = _closed_slacks(d, aa, bb)
+    margins = tuple(_closed_slacks(d, aa, bb).values())
 
     choi_min, pt_min, pos_min = (family_min_eig(d, oracle, alphas, betas)
                                  for oracle in _ORACLES)
@@ -489,18 +484,20 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
         pos_min = _sampled_min(d, family_transfer_parts(d), coef,
                                pos_min.ravel(), sample_budget, seed).reshape(aa.shape)
 
+    closed = _flags(margins)
+    numeric = _flags((pos_min, choi_min, np.minimum(choi_min, pt_min)), tol)
     return {
         "alphas": alphas,
         "betas": betas,
-        "closed_positive": margins["P"] >= 0.0,
-        "closed_cp": margins["CP"] >= 0.0,
-        "closed_eb": margins["EB"] >= 0.0,
-        "margin_positive": margins["P"],
-        "margin_cp": margins["CP"],
-        "margin_eb": margins["EB"],
-        "numeric_positive": pos_min >= -tol,
-        "numeric_cp": choi_min >= -tol,
-        "numeric_eb": (choi_min >= -tol) & (pt_min >= -tol),
+        "closed_positive": closed[0],
+        "closed_cp": closed[1],
+        "closed_eb": closed[2],
+        "margin_positive": margins[0],
+        "margin_cp": margins[1],
+        "margin_eb": margins[2],
+        "numeric_positive": numeric[0],
+        "numeric_cp": numeric[1],
+        "numeric_eb": numeric[2],
         "choi_min": choi_min,
         "pt_min": pt_min,
         "pos_min": pos_min,

@@ -131,7 +131,8 @@ def test_unknown_name():
 def test_choi_of_identity():
     d = 3
     m = ch.build_phi_family(ch.MapParams(d, 0.0, 0.0))
-    assert np.allclose(m.choi, d * la.maximally_entangled_projector(d))
+    omega = la.maximally_entangled_vector(d)
+    assert np.allclose(m.choi, d * np.outer(omega, omega.conj()))
 
 
 def test_choi_of_depolarizing_and_pinching_by_direct_sum():

@@ -370,6 +370,22 @@ def test_config_value_of_wrong_type_is_a_usage_error(tmp_path, capsys, config):
     assert _single_error_line(capsys)
 
 
+def test_negative_tolerance_is_a_usage_error(tmp_path, capsys):
+    # a negative tolerance would flag a point whose margins are all +0.167
+    # as outside P and CP, and report a false disagreement; zero is valid
+    argv = ["classify", "--d", "3", "--alpha=0.5", "--beta=0.1"]
+    assert cli.main(argv + ["--tolerance=-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _single_error_line_in(captured.err)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerance": -0.5}))
+    assert cli.main(["--config", str(cfg)] + argv) == 2
+    assert _single_error_line(capsys)
+    for zero in ("--tolerance=0", "--tolerance=-0.0"):
+        code, out = run(capsys, argv + [zero])
+        assert code == 0 and json.loads(out)["agreement"] is True
+
+
 @pytest.mark.parametrize("value", ["abc", "-3"])
 def test_bad_env_seed_is_a_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv(cli.ENV_SEED, value)

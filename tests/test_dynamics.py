@@ -1,6 +1,8 @@
+import ast
 import math
 import warnings
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +309,67 @@ def test_asymptotic_constant_nu():
     assert np.abs(m.transfer - tau0.transfer).max() <= 1e-12
     with pytest.raises(NoLimit):
         dy.asymptotic_map(dy.ConstantNu(3, 1.0, -2.5))
+
+
+def test_only_the_weyl_mixture_overrides_the_limit():
+    # every family schedule takes ``Schedule.limit``, the family map at
+    # alpha_beta(inf); only the mixture, which leaves the family, has its own
+    owners = set()
+    for path in Path(dy.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "limit"
+                    for item in node.body):
+                owners.add(node.name)
+    assert owners == {"Schedule", "WeylMixture"}
+
+
+@pytest.mark.parametrize("coordinates", [lambda t: (t, 0.0), lambda t: (0.0, -t),
+                                         lambda t: (t - t, 0.0)])
+def test_a_schedule_whose_coordinates_do_not_converge_has_no_limit(coordinates):
+    # the default limit checks both coordinates at t = inf: inf, -inf, NaN
+    class Runaway(dy.Schedule):
+        def kappa_nu(self, t):
+            return 1.0, 0.0
+
+        def alpha_beta(self, t):
+            return coordinates(t)
+
+    with pytest.raises(NoLimit):
+        dy.asymptotic_map(Runaway(3))
+
+
+TINY = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(2, 16), kappa=st.one_of(st.sampled_from(TINY), st.floats(-20, 20)),
+       nu=st.one_of(st.sampled_from(TINY), st.floats(-30, 30)),
+       edge=st.sampled_from([None, -math.inf, 0.0, math.inf]))
+@example(d=3, kappa=1.0, nu=-2.5, edge=None)
+@example(d=3, kappa=1.0, nu=-2.0, edge=None)
+@example(d=3, kappa=0.0, nu=0.3, edge=None)
+@example(d=3, kappa=-1.0, nu=0.3, edge=None)
+@example(d=3, kappa=1e-300, nu=-2.0, edge=math.inf)
+@example(d=2, kappa=5e-324, nu=0.0, edge=0.0)
+def test_constant_nu_limit_is_tau0_exactly_when_beta_decays(d, kappa, nu, edge):
+    # the default limit, the family map at alpha_beta(inf), raises NoLimit
+    # exactly where the rule it replaced did (d - 1 + nu <= 0 or kappa <= 0),
+    # and gives tau0 bit for bit elsewhere; ``edge`` puts nu at -(d - 1) or
+    # one float either side of it.  One case more raises: a subnormal kappa
+    # times a small d - 1 + nu underflows to a zero rate, so the computed
+    # B(t) = exp(-0 t) is 1 at every finite t and NaN at t = inf
+    if edge is not None:
+        nu = float(np.nextafter(-(d - 1.0), edge))
+    s = dy.ConstantNu(d, kappa, nu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if d - 1 + nu <= 0 or kappa <= 0 or kappa * (d - 1 + nu) == 0.0:
+            with pytest.raises(NoLimit):
+                dy.asymptotic_map(s)
+        else:
+            tau0 = build_phi_family(MapParams(d, 1.0, 0.0))
+            assert dy.asymptotic_map(s).transfer.tobytes() == tau0.transfer.tobytes()
 
 
 # --- crossing times -----------------------------------------------------------------

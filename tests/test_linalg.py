@@ -14,7 +14,9 @@ from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
 from quditmaps import channels as ch
+from quditmaps import generators as g
 from quditmaps import linalg as la
+from quditmaps import regions as r
 from quditmaps import verify
 from quditmaps.errors import DimensionMismatch, NonHermitianInput
 from reference import basis_matrix as basis
@@ -90,25 +92,7 @@ def test_eig_hermitian_of_a_stack_checks_every_member():
         la.eig_hermitian(np.zeros((2, 3, 4)))
 
 
-def test_is_psd_examples():
-    assert la.is_psd(np.eye(4), tol=1e-10)
-    assert not la.is_psd(np.diag([1.0, -1e-3]), tol=1e-10)
-
-
-def test_is_psd_default_tolerance_is_relative_to_the_norm():
-    # tol=None allows a lowest eigenvalue down to -PSD_TOL * (1 + ||A||_F)
-    big = np.diag([1e6, -5e-4])  # allowance about 1e-3
-    assert la.is_psd(big)
-    assert not la.is_psd(big, tol=1e-10)
-    assert not la.is_psd(np.diag([1e6, -2e-3]))
-    assert la.is_psd(np.diag([1.0, -1e-9]))  # allowance about 2e-9
-    assert not la.is_psd(np.diag([1.0, -1e-8]))
-    for lowest in (-0.99, -1.01):  # around the allowance of a norm-1e9 matrix
-        allowance = la.PSD_TOL * (1.0 + np.hypot(1e9, lowest))
-        assert la.is_psd(np.diag([1e9, lowest])) == (lowest >= -allowance)
-
-
-def test_is_psd_checks_hermiticity_once(monkeypatch):
+def test_eig_hermitian_checks_hermiticity_once(monkeypatch):
     calls = []
     original = la._hermiticity_failures
 
@@ -117,15 +101,11 @@ def test_is_psd_checks_hermiticity_once(monkeypatch):
         return original(m, tol)
 
     monkeypatch.setattr(la, "_hermiticity_failures", counting)
-    assert la.is_psd(np.eye(3))
+    assert np.array_equal(la.eig_hermitian(np.eye(3))[0], np.ones(3))
     assert calls == [(3, 3)]
-    with pytest.raises(NonHermitianInput):
-        la.is_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-def test_min_eig_requires_hermitian():
-    with pytest.raises(NonHermitianInput):
-        la.min_eig(la.ginibre(3, np.random.default_rng(0)))
+    for bad in (np.array([[1.0, 1.0], [0.0, 1.0]]), la.ginibre(3, np.random.default_rng(0))):
+        with pytest.raises(NonHermitianInput):
+            la.eig_hermitian(bad)
 
 
 def test_partial_transpose_identity():
@@ -136,7 +116,8 @@ def test_partial_transpose_identity():
 def test_partial_transpose_maximally_entangled_gives_swap():
     # PT(d P+) is the swap operator: direct 4x4 computation for d=2
     d = 2
-    pt = la.partial_transpose(d * la.maximally_entangled_projector(d), d, 2)
+    omega = la.maximally_entangled_vector(d)
+    pt = la.partial_transpose(d * np.outer(omega, omega.conj()), d, 2)
     assert np.allclose(pt, swap_matrix(d))
     assert np.allclose(np.linalg.eigvalsh(pt), [-1.0, 1.0, 1.0, 1.0])
 
@@ -173,10 +154,14 @@ def test_vec_convention_witness():
 
 
 def test_maximally_entangled_projector():
-    p3 = la.maximally_entangled_projector(3)
+    # the projector onto maximally_entangled_vector has trace 1 and rank 1;
+    # at d = 2 its four nonzeros are 1/2
+    omega = la.maximally_entangled_vector(3)
+    p3 = np.outer(omega, omega.conj())
     assert np.trace(p3) == pytest.approx(1.0)
     assert np.linalg.matrix_rank(p3) == 1
-    p2 = la.maximally_entangled_projector(2)
+    omega = la.maximally_entangled_vector(2)
+    p2 = np.outer(omega, omega.conj())
     nz = p2[np.abs(p2) > 0]
     assert nz.size == 4 and np.allclose(nz, 0.5)
 
@@ -711,8 +696,9 @@ def solver_shapes(monkeypatch):
     return shapes
 
 
-def on_component_path(n, stack):
-    return n <= la._COMPONENT_ORDER and stack >= la._COMPONENT_STACK
+def on_component_path(n, stack, real):
+    """Whether ``min_eig_capped`` factors a stack over components: only real ones."""
+    return real and n <= la._COMPONENT_ORDER and stack >= la._COMPONENT_STACK
 
 
 def random_stack(rng, groups, samples, n, real=False):
@@ -733,7 +719,7 @@ def test_min_eig_capped_certifies_a_cap_below_every_eigenvalue(n, real, solver_s
         cap = lowest - 1e-3
         assert np.array_equal(la.min_eig_capped(mats, cap), cap)
         assert not solver_shapes["eigvalsh"]
-        path, other = ("components", "lapack") if on_component_path(n, 3 * samples) \
+        path, other = ("components", "lapack") if on_component_path(n, 3 * samples, real) \
             else ("lapack", "components")
         assert solver_shapes[path] and not solver_shapes[other]
 
@@ -823,19 +809,69 @@ def test_min_eig_capped_solves_a_matrix_with_a_nan(tiles, entry, solver_shapes):
     bad[entry] = bad[entry[::-1]] = np.nan
     mats = np.ascontiguousarray(np.tile([np.eye(3), bad], (tiles, 1, 1))[None])
     assert_capped_is_plain(mats, np.array([0.5]))
-    assert solver_shapes["components" if on_component_path(3, 2 * tiles) else "lapack"]
+    assert solver_shapes["components" if on_component_path(3, 2 * tiles, True) else "lapack"]
 
 
 @pytest.mark.parametrize("n, samples", [(3, 300), (3, 1200), (8, 1200)])
 def test_min_eig_capped_leaves_its_input_unchanged(n, samples, solver_shapes):
     # caps below every eigenvalue (all pass), at the median of the minima and
-    # above every eigenvalue (all fail), on both paths of the certificate
+    # above every eigenvalue (all fail), on both paths of the certificate: a
+    # complex stack takes LAPACK, its real part the components at n <= 5
     rng = np.random.default_rng(samples + n)
-    mats = random_stack(rng, 2, samples // 2, n)
-    lowest = np.linalg.eigvalsh(mats)[..., 0]
-    for cap in (lowest.min(axis=1) - 1, np.median(lowest, axis=1), np.full(2, np.inf)):
-        assert_capped_is_plain(mats, cap)
-    assert solver_shapes["components" if on_component_path(n, samples) else "lapack"]
+    for real in (False, True):
+        mats = random_stack(rng, 2, samples // 2, n, real)
+        lowest = np.linalg.eigvalsh(mats)[..., 0]
+        for recorded in solver_shapes.values():
+            recorded.clear()
+        for cap in (lowest.min(axis=1) - 1, np.median(lowest, axis=1), np.full(2, np.inf)):
+            assert_capped_is_plain(mats, cap)
+        assert solver_shapes["components" if on_component_path(n, samples, real) else "lapack"]
+
+
+@pytest.fixture
+def factor_dtypes(monkeypatch):
+    """The dtypes of the stacks passed to each factorisation."""
+    dtypes = {"lapack": [], "components": []}
+    for name, attr in (("lapack", "_lapack_passes"), ("components", "_cholesky_passes")):
+        def recording(mats, shift, _solve=getattr(la, attr), _recorded=dtypes[name]):
+            _recorded.append(mats.dtype)
+            return _solve(mats, shift)
+
+        monkeypatch.setattr(la, attr, recording)
+    return dtypes
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_complex_stacks_take_lapack_and_their_real_copies_the_components(n, factor_dtypes):
+    # a complex stack long enough for the path over components goes to
+    # LAPACK; the real copy goes over components; both give the plain minimum
+    rng = np.random.default_rng(n)
+    mats = random_stack(rng, 2, 600, n)
+    real = np.ascontiguousarray(mats.real)
+    for stack, path, other in ((mats, "lapack", "components"), (real, "components", "lapack")):
+        for recorded in factor_dtypes.values():
+            recorded.clear()
+        lowest = np.linalg.eigvalsh(stack)[..., 0]
+        cap = np.median(lowest, axis=1)
+        assert np.array_equal(la.min_eig_capped(stack, cap), np.minimum(cap, lowest.min(axis=1)))
+        assert set(factor_dtypes[path]) == {stack.dtype} and not factor_dtypes[other]
+
+
+@pytest.mark.parametrize("call", ["grid", "numeric", "dissipative"])
+def test_the_package_sends_only_real_stacks_over_components(call, factor_dtypes):
+    # the callers whose stacks reach the path over components: the grid's
+    # sampled outputs at d <= 5, a single family map's at budget >= 1024, and
+    # the Haar forms of the dissipativity oracle at d = 2 with budget > 8184
+    if call == "grid":
+        axis = np.linspace(0.0, 1.0, 4)
+        r.classify_grid(3, axis, axis, sample_budget=64, seed=1)
+    elif call == "numeric":
+        for d in (2, 3, 5):
+            r.classify_numeric(ch.MapParams(d, 0.5, 0.1), sample_budget=1024, seed=1)
+    else:
+        g.is_dissipative(g.GenParams(2, 1.0, -0.3), 8200, 1)
+    assert factor_dtypes["components"]
+    assert set(factor_dtypes["components"]) == {np.dtype(float)}
 
 
 def test_lapack_passes_restores_the_diagonals_when_the_factorisation_raises(monkeypatch):
@@ -882,36 +918,11 @@ def test_lapack_passes_is_a_cholesky_per_matrix(n, batch, real, rotate, seed):
     assert mats.tobytes() == before.tobytes()
     shifted = mats - shift[:, None, None] * np.eye(n)
     assert passes.tolist() == [factors(m) for m in shifted]
-    if n <= la._COMPONENT_ORDER:
+    if real and n <= la._COMPONENT_ORDER:
         # at an exact zero eigenvalue of a rotated matrix the last pivot is
         # rounding, which the two factorisations may round differently
         clear = np.all(spectra - shift[:, None] != 0, axis=1) | (not rotate)
         assert np.array_equal(passes[clear], la._cholesky_passes(mats, shift)[clear])
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_cholesky_passes_on_a_real_stack_is_its_complex_copy(n):
-    # the real path skips the imaginary updates; the verdicts must be those of
-    # the same stack in complex128: definite, indefinite, exactly singular
-    # (ties at the shift), NaN and infinite matrices
-    rng = np.random.default_rng(n)
-    spectra = rng.choice([-1.0, 0.0, 1.0, 2.0], size=(64, n))
-    q = np.linalg.qr(rng.standard_normal((64, n, n)))[0]
-    rotated = q @ (spectra[:, :, None] * np.eye(n)) @ q.swapaxes(-1, -2)
-    rotated = (rotated + rotated.swapaxes(-1, -2)) / 2
-    integer = rng.integers(-2, 3, size=(64, n, n)).astype(float)
-    integer = integer @ integer.swapaxes(-1, -2)  # singular ones tie at shift 0
-    special = np.repeat(np.eye(n)[None], 4, axis=0)
-    special[0, -1, -1] = np.nan
-    special[1, 0, 0] = np.nan
-    special[2, -1, 0] = special[2, 0, -1] = np.inf
-    special[3, 0, 0] = np.inf
-    mats = np.ascontiguousarray(np.concatenate([rotated, integer, special]))
-    for shift in (np.zeros(len(mats)), rng.choice([-0.5, 0.0, 0.5], size=len(mats))):
-        real = la._cholesky_passes(mats, shift)
-        assert real.tolist() == la._cholesky_passes(mats.astype(complex), shift).tolist()
-        assert real.any() and not real.all()
-    assert not real[-4:-2].any()  # a NaN pivot fails
 
 
 def test_linalg_import_loads_no_csgraph():
