@@ -52,11 +52,22 @@ class MapParams:
         so the oracles' sums and Hermitisations stay finite.
         """
         d = check_dimension(self.d)
-        alpha, beta = float(self.alpha), float(self.beta)  # python floats overflow silently
-        if not math.isfinite(d * d * (abs(1.0 - alpha - beta) + abs(alpha) + abs(beta))):
+        alpha, beta = float(self.alpha), float(self.beta)
+        if not coordinates_finite(d, alpha, beta):
             raise DimensionMismatch(
                 f"alpha and beta must be finite, and so must d^2 (|1 - alpha - beta| + "
                 f"|alpha| + |beta|); got alpha = {alpha}, beta = {beta} at d = {d}")
+
+
+def coordinates_finite(d: int, alpha, beta):
+    """``MapParams``' rule, elementwise over (alpha, beta) arrays or at one point:
+    whether d^2 (|1 - alpha - beta| + |alpha| + |beta|) is finite.
+
+    A sum or product that overflows is inf, and inf - inf is NaN, without a
+    warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.isfinite(d * d * (abs(1.0 - alpha - beta) + abs(alpha) + abs(beta)))
 
 
 class SuperMap:

@@ -315,14 +315,14 @@ def cmd_trajectory(args, cfg) -> int:
     if not (math.isfinite(args.t_max) and args.t_max >= 0):
         raise QuditMapsError(f"--t-max must be a finite number >= 0, got {args.t_max}")
     sched = dynamics.schedule_from_name(args.schedule, args.d, args.kappa, args.nu)
+    tr = dynamics.trajectory(sched, np.linspace(0.0, args.t_max, args.steps + 1))
     lines = ["t,alpha,beta,positive,cp,eb,min_choi_eig"]
-    for t in np.linspace(0.0, args.t_max, args.steps + 1):
-        pt = dynamics.trajectory_point(sched, float(t))
-        lines.append(
-            f"{_fmt(pt.t)},{_fmt(pt.alpha)},{_fmt(pt.beta)},"
-            f"{int(pt.verdict.positive)},{int(pt.verdict.completely_positive)},"
-            f"{int(pt.verdict.entanglement_breaking)},{_fmt(pt.min_choi_eig)}"
-        )
+    for t, alpha, beta, pos, cp, eb, choi_min in zip(*(
+            column.tolist() for column in (tr.t, tr.alpha, tr.beta, tr.positive,
+                                           tr.completely_positive,
+                                           tr.entanglement_breaking, tr.min_choi_eig))):
+        lines.append(f"{_fmt(t)},{_fmt(alpha)},{_fmt(beta)},"
+                     f"{int(pos)},{int(cp)},{int(eb)},{_fmt(choi_min)}")
     _emit("\n".join(lines) + "\n", cfg.output_path)
     return EXIT_OK
 

@@ -34,13 +34,20 @@ Implemented schedules:
                            ``extract_time_local_generator``.
 
 Each schedule is a subclass of ``Schedule`` that owns its behaviour:
-``kappa_nu(t)``, ``alpha_beta(t)``, ``limit()``, and ``point(t)``, the
-coordinates and Choi minimum of a trajectory point.  A family schedule
-gives ``kappa_nu`` and ``alpha_beta`` only: its map, point and limit (the
+``kappa_nu(t)``, ``alpha_beta(t)``, ``limit()``, and ``points(ts)``, the
+coordinates and Choi minima of a trajectory on a grid of times.  A family
+schedule gives ``kappa_nu`` and ``alpha_beta`` only, and its
+``alpha_beta`` takes an array of times as well as one time, elementwise,
+with the floats of the one-time call: its map, points and limit (the
 family map at ``alpha_beta(inf)``) follow from them.  Adding a schedule
 means adding one such class (and a name in ``SCHEDULES`` for the CLI); the
 public functions ``kappa_nu_at``, ``alpha_beta_at``, ``map_at`` and
 ``asymptotic_map`` are thin wrappers around those methods.
+
+``trajectory(s, ts)`` classifies a whole time grid at once: one
+``alpha_beta`` call, one check of the coordinates, one
+``regions.family_min_eig`` call for the Choi minima and the closed-form
+slacks on the arrays; ``trajectory_point`` is its one-time case.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from .channels import (
     SuperMap,
     build_phi_family,
     compose,
+    coordinates_finite,
     family_fit,
     support_columns,
     support_fit,
@@ -69,7 +77,7 @@ from .generators import (
     GenParams, ccp_threshold, generator_blocks, positivity_threshold, schwarz_threshold,
 )
 from .linalg import affine_blocks, bisect, check_dimension, min_eig_gathered
-from .regions import family_min_eig
+from .regions import RegionVerdict, _closed_slacks, _flags, family_min_eig
 
 __all__ = [
     "ConstantNu", "OptimalENM", "PDivisible", "SchwarzDivisible", "ENM2",
@@ -78,7 +86,7 @@ __all__ = [
     "alpha_beta_at", "kappa_nu_at", "map_at", "asymptotic_map",
     "crossing_times", "tangency_slope", "weyl_ops", "weyl_mixture_map",
     "weyl_commutant_average", "extract_time_local_generator",
-    "schedule_from_name", "trajectory_point",
+    "schedule_from_name", "Trajectory", "trajectory", "trajectory_point",
 ]
 
 
@@ -88,6 +96,16 @@ def _check_time(t: float) -> float:
     if not (math.isfinite(t) and t >= 0):
         raise NegativeTime(f"time must be a finite number >= 0, got {t}")
     return t
+
+
+def _check_times(ts) -> np.ndarray:
+    """A 1-D float array of finite times >= 0; the first that is not raises
+    as ``_check_time`` does."""
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    bad = np.flatnonzero(~(np.isfinite(ts) & (ts >= 0)))
+    if bad.size:
+        _check_time(ts[bad[0]])
+    return ts
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +160,12 @@ def _enm_id_coefficient(d: int, t: float) -> float:
 class Schedule:
     """A time dependence (kappa(t), nu(t)) of the generator family in dimension d.
 
-    Subclasses implement ``kappa_nu`` and ``alpha_beta``; the default
-    ``map`` builds the family map from ``alpha_beta``, the default ``point``
-    reads the family's cached Choi blocks, and the default ``limit`` is the
-    family map at ``alpha_beta(inf)``.  Only a schedule that leaves the
+    Subclasses implement ``kappa_nu`` and ``alpha_beta``; ``alpha_beta``
+    takes one time or an array of times, elementwise, and gives at each time
+    the floats of the one-time call.  The default ``map`` builds the family
+    map from ``alpha_beta``, the default ``points`` reads the family's
+    cached Choi blocks for a whole time grid, and the default ``limit`` is
+    the family map at ``alpha_beta(inf)``.  Only a schedule that leaves the
     family overrides them.  The methods take t >= 0 unchecked; the
     module-level wrappers check it.  Subclasses that add no fields need no
     ``@dataclass`` of their own.
@@ -160,8 +180,9 @@ class Schedule:
         """The rates (kappa(t), nu(t))."""
         raise NotImplementedError
 
-    def alpha_beta(self, t: float):
-        """The family coordinates (alpha(t), beta(t)) of the map at time t."""
+    def alpha_beta(self, t):
+        """The family coordinates (alpha(t), beta(t)) of the map at time t,
+        or arrays of them at an array of times."""
         raise NotImplementedError
 
     def limit(self) -> SuperMap:
@@ -186,17 +207,22 @@ class Schedule:
         """The dynamical map at time t."""
         return build_phi_family(self._params(t))
 
-    def point(self, t: float):
-        """(alpha, beta, smallest Choi eigenvalue) of the map at time t.
+    def points(self, ts: np.ndarray):
+        """Arrays (alpha, beta, smallest Choi eigenvalue) of the maps at the 1-D times ``ts``.
 
-        The eigenvalue is ``regions.family_min_eig`` at (alpha, beta): a
-        combination of the family's cached Choi blocks, with no map built.
-        The coordinates are checked first (``_params``), so a trajectory
-        that overflows raises before any solve.
+        One ``alpha_beta`` call gives the coordinates, and
+        ``channels.coordinates_finite``, ``MapParams``' rule, checks them
+        all before any solve: the first time whose coordinates overflow
+        raises as ``_params`` does.  The eigenvalues are one
+        ``regions.family_min_eig`` call on the paired coordinates: a
+        combination of the family's cached Choi blocks, with no map built,
+        in chunks of bounded bytes, each point's the floats it gets alone.
         """
-        params = self._params(t)
-        alpha, beta = params.alpha, params.beta
-        return alpha, beta, float(family_min_eig(self.d, "choi", alpha, beta)[0, 0])
+        alphas, betas = self.alpha_beta(ts)
+        bad = np.flatnonzero(~coordinates_finite(self.d, alphas, betas))
+        if bad.size:
+            self._params(float(ts[bad[0]]))  # raises, naming that time
+        return alphas, betas, family_min_eig(self.d, "choi", alphas, betas)
 
     def _params(self, t: float) -> MapParams:
         """The checked family coordinates at time t (``channels.MapParams``).
@@ -241,8 +267,10 @@ class OptimalENM(Schedule):
 
     def alpha_beta(self, t):
         # A - B with B = (1 + (d-1)A)/d collapses to -alpha/d; computing it
-        # that way keeps the trajectory on the CP boundary bitwise
-        alpha = 1.0 - np.exp(-self.d * t)
+        # that way keeps the trajectory on the CP boundary bitwise.  A huge
+        # array t makes d t inf, whose exponential is 0, without a warning
+        with np.errstate(over="ignore"):
+            alpha = 1.0 - np.exp(-self.d * t)
         return alpha, -alpha / self.d
 
 
@@ -259,13 +287,16 @@ class _FrozenENM(Schedule):
         return 1.0, nu_enm(self.d, t) if t <= t_sw else nu_f
 
     def alpha_beta(self, t):
+        """OptimalENM's coordinates up to t_sw and the frozen rate's after,
+        chosen per element of t.  Both share alpha = 1 - e^{-dt}; the branch
+        not chosen may be inf or NaN (at d = 2, t_* is inf) and warns nothing."""
         d = self.d
         t_sw, nu_f = self._switch()
-        if t <= t_sw:
-            return OptimalENM(d).alpha_beta(t)
-        a_fac = np.exp(-d * t)
-        b_fac = _enm_id_coefficient(d, t_sw) * np.exp(-(d - 1.0 + nu_f) * (t - t_sw))
-        return 1.0 - a_fac, a_fac - b_fac
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_fac = np.exp(-d * t)
+            b_fac = _enm_id_coefficient(d, t_sw) * np.exp(-(d - 1.0 + nu_f) * (t - t_sw))
+            alpha = 1.0 - a_fac
+            return alpha, np.where(t <= t_sw, -alpha / d, a_fac - b_fac)[()]
 
 
 class PDivisible(_FrozenENM):
@@ -293,7 +324,8 @@ class ENM2(Schedule):
         return self.d / (self.d - e), 1.0 - e
 
     def alpha_beta(self, t):
-        alpha = self.d * (1.0 - np.exp(-self.d * t)) / (self.d - 1.0)
+        with np.errstate(over="ignore"):  # d t may overflow to inf: e^{-inf} = 0
+            alpha = self.d * (1.0 - np.exp(-self.d * t)) / (self.d - 1.0)
         return alpha, -alpha / self.d
 
 
@@ -313,19 +345,23 @@ class WeylMixture(Schedule):
     def map(self, t):
         return weyl_mixture_map(self.d, t)
 
-    def point(self, t):
-        """The fit of the mixture map and its Choi minimum, from one map build.
+    def points(self, ts):
+        """The fit of the mixture map and its Choi minimum at each time, from
+        one map build per time.
 
         The mixture leaves the family at composite d, so its Choi matrix is
         solved blockwise on its own nonzero pattern (blocks of at most d x d)
         by ``linalg.affine_blocks`` and ``linalg.min_eig_gathered``.  The
-        pattern is the same at every t > 0, so only the first such call
+        pattern is the same at every t > 0, so only the first such time
         labels it.
         """
-        m = self.map(t)
-        choi_min = min(min_eig_gathered(size, blocks[0])
-                       for size, _, blocks in affine_blocks((m.choi,)))
-        return (*family_fit(m)[:2], float(choi_min))
+        out = np.empty((3, len(ts)))
+        for i, t in enumerate(ts):
+            m = self.map(float(t))
+            choi_min = min(min_eig_gathered(size, blocks[0])
+                           for size, _, blocks in affine_blocks((m.choi,)))
+            out[:, i] = (*family_fit(m)[:2], choi_min)
+        return out[0], out[1], out[2]
 
 
 # CLI name -> constructor from (d, kappa, nu)
@@ -754,42 +790,77 @@ class TrajectoryPoint:
     t: float
     alpha: float
     beta: float
-    verdict: object  # regions.RegionVerdict
+    verdict: RegionVerdict
     schwarz_flag: str  # "in", "out", or "unknown"
     min_choi_eig: float
 
 
+@dataclass(frozen=True)
+class Trajectory:
+    """A schedule's trajectory on a grid of times, one array entry per time.
+
+    The columns of the ``trajectory`` CSV: the times, the coordinates, the
+    closed-form P, CP and EB flags and the smallest Choi eigenvalue; and
+    the closed-form margins (``regions.classify_point``'s slacks, in
+    ``RegionVerdict.margins`` order) and the Schwarz flags ("in", "out" or
+    "unknown").
+    """
+
+    t: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    positive: np.ndarray
+    completely_positive: np.ndarray
+    entanglement_breaking: np.ndarray
+    margins: tuple
+    min_choi_eig: np.ndarray
+    schwarz_flag: np.ndarray
+
+
+def trajectory(s: Schedule, ts, sample_budget: int = 0, seed: int = 42) -> Trajectory:
+    """A schedule's trajectory at the times ``ts``, with its verdicts, as arrays.
+
+    The coordinates and ``min_choi_eig``, the smallest eigenvalue of each
+    map's Choi matrix, come from the schedule's ``points``: the family
+    schedules read them off the family's cached Choi blocks in one
+    ``regions.family_min_eig`` call (the floats ``classify_grid`` gives at
+    those points) and build no map; the Weyl mixture builds its map once
+    per time, fits it and solves its Choi blocks.  The flags and margins
+    are the closed-form slacks on the arrays.
+
+    The Schwarz flag is 'in' where the point is CP (CP implies Schwarz),
+    'out' where it is not positive or a falsifier finds a witness (budget
+    permitting), and 'unknown' otherwise.  A map is built, for the
+    falsifier, only at the positive, non-CP points, and only when
+    ``sample_budget`` > 0.  Boundary-riding schedules sit at margin zero,
+    where the strict boolean verdicts are decided by the last rounding
+    error; use ``min_choi_eig`` (and the margins) on the boundary, not the
+    booleans.  A time that is negative or not finite raises
+    ``NegativeTime``, and coordinates that overflow raise before any solve.
+    """
+    from .regions import schwarz_falsify
+
+    ts = _check_times(ts)
+    alphas, betas, choi_min = s.points(ts)
+    margins = tuple(_closed_slacks(s.d, alphas, betas).values())
+    positive, cp, eb = _flags(margins)
+    flags = np.where(cp, "in", np.where(positive, "unknown", "out"))
+    if sample_budget > 0:
+        for i in np.flatnonzero(positive & ~cp):
+            if schwarz_falsify(map_at(s, ts[i]), sample_budget, seed) is not None:
+                flags[i] = "out"
+    return Trajectory(t=ts, alpha=alphas, beta=betas, positive=positive,
+                      completely_positive=cp, entanglement_breaking=eb, margins=margins,
+                      min_choi_eig=choi_min, schwarz_flag=flags)
+
+
 def trajectory_point(s: Schedule, t: float, sample_budget: int = 0,
                      seed: int = 42) -> TrajectoryPoint:
-    """One sampled point of a schedule's trajectory with its verdicts.
-
-    The Schwarz flag is 'in' when the point is CP (CP implies Schwarz),
-    'out' when it is not positive or a falsifier finds a witness (budget
-    permitting), and 'unknown' otherwise.
-
-    The coordinates and ``min_choi_eig``, the smallest eigenvalue of the
-    map's Choi matrix, come from the schedule's ``point``: the family
-    schedules read them off the family's cached Choi blocks
-    (``regions.family_min_eig``, the floats ``classify_grid`` gives at that
-    point) and build no map; the Weyl mixture builds its map once, fits it
-    and solves its Choi blocks.  A map is built for the falsifier only when
-    ``sample_budget`` > 0 and the point is positive but not CP.
-    Boundary-riding schedules sit at margin zero, where the strict boolean
-    verdicts are decided by the last rounding error; use ``min_choi_eig``
-    (and the verdict margins) on the boundary, not the booleans.
-    """
-    from .regions import classify_point, schwarz_falsify
-
-    t = _check_time(t)
-    alpha, beta, choi_min = s.point(t)
-    verdict = classify_point(MapParams(s.d, alpha, beta))
-    if verdict.completely_positive:
-        flag = "in"
-    elif not verdict.positive:
-        flag = "out"
-    elif sample_budget > 0 and schwarz_falsify(map_at(s, t), sample_budget, seed) is not None:
-        flag = "out"
-    else:
-        flag = "unknown"
-    return TrajectoryPoint(t=float(t), alpha=alpha, beta=beta, verdict=verdict,
-                           schwarz_flag=flag, min_choi_eig=choi_min)
+    """One point of a schedule's trajectory with its verdicts: the one-time
+    case of ``trajectory``, whose docstring gives the flags."""
+    tr = trajectory(s, [_check_time(t)], sample_budget, seed)
+    margins = tuple(float(m[0]) for m in tr.margins)
+    return TrajectoryPoint(t=float(tr.t[0]), alpha=float(tr.alpha[0]), beta=float(tr.beta[0]),
+                           verdict=RegionVerdict(*_flags(margins), *margins),
+                           schwarz_flag=str(tr.schwarz_flag[0]),
+                           min_choi_eig=float(tr.min_choi_eig[0]))

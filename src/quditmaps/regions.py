@@ -31,11 +31,12 @@ stack of parts into the blocks of their joint nonzero pattern.  What depends on 
 per d and oracle and cached, read-only (``_family_blocks``): the parts'
 Choi matrices, their partial transposes, and the parts' images of the
 deterministic positivity candidates.  ``family_min_eig`` combines one of
-them on a grid of (alpha, beta) and solves the blocks by
-``linalg.min_eig_gathered``; ``classify_grid`` calls it on a whole grid,
-and ``classify_numeric`` and ``dynamics.trajectory_point`` on one point.
-Its entries do not depend on the other points, so a point's minima are
-the same floats whichever of them computes it.
+them at points (alpha, beta) that broadcast together and solves the
+blocks by ``linalg.min_eig_gathered``; ``classify_grid`` calls it on a
+whole grid, ``dynamics.trajectory`` on a trajectory's paired points, and
+``classify_numeric`` on one point.  Its entries do not depend on the other
+points, so a point's minima are the same floats whichever of them
+computes it.
 
 The positivity minimum has two exact stages:
 
@@ -53,8 +54,10 @@ The positivity minimum has two exact stages:
    to 1024.  Either way each output gets its own verdict, and only the
    outputs that fail (a tie, as at the identity, or a sample that sets the
    minimum) are solved by ``eigvalsh``, in one call.  ``classify_grid``
-   images its samples under the three parts, ``classify_numeric`` under
-   the one transfer matrix of its map (one part with coefficient 1).
+   images its samples under the three parts, split on their components
+   once per d and cached, read-only (``_family_split``);
+   ``classify_numeric`` under the one transfer matrix of its map (one part
+   with coefficient 1).
    When the parts pass ``linalg.diagonal_covariant``, a symmetry checked
    exactly on the components of their pattern, a sample c is imaged at
    its elementwise modulus |c|, whose output is unitarily similar to c's;
@@ -98,7 +101,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -237,6 +240,13 @@ def classify_point(p: MapParams) -> RegionVerdict:
 _CHUNK = 512
 _CHUNK_BYTES = 64 * 2**20
 
+# ``family_min_eig`` combines the blocks of at most this many bytes of points
+# (with one temporary as large) at once.  Chunks this size stay in cache: a
+# 2 001-point trajectory's Choi minima at d = 16 took 20 ms in chunks of 1-2 MB
+# and 25 ms in one piece (one BLAS thread, 4 MB L2).  Each call of the
+# ``grid`` benchmark (at most 1.8 MB, its candidates at d = 5) is one chunk.
+_COMBINE_BYTES = 2 * 2**20
+
 
 def _transfer_blocks(transfer) -> tuple:
     """(..., d^2, d^2) transfer matrices on the components of their joint nonzero pattern.
@@ -311,13 +321,14 @@ def _pure_images(blocks, cand) -> np.ndarray:
     return (images + np.conj(np.swapaxes(images, -1, -2))) / 2.0
 
 
-def _sampled_min(d: int, parts, coef, best, sample_budget: int, seed) -> np.ndarray:
+def _sampled_min(d: int, blocks, coef, best, sample_budget: int, seed) -> np.ndarray:
     """Stage 2 of the positivity minimum: ``best`` lowered to the sampled outputs' minima.
 
     ``sample_budget`` > 0 seeded candidates c are drawn once for all the
     maps ``coef @ parts``, one per row of the real (G, K) ``coef``, and
-    imaged under the (K, d^2, d^2) ``parts`` by ``_images``; ``best`` holds
-    the stage-1 minima, one per row.  When the components of the parts'
+    imaged by ``_images`` under the (K, d^2, d^2) ``parts``, given as their
+    ``_transfer_blocks`` split ``blocks``; ``best`` holds the stage-1
+    minima, one per row.  When the components of the parts'
     joint pattern pass ``linalg.diagonal_covariant``, every such map
     commutes with X -> U X U^+ for diagonal unitaries U.  Then c = U |c|
     for one of them makes the output at c unitarily similar to the output
@@ -330,7 +341,6 @@ def _sampled_min(d: int, parts, coef, best, sample_budget: int, seed) -> np.ndar
     sets the minimum).  A chunk holds at most ``_CHUNK`` maps and, with the
     Cholesky factor or the copy of the failing outputs, ``_CHUNK_BYTES``.
     """
-    blocks = _transfer_blocks(parts)
     cand = positivity_candidates(d, sample_budget, np.random.default_rng(seed))[d * d + 1:]
     if diagonal_covariant(d, (rows for rows, _ in blocks[1])):
         cand = np.abs(cand)
@@ -348,6 +358,16 @@ def _sampled_min(d: int, parts, coef, best, sample_budget: int, seed) -> np.ndar
         best[sl] = min_eig_capped(rows.view(sampled.dtype).reshape(-1, n_samples, d, d),
                                   best[sl])
     return best
+
+
+@lru_cache(maxsize=None)
+def _family_split(d: int) -> tuple:
+    """``_transfer_blocks`` of the family's three parts, per d, read-only: the
+    split that ``classify_grid`` images its sampled candidates under."""
+    diag, pairs = _transfer_blocks(family_transfer_parts(d))
+    for array in (diag, *(array for pair in pairs for array in pair)):
+        array.flags.writeable = False
+    return diag, pairs
 
 
 # The oracles of ``_family_blocks``: the Choi matrix, its partial transpose,
@@ -386,23 +406,43 @@ def _family_blocks(d: int, oracle: str) -> tuple:
 
 
 def family_min_eig(d: int, oracle: str, alphas, betas) -> np.ndarray:
-    """One oracle's smallest eigenvalue for the family maps on the grid ``alphas`` x ``betas``.
+    """One oracle's smallest eigenvalue for the family maps at (``alphas``, ``betas``).
 
     ``oracle`` is "choi" (the Choi matrix), "pt" (its partial transpose) or
     "candidates" (the outputs of the d^2 + 1 deterministic positivity
-    candidates); ``alphas`` and ``betas`` are numbers or arrays, read flat,
-    and the result has shape (len(alphas), len(betas)).  Each block size of
-    the cached ``_family_blocks(d, oracle)`` is combined as
+    candidates).  ``alphas`` and ``betas`` are numbers or arrays that
+    broadcast together, and the result has their broadcast shape: a grid
+    passes ``alphas[:, None], betas[None, :]``, a trajectory paired arrays,
+    and one point two numbers.  Each block size of the cached
+    ``_family_blocks(d, oracle)`` is combined as
     (base + alpha d_alpha) + beta d_beta, entry by entry, and solved by
-    ``linalg.min_eig_gathered``.  No entry depends on the other grid
-    points, so one point gets the same floats alone as inside a grid.
+    ``linalg.min_eig_gathered``.  Points whose combined blocks, with one
+    temporary as large, would exceed ``_COMBINE_BYTES`` are taken in chunks
+    along the first axis.
+    No entry depends on the other points, so a point gets the same floats
+    alone, paired or inside a grid, in any chunk.
     """
-    a = np.asarray(alphas, dtype=float).reshape(-1, 1, 1)
-    b = np.asarray(betas, dtype=float).reshape(1, -1, 1)
-    out = np.full((a.shape[0], b.shape[1]), np.inf)
-    for size, shape, base, d_alpha, d_beta in _family_blocks(d, oracle):
-        mats = ((base + a * d_alpha) + b * d_beta).reshape(out.shape + shape)
-        out = np.minimum(out, min_eig_gathered(size, mats))
+    a = np.asarray(alphas, dtype=float)[..., None]
+    b = np.asarray(betas, dtype=float)[..., None]
+    shape = np.broadcast(a, b).shape[:-1]
+    blocks = _family_blocks(d, oracle)
+    point_bytes = 16 * sum(base.size for _, _, base, _, _ in blocks)  # with a temporary
+    if not shape or prod(shape) * point_bytes <= _COMBINE_BYTES:
+        return _combined_min(blocks, a, b)
+    a, b = (x.reshape((1,) * (len(shape) + 1 - x.ndim) + x.shape) for x in (a, b))
+    step = max(1, _COMBINE_BYTES // (prod(shape[1:]) * point_bytes))
+    return np.concatenate([
+        _combined_min(blocks, *(x[start:start + step] if len(x) > 1 else x for x in (a, b)))
+        for start in range(0, shape[0], step)])
+
+
+def _combined_min(blocks, a, b) -> np.ndarray:
+    """The smallest eigenvalue over the ``_family_blocks`` at the points (a, b),
+    which broadcast together and end in an axis of length 1."""
+    out = np.inf
+    for size, shape, base, d_alpha, d_beta in blocks:
+        mats = (base + a * d_alpha) + b * d_beta
+        out = np.minimum(out, min_eig_gathered(size, mats.reshape(mats.shape[:-1] + shape)))
     return out
 
 
@@ -419,11 +459,11 @@ def classify_numeric(p: MapParams, sample_budget: int = 256, seed: int = 42,
     passes the diagonal-unitary check of ``_sampled_min`` (a family map
     does), and certified against the deterministic minimum.
     """
-    choi_min, pt_min, pos_min = (family_min_eig(p.d, oracle, p.alpha, p.beta)[0]
+    choi_min, pt_min, pos_min = (family_min_eig(p.d, oracle, [p.alpha], [p.beta])
                                  for oracle in _ORACLES)
     if sample_budget > 0:
-        pos_min = _sampled_min(p.d, build_phi_family(p).transfer[None], np.ones((1, 1)),
-                               pos_min, sample_budget, seed)
+        blocks = _transfer_blocks(build_phi_family(p).transfer[None])
+        pos_min = _sampled_min(p.d, blocks, np.ones((1, 1)), pos_min, sample_budget, seed)
     margins = tuple(float(m[0]) for m in (pos_min, choi_min, np.minimum(choi_min, pt_min)))
     return RegionVerdict(*_flags(margins, tol), *margins)
 
@@ -439,14 +479,29 @@ def default_grid(d: int, n: int = 101):
     return ax, ax.copy()
 
 
+@lru_cache(maxsize=None)
+def _plane_table(d: int) -> tuple:
+    """The half-planes of all REGIONS at d as one read-only (3, planes) table of
+    coefficients (pa, pb, pc), and each region's slice of its columns."""
+    planes = {which: _half_planes(which, d) for which in REGIONS}
+    table = np.array([p for which in REGIONS for p in planes[which]]).T
+    table.flags.writeable = False
+    bounds = np.cumsum([0] + [len(planes[which]) for which in REGIONS])
+    return table, tuple(slice(*ends) for ends in zip(bounds[:-1], bounds[1:]))
+
+
 def _closed_slacks(d: int, aa, bb) -> dict:
     """Binding-inequality slack of each region, elementwise over (alpha, beta) arrays
-    or at one point."""
-    return {
-        which: np.minimum.reduce([pa * aa + pb * bb + pc
-                                  for pa, pb, pc in _half_planes(which, d)])
-        for which in REGIONS
-    }
+    or at one point.
+
+    The half-planes of all REGIONS (``_plane_table``) are evaluated as one
+    stack, pa alpha + pb beta + pc; each region's slack is the minimum over
+    its planes.
+    """
+    table, slices = _plane_table(d)
+    pa, pb, pc = table.reshape(table.shape + (1,) * max(np.ndim(aa), np.ndim(bb)))
+    values = pa * aa + pb * bb + pc
+    return {which: np.minimum.reduce(values[sl]) for which, sl in zip(REGIONS, slices)}
 
 
 def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
@@ -475,13 +530,14 @@ def classify_grid(d: int, alphas, betas, sample_budget: int = 32,
     aa, bb = np.meshgrid(alphas, betas, indexing="ij")
     margins = tuple(_closed_slacks(d, aa, bb).values())
 
-    choi_min, pt_min, pos_min = (family_min_eig(d, oracle, alphas, betas)
-                                 for oracle in _ORACLES)
+    choi_min, pt_min, pos_min = (
+        family_min_eig(d, oracle, alphas.reshape(-1, 1), betas.reshape(1, -1))
+        for oracle in _ORACLES)
     if sample_budget > 0:
         # Phi = (1-a-b) id + a tau0 + b Delta: the samples are imaged under the three parts
         a_flat, b_flat = aa.ravel(), bb.ravel()
         coef = np.stack([1.0 - a_flat - b_flat, a_flat, b_flat], axis=1)
-        pos_min = _sampled_min(d, family_transfer_parts(d), coef,
+        pos_min = _sampled_min(d, _family_split(d), coef,
                                pos_min.ravel(), sample_budget, seed).reshape(aa.shape)
 
     closed = _flags(margins)

@@ -5,11 +5,13 @@ import json
 import numpy as np
 from scipy.integrate import quad
 
-from quditmaps.channels import SuperMap, family_transfer_parts
-from quditmaps.dynamics import _COND_LIMIT, _EXTRACT_DT
-from quditmaps.errors import SingularMap
+from quditmaps.channels import MapParams, SuperMap, build_phi_family, family_transfer_parts
+from quditmaps.dynamics import _COND_LIMIT, _EXTRACT_DT, TrajectoryPoint
+from quditmaps.errors import DimensionMismatch, SingularMap
 from quditmaps.generators import dissipation_forms, generator_blocks
 from quditmaps.linalg import deterministic_candidates, positivity_candidates, unvec, vec
+from quditmaps.regions import (REGIONS, RegionVerdict, _half_planes, family_min_eig,
+                               schwarz_falsify)
 
 
 def basis_matrix(i: int, j: int, d: int) -> np.ndarray:
@@ -134,3 +136,58 @@ def dense_family_fit(m: SuperMap):
     rhs = (m.transfer - t_id).ravel()
     coef, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
     return float(coef[0].real), float(coef[1].real), float(np.linalg.norm(cols @ coef - rhs))
+
+
+def reference_verdict(p: MapParams) -> RegionVerdict:
+    """``regions.classify_point`` by one Python expression per half-plane,
+    pa alpha + pb beta + pc, reduced by ``np.minimum.reduce`` per region."""
+    margins = tuple(float(np.minimum.reduce([pa * p.alpha + pb * p.beta + pc
+                                             for pa, pb, pc in _half_planes(which, p.d)]))
+                    for which in REGIONS)
+    return RegionVerdict(*(m >= 0.0 for m in margins), *margins)
+
+
+def reference_trajectory_point(s, t: float, sample_budget: int = 0,
+                               seed: int = 42) -> TrajectoryPoint:
+    """One point of a family schedule's trajectory by the per-point path.
+
+    The scalar ``alpha_beta(t)``, ``MapParams``' check (coordinates that
+    overflow raise the one-line error naming the schedule, t and the
+    rates), ``family_min_eig`` at the one point, the closed-form verdict
+    (``reference_verdict``), and the falsifier on the built map at a
+    positive, non-CP point.
+    """
+    alpha, beta = s.alpha_beta(t)
+    try:
+        p = MapParams(s.d, alpha, beta)
+    except DimensionMismatch as exc:
+        kappa, nu = s.kappa_nu(t)
+        raise DimensionMismatch(
+            f"the {type(s).__name__} trajectory overflows at t = {t} with "
+            f"(kappa, nu) = ({kappa}, {nu}): {exc}") from None
+    choi_min = float(family_min_eig(s.d, "choi", p.alpha, p.beta))
+    verdict = reference_verdict(p)
+    if verdict.completely_positive:
+        flag = "in"
+    elif not verdict.positive:
+        flag = "out"
+    elif sample_budget > 0 and schwarz_falsify(build_phi_family(p), sample_budget,
+                                               seed) is not None:
+        flag = "out"
+    else:
+        flag = "unknown"
+    return TrajectoryPoint(t=t, alpha=alpha, beta=beta, verdict=verdict, schwarz_flag=flag,
+                           min_choi_eig=choi_min)
+
+
+def reference_trajectory_csv(s, t_max: float, steps: int) -> str:
+    """The ``trajectory`` command's CSV by one ``reference_trajectory_point`` per time."""
+    lines = ["t,alpha,beta,positive,cp,eb,min_choi_eig"]
+    for t in np.linspace(0.0, t_max, steps + 1):
+        pt = reference_trajectory_point(s, float(t))
+        v = pt.verdict
+        lines.append(",".join([f"{float(x) + 0.0:.12g}" for x in (pt.t, pt.alpha, pt.beta)]
+                              + [str(int(f)) for f in (v.positive, v.completely_positive,
+                                                       v.entanglement_breaking)]
+                              + [f"{pt.min_choi_eig + 0.0:.12g}"]))
+    return "\n".join(lines) + "\n"

@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 from quditmaps import cli, dynamics, generators
 from quditmaps.channels import QuantumState, apply as apply_map, state_to_json
 from quditmaps.dynamics import OptimalENM, map_at
+from quditmaps.errors import QuditMapsError
+from reference import reference_trajectory_csv
 
 
 def run(capsys, argv):
@@ -506,6 +510,32 @@ def test_an_overflowing_trajectory_names_its_schedule_time_and_rates(tmp_path, c
     assert captured.out == ""
     assert _single_error_line_in(captured.err)
     assert f"the ConstantNu trajectory overflows {where}: " in captured.err
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning before the error line fails too
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["const", "enm", "pdiv", "sdiv", "enm2"]), d=st.integers(2, 16),
+       kappa=st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -800.0, 1e150])),
+       nu=st.one_of(st.floats(-20.0, 3.0), st.sampled_from([0.0, -5.0])),
+       t_max=st.one_of(st.floats(0.0, 20.0), st.sampled_from([0.0, 400.0, 1e308])),
+       steps=st.integers(0, 30))
+@example(name="const", d=3, kappa=-2.0, nu=0.2, t_max=400.0, steps=4)
+@example(name="const", d=16, kappa=1.0, nu=-5.0, t_max=400.0, steps=0)
+@example(name="enm", d=16, kappa=1.0, nu=0.0, t_max=1e308, steps=0)
+def test_the_trajectory_command_prints_the_per_point_csv(name, d, kappa, nu, t_max, steps):
+    # stdout, stderr and exit code of the one batched call against the CSV
+    # of one reference point per time, or its error line
+    argv = ["trajectory", "--d", str(d), "--schedule", name, f"--kappa={kappa!r}",
+            f"--nu={nu!r}", f"--t-max={t_max!r}", "--steps", str(steps)]
+    try:
+        want = (0, reference_trajectory_csv(dynamics.schedule_from_name(name, d, kappa, nu),
+                                            t_max, steps), "")
+    except QuditMapsError as exc:
+        want = (2, "", f"error: {exc}\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == want
 
 
 @pytest.mark.filterwarnings("error")

@@ -3,6 +3,7 @@ import math
 import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from scipy.linalg import expm
 
 from quditmaps import dynamics as dy
 from quditmaps import linalg as la
+from quditmaps import regions as r
 from quditmaps.channels import MapParams, build_phi_family, family_fit, named_map
-from quditmaps.errors import DimensionMismatch, NegativeTime, NoLimit, SingularMap, UnknownName
+from quditmaps.errors import (DimensionMismatch, NegativeTime, NoLimit, QuditMapsError,
+                              SingularMap, UnknownName)
 from quditmaps.regions import classify_point
-from reference import alpha_beta_by_quadrature, basis_matrix, dense_extraction
+from reference import (alpha_beta_by_quadrature, basis_matrix, dense_extraction,
+                       reference_trajectory_point)
 
 
 ALL_SCHEDULES = lambda d: [
@@ -313,15 +317,17 @@ def test_asymptotic_constant_nu():
 
 def test_only_the_weyl_mixture_overrides_the_limit():
     # every family schedule takes ``Schedule.limit``, the family map at
-    # alpha_beta(inf); only the mixture, which leaves the family, has its own
-    owners = set()
+    # alpha_beta(inf), and ``Schedule.points``, the family's Choi blocks on a
+    # time grid; only the mixture, which leaves the family, has its own
+    owners = {"limit": set(), "points": set()}
     for path in Path(dy.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ClassDef) and any(
-                    isinstance(item, ast.FunctionDef) and item.name == "limit"
-                    for item in node.body):
-                owners.add(node.name)
-    assert owners == {"Schedule", "WeylMixture"}
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name in owners:
+                        owners[item.name].add(node.name)
+    assert owners == {"limit": {"Schedule", "WeylMixture"},
+                      "points": {"Schedule", "WeylMixture"}}
 
 
 @pytest.mark.parametrize("coordinates", [lambda t: (t, 0.0), lambda t: (0.0, -t),
@@ -924,6 +930,100 @@ def test_trajectory_point_builds_the_weyl_mixture_once(monkeypatch):
     pt = dy.trajectory_point(dy.WeylMixture(3), 0.7)
     assert len(calls) == 1
     assert (pt.alpha, pt.beta) == dy.alpha_beta_at(dy.WeylMixture(3), 0.7)
+
+
+# --- batched trajectories ------------------------------------------------------------
+
+FAMILY_SCHEDULES = ("const", "enm", "pdiv", "sdiv", "enm2")
+RATES = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 5e-324, -800.0, 1e150]))
+
+
+def special_times(d):
+    """0, ENM2's t1 = ln(d)/d and the switch times t_*, t_S, each with its
+    neighbouring floats."""
+    sw = dy.switch_times(d)
+    out = [0.0]
+    for t in (sw.t_star, sw.t_s, math.log(d) / d):
+        if math.isfinite(t):
+            out += [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+    return out
+
+
+def bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warns nothing, batched or per point
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(FAMILY_SCHEDULES), d=st.integers(2, 16), kappa=RATES, nu=RATES,
+       t_max=st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 400.0, 1e308])),
+       steps=st.integers(0, 40), budget=st.sampled_from([0, 8]),
+       bound=st.sampled_from([None, 1, 4096]))
+@example(name="const", d=3, kappa=-2.0, nu=0.2, t_max=400.0, steps=4, budget=0, bound=1)
+@example(name="const", d=16, kappa=1.0, nu=-5.0, t_max=400.0, steps=0, budget=0, bound=None)
+@example(name="pdiv", d=2, kappa=1.0, nu=0.0, t_max=1e308, steps=3, budget=8, bound=1)
+def test_a_batched_trajectory_is_the_per_point_path_bit_for_bit(name, d, kappa, nu, t_max,
+                                                               steps, budget, bound):
+    # the array alpha_beta, the one coordinate check, the one family_min_eig
+    # call (in chunks of any size) and the slacks on the arrays give, at each
+    # time, the floats and flags of the per-point path; where that path raises
+    # at its first overflowing time, the batched call raises the same line
+    try:
+        s = dy.schedule_from_name(name, d, kappa, nu)
+    except QuditMapsError:
+        return  # rates that overflow: a usage error before any time
+    ts = np.concatenate([np.linspace(0.0, t_max, steps + 1), special_times(d)])
+    rows, error = [], None
+    for t in ts:
+        try:
+            rows.append(reference_trajectory_point(s, float(t), budget, seed=d))
+        except DimensionMismatch as exc:
+            error = str(exc)
+            break
+    with patch.object(r, "_COMBINE_BYTES", bound or r._COMBINE_BYTES):
+        if error is not None:
+            with pytest.raises(DimensionMismatch) as info:
+                dy.trajectory(s, ts, budget, seed=d)
+            assert str(info.value) == error
+            return
+        tr = dy.trajectory(s, ts, budget, seed=d)
+    assert tr.t.tobytes() == ts.tobytes()
+    for i, ref in enumerate(rows):
+        v = ref.verdict
+        assert bits(tr.alpha[i], tr.beta[i], tr.min_choi_eig[i], *(m[i] for m in tr.margins)) \
+            == bits(ref.alpha, ref.beta, ref.min_choi_eig, *v.margins), (i, ts[i])
+        assert (tr.positive[i], tr.completely_positive[i], tr.entanglement_breaking[i],
+                tr.schwarz_flag[i]) == (v.positive, v.completely_positive,
+                                        v.entanglement_breaking, ref.schwarz_flag), (i, ts[i])
+    one = dy.trajectory_point(s, ts[-1], budget, seed=d)
+    assert one == rows[-1]
+    assert bits(one.alpha, one.beta, one.min_choi_eig, *one.verdict.margins) \
+        == bits(rows[-1].alpha, rows[-1].beta, rows[-1].min_choi_eig, *rows[-1].verdict.margins)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_one_batched_trajectory_brackets_the_cp_and_eb_entry_times(d):
+    # the oracle minima of one 2 001-point call change sign within one grid
+    # step of the closed-form roots: a grid scan of the oracles, as a
+    # crossing search for every schedule would make, sees every entry
+    for nu in (-0.5, -0.9 * (d - 1)):
+        rep = dy.crossing_times(d, 1.0, nu)
+        ts = np.linspace(0.0, 1.5 * rep.t_eb, 2001)
+        tr = dy.trajectory(dy.ConstantNu(d, 1.0, nu), ts)
+        pt_min = r.family_min_eig(d, "pt", tr.alpha, tr.beta)
+        for values, root in ((tr.min_choi_eig, rep.t_cp), (pt_min, rep.t_eb)):
+            # t = 0 is the identity, whose Choi minimum is 0 up to rounding
+            neg = values[1:] < 0.0
+            (i,) = np.flatnonzero(neg[:-1] != neg[1:]) + 1
+            assert ts[i] < root <= ts[i + 1], (nu, root, ts[i], ts[i + 1])
+
+
+def test_trajectory_times_are_checked_like_one_time():
+    s = dy.OptimalENM(3)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(NegativeTime, match=f"got {bad}"):
+            dy.trajectory(s, [0.0, 1.0, bad, -2.0])
+    assert dy.trajectory(s, []).min_choi_eig.shape == (0,)
 
 
 # --- rate-bound violation signature ----------------------------------------------------

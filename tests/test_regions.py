@@ -1,4 +1,5 @@
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from quditmaps.errors import NotUnital, QuditMapsError, UnknownName
 from quditmaps.generators import (GenParams, build_generator, generator_blocks,
                                   schwarz_threshold, witness_operator)
 from quditmaps.linalg import partial_transpose
-from reference import basis_matrix, sampled_positivity_min, schwarz_violation
+from reference import (basis_matrix, reference_verdict, sampled_positivity_min,
+                       schwarz_violation)
 
 
 def transposition_map(d):
@@ -45,11 +47,11 @@ def package_positivity_min(m, sample_budget, seed):
     """The package's two positivity stages on any map: the deterministic
     candidates' blockwise images solved by ``eigvalsh``, then the sampled
     outputs certified against that minimum by ``regions._sampled_min``."""
-    images = r._pure_images(r._transfer_blocks(m.transfer[None]),
-                            la.deterministic_candidates(m.d))
+    blocks = r._transfer_blocks(m.transfer[None])
+    images = r._pure_images(blocks, la.deterministic_candidates(m.d))
     best = np.linalg.eigvalsh(images)[..., 0].min(axis=-1)
     if sample_budget > 0:
-        best = r._sampled_min(m.d, m.transfer[None], np.ones((1, 1)), best, sample_budget, seed)
+        best = r._sampled_min(m.d, blocks, np.ones((1, 1)), best, sample_budget, seed)
     return float(best[0])
 
 
@@ -293,7 +295,7 @@ def assert_within_capped_rounding(d, alphas, betas, real, cplx):
 def test_the_real_path_gives_the_complex_minima_where_samples_set_them(d):
     alphas, betas = wide_grid(d)
     grid = r.classify_grid(d, alphas, betas, sample_budget=32, seed=d)
-    stage1 = r.family_min_eig(d, "candidates", alphas, betas)
+    stage1 = r.family_min_eig(d, "candidates", alphas[:, None], betas[None, :])
     assert (grid["pos_min"] < stage1).any()
     assert_within_capped_rounding(d, alphas, betas, grid["pos_min"],
                                   imaged_at_c(d, alphas, betas, 32, d))
@@ -552,6 +554,50 @@ def test_a_warm_classify_numeric_takes_no_partial_transpose(d, builds):
     builds.clear()
     r.classify_numeric(MapParams(d, 0.3, 0.1), sample_budget=0)
     assert not builds
+
+
+COORDINATES = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1.0, -1e-300]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 16), alphas=st.lists(COORDINATES, min_size=1, max_size=4),
+       betas=st.lists(COORDINATES, min_size=1, max_size=4))
+def test_closed_slacks_are_the_per_plane_expressions_bit_for_bit(d, alphas, betas):
+    # the stacked half-planes give, at one point, paired and on a grid, the
+    # floats (signed zeros too) of one Python expression per plane
+    grid = r.classify_grid(d, alphas, betas, sample_budget=0)
+    aa, bb = np.meshgrid(alphas, betas, indexing="ij")
+    paired = r._closed_slacks(d, aa.ravel(), bb.ravel())
+    for k, (a, b) in enumerate(zip(aa.flat, bb.flat)):
+        want = reference_verdict(MapParams(d, a, b))
+        got = r.classify_point(MapParams(d, a, b))
+        assert got == want
+        assert np.array(got.margins).tobytes() == np.array(want.margins).tobytes()
+        i, j = np.unravel_index(k, aa.shape)
+        for key, which, m in zip(("margin_positive", "margin_cp", "margin_eb"), r.REGIONS,
+                                 want.margins):
+            assert grid[key][i, j].tobytes() == paired[which][k].tobytes() \
+                == np.float64(m).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 16), oracle=st.sampled_from(r._ORACLES),
+       alphas=st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=5),
+       betas=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
+       bound=st.sampled_from([None, 1, 600]))
+def test_family_min_eig_gives_the_same_floats_in_grid_paired_and_point_form(
+        d, oracle, alphas, betas, bound):
+    # one path for a grid, a trajectory's paired points and one point, in
+    # chunks of any size
+    a, b = np.array(alphas), np.array(betas)
+    aa, bb = np.meshgrid(a, b, indexing="ij")
+    with patch.object(r, "_COMBINE_BYTES", bound or r._COMBINE_BYTES):
+        grid = r.family_min_eig(d, oracle, a[:, None], b[None, :])
+        paired = r.family_min_eig(d, oracle, aa.ravel(), bb.ravel())
+        points = [r.family_min_eig(d, oracle, x, y) for x, y in zip(aa.flat, bb.flat)]
+    assert grid.shape == aa.shape and paired.shape == (aa.size,)
+    assert all(np.ndim(v) == 0 for v in points)
+    assert grid.tobytes() == paired.tobytes() == np.array(points).tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
