@@ -216,7 +216,8 @@ class Schedule:
         raises as ``_params`` does.  The eigenvalues are one
         ``regions.family_min_eig`` call on the paired coordinates: a
         combination of the family's cached Choi blocks, with no map built,
-        in chunks of bounded bytes, each point's the floats it gets alone.
+        in chunks of bounded bytes; a point gets the same floats in any chunk
+        as alone.
         """
         alphas, betas = self.alpha_beta(ts)
         bad = np.flatnonzero(~coordinates_finite(self.d, alphas, betas))
@@ -858,7 +859,7 @@ def trajectory_point(s: Schedule, t: float, sample_budget: int = 0,
                      seed: int = 42) -> TrajectoryPoint:
     """One point of a schedule's trajectory with its verdicts: the one-time
     case of ``trajectory``, whose docstring gives the flags."""
-    tr = trajectory(s, [_check_time(t)], sample_budget, seed)
+    tr = trajectory(s, [t], sample_budget, seed)
     margins = tuple(float(m[0]) for m in tr.margins)
     return TrajectoryPoint(t=float(tr.t[0]), alpha=float(tr.alpha[0]), beta=float(tr.beta[0]),
                            verdict=RegionVerdict(*_flags(margins), *margins),
